@@ -14,7 +14,6 @@ from .arrivals import (
     fit_daily_volume,
     fit_hourly_profile,
     forecast_daily_volume,
-    intensity_at,
     poisson_truncation,
 )
 from .baselines import baseline_holt_winters, baseline_seasonal_naive

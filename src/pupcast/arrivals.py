@@ -24,7 +24,6 @@ __all__ = [
     "fit_hourly_profile",
     "fit_daily_volume",
     "forecast_daily_volume",
-    "intensity_at",
     "poisson_truncation",
     "poisson_pmf",
     "seasonal_mean_forecaster",
@@ -281,29 +280,6 @@ class OrderIntensity:
             return float(volumes.get(carrier, {}).get(day, 0.0))
 
         return cls(profile, daily, tuple(sorted(volumes)))
-
-
-def intensity_at(
-    profile: HourlyProfile,
-    volume: DailyVolumeModel,
-    timebase,
-    k_future: int,
-    carrier: str,
-) -> float:
-    """Convenience wrapper: rho_hat * mu_hat at a future slot."""
-    day = timebase.date_of(k_future)
-    ahead = (day - volume.end).days
-    w = timebase.weekday_of(k_future)
-    h = timebase.hour_of(k_future)
-    rho = profile.proportion(w, h, carrier)
-    if rho == 0.0:
-        return 0.0
-    if ahead < 0:
-        idx = (day - volume.start).days
-        mu = float(volume.history[carrier][idx]) if 0 <= idx else 0.0
-    else:
-        mu = float(forecast_daily_volume(volume, ahead + 1)[carrier][ahead])
-    return rho * mu
 
 
 def poisson_pmf(lam: float, m: int) -> float:

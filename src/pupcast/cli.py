@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrivals import HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
+from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
 from .engine import bind_kernel, predict_load_pmf, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
 from .errors import PupcastError
@@ -26,10 +26,9 @@ from .estimation import (
 )
 from .evaluate import DEFAULT_HORIZONS, rolling_origin_evaluate
 from .kernel import TransitionKernel
-from .oracle import enumerate_contribution_prob, simulate
+from .oracle import enumerate_contribution_prob, random_instance, simulate
 from .records import EventLog
 from .scenario import ScenarioConfig
-from .arrivals import DailyVolumeModel
 
 
 def _horizons(arg: str) -> tuple[int, ...]:
@@ -145,25 +144,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    from .pmf import HoldingTimePmf
-    from .timebase import Timebase
-    from .kernel import KernelLevel, StatusKernel
-    from datetime import datetime
-
-    tb = Timebase(datetime(2024, 1, 1, 0))
     worst = 0.0
     for trial in range(args.instances):
-        n_statuses = int(rng.integers(2, 5))
-        statuses = {}
-        for m in range(n_statuses):
-            support = int(rng.integers(2, 6))
-            probs = np.zeros(support + 1)
-            probs[1:] = rng.dirichlet(np.ones(support))
-            statuses[m] = StatusKernel((KernelLevel((), {(): HoldingTimePmf(probs)}),))
-        kernel = TransitionKernel(n_statuses, statuses, tb)
+        kernel, k, j = random_instance(rng, max_statuses=4, max_support=5)
+        n_statuses = kernel.n_statuses
         pmf_at = bind_kernel(kernel)
-        k = int(rng.integers(2, 6))
-        j = int(rng.integers(1, 10))
         n = int(rng.integers(0, n_statuses))
         if n == n_statuses - 1:
             t_n = int(rng.integers(0, k + 1))

@@ -11,15 +11,21 @@ whose parameter depends on the parcel's latest known status:
   chain at a future slot, mixed over carriers/retailers and a Poisson
   number of orders.
 
-All nested sums over intermediate transition times are evaluated by a
-forward pass over arrival-time distributions, never by literal nested
-loops.  The load pmf is the convolution of the per-parcel Bernoulli pmfs
-with the future-order pmf.
+The last two, and ``chain_prob_g``, read from one backward value function
+V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from a
+terminal V_{N-1} (the pickup survival to k+j; for ``chain_prob_g`` the
+indicator of the delivery slot); a path that leaves the window scores 0.
+A parcel in status n is a dot product of its holding-time row with
+V_{n+1}; an order entering status e at t_0 adds V_e(t_0).  Within one
+forecast, parcels and orders of one (carrier, retailer) share one table.
+The load pmf is the convolution of the per-parcel Bernoulli pmfs with the
+future-order pmf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,11 +59,66 @@ _EPS = 1e-15
 
 def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
     """Close a transition kernel over one parcel's routing attributes."""
+    return partial(kernel.pmf_at, carrier=carrier, retailer=retailer, pup=pup)
 
-    def pmf_at(n: int, t: int) -> HoldingTimePmf:
-        return kernel.pmf_at(n, t, carrier=carrier, retailer=retailer, pup=pup)
 
-    return pmf_at
+class _Values(dict):
+    """Backward value functions: ``self[m][t - slots[0]]`` is V_m(t) under one bound kernel.
+
+    V_{N-1}(t) is ``terminal(t)``.  Each V_m is computed on first use and kept.
+    """
+
+    def __init__(self, pmf_at: PmfAt, n_statuses: int, slots: range, terminal: Callable[[int], float]):
+        super().__init__()
+        self.pmf_at, self.last, self.slots, self.terminal = pmf_at, n_statuses - 1, slots, terminal
+
+    def __missing__(self, m: int) -> np.ndarray:
+        if m == self.last:
+            v = np.array([self.terminal(t) for t in self.slots], dtype=float)
+        else:
+            nxt = self[m + 1]
+            v = np.zeros(len(nxt))
+            for i, t in enumerate(self.slots[:-1]):  # an entry at the last slot cannot move on
+                probs = self.pmf_at(m, t).probs[1 : len(nxt) - i]
+                v[i] = probs @ nxt[i + 1 : i + 1 + len(probs)]
+        self[m] = v
+        return v
+
+
+def _window(pmf_at: PmfAt, n_statuses: int, k: int, j: int) -> _Values:
+    """V_m(t) = P(delivered in (k, k+j], still stored at k+j | status m entered at t > k)."""
+    last = n_statuses - 1
+    return _Values(pmf_at, n_statuses, range(k + 1, k + j + 1), lambda t: pmf_at(last, t).survival(k + j - t))
+
+
+class _Tables(dict):
+    """The ``_window`` of each (carrier, retailer) at one pup, built on first use."""
+
+    def __init__(self, kernel, pup: str, k: int, j: int):
+        super().__init__()
+        self.kernel, self.pup, self.k, self.j = kernel, pup, k, j
+
+    def __missing__(self, route: tuple) -> _Values:
+        pmf_at = bind_kernel(self.kernel, carrier=route[0], retailer=route[1], pup=self.pup)
+        self[route] = _window(pmf_at, self.kernel.n_statuses, self.k, self.j)
+        return self[route]
+
+
+def _known(f: HoldingTimePmf, values: _Values, n: int, t_n: int, k: int, j: int) -> float:
+    """Contribution probability of a parcel in status n since t_n whose status-n pmf is f."""
+    if j < 0:
+        raise ValidationError("horizon j must be >= 0")
+    if n < values.last and j == 0:
+        return 0.0  # no slot to be delivered in
+    denom = f.survival(k - t_n)
+    if denom <= _EPS:
+        raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
+    if n == values.last:  # delivered: the ratio of pickup survivals
+        # tiny tail sums can make the ratio overshoot 1 by a few ulps
+        return min(1.0, f.survival(k + j - t_n) / denom)
+    first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
+    row = f.probs[first - t_n : k + j + 1 - t_n]
+    return float(row @ values[n + 1][first - k - 1 : first - k - 1 + len(row)]) / denom
 
 
 def prob_still_stored(pmf_at: PmfAt, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
@@ -65,109 +126,41 @@ def prob_still_stored(pmf_at: PmfAt, n_statuses: int, t_delivered: int, k: int, 
 
     Ratio of the pickup-time survival at k+j to the survival at k.
     """
-    if j < 0:
-        raise ValidationError("horizon j must be >= 0")
-    f = pmf_at(n_statuses - 1, t_delivered)
-    denom = f.survival(k - t_delivered)
-    if denom <= _EPS:
-        raise ImpossibleEvidence(
-            f"pickup pmf says the parcel delivered at {t_delivered} must have left by {k}"
-        )
-    # tiny tail sums can make the ratio overshoot 1 by a few ulps
-    return min(1.0, f.survival(k + j - t_delivered) / denom)
-
-
-def _forward_arrivals(
-    pmf_at: PmfAt, start_status: int, arr: np.ndarray, t_lo: int, t_hi: int, n_target: int
-) -> np.ndarray:
-    """Propagate an arrival-time distribution forward to ``n_target``.
-
-    ``arr[t - t_lo]`` is the probability of entering ``start_status`` exactly
-    at slot t; the result is the same representation for ``n_target``.
-    Arrival times beyond ``t_hi`` are dropped (they cannot lead to delivery
-    within the horizon).
-    """
-    size = t_hi - t_lo + 1
-    for n in range(start_status, n_target):
-        nxt = np.zeros(size)
-        for idx in np.nonzero(arr)[0]:
-            t = t_lo + idx
-            probs = pmf_at(n, t).probs
-            width = min(len(probs) - 1, t_hi - t)
-            if width >= 1:
-                nxt[idx + 1 : idx + 1 + width] += arr[idx] * probs[1 : width + 1]
-        arr = nxt
-    return arr
-
-
-def _joint_delivered_not_picked(
-    pmf_at: PmfAt, n_statuses: int, arr: np.ndarray, t_lo: int, k: int, j: int, start_status: int
-) -> float:
-    """Sum over delivery slots of arrival probability times pickup survival."""
-    arrivals = _forward_arrivals(pmf_at, start_status, arr, t_lo, k + j, n_statuses - 1)
-    total = 0.0
-    for idx in np.nonzero(arrivals)[0]:
-        t_del = t_lo + idx
-        if t_del > k:  # delivery must fall inside (k, k+j]
-            total += arrivals[idx] * pmf_at(n_statuses - 1, t_del).survival(k + j - t_del)
-    return total
-
-
-def _prob_delivered_and_stored(
-    pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int
-) -> float:
-    """P(delivered in (k, k+j] and not picked up by k+j | status n since t_n, T_{n+1} > k)."""
-    if not 0 <= n <= n_statuses - 2:
-        raise ValidationError(f"status {n} is not an in-transit status for N={n_statuses}")
-    if j < 1:
-        return 0.0
-    f = pmf_at(n, t_n)
-    denom = f.survival(k - t_n)
-    if denom <= _EPS:
-        raise ImpossibleEvidence(
-            f"kernel says the transition out of status {n} entered at {t_n} "
-            f"must have happened by {k}"
-        )
-    t_lo, t_hi = k + 1, k + j
-    arr = np.zeros(j)
-    for t in range(t_lo, t_hi + 1):
-        delta = t - t_n
-        if 1 <= delta <= f.support_max:
-            arr[t - t_lo] = f.probs[delta] / denom
-    return _joint_delivered_not_picked(pmf_at, n_statuses, arr, t_lo, k, j, n + 1)
+    last = n_statuses - 1
+    return _known(pmf_at(last, t_delivered), _window(pmf_at, n_statuses, k, j), last, t_delivered, k, j)
 
 
 def prob_delivered_and_stored_last_hop(
     pmf_at: PmfAt, n_statuses: int, t_prev: int, k: int, j: int
 ) -> float:
     """Contribution probability for a parcel one transition away from delivery."""
-    return _prob_delivered_and_stored(pmf_at, n_statuses, n_statuses - 2, t_prev, k, j)
+    return prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n_statuses - 2, t_prev, k, j)
 
 
 def prob_delivered_and_stored_multi_hop(
     pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int
 ) -> float:
-    """Contribution probability for a parcel several transitions from delivery.
+    """P(delivered in (k, k+j] and not picked up by k+j | status n since t_n, T_{n+1} > k).
 
     Degenerates to the last-hop case when n = N-2.
     """
-    return _prob_delivered_and_stored(pmf_at, n_statuses, n, t_n, k, j)
+    if not 0 <= n <= n_statuses - 2:
+        raise ValidationError(f"status {n} is not an in-transit status for N={n_statuses}")
+    return _known(pmf_at(n, t_n), _window(pmf_at, n_statuses, k, j), n, t_n, k, j)
 
 
 def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: int) -> float:
     """P(delivery exactly at t_delivery | status n entered at t_n).
 
-    Forward pass over per-status arrival-time distributions; returns 0 for
-    unreachable times (each hop takes at least one slot).
+    The backward values over [t_n, t_delivery] with terminal 1[t = t_delivery];
+    0 for unreachable times (each hop takes at least one slot).
     """
     if n >= n_statuses - 1:
         raise ValidationError("chain probability needs a status before delivery")
     if t_delivery - t_n < n_statuses - 1 - n:
         return 0.0
-    arr = np.zeros(t_delivery - t_n + 1)
-    arr[0] = 1.0
-    arrivals = _forward_arrivals(pmf_at, n, arr, t_n, t_delivery, n_statuses - 1)
-    return float(arrivals[t_delivery - t_n])
+    values = _Values(pmf_at, n_statuses, range(t_n, t_delivery + 1), lambda t: float(t == t_delivery))
+    return float(values[n][0])
 
 
 def prob_future_order_contributes(
@@ -176,13 +169,7 @@ def prob_future_order_contributes(
     """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    hops = n_statuses - 1 - entry_status
-    if t_0 + hops > k + j:
-        return 0.0
-    t_lo, t_hi = k + 1, k + j
-    arr = np.zeros(j)
-    arr[t_0 - t_lo] = 1.0
-    return _joint_delivered_not_picked(pmf_at, n_statuses, arr, t_lo, k, j, entry_status)
+    return float(_window(pmf_at, n_statuses, k, j)[entry_status][t_0 - k - 1])
 
 
 def future_orders_pmf(
@@ -203,23 +190,25 @@ def future_orders_pmf(
     model.  The Poisson mixture is truncated at the smallest count whose
     CDF reaches ``coverage`` and renormalized.
     """
+    return _future_orders_pmf(intensity, selection, _Tables(kernel, pup, k, j), entry_status, coverage)
+
+
+def _future_orders_pmf(
+    intensity: OrderIntensity, selection: SelectionModel, tables: _Tables, entry_status: int, coverage: float
+) -> LoadPmf:
+    k, j = tables.k, tables.j
+    # contribution probability of one order per carrier and entry slot k+1..k+j
+    p_entry = {}
+    for carrier in intensity.carriers:
+        weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
+        p_entry[carrier] = sum(w * tables[carrier, r][entry_status] for r, w in weights.items())
     result = LoadPmf.point_mass(0)
-    timebase = kernel.timebase
     for i in range(1, j):
-        t_0 = k + i
         for carrier in intensity.carriers:
-            lam = intensity.lambda_at(timebase, t_0, carrier)
+            lam = intensity.lambda_at(tables.kernel.timebase, k + i, carrier)
             if lam <= 0.0:
                 continue
-            p_retailers = selection.p_retailer_given_carrier(carrier)
-            if not p_retailers:
-                p_retailers = {None: 1.0}
-            p = 0.0
-            for retailer, weight in p_retailers.items():
-                pmf_at = bind_kernel(kernel, carrier=carrier, retailer=retailer, pup=pup)
-                p += weight * prob_future_order_contributes(
-                    pmf_at, kernel.n_statuses, t_0, k, j, entry_status
-                )
+            p = p_entry[carrier][i - 1]
             m_max = poisson_truncation(lam, coverage)
             bern = np.array([1.0 - p, p])
             q = np.zeros(m_max + 1)
@@ -260,20 +249,17 @@ class ForecastResult:
         }
 
 
-def _parcel_contribution(
-    kernel, rec: ParcelRecord, k: int, j: int, diagnostics: list[str]
-) -> float | None:
+def _parcel_contribution(rec: ParcelRecord, tables: _Tables, diagnostics: list[str]) -> float | None:
     """Bernoulli parameter for one known parcel, or None if it cannot contribute."""
-    n_statuses = kernel.n_statuses
+    n_statuses = tables.kernel.n_statuses
+    k, j = tables.k, tables.j
     n = rec.status_at(k)
     if n is None or n >= n_statuses:
         return None
     t_n = rec.entry_times[n]
-    pmf_at = bind_kernel(kernel, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
+    values = tables[rec.carrier, rec.retailer]
     try:
-        if n == n_statuses - 1:
-            return prob_still_stored(pmf_at, n_statuses, t_n, k, j)
-        return _prob_delivered_and_stored(pmf_at, n_statuses, n, t_n, k, j)
+        return _known(values.pmf_at(n, t_n), values, n, t_n, k, j)
     except ImpossibleEvidence:
         pass
     except MissingKernel:
@@ -283,19 +269,12 @@ def _parcel_contribution(
     # Retry with the coarsest pooled pmf; if that also says the parcel must
     # have left, treat it as departed (the forced-return rule).
     try:
-        pooled = kernel.statuses[n].coarsest()
-    except (KeyError, MissingKernel):
+        pooled = tables.kernel.pooled_pmf_at(n, t_n)
+    except MissingKernel:
         diagnostics.append(f"parcel {rec.id}: impossible evidence, no fallback; dropped")
         return None
-
-    def pooled_at(m: int, t: int) -> HoldingTimePmf:
-        return pooled if m == n else pmf_at(m, t)
-
     try:
-        if n == n_statuses - 1:
-            p = prob_still_stored(pooled_at, n_statuses, t_n, k, j)
-        else:
-            p = _prob_delivered_and_stored(pooled_at, n_statuses, n, t_n, k, j)
+        p = _known(pooled, values, n, t_n, k, j)
         diagnostics.append(f"parcel {rec.id}: impossible evidence, used pooled fallback")
         return p
     except ImpossibleEvidence:
@@ -323,17 +302,16 @@ def predict_load_pmf(
         raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
     pup = pups.pop() if pups else ""
     diagnostics: list[str] = []
+    tables = _Tables(kernel, pup, k, j)
     probs = np.array([1.0])
     for rec in parcels:
-        p = _parcel_contribution(kernel, rec, k, j, diagnostics)
+        p = _parcel_contribution(rec, tables, diagnostics)
         if p is not None and p > 0.0:
             probs = np.convolve(probs, [1.0 - p, p])
     if intensity is not None:
         if selection is None:
             selection = SelectionModel({None: 1.0}, {None: {c: 1.0 / len(intensity.carriers) for c in intensity.carriers}})
-        future = future_orders_pmf(
-            intensity, kernel, selection, pup, k, j, entry_status, coverage
-        )
+        future = _future_orders_pmf(intensity, selection, tables, entry_status, coverage)
         probs = np.convolve(probs, future.probs)
     pmf = LoadPmf(probs / probs.sum()).trimmed()
     return ForecastResult(pup=pup, k=k, j=j, pmf=pmf, diagnostics=diagnostics)

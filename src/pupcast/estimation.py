@@ -106,19 +106,18 @@ class SelectionModel:
         return {r: p / total for r, p in joint.items()}
 
     def to_json_dict(self) -> dict:
+        """JSON document; the unknown retailer ``None`` is written as "", as in the event CSV."""
+        p_cgr = {str(r or ""): dict(sorted(pc.items())) for r, pc in self.p_carrier_given_retailer.items()}
         return {
-            "p_retailer": {str(r): p for r, p in sorted(self.p_retailer.items())},
-            "p_carrier_given_retailer": {
-                str(r): {str(c): p for c, p in sorted(pc.items())}
-                for r, pc in sorted(self.p_carrier_given_retailer.items())
-            },
+            "p_retailer": dict(sorted((str(r or ""), p) for r, p in self.p_retailer.items())),
+            "p_carrier_given_retailer": dict(sorted(p_cgr.items())),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SelectionModel":
         return cls(
-            p_retailer=dict(d["p_retailer"]),
-            p_carrier_given_retailer={r: dict(pc) for r, pc in d["p_carrier_given_retailer"].items()},
+            p_retailer={r or None: p for r, p in d["p_retailer"].items()},
+            p_carrier_given_retailer={r or None: dict(pc) for r, pc in d["p_carrier_given_retailer"].items()},
         )
 
 
@@ -302,6 +301,9 @@ class ClosureAdjustedKernel:
         adjusted = self._shift(pmf, t)
         self._cache[key] = adjusted
         return adjusted
+
+    def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
+        return self._shift(self.base.pooled_pmf_at(n, t), t)
 
     def _shift(self, pmf: HoldingTimePmf, t: int) -> HoldingTimePmf:
         tb = self.base.timebase

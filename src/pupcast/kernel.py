@@ -108,6 +108,12 @@ class TransitionKernel:
         """Pmf of the holding time in status n entered at slot t."""
         return self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))
 
+    def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
+        """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""
+        if n not in self.statuses:
+            raise MissingKernel(f"no kernel fitted for status {n}")
+        return self.statuses[n].coarsest()
+
     # ---- serialization (bit-exact JSON round-trip) ----
 
     def to_json_dict(self) -> dict:

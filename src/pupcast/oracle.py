@@ -12,6 +12,9 @@ probabilities and loads:
   rejection on the conditioning event, or exact-conditional sampling of
   whole-system futures.
 
+``random_instance`` draws the small random kernels that the enumeration
+comparisons run on.
+
 Replicate-level parallel work derives child generators from the master
 seed with ``numpy.random.SeedSequence(seed).spawn``, so results are
 deterministic regardless of scheduling.
@@ -20,14 +23,18 @@ deterministic regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
 from .arrivals import OrderIntensity
-from .errors import ConditioningTooRare, TooLarge, ValidationError
+from .errors import ConditioningTooRare, MissingKernel, TooLarge, ValidationError
 from .estimation import SelectionModel
+from .kernel import KernelLevel, StatusKernel, TransitionKernel
+from .pmf import HoldingTimePmf
 from .records import EventLog, ParcelRecord
 from .scenario import ScenarioConfig
+from .timebase import Timebase
 
 __all__ = [
     "SimulatedTrace",
@@ -35,6 +42,8 @@ __all__ = [
     "mc_contribution_prob",
     "enumerate_contribution_prob",
     "mc_load_at",
+    "random_pmf",
+    "random_instance",
 ]
 
 
@@ -119,14 +128,17 @@ def simulate(config: ScenarioConfig) -> SimulatedTrace:
                 parcels.append(
                     ParcelRecord(f"P{counter:06d}", carrier, config.pup, retailer, entries)
                 )
-    load = np.zeros(horizon, dtype=int)
-    for rec in parcels:
-        t_del = rec.entry_times.get(config.n_statuses - 1)
-        if t_del is None or t_del >= horizon:
-            continue
-        t_out = min(rec.entry_times.get(config.n_statuses, horizon), horizon)
-        load[t_del:t_out] += 1
-    return SimulatedTrace(config=config, parcels=parcels, load=load)
+    trace = SimulatedTrace(config=config, parcels=parcels, load=np.zeros(0, dtype=int))
+    trace.load = trace.recount_load()
+    return trace
+
+
+def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
+    """Holding-time probs conditioned on a delay beyond ``elapsed``; None if impossible."""
+    probs = pmf.probs.copy()
+    probs[: max(0, elapsed + 1)] = 0.0
+    total = probs.sum()
+    return probs / total if total > 0.0 else None
 
 
 def _advance_groups(
@@ -302,18 +314,21 @@ def mc_load_at(
             continue
         t_n = rec.entry_times[n]
         pmf = kernel.pmf_at(n, t_n, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
-        probs = pmf.probs.copy()
-        lo = k - t_n + 1  # transition must happen after k
-        if lo > 0:
-            probs[: min(lo, len(probs))] = 0.0
-        total = probs.sum()
-        if total <= 0.0:
-            continue  # evidence beyond support: parcel treated as departed
+        probs = _after(pmf, k - t_n)  # the transition happens after k
+        if probs is None:
+            # evidence beyond the support: retry with the pooled pmf, and if
+            # that fails too the parcel has departed (the engine's rule)
+            try:
+                probs = _after(kernel.pooled_pmf_at(n, t_n), k - t_n)
+            except MissingKernel:
+                pass
+        if probs is None:
+            continue
         if n == n_statuses - 1:
-            t_pick = t_n + rng.choice(len(probs), size=n_replicates, p=probs / total)
+            t_pick = t_n + rng.choice(len(probs), size=n_replicates, p=probs)
             loads += t_pick > k + j
             continue
-        times = t_n + rng.choice(len(probs), size=n_replicates, p=probs / total)
+        times = t_n + rng.choice(len(probs), size=n_replicates, p=probs)
         alive = times <= k + j
         for m in range(n + 1, n_statuses - 1):
             idx = np.nonzero(alive)[0]
@@ -380,3 +395,29 @@ def mc_load_at(
                     stays = mask[rng.random(len(mask)) < pm.survival(k + j - int(t))]
                     np.add.at(loads, owner[stays], 1)
     return loads
+
+
+def random_pmf(rng: np.random.Generator, support: int) -> HoldingTimePmf:
+    """Holding-time pmf with Dirichlet(1) mass on the delays 1..support."""
+    return HoldingTimePmf(np.append(0.0, rng.dirichlet(np.ones(support))))
+
+
+def random_instance(rng: np.random.Generator, max_statuses: int = 5, max_support: int = 6):
+    """Random small kernel plus a (k, j) window for oracle comparisons.
+
+    Half of the instances condition the pmfs on the weekday of the entry
+    slot (same support size per status, different probabilities), so the
+    non-stationary code paths are exercised as well.
+    """
+    n_statuses = int(rng.integers(2, max_statuses + 1))
+    weekday_dependent = bool(rng.random() < 0.5)
+    statuses = {}
+    for n in range(n_statuses):
+        support = int(rng.integers(2, max_support + 1))
+        levels = []
+        if weekday_dependent:
+            levels.append(KernelLevel(("weekday",), {(w,): random_pmf(rng, support) for w in range(1, 8)}))
+        levels.append(KernelLevel((), {(): random_pmf(rng, support)}))
+        statuses[n] = StatusKernel(tuple(levels))
+    kernel = TransitionKernel(n_statuses, statuses, Timebase(datetime(2024, 1, 1, 0)))  # a Monday
+    return kernel, int(rng.integers(2, 8)), int(rng.integers(1, 13))  # k, j

@@ -103,7 +103,7 @@ class EventLog:
                 try:
                     n = int(status)
                     t = timebase.index_of(datetime.fromisoformat(entry))
-                except ValueError as exc:
+                except (ValueError, ValidationError) as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
                 rec = parcels.get(parcel_id)
                 if rec is None:

@@ -66,6 +66,11 @@ class Timebase:
 
     def index_of(self, dt: datetime) -> int:
         """Slot index containing ``dt``.  Floor division; dt may precede epoch."""
+        if (dt.tzinfo is None) != (self.epoch.tzinfo is None):
+            raise ValidationError(
+                f"{dt.isoformat()}: timestamps and the epoch {self.epoch.isoformat()} "
+                "must agree on having a UTC offset"
+            )
         delta = dt - self.epoch
         hours = delta.days * 24 + delta.seconds // 3600
         return hours // self.slot_hours

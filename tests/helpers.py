@@ -2,9 +2,8 @@
 
 from datetime import datetime
 
-import numpy as np
-
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel
+from pupcast.oracle import random_instance, random_pmf  # noqa: F401  (shared by the tests)
 
 TB = Timebase(datetime(2024, 1, 1, 0))  # a Monday, midnight
 
@@ -20,35 +19,12 @@ def chain_kernel(pmfs: list[HoldingTimePmf], timebase: Timebase = TB) -> Transit
     return TransitionKernel(len(pmfs), statuses, timebase)
 
 
-def random_pmf(rng: np.random.Generator, support: int) -> HoldingTimePmf:
-    probs = np.zeros(support + 1)
-    probs[1:] = rng.dirichlet(np.ones(support))
-    return HoldingTimePmf(probs)
-
-
-def random_instance(rng: np.random.Generator, max_statuses: int = 5, max_support: int = 6):
-    """Random small kernel plus a (k, j) window for oracle comparisons.
-
-    Half of the instances condition the pmfs on the weekday of the entry
-    slot (same support size per status, different probabilities), so the
-    non-stationary code paths are exercised as well.
-    """
-    n_statuses = int(rng.integers(2, max_statuses + 1))
-    weekday_dependent = bool(rng.random() < 0.5)
-    statuses = {}
-    for n in range(n_statuses):
-        support = int(rng.integers(2, max_support + 1))
-        if weekday_dependent:
-            pmfs = {(w,): random_pmf(rng, support) for w in range(1, 8)}
-            statuses[n] = StatusKernel(
-                (
-                    KernelLevel(("weekday",), pmfs),
-                    KernelLevel((), {(): random_pmf(rng, support)}),
-                )
-            )
-        else:
-            statuses[n] = pooled_status(random_pmf(rng, support))
-    kernel = TransitionKernel(n_statuses, statuses, TB)
-    k = int(rng.integers(2, 8))
-    j = int(rng.integers(1, 13))
-    return kernel, k, j
+def fallback_kernel(*later: HoldingTimePmf) -> TransitionKernel:
+    """Status 0 has a weekday level uniform on 1-2 slots over a pooled level
+    uniform on 1-10, so a parcel in status 0 for 3-9 slots has evidence that
+    only the pooled level allows; statuses 1.. use the pooled pmfs ``later``."""
+    weekday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 2) for w in range(1, 8)})
+    pooled = KernelLevel((), {(): HoldingTimePmf.uniform(1, 10)})
+    statuses = {0: StatusKernel((weekday, pooled))}
+    statuses.update({n: pooled_status(pmf) for n, pmf in enumerate(later, start=1)})
+    return TransitionKernel(1 + len(later), statuses, TB)

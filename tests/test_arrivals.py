@@ -15,7 +15,6 @@ from pupcast.arrivals import (
     fit_daily_volume,
     fit_hourly_profile,
     forecast_daily_volume,
-    intensity_at,
     poisson_pmf,
     poisson_truncation,
     seasonal_mean_forecaster,
@@ -139,14 +138,14 @@ class TestIntensity:
         return profile, volume
 
     def test_product_and_sunday(self):
-        profile, volume = self.make_models()
+        intensity = OrderIntensity.from_models(*self.make_models())
         k_future = 28 * 24 + 9  # first day beyond history, 09:00 (a Monday)
-        assert intensity_at(profile, volume, TB, k_future, "c1") == pytest.approx(2.0)
+        assert intensity.lambda_at(TB, k_future, "c1") == pytest.approx(2.0)
         sunday = 34 * 24 + 10
         assert TB.weekday_of(sunday) == 7
-        assert intensity_at(profile, volume, TB, sunday, "c1") == 0.0
+        assert intensity.lambda_at(TB, sunday, "c1") == 0.0
         # hour outside the profile support
-        assert intensity_at(profile, volume, TB, 28 * 24 + 2, "c1") == 0.0
+        assert intensity.lambda_at(TB, 28 * 24 + 2, "c1") == 0.0
 
     def test_daily_additivity(self):
         profile, volume = self.make_models()

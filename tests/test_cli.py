@@ -1,8 +1,14 @@
 """Command-line surface: fit, forecast, simulate, evaluate, oracle-check."""
 
+import csv
 import json
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pupcast import default_scenario
 from pupcast.cli import main
@@ -86,3 +92,65 @@ def test_empty_log_exits_2(workspace, tmp_path, capsys):
     code = main(["fit", "--config", str(workspace["config"]), "--log", str(empty), "--out", str(tmp_path / "m")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def rewrite_rows(src: Path, dst: Path, edit) -> None:
+    """Copy an events CSV, passing each data row (a list) through ``edit``."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        for i, row in enumerate(rows[1:]):
+            writer.writerow(edit(i, row))
+
+
+def fit(workspace, log: Path, out: Path) -> int:
+    return main(["fit", "--config", str(workspace["config"]), "--log", str(log), "--out", str(out)])
+
+
+def test_timezone_aware_timestamp_exits_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "tz.csv"
+    rewrite_rows(
+        workspace["sim"] / "events.csv", bad,
+        lambda i, row: row[:5] + [row[5] + "+02:00"] if i == 0 else row,
+    )
+    assert fit(workspace, bad, tmp_path / "m") == 2
+    assert "tz.csv:2" in capsys.readouterr().err
+
+
+def test_fit_with_unknown_retailers(workspace, tmp_path):
+    mixed = tmp_path / "mixed.csv"
+    rewrite_rows(
+        workspace["sim"] / "events.csv", mixed,
+        lambda i, row: [row[0], "" if int(row[0][1:]) % 2 else row[1], *row[2:]],
+    )
+    assert fit(workspace, mixed, tmp_path / "m") == 0
+    doc = json.loads((tmp_path / "m" / "selection.json").read_text())
+    assert "" in doc["p_retailer"] and "r1" in doc["p_retailer"]
+
+
+FIELD_VALUES = (
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+    | st.integers(-3, 12).map(str)
+    | st.datetimes(
+        min_value=datetime(2017, 1, 1), max_value=datetime(2018, 12, 31),
+        timezones=st.none() | st.just(timezone(timedelta(hours=2))),
+    ).map(datetime.isoformat)
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=st.integers(min_value=0), field=st.integers(0, 5), value=FIELD_VALUES)
+def test_corrupted_field_exits_0_or_2(workspace, row, field, value):
+    # any single corrupted field is either accepted or rejected with exit 2,
+    # never a traceback
+    events = workspace["sim"] / "events.csv"
+    row %= len(events.read_text().splitlines()) - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events.csv"
+        rewrite_rows(
+            events, log,
+            lambda i, r: [value if f == field else x for f, x in enumerate(r)] if i == row else r,
+        )
+        assert fit(workspace, log, Path(tmp) / "m") in (0, 2)

@@ -18,11 +18,11 @@ from pupcast.engine import (
     prob_still_stored,
 )
 from pupcast.errors import ImpossibleEvidence, ValidationError
-from pupcast.estimation import SelectionModel
-from pupcast.oracle import enumerate_contribution_prob
+from pupcast.estimation import SelectionModel, apply_closure_calendar
+from pupcast.oracle import enumerate_contribution_prob, mc_load_at
 from pupcast.records import ParcelRecord
 
-from helpers import TB, chain_kernel, random_instance, random_pmf
+from helpers import chain_kernel, fallback_kernel, random_instance, random_pmf
 
 
 def stationary(pmfs):
@@ -259,6 +259,41 @@ class TestPredictLoadPmf:
         assert len(res.diagnostics) == 1
         assert "P1" in res.diagnostics[0]
         assert np.allclose(res.pmf.probs, [0.5, 0.5])  # only the fresh parcel
+
+    def test_in_transit_impossible_evidence_uses_pooled_pmf(self):
+        # five slots in status 0 are impossible under the weekday level; the
+        # pooled pmf replaces status 0's pmf and the later statuses keep theirs
+        kernel = fallback_kernel(HoldingTimePmf.uniform(1, 4), HoldingTimePmf.uniform(1, 12))
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 0})
+        res = predict_load_pmf([parcel], kernel, None, None, k=5, j=12)
+        pmf_at = bind_kernel(kernel, carrier="c1", retailer="r1", pup="shop")
+
+        def pooled_at(n, t):
+            return kernel.statuses[0].coarsest() if n == 0 else pmf_at(n, t)
+
+        p = enumerate_contribution_prob(pooled_at, 3, 0, 0, 5, 12)
+        assert 0.0 < p < 1.0
+        assert np.allclose(res.pmf.probs, [1.0 - p, p], rtol=0, atol=1e-12)
+        assert res.diagnostics == ["parcel P1: impossible evidence, used pooled fallback"]
+
+    def test_impossible_evidence_under_closure_calendar(self):
+        # the closure view shifts the pooled pmf too: entered Monday 14:00
+        # with Monday closed, the pooled delays 1..9 move to Tuesday 00:00
+        # (delay 10), and pickup from there survives 5 slots with prob 0.5;
+        # the unshifted pooled pmf would give 0.3
+        kernel = fallback_kernel(HoldingTimePmf.uniform(1, 10))
+        view = apply_closure_calendar(kernel, {date(2024, 1, 1)})
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 14})
+        res = predict_load_pmf([parcel], view, None, None, k=19, j=10)
+        assert res.mean == pytest.approx(0.5, abs=1e-12)
+        pmf_at = bind_kernel(view, carrier="c1", retailer="r1", pup="shop")
+
+        def pooled_at(n, t):
+            return view.pooled_pmf_at(n, t) if n == 0 else pmf_at(n, t)
+
+        assert res.mean == pytest.approx(enumerate_contribution_prob(pooled_at, 2, 0, 14, 19, 10), abs=1e-12)
+        loads = mc_load_at([parcel], view, None, None, 19, 10, n_replicates=20_000, rng=np.random.default_rng(4))
+        assert abs(loads.mean() - 0.5) <= 4 * loads.std(ddof=1) / np.sqrt(len(loads))
 
     def test_json_output_shape(self):
         kernel = chain_kernel([HoldingTimePmf.uniform(1, 2), HoldingTimePmf.uniform(1, 2)])

@@ -1,5 +1,6 @@
 """Empirical kernel estimation, selection model and closure adjustment."""
 
+import json
 from datetime import date
 
 import numpy as np
@@ -179,6 +180,16 @@ class TestSelection:
         joint = {(r, c): p for r, c, p in model.pairs()}
         assert joint[("r2", "c2")] == pytest.approx(0.25)
         assert model.p_retailer_given_carrier("c1") == pytest.approx({"r1": 2 / 3, "r2": 1 / 3})
+
+    def test_json_round_trip_with_unknown_retailer(self):
+        model = SelectionModel(
+            {None: 0.25, "r1": 0.75}, {None: {"c1": 1.0}, "r1": {"c1": 0.5, "c2": 0.5}}
+        )
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        assert doc["p_retailer"] == {"": 0.25, "r1": 0.75}
+        assert SelectionModel.from_json_dict(doc) == model
+        only_unknown = SelectionModel({None: 1.0}, {None: {"c1": 1.0}})
+        assert SelectionModel.from_json_dict(only_unknown.to_json_dict()) == only_unknown
 
 
 class TestClosureCalendar:

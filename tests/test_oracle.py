@@ -6,6 +6,7 @@ import pytest
 from pupcast import HoldingTimePmf, default_scenario, simulate
 from pupcast.engine import (
     bind_kernel,
+    predict_load_pmf,
     prob_delivered_and_stored_multi_hop,
     prob_still_stored,
 )
@@ -17,7 +18,7 @@ from pupcast.oracle import (
 )
 from pupcast.records import ParcelRecord
 
-from helpers import chain_kernel, random_instance
+from helpers import chain_kernel, fallback_kernel, random_instance
 
 
 def stationary(pmfs):
@@ -152,3 +153,18 @@ class TestWholeSystemSampler:
         loads = mc_load_at(parcels, kernel, None, None, k, j, n_replicates=50_000, rng=rng)
         se = loads.std(ddof=1) / np.sqrt(len(loads))
         assert abs(loads.mean() - expected) <= 3 * se
+
+    def test_impossible_evidence_follows_the_engine(self):
+        # the weekday pmf says a parcel in status 0 since slot 0 must have
+        # moved on by slot 2; the pooled pmf allows delivery in 6..10, and
+        # pickup (20..30 slots later) cannot happen by 15
+        kernel = fallback_kernel(HoldingTimePmf.uniform(20, 30))
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 0})
+        engine_mean = predict_load_pmf([parcel], kernel, None, None, k=5, j=10).mean
+        assert engine_mean == pytest.approx(1.0)
+        loads = mc_load_at([parcel], kernel, None, None, 5, 10, n_replicates=10_000, rng=np.random.default_rng(0))
+        assert loads.mean() == pytest.approx(engine_mean)
+        # evidence beyond the pooled support too: the parcel has departed
+        late = predict_load_pmf([parcel], kernel, None, None, k=12, j=10).mean
+        loads = mc_load_at([parcel], kernel, None, None, 12, 10, n_replicates=10_000, rng=np.random.default_rng(0))
+        assert late == loads.mean() == 0.0

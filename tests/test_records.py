@@ -85,6 +85,17 @@ def test_malformed_row_names_line(tmp_path):
         EventLog.from_csv(path, TB)
 
 
+def test_timezone_aware_timestamp_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+        "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
+        "P1,r1,c1,shop,3,2024-01-03T08:00:00+02:00\n"
+    )
+    with pytest.raises(ValidationError, match=r"bad\.csv:3"):
+        EventLog.from_csv(path, TB)
+
+
 def test_missing_header_and_empty_file(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("P1,r1,c1,shop,2,2024-01-01T10:00:00\n")
