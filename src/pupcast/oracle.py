@@ -15,15 +15,20 @@ probabilities and loads:
 ``random_instance`` draws the small random kernels that the enumeration
 comparisons run on.
 
-Replicate-level parallel work derives child generators from the master
-seed with ``numpy.random.SeedSequence(seed).spawn``, so results are
-deterministic regardless of scheduling.
+Both Monte Carlo oracles draw a parcel's onward path with one sampler,
+``_still_stored``: status by status it draws the holding times of the
+parcels not yet past k+j in groups of equal (route, entry slot), routes
+first and slots ascending, then draws Bernoulli(pickup survival to k+j)
+at the pickup status.  A route is one (carrier, retailer, pup) binding of
+the kernel.  Every draw comes from the caller's generator in that order,
+so a seeded generator gives byte-identical loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +50,9 @@ __all__ = [
     "random_pmf",
     "random_instance",
 ]
+
+# mc_contribution_prob gives up when fewer draws than this pass its conditioning event
+MIN_ACCEPTANCE = 1e-4
 
 
 @dataclass
@@ -93,6 +101,16 @@ def _draw_delay(rng: np.random.Generator, pmf, size: int = 1) -> np.ndarray:
     return rng.choice(len(pmf.probs), size=size, p=pmf.probs)
 
 
+def _retailer_shares(selection: SelectionModel | None, carrier) -> tuple[list, np.ndarray | None]:
+    """A carrier's retailers, sorted, and their normalised shares; ([None], None) if it has none."""
+    p_r = selection.p_retailer_given_carrier(carrier) if selection else {}
+    if not p_r:
+        return [None], None
+    retailers = sorted(p_r, key=str)
+    weights = np.array([p_r[r] for r in retailers])
+    return retailers, weights / weights.sum()
+
+
 def simulate(config: ScenarioConfig) -> SimulatedTrace:
     """Draw a full synthetic history from the ground-truth models.
 
@@ -104,20 +122,16 @@ def simulate(config: ScenarioConfig) -> SimulatedTrace:
     tb = config.timebase
     kernel = config.kernel
     horizon = config.horizon_slots
+    by_carrier = {c: _retailer_shares(config.selection, c) for c in config.intensity.carriers}
     parcels: list[ParcelRecord] = []
     counter = 0
     for k in range(horizon):
         for carrier in config.intensity.carriers:
             lam = config.intensity.lambda_at(tb, k, carrier)
             count = int(rng.poisson(lam)) if lam > 0 else 0
+            retailers, shares = by_carrier[carrier]
             for _ in range(count):
-                p_r = config.selection.p_retailer_given_carrier(carrier)
-                if p_r:
-                    retailers = sorted(p_r, key=str)
-                    weights = np.array([p_r[r] for r in retailers])
-                    retailer = retailers[rng.choice(len(retailers), p=weights / weights.sum())]
-                else:
-                    retailer = None
+                retailer = retailers[rng.choice(len(retailers), p=shares)] if shares is not None else None
                 counter += 1
                 entries = {config.entry_status: k}
                 t = k
@@ -141,16 +155,40 @@ def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
     return probs / total if total > 0.0 else None
 
 
-def _advance_groups(
-    rng: np.random.Generator, pmf_at, n: int, times: np.ndarray
+def _groups(route: np.ndarray, times: np.ndarray, horizon: int):
+    """(route, slot, members) for the parcels at or before ``horizon``: routes first, slots ascending."""
+    idx = np.flatnonzero(times <= horizon)
+    route, times = route[idx], times[idx]
+    for r in np.unique(route):
+        on_route = route == r
+        for t in np.unique(times[on_route]):
+            yield r, t, idx[on_route & (times == t)]
+
+
+def _still_stored(
+    rng: np.random.Generator,
+    routes: list,
+    route: np.ndarray,
+    status: int,
+    times: np.ndarray,
+    n_statuses: int,
+    horizon: int,
 ) -> np.ndarray:
-    """One transition for a vector of parcels, grouped by shared entry slot."""
-    out = np.empty_like(times)
-    for t in np.unique(times):
-        mask = times == t
-        pmf = pmf_at(n, int(t))
-        out[mask] = t + _draw_delay(rng, pmf, size=int(mask.sum()))
-    return out
+    """Whether each parcel that entered ``status`` at ``times`` is still stored at ``horizon``.
+
+    Parcel i moves by ``routes[route[i]](n, t)``.  A parcel whose next entry
+    lies beyond ``horizon`` stops moving and is not stored.
+    """
+    for n in range(status, n_statuses - 1):
+        # draw into a buffer, so that grouping never sees a slot already moved on
+        nxt = times.copy()
+        for r, t, members in _groups(route, times, horizon):
+            nxt[members] = t + _draw_delay(rng, routes[r](n, t), size=len(members))
+        times = nxt
+    stored = np.zeros(len(times), dtype=bool)
+    for r, t, members in _groups(route, times, horizon):
+        stored[members] = rng.random(len(members)) < routes[r](n_statuses - 1, t).survival(horizon - t)
+    return stored
 
 
 def mc_contribution_prob(
@@ -162,7 +200,6 @@ def mc_contribution_prob(
     j: int,
     n_samples: int = 100_000,
     rng: np.random.Generator | None = None,
-    min_acceptance: float = 1e-4,
 ) -> tuple[float, float]:
     """Monte Carlo estimate (value, stderr) of a contribution probability.
 
@@ -180,30 +217,18 @@ def mc_contribution_prob(
     batch = max(n_samples, 10_000)
     while accepted < n_samples:
         attempted += batch
+        # holding times are at least one slot, so a parcel entered after k always passes
+        times = t_n + _draw_delay(rng, pmf_at(n, t_n), size=batch)
+        times = times[times > k]
+        accepted += len(times)
         if n == n_statuses - 1:
-            # Delivered parcel: draw pickup time, condition on T_N > k.
-            t_pick = t_n + _draw_delay(rng, pmf_at(n, t_n), size=batch)
-            keep = t_pick > k
-            accepted += int(keep.sum())
-            hits += int((t_pick[keep] > k + j).sum())
+            hits += int((times > k + j).sum())
         else:
-            times = t_n + _draw_delay(rng, pmf_at(n, t_n), size=batch)
-            keep = times > k if t_n <= k else np.ones(batch, dtype=bool)
-            times = times[keep]
-            accepted += int(keep.sum())
-            for m in range(n + 1, n_statuses - 1):
-                times = _advance_groups(rng, pmf_at, m, times)
-            delivered = times <= k + j
-            t_del = times[delivered]
-            picked = np.zeros(len(t_del), dtype=bool)
-            for t in np.unique(t_del):
-                mask = t_del == t
-                t_pick = t + _draw_delay(rng, pmf_at(n_statuses - 1, int(t)), size=int(mask.sum()))
-                picked[mask] = t_pick <= k + j
-            hits += int((~picked).sum())
-        if attempted >= 10 * batch and accepted / attempted < min_acceptance:
+            route = np.zeros(len(times), dtype=int)
+            hits += int(_still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j).sum())
+        if attempted >= 10 * batch and accepted / attempted < MIN_ACCEPTANCE:
             raise ConditioningTooRare(
-                f"acceptance rate {accepted / attempted:.2e} below {min_acceptance:.0e}"
+                f"acceptance rate {accepted / attempted:.2e} below {MIN_ACCEPTANCE:.0e}"
             )
     p = hits / accepted
     stderr = float(np.sqrt(max(p * (1.0 - p), 1e-12) / accepted))
@@ -222,7 +247,7 @@ def enumerate_contribution_prob(
     """Exact conditional contribution probability by exhaustive path summation.
 
     Literal nested sums over every transition-time path; independent of the
-    forward-pass implementation in the engine.  Raises TooLarge when the
+    engine's backward value function.  Raises TooLarge when the
     path count bound exceeds ``max_paths``.
     """
     supports = [pmf_at(m, t_n).support_max for m in range(n, n_statuses)]
@@ -324,37 +349,25 @@ def mc_load_at(
                 pass
         if probs is None:
             continue
-        if n == n_statuses - 1:
-            t_pick = t_n + rng.choice(len(probs), size=n_replicates, p=probs)
-            loads += t_pick > k + j
-            continue
         times = t_n + rng.choice(len(probs), size=n_replicates, p=probs)
-        alive = times <= k + j
-        for m in range(n + 1, n_statuses - 1):
-            idx = np.nonzero(alive)[0]
-            # buffer the updates: writing into ``times`` mid-iteration would
-            # let a sample land on a later unique value and transition twice
-            nxt = times.copy()
-            for t in np.unique(times[idx]):
-                mask = idx[times[idx] == t]
-                pm = kernel.pmf_at(m, int(t), carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
-                nxt[mask] = t + rng.choice(len(pm.probs), size=len(mask), p=pm.probs)
-            times = nxt
-            alive &= times <= k + j
-        idx = np.nonzero(alive)[0]
-        for t in np.unique(times[idx]):
-            mask = idx[times[idx] == t]
-            pm = kernel.pmf_at(n_statuses - 1, int(t), carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
-            # draw the still-stored indicator directly: Bernoulli(pickup survival)
-            loads[mask] += rng.random(len(mask)) < pm.survival(k + j - int(t))
+        if n == n_statuses - 1:
+            loads += times > k + j
+            continue
+        routes = [partial(kernel.pmf_at, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)]
+        route = np.zeros(n_replicates, dtype=int)
+        loads += _still_stored(rng, routes, route, n + 1, times, n_statuses, k + j)
 
     if intensity is None:
         return loads
 
     tb = kernel.timebase
-    for i in range(1, j):
-        t_0 = k + i
-        for carrier in intensity.carriers:
+    by_carrier = {}
+    for carrier in intensity.carriers:
+        retailers, shares = _retailer_shares(selection, carrier)
+        routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
+        by_carrier[carrier] = routes, shares
+    for t_0 in range(k + 1, k + j):
+        for carrier, (routes, shares) in by_carrier.items():
             lam = intensity.lambda_at(tb, t_0, carrier)
             if lam <= 0.0:
                 continue
@@ -363,37 +376,13 @@ def mc_load_at(
             if total == 0:
                 continue
             owner = np.repeat(np.arange(n_replicates), counts)
-            p_r = selection.p_retailer_given_carrier(carrier) if selection else {}
-            if p_r:
-                retailers = sorted(p_r, key=str)
-                weights = np.array([p_r[r] for r in retailers])
-                r_idx = rng.choice(len(retailers), size=total, p=weights / weights.sum())
+            if shares is None:
+                route = np.zeros(total, dtype=int)
             else:
-                retailers, r_idx = [None], np.zeros(total, dtype=int)
+                route = rng.choice(len(routes), size=total, p=shares)
             times = np.full(total, t_0)
-            alive = np.ones(total, dtype=bool)
-            for m in range(entry_status, n_statuses - 1):
-                idx = np.nonzero(alive)[0]
-                # buffer the updates (see the known-parcel loop above)
-                nxt = times.copy()
-                for ri, retailer in enumerate(retailers):
-                    for t in np.unique(times[idx]):
-                        mask = idx[(times[idx] == t) & (r_idx[idx] == ri)]
-                        if len(mask) == 0:
-                            continue
-                        pm = kernel.pmf_at(m, int(t), carrier=carrier, retailer=retailer, pup=pup)
-                        nxt[mask] = t + rng.choice(len(pm.probs), size=len(mask), p=pm.probs)
-                times = nxt
-                alive &= times <= k + j
-            idx = np.nonzero(alive)[0]
-            for ri, retailer in enumerate(retailers):
-                for t in np.unique(times[idx]):
-                    mask = idx[(times[idx] == t) & (r_idx[idx] == ri)]
-                    if len(mask) == 0:
-                        continue
-                    pm = kernel.pmf_at(n_statuses - 1, int(t), carrier=carrier, retailer=retailer, pup=pup)
-                    stays = mask[rng.random(len(mask)) < pm.survival(k + j - int(t))]
-                    np.add.at(loads, owner[stays], 1)
+            stored = _still_stored(rng, routes, route, entry_status, times, n_statuses, k + j)
+            np.add.at(loads, owner[stored], 1)
     return loads
 
 

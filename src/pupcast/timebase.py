@@ -59,7 +59,7 @@ class Timebase:
         return (self.epoch.hour + k * self.slot_hours) % 24
 
     def datetime_of(self, k: int) -> datetime:
-        return self.epoch + timedelta(hours=k * self.slot_hours)
+        return self.epoch + timedelta(hours=int(k) * self.slot_hours)  # numpy ints are rejected
 
     def date_of(self, k: int) -> date:
         return self.datetime_of(k).date()

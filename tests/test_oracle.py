@@ -1,9 +1,12 @@
 """Simulation, enumeration and Monte Carlo oracles."""
 
+from datetime import date
+
 import numpy as np
 import pytest
 
-from pupcast import HoldingTimePmf, default_scenario, simulate
+from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, default_scenario, simulate
+from pupcast.arrivals import HourlyProfile, OrderIntensity
 from pupcast.engine import (
     bind_kernel,
     predict_load_pmf,
@@ -11,6 +14,7 @@ from pupcast.engine import (
     prob_still_stored,
 )
 from pupcast.errors import ConditioningTooRare, TooLarge, ValidationError
+from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
     enumerate_contribution_prob,
     mc_contribution_prob,
@@ -18,7 +22,7 @@ from pupcast.oracle import (
 )
 from pupcast.records import ParcelRecord
 
-from helpers import chain_kernel, fallback_kernel, random_instance
+from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance
 
 
 def stationary(pmfs):
@@ -168,3 +172,34 @@ class TestWholeSystemSampler:
         late = predict_load_pmf([parcel], kernel, None, None, k=12, j=10).mean
         loads = mc_load_at([parcel], kernel, None, None, 12, 10, n_replicates=10_000, rng=np.random.default_rng(0))
         assert late == loads.mean() == 0.0
+
+    def test_retailer_routes_over_several_hops_match_the_engine(self):
+        # status 0 moves r1's parcels in 1-2 slots and r2's in 3-6, so future
+        # orders of the two retailers take different routes through three hops
+        by_retailer = KernelLevel(
+            ("retailer",), {("r1",): HoldingTimePmf.uniform(1, 2), ("r2",): HoldingTimePmf.uniform(3, 6)}
+        )
+        pooled = KernelLevel((), {(): HoldingTimePmf.uniform(1, 6)})
+        kernel = TransitionKernel(4, {
+            0: StatusKernel((by_retailer, pooled)),
+            1: pooled_status(HoldingTimePmf.uniform(1, 3)),
+            2: pooled_status(HoldingTimePmf.uniform(1, 4)),
+            3: pooled_status(HoldingTimePmf.uniform(2, 12)),
+        }, TB)
+        rho = {(w, "c1"): np.full(24, 1 / 24) for w in range(1, 8)}
+        volumes = {"c1": {date(2024, 1, d): 12.0 for d in range(1, 4)}}
+        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
+        selection = SelectionModel({"r1": 0.4, "r2": 0.6}, {"r1": {"c1": 1.0}, "r2": {"c1": 1.0}})
+        k, j = 24, 12
+        parcels = [
+            ParcelRecord("P0", "c1", "shop", "r1", {0: 24}),
+            ParcelRecord("P1", "c1", "shop", "r2", {0: 22}),
+            ParcelRecord("P2", "c1", "shop", "r2", {0: 17, 1: 21}),
+            ParcelRecord("P3", "c1", "shop", "r1", {0: 19, 1: 20, 2: 23}),
+            ParcelRecord("P4", "c1", "shop", "r1", {0: 15, 1: 16, 2: 18, 3: 22}),
+        ]
+        engine_mean = predict_load_pmf(parcels, kernel, intensity, selection, k, j, coverage=1 - 1e-12).mean
+        rng = np.random.default_rng(11)
+        loads = mc_load_at(parcels, kernel, intensity, selection, k, j, n_replicates=20_000, rng=rng, pup="shop")
+        se = loads.std(ddof=1) / np.sqrt(len(loads))
+        assert abs(loads.mean() - engine_mean) <= 4 * se

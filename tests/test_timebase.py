@@ -1,11 +1,11 @@
 """Calendar projections of the discrete time axis."""
 
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
-from pupcast import Timebase
+from pupcast import Timebase, apply_closure_calendar, default_scenario
 from pupcast.errors import ValidationError
 
 MONDAY = datetime(2024, 1, 1, 0)  # a Monday
@@ -38,6 +38,16 @@ def test_calendar_library_oracle():
         assert tb.hour_of(k) == dt.hour
         assert tb.datetime_of(k) == dt
         assert tb.index_of(dt) == k
+
+
+def test_numpy_slots_project_like_ints():
+    # samplers hand numpy slot indices to kernels, and a closure view reads the date of each
+    tb = Timebase(datetime(2017, 7, 5, 8))
+    assert tb.datetime_of(np.int64(30)) == tb.datetime_of(30)
+    view = apply_closure_calendar(default_scenario().kernel, {date(2017, 7, 4)})
+    assert np.array_equal(
+        view.pmf_at(2, np.int64(10), carrier="c1").probs, view.pmf_at(2, 10, carrier="c1").probs
+    )
 
 
 def test_multi_hour_slots_bin_to_slot_start():
