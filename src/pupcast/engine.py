@@ -16,21 +16,30 @@ V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from a
 terminal V_{N-1} (the pickup survival to k+j; for ``chain_prob_g`` the
 indicator of the delivery slot); a path that leaves the window scores 0.
 A parcel in status n is a dot product of its holding-time row with
-V_{n+1}; an order entering status e at t_0 adds V_e(t_0).  Within one
-forecast, parcels and orders of one (carrier, retailer) share one table.
-The load pmf is the convolution of the per-parcel Bernoulli pmfs with the
-future-order pmf.
+V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
+
+Each V_m is compiled over the window in one array pass: ``pmf_at`` is
+resolved once per slot, the distinct pmfs are stacked as rows cut to the
+window width, and every slot's row meets V_{m+1} from the next slot on in
+one row-wise product.  Within one forecast, parcels and orders of one
+(carrier, retailer) share one table, and the routes share each V_m that
+they resolve to the same pmfs for (a status conditioned on the calendar
+only is built once for all routes).  The future-order counts of all
+(slot, carrier) pairs are mixed in one array expression.  The load pmf is
+the convolution of the per-parcel Bernoulli pmfs with the future-order pmf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import lgamma
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrivals import OrderIntensity, poisson_pmf, poisson_truncation
+from .arrivals import OrderIntensity, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
 from .pmf import HoldingTimePmf, LoadPmf, convolve, point_forecast
@@ -65,42 +74,80 @@ def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
 class _Values(dict):
     """Backward value functions: ``self[m][t - slots[0]]`` is V_m(t) under one bound kernel.
 
-    V_{N-1}(t) is ``terminal(t)``.  Each V_m is computed on first use and kept.
+    V_{N-1}(t) is ``terminal(f, t)`` for the status-(N-1) pmf f entered at t.
+    Each V_m is computed on first use and kept.  It depends on the bound
+    kernel only through the pmfs its slots resolve to, so it is also kept in
+    ``shared`` under their identities and V_{m+1}'s: bound kernels that pass
+    the same ``shared`` and resolve to the same pmfs compute it once.
     """
 
-    def __init__(self, pmf_at: PmfAt, n_statuses: int, slots: range, terminal: Callable[[int], float]):
+    def __init__(
+        self, pmf_at: PmfAt, n_statuses: int, slots: range, terminal: Callable, shared: dict | None = None
+    ):
         super().__init__()
         self.pmf_at, self.last, self.slots, self.terminal = pmf_at, n_statuses - 1, slots, terminal
+        self.shared = {} if shared is None else shared
 
     def __missing__(self, m: int) -> np.ndarray:
-        if m == self.last:
-            v = np.array([self.terminal(t) for t in self.slots], dtype=float)
-        else:
-            nxt = self[m + 1]
-            v = np.zeros(len(nxt))
-            for i, t in enumerate(self.slots[:-1]):  # an entry at the last slot cannot move on
-                probs = self.pmf_at(m, t).probs[1 : len(nxt) - i]
-                v[i] = probs @ nxt[i + 1 : i + 1 + len(probs)]
-        self[m] = v
+        nxt = None if m == self.last else self[m + 1]
+        slots = self.slots if nxt is None else self.slots[:-1]  # an entry at the last slot cannot move on
+        pmfs = [self.pmf_at(m, t) for t in slots]
+        key = (m, id(nxt), *map(id, pmfs))
+        entry = self.shared.get(key)
+        if entry is None:
+            if nxt is None:
+                v = np.array([self.terminal(f, t) for f, t in zip(pmfs, slots)], dtype=float)
+            else:
+                v = _step(pmfs, nxt)
+            # the memo holds the pmfs and v, so the ids in its keys are never reused
+            entry = self.shared[key] = (v, pmfs)
+        self[m] = entry[0]
+        return entry[0]
+
+
+def _step(pmfs: list[HoldingTimePmf], nxt: np.ndarray) -> np.ndarray:
+    """V_m(t_i) = sum_{d >= 1} f_i(d) V_{m+1}(t_i + d) for the pmfs f_i of all but the last slot.
+
+    The distinct pmfs are stacked as rows over the delays 1..width that stay
+    in the window, and each slot's row meets V_{m+1} from the next slot on in
+    one row-wise product.
+    """
+    v = np.zeros(len(nxt))
+    width = len(nxt) - 1
+    if width < 1:
         return v
+    distinct = {id(f): f for f in pmfs}
+    row_of = {key: r for r, key in enumerate(distinct)}
+    table = np.zeros((len(distinct), width))
+    for r, f in enumerate(distinct.values()):
+        cut = f.probs[1 : width + 1]
+        table[r, : len(cut)] = cut
+    ahead = sliding_window_view(np.concatenate([nxt[1:], np.zeros(width)]), width)[:width]
+    v[:width] = np.einsum("ij,ij->i", table[[row_of[id(f)] for f in pmfs]], ahead)
+    return v
 
 
-def _window(pmf_at: PmfAt, n_statuses: int, k: int, j: int) -> _Values:
+def _window(pmf_at: PmfAt, n_statuses: int, k: int, j: int, shared: dict | None = None) -> _Values:
     """V_m(t) = P(delivered in (k, k+j], still stored at k+j | status m entered at t > k)."""
-    last = n_statuses - 1
-    return _Values(pmf_at, n_statuses, range(k + 1, k + j + 1), lambda t: pmf_at(last, t).survival(k + j - t))
+    return _Values(pmf_at, n_statuses, range(k + 1, k + j + 1), lambda f, t: f.survival(k + j - t), shared)
 
 
 class _Tables(dict):
-    """The ``_window`` of each (carrier, retailer) at one pup, built on first use."""
+    """The ``_window`` of each (carrier, retailer) at one pup, built on first use.
+
+    All routes share one memo of V_m, so routes whose pmfs agree on the
+    window (all routes at a status conditioned on the calendar only) compute
+    it once.
+    """
 
     def __init__(self, kernel, pup: str, k: int, j: int):
         super().__init__()
         self.kernel, self.pup, self.k, self.j = kernel, pup, k, j
+        self.shared: dict = {}
 
     def __missing__(self, route: tuple) -> _Values:
         pmf_at = bind_kernel(self.kernel, carrier=route[0], retailer=route[1], pup=self.pup)
-        self[route] = _window(pmf_at, self.kernel.n_statuses, self.k, self.j)
+        self[route] = _window(pmf_at, self.kernel.n_statuses, self.k, self.j, self.shared)
         return self[route]
 
 
@@ -114,11 +161,13 @@ def _known(f: HoldingTimePmf, values: _Values, n: int, t_n: int, k: int, j: int)
     if denom <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
     if n == values.last:  # delivered: the ratio of pickup survivals
-        # tiny tail sums can make the ratio overshoot 1 by a few ulps
-        return min(1.0, f.survival(k + j - t_n) / denom)
-    first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
-    row = f.probs[first - t_n : k + j + 1 - t_n]
-    return float(row @ values[n + 1][first - k - 1 : first - k - 1 + len(row)]) / denom
+        p = f.survival(k + j - t_n) / denom
+    else:
+        first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
+        row = f.probs[first - t_n : k + j + 1 - t_n]
+        p = float(row @ values[n + 1][first - k - 1 : first - k - 1 + len(row)]) / denom
+    # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
+    return min(1.0, max(0.0, p))
 
 
 def prob_still_stored(pmf_at: PmfAt, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
@@ -159,7 +208,7 @@ def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: i
         raise ValidationError("chain probability needs a status before delivery")
     if t_delivery - t_n < n_statuses - 1 - n:
         return 0.0
-    values = _Values(pmf_at, n_statuses, range(t_n, t_delivery + 1), lambda t: float(t == t_delivery))
+    values = _Values(pmf_at, n_statuses, range(t_n, t_delivery + 1), lambda f, t: float(t == t_delivery))
     return float(values[n][0])
 
 
@@ -202,23 +251,34 @@ def _future_orders_pmf(
     for carrier in intensity.carriers:
         weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
         p_entry[carrier] = sum(w * tables[carrier, r][entry_status] for r, w in weights.items())
-    result = LoadPmf.point_mass(0)
+    lam, p, m_max = [], [], []  # one entry per (slot, carrier) with orders
     for i in range(1, j):
         for carrier in intensity.carriers:
-            lam = intensity.lambda_at(tables.kernel.timebase, k + i, carrier)
-            if lam <= 0.0:
-                continue
-            p = p_entry[carrier][i - 1]
-            m_max = poisson_truncation(lam, coverage)
-            bern = np.array([1.0 - p, p])
-            q = np.zeros(m_max + 1)
-            p_m = np.array([1.0])
-            q[0] += poisson_pmf(lam, 0)
-            for m in range(1, m_max + 1):
-                p_m = np.convolve(p_m, bern)
-                q[: m + 1] += poisson_pmf(lam, m) * p_m
-            result = LoadPmf(np.convolve(result.probs, q / q.sum()))
-    return result.trimmed()
+            lam_i = intensity.lambda_at(tables.kernel.timebase, k + i, carrier)
+            if lam_i > 0.0:
+                lam.append(lam_i)
+                p.append(p_entry[carrier][i - 1])
+                m_max.append(poisson_truncation(lam_i, coverage))
+    if not lam:
+        return LoadPmf.point_mass(0)
+    lam, p, m_max = np.array(lam)[:, None], np.array(p)[:, None], np.array(m_max)
+    m = np.arange(m_max.max() + 1)
+    # Poisson weights, cut at each pair's truncation point
+    log_fact = np.array([lgamma(x + 1) for x in m])
+    pois = np.where(m <= m_max[:, None], np.exp(-lam + m * np.log(lam) - log_fact), 0.0)
+    # q(x) = sum_m Pois(m) Binom(x; m, p); the binomial rows are thinned one order at a time
+    binom = np.zeros((len(lam), len(m)))
+    binom[:, 0] = 1.0
+    q = pois[:, :1] * binom
+    for count in m[1:]:
+        binom[:, 1:] = binom[:, 1:] * (1.0 - p) + binom[:, :-1] * p
+        binom[:, 0] *= 1.0 - p[:, 0]
+        q += pois[:, count : count + 1] * binom
+    q /= q.sum(axis=1, keepdims=True)
+    result = np.array([1.0])
+    for row, top in zip(q, m_max):
+        result = np.convolve(result, row[: top + 1])
+    return LoadPmf(result).trimmed()
 
 
 @dataclass
@@ -304,7 +364,10 @@ def predict_load_pmf(
     diagnostics: list[str] = []
     tables = _Tables(kernel, pup, k, j)
     probs = np.array([1.0])
+    picked_up = kernel.n_statuses
     for rec in parcels:
+        if rec.entry_times.get(picked_up, k + 1) <= k:
+            continue  # picked up by k
         p = _parcel_contribution(rec, tables, diagnostics)
         if p is not None and p > 0.0:
             probs = np.convolve(probs, [1.0 - p, p])

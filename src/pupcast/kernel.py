@@ -10,7 +10,7 @@ with an empty schema is a global fallback.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -91,6 +91,8 @@ class TransitionKernel:
     n_statuses: int
     statuses: Mapping[int, StatusKernel]
     timebase: Timebase
+    # resolved pmfs by (n, t mod one week, carrier, retailer, pup); see pmf_at
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n in self.statuses:
@@ -105,8 +107,17 @@ class TransitionKernel:
         return self.statuses[n].lookup(ctx)
 
     def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
-        """Pmf of the holding time in status n entered at slot t."""
-        return self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))
+        """Pmf of the holding time in status n entered at slot t.
+
+        The context repeats every week (weekday and hour are periodic in t,
+        negative t included), so each resolved pmf is memoised under t modulo
+        one week.  A failed lookup raises and is not memoised.
+        """
+        key = (n, t % self.timebase.slots_per_week, carrier, retailer, pup)
+        pmf = self._memo.get(key)
+        if pmf is None:
+            pmf = self._memo[key] = self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))
+        return pmf
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
         """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""

@@ -1,13 +1,15 @@
 """Contribution probabilities and the load prediction algorithm."""
 
 from datetime import date
+from math import comb
 
 import numpy as np
 import pytest
 
-from pupcast import HoldingTimePmf, LoadPmf
-from pupcast.arrivals import HourlyProfile, OrderIntensity
+from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
+from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
+    _Tables,
     bind_kernel,
     chain_prob_g,
     future_orders_pmf,
@@ -19,10 +21,11 @@ from pupcast.engine import (
 )
 from pupcast.errors import ImpossibleEvidence, ValidationError
 from pupcast.estimation import SelectionModel, apply_closure_calendar
-from pupcast.oracle import enumerate_contribution_prob, mc_load_at
+from pupcast.oracle import enumerate_contribution_prob, mc_load_at, simulate
 from pupcast.records import ParcelRecord
+from pupcast.scenario import default_scenario
 
-from helpers import chain_kernel, fallback_kernel, random_instance, random_pmf
+from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf
 
 
 def stationary(pmfs):
@@ -159,6 +162,68 @@ class TestFutureOrders:
             prob_future_order_contributes(pmf_at, 2, t_0=5, k=5, j=3)
 
 
+def retailer_keyed_kernel() -> TransitionKernel:
+    """Three statuses: status 0 keyed on the retailer, status 1 on the weekday
+    and carrier, pickup on the weekday and hour; each with a pooled level."""
+    rng = np.random.default_rng(41)
+    by_retailer = KernelLevel(("retailer",), {("r1",): random_pmf(rng, 6), ("r2",): random_pmf(rng, 9)})
+    by_carrier = KernelLevel(
+        ("weekday", "carrier"), {(w, c): random_pmf(rng, 30) for w in range(1, 8) for c in ("c1", "c2")}
+    )
+    by_hour = KernelLevel(("weekday", "hour"), {(w, h): random_pmf(rng, 60) for w in range(1, 8) for h in range(24)})
+    statuses = {
+        n: StatusKernel((level, KernelLevel((), {(): random_pmf(rng, size)})))
+        for n, (level, size) in enumerate([(by_retailer, 6), (by_carrier, 30), (by_hour, 60)])
+    }
+    return TransitionKernel(3, statuses, TB)
+
+
+def slot_by_slot_values(pmf_at, n_statuses, first_status, k, j):
+    """V_m over the window (k, k+j] by the plain recursion, one slot at a time."""
+    slots = range(k + 1, k + j + 1)
+    last = n_statuses - 1
+    values = {last: np.array([pmf_at(last, t).survival(k + j - t) for t in slots])}
+    for m in range(last - 1, first_status - 1, -1):
+        v = np.zeros(len(slots))
+        for i, t in enumerate(slots[:-1]):
+            probs = pmf_at(m, t).probs[1 : len(slots) - i]
+            v[i] = probs @ values[m + 1][i + 1 : i + 1 + len(probs)]
+        values[m] = v
+    return values
+
+
+class TestCompiledWindow:
+    DEFAULT_ROUTES = [("c1", "r1"), ("c2", "r1"), ("c2", "r2"), ("c3", "r2"), ("c1", "r3"), ("c3", "r3")]
+
+    def check(self, kernel, routes, first_status, k, j):
+        tables = _Tables(kernel, "shop", k, j)
+        for route in routes:
+            pmf_at = bind_kernel(kernel, carrier=route[0], retailer=route[1], pup="shop")
+            expected = slot_by_slot_values(pmf_at, kernel.n_statuses, first_status, k, j)
+            for m, v in expected.items():
+                assert np.abs(tables[route][m] - v).max() <= 1e-15, (route, m)
+        return tables
+
+    def test_default_kernel(self):
+        tables = self.check(default_scenario().kernel, self.DEFAULT_ROUTES, 2, 2400 + 7, 61)
+        # pickup is keyed on the calendar only, transit on the carrier too
+        assert len({id(tables[route][3]) for route in self.DEFAULT_ROUTES}) == 1
+        assert tables["c1", "r1"][2] is tables["c1", "r3"][2]
+        assert tables["c1", "r1"][2] is not tables["c2", "r1"][2]
+
+    def test_closure_calendar(self):
+        view = apply_closure_calendar(default_scenario().kernel, {date(2017, 10, 12), date(2017, 10, 13)})
+        self.check(view, self.DEFAULT_ROUTES, 2, 2400, 85)
+
+    def test_retailer_keyed_status_is_not_shared(self):
+        kernel = retailer_keyed_kernel()
+        routes = [("c1", "r1"), ("c1", "r2"), ("c2", "r1")]
+        tables = self.check(kernel, routes, 0, 30, 40)
+        assert tables["c1", "r1"][1] is tables["c1", "r2"][1]
+        assert tables["c1", "r1"][0] is not tables["c1", "r2"][0]
+        assert np.abs(tables["c1", "r1"][0] - tables["c1", "r2"][0]).max() > 1e-3
+
+
 def single_carrier_intensity(lam: float, hours=range(24)):
     row = np.zeros(24)
     for h in hours:
@@ -207,6 +272,38 @@ class TestFutureOrdersPmf:
         tight = future_orders_pmf(intensity, kernel, SELECTION, "shop", k, j, coverage=1 - 1e-12)
         assert loose.probs.sum() == pytest.approx(1.0, abs=1e-6)
         assert abs(loose.mean() - tight.mean()) < 0.1
+
+
+    def test_mixture_matches_the_formula(self):
+        # per slot and carrier: sum_m Pois(m; lam) Binom(x; m, p), cut at the
+        # truncation point and renormalised, then convolved over the pairs
+        kernel = retailer_keyed_kernel()
+        rho = {(w, c): np.linspace(1.0, 2.0 + w, 24) for w in range(1, 8) for c in ("c1", "c2")}
+        rho = {key: row / row.sum() for key, row in rho.items()}
+        volumes = {c: {date(2024, 1, 1 + d): v for d in range(10)} for c, v in (("c1", 40.0), ("c2", 15.0))}
+        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
+        selection = SelectionModel({"r1": 0.6, "r2": 0.4}, {"r1": {"c1": 0.7, "c2": 0.3}, "r2": {"c1": 0.2, "c2": 0.8}})
+        k = 32
+        for j in (1, 2, 4, 7):
+            for coverage in (0.99, 1 - 1e-9):
+                expected = np.array([1.0])
+                for i in range(1, j):
+                    for c in intensity.carriers:
+                        lam = intensity.lambda_at(TB, k + i, c)
+                        p = sum(
+                            w * prob_future_order_contributes(bind_kernel(kernel, c, r, "shop"), 3, k + i, k, j)
+                            for r, w in selection.p_retailer_given_carrier(c).items()
+                        )
+                        top = poisson_truncation(lam, coverage)
+                        q = np.array([
+                            sum(poisson_pmf(lam, m) * comb(m, x) * p**x * (1 - p) ** (m - x) for m in range(x, top + 1))
+                            for x in range(top + 1)
+                        ])
+                        expected = np.convolve(expected, q / q.sum())
+                expected = LoadPmf(expected).trimmed().probs
+                pmf = future_orders_pmf(intensity, kernel, selection, "shop", k, j, coverage=coverage)
+                assert len(pmf.probs) == len(expected)
+                assert np.abs(pmf.probs - expected).max() <= 1e-14
 
 
 class TestPredictLoadPmf:
@@ -294,6 +391,21 @@ class TestPredictLoadPmf:
         assert res.mean == pytest.approx(enumerate_contribution_prob(pooled_at, 2, 0, 14, 19, 10), abs=1e-12)
         loads = mc_load_at([parcel], view, None, None, 19, 10, n_replicates=20_000, rng=np.random.default_rng(4))
         assert abs(loads.mean() - 0.5) <= 4 * loads.std(ddof=1) / np.sqrt(len(loads))
+
+    def test_in_transit_probability_never_exceeds_one(self):
+        # rounding in the backward sum once put this parcel's probability at
+        # 1 + 2.2e-16, its Bernoulli factor then had a negative entry, and the
+        # forecast raised instead of returning a pmf
+        cfg = default_scenario(seed=2)
+        k, j = 1061, 13
+        parcels = simulate(cfg).event_log().truncated(k).for_pup(cfg.pup)
+        view = apply_closure_calendar(cfg.kernel, {date(2017, 8, 15), date(2017, 8, 16)})
+        rec = next(r for r in parcels if r.id == "P000746")
+        pmf_at = bind_kernel(view, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
+        p = prob_delivered_and_stored_multi_hop(pmf_at, cfg.n_statuses, 2, rec.entry_times[2], k, j)
+        assert 0.0 <= p <= 1.0
+        res = predict_load_pmf(parcels, view, cfg.intensity, cfg.selection, k, j, entry_status=cfg.entry_status)
+        assert res.pmf.probs.min() >= 0.0
 
     def test_json_output_shape(self):
         kernel = chain_kernel([HoldingTimePmf.uniform(1, 2), HoldingTimePmf.uniform(1, 2)])

@@ -1,11 +1,12 @@
 """Transition kernel lookup, fallback levels and serialization."""
 
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, kernel_lookup
+from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel, kernel_lookup
 from pupcast.errors import MissingKernel, UnknownStatus, ValidationError
 from pupcast.kernel import context_of
 
@@ -69,6 +70,40 @@ def test_pmf_at_builds_calendar_context():
     # slot 10 of the epoch Monday is (weekday 1, hour 10)
     assert kernel.pmf_at(1, 10) is keyed
     assert kernel.pmf_at(1, 11) is pooled
+
+
+@pytest.mark.parametrize("timebase", [TB, Timebase(datetime(2024, 1, 3, 6), slot_hours=2)], ids=["hourly", "2h"])
+def test_pmf_at_repeats_weekly(timebase):
+    # one distinct pmf per (weekday, hour, carrier), so identity pins the context
+    keyed = {
+        (w, h, c): HoldingTimePmf.uniform(1, 2 + (w + h) % 4)
+        for w in range(1, 8)
+        for h in range(24)
+        for c in ("c1", "c2")
+    }
+    status = StatusKernel((KernelLevel(("weekday", "hour", "carrier"), keyed),))
+    kernel = TransitionKernel(1, {0: status}, timebase)
+    week = timebase.slots_per_week
+    for t in range(-2 * week - 3, 2 * week, 5):
+        for carrier in ("c1", "c2"):
+            expected = kernel.lookup(0, context_of(timebase, t, carrier=carrier))
+            assert kernel.pmf_at(0, t, carrier=carrier) is expected
+            assert kernel.pmf_at(0, t + week, carrier=carrier) is expected
+            assert kernel.pmf_at(0, t - week, carrier=carrier) is expected
+        assert kernel.pmf_at(0, t, carrier="c1") is not kernel.pmf_at(0, t, carrier="c2")
+
+
+def test_pmf_at_raises_missing_kernel_on_every_call():
+    found = HoldingTimePmf.point_mass(1)
+    status = StatusKernel((KernelLevel(("carrier",), {("c1",): found}),))
+    kernel = TransitionKernel(3, {0: status}, TB)
+    for t in (5, 5, 5 + TB.slots_per_week, -5):
+        with pytest.raises(MissingKernel):
+            kernel.pmf_at(0, t, carrier="c9")  # no pooled level
+        with pytest.raises(MissingKernel):
+            kernel.pmf_at(1, t, carrier="c1")  # status never fitted
+        assert kernel.pmf_at(0, t, carrier="c1") is found
+    assert [key[2] for key in kernel._memo] == ["c1", "c1"]  # 5 and -5 are different week slots
 
 
 def test_context_of():
