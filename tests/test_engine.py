@@ -25,7 +25,7 @@ from pupcast.oracle import enumerate_contribution_prob, mc_load_at, simulate
 from pupcast.records import ParcelRecord
 from pupcast.scenario import default_scenario
 
-from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf
+from helpers import TB, chain_kernel, fallback_kernel, random_instance, random_pmf
 
 
 def stationary(pmfs):
@@ -272,7 +272,6 @@ class TestFutureOrdersPmf:
         tight = future_orders_pmf(intensity, kernel, SELECTION, "shop", k, j, coverage=1 - 1e-12)
         assert loose.probs.sum() == pytest.approx(1.0, abs=1e-6)
         assert abs(loose.mean() - tight.mean()) < 0.1
-
 
     def test_mixture_matches_the_formula(self):
         # per slot and carrier: sum_m Pois(m; lam) Binom(x; m, p), cut at the
