@@ -20,9 +20,7 @@ from .baselines import baseline_holt_winters, baseline_seasonal_naive
 from .engine import (
     ForecastResult,
     chain_prob_g,
-    convolve,
     future_orders_pmf,
-    point_forecast,
     predict_load_pmf,
     prob_delivered_and_stored_last_hop,
     prob_delivered_and_stored_multi_hop,
@@ -38,9 +36,9 @@ from .estimation import (
     estimate_transit_kernel,
 )
 from .evaluate import EvalReport, rolling_origin_evaluate
-from .kernel import KernelLevel, StatusKernel, TransitionKernel, kernel_lookup
+from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .oracle import SimulatedTrace, enumerate_contribution_prob, mc_contribution_prob, mc_load_at, simulate
-from .pmf import HoldingTimePmf, LoadPmf, tv_distance
+from .pmf import HoldingTimePmf, LoadPmf, convolve, point_forecast, tv_distance
 from .records import EventLog, ParcelRecord
 from .scenario import ScenarioConfig, default_scenario
 from .timebase import Timebase

@@ -282,11 +282,17 @@ class OrderIntensity:
         return cls(profile, daily, tuple(sorted(volumes)))
 
 
-def poisson_pmf(lam: float, m: int) -> float:
-    """exp(-lam) lam^m / m!, computed in log space for stability."""
-    if lam == 0.0:
-        return 1.0 if m == 0 else 0.0
-    return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
+def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
+    """exp(-lam) lam^m / m!, computed in log space for stability.
+
+    Rates and counts broadcast against each other as numpy arrays; a scalar
+    pair gives a float.
+    """
+    lam, m = np.asarray(lam, dtype=float), np.asarray(m)
+    log_fact = np.array([math.lgamma(x + 1) for x in range(int(m.max(initial=0)) + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: 0 * log(0) is nan
+        pmf = np.where(lam == 0.0, m == 0, np.exp(-lam + m * np.log(lam) - log_fact[m]))
+    return pmf if pmf.ndim else float(pmf)
 
 
 def poisson_truncation(lam: float, coverage: float = 0.99) -> int:

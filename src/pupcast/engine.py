@@ -8,8 +8,10 @@ whose parameter depends on the parcel's latest known status:
   (k, k+j] and not picked up by k+j, conditioned on the transition out of
   the current status not having happened by k;
 * not yet ordered: the same joint event for a virtual parcel entering the
-  chain at a future slot, mixed over carriers/retailers and a Poisson
-  number of orders.
+  chain at a future slot, mixed over retailers.  Orders are Poisson per
+  slot and carrier, so by thinning and superposition the contributing ones
+  are exactly Poisson with rate sum(lam p); a float ``coverage`` keeps the
+  paper's per-pair truncation instead, in closed form.
 
 The last two, and ``chain_prob_g``, read from one backward value function
 V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from a
@@ -24,25 +26,23 @@ window width, and every slot's row meets V_{m+1} from the next slot on in
 one row-wise product.  Within one forecast, parcels and orders of one
 (carrier, retailer) share one table, and the routes share each V_m that
 they resolve to the same pmfs for (a status conditioned on the calendar
-only is built once for all routes).  The future-order counts of all
-(slot, carrier) pairs are mixed in one array expression.  The load pmf is
-the convolution of the per-parcel Bernoulli pmfs with the future-order pmf.
+only is built once for all routes).  The load pmf is the convolution of
+the per-parcel Bernoulli pmfs with the future-order pmf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import lgamma
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrivals import OrderIntensity, poisson_truncation
+from .arrivals import OrderIntensity, poisson_pmf, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
-from .pmf import HoldingTimePmf, LoadPmf, convolve, point_forecast
+from .pmf import HoldingTimePmf, LoadPmf
 from .records import ParcelRecord
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
     "future_orders_pmf",
     "predict_load_pmf",
     "ForecastResult",
-    "convolve",
-    "point_forecast",
 ]
 
 # pmf_at(n, t) -> holding-time pmf of status n entered at slot t,
@@ -64,6 +62,7 @@ __all__ = [
 PmfAt = Callable[[int, int], HoldingTimePmf]
 
 _EPS = 1e-15
+_NOISE = 1e-17  # the exact future-order pmf ends where its entries reach float noise
 
 
 def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
@@ -129,6 +128,8 @@ def _step(pmfs: list[HoldingTimePmf], nxt: np.ndarray) -> np.ndarray:
 
 def _window(pmf_at: PmfAt, n_statuses: int, k: int, j: int, shared: dict | None = None) -> _Values:
     """V_m(t) = P(delivered in (k, k+j], still stored at k+j | status m entered at t > k)."""
+    if j < 0:
+        raise ValidationError("horizon j must be >= 0")
     return _Values(pmf_at, n_statuses, range(k + 1, k + j + 1), lambda f, t: f.survival(k + j - t), shared)
 
 
@@ -142,6 +143,8 @@ class _Tables(dict):
 
     def __init__(self, kernel, pup: str, k: int, j: int):
         super().__init__()
+        if j < 0:
+            raise ValidationError("horizon j must be >= 0")
         self.kernel, self.pup, self.k, self.j = kernel, pup, k, j
         self.shared: dict = {}
 
@@ -153,8 +156,6 @@ class _Tables(dict):
 
 def _known(f: HoldingTimePmf, values: _Values, n: int, t_n: int, k: int, j: int) -> float:
     """Contribution probability of a parcel in status n since t_n whose status-n pmf is f."""
-    if j < 0:
-        raise ValidationError("horizon j must be >= 0")
     if n < values.last and j == 0:
         return 0.0  # no slot to be delivered in
     denom = f.survival(k - t_n)
@@ -229,55 +230,51 @@ def future_orders_pmf(
     k: int,
     j: int,
     entry_status: int = 0,
-    coverage: float = 0.99,
+    coverage: float | None = None,
 ) -> LoadPmf:
     """Pmf of the number of not-yet-ordered parcels stored at k+j.
 
     For each future slot k+i, i in [1, j-1], and each carrier, the number
     of orders is Poisson with the fitted intensity, each contributing
-    independently with a probability mixed over the retailer selection
-    model.  The Poisson mixture is truncated at the smallest count whose
-    CDF reaches ``coverage`` and renormalized.
+    independently with a probability p mixed over the retailer selection
+    model.  Thinned and superposed, the contributing orders are exactly
+    Poisson with rate sum(lam p).  A float ``coverage`` instead applies the
+    paper's truncation: each (slot, carrier) count is cut at the smallest m
+    whose Poisson CDF reaches ``coverage``, renormalized, and the pairs are
+    convolved.
     """
     return _future_orders_pmf(intensity, selection, _Tables(kernel, pup, k, j), entry_status, coverage)
 
 
 def _future_orders_pmf(
-    intensity: OrderIntensity, selection: SelectionModel, tables: _Tables, entry_status: int, coverage: float
+    intensity: OrderIntensity, selection: SelectionModel, tables: _Tables, entry_status: int, coverage: float | None
 ) -> LoadPmf:
     k, j = tables.k, tables.j
-    # contribution probability of one order per carrier and entry slot k+1..k+j
-    p_entry = {}
+    # Poisson rate and contribution probability of one order per carrier and entry slot k+1..k+j-1
+    lam, p = [], []
     for carrier in intensity.carriers:
         weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
-        p_entry[carrier] = sum(w * tables[carrier, r][entry_status] for r, w in weights.items())
-    lam, p, m_max = [], [], []  # one entry per (slot, carrier) with orders
-    for i in range(1, j):
-        for carrier in intensity.carriers:
-            lam_i = intensity.lambda_at(tables.kernel.timebase, k + i, carrier)
-            if lam_i > 0.0:
-                lam.append(lam_i)
-                p.append(p_entry[carrier][i - 1])
-                m_max.append(poisson_truncation(lam_i, coverage))
-    if not lam:
-        return LoadPmf.point_mass(0)
-    lam, p, m_max = np.array(lam)[:, None], np.array(p)[:, None], np.array(m_max)
-    m = np.arange(m_max.max() + 1)
-    # Poisson weights, cut at each pair's truncation point
-    log_fact = np.array([lgamma(x + 1) for x in m])
-    pois = np.where(m <= m_max[:, None], np.exp(-lam + m * np.log(lam) - log_fact), 0.0)
-    # q(x) = sum_m Pois(m) Binom(x; m, p); the binomial rows are thinned one order at a time
-    binom = np.zeros((len(lam), len(m)))
-    binom[:, 0] = 1.0
-    q = pois[:, :1] * binom
-    for count in m[1:]:
-        binom[:, 1:] = binom[:, 1:] * (1.0 - p) + binom[:, :-1] * p
-        binom[:, 0] *= 1.0 - p[:, 0]
-        q += pois[:, count : count + 1] * binom
+        lam.append([intensity.lambda_at(tables.kernel.timebase, k + i, carrier) for i in range(1, j)])
+        p.append(sum(w * tables[carrier, r][entry_status][: j - 1] for r, w in weights.items()))
+    lam, p = np.array(lam, dtype=float).T.ravel(), np.array(p, dtype=float).T.ravel()  # slot by slot
+    if coverage is None:
+        total = float(lam @ p)
+        # the tail is below float noise long before 12 standard deviations and 40 counts past the mean
+        probs = poisson_pmf(total, np.arange(int(total + 12.0 * np.sqrt(total)) + 40))
+        probs = probs[: np.flatnonzero(probs >= _NOISE)[-1] + 1]
+        return LoadPmf(probs / probs.sum())
+    live = lam > 0.0
+    lam, p = lam[live, None], p[live, None]
+    top = np.array([poisson_truncation(rate, coverage) for rate in lam[:, 0]], dtype=int)
+    x = np.arange(top.max(initial=0) + 1)
+    # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x)
+    kept = np.cumsum(poisson_pmf(lam * (1.0 - p), x), axis=1)
+    q = poisson_pmf(lam * p, x) * np.take_along_axis(kept, np.maximum(top[:, None] - x, 0), axis=1)
+    q[x > top[:, None]] = 0.0
     q /= q.sum(axis=1, keepdims=True)
     result = np.array([1.0])
-    for row, top in zip(q, m_max):
-        result = np.convolve(result, row[: top + 1])
+    for row, cut in zip(q, top):
+        result = np.convolve(result, row[: cut + 1])
     return LoadPmf(result).trimmed()
 
 
@@ -350,7 +347,7 @@ def predict_load_pmf(
     k: int,
     j: int,
     entry_status: int = 0,
-    coverage: float = 0.99,
+    coverage: float | None = None,
 ) -> ForecastResult:
     """Full load pmf at k+j from known parcels plus forecast future orders.
 

@@ -24,7 +24,6 @@ __all__ = [
     "KernelLevel",
     "StatusKernel",
     "TransitionKernel",
-    "kernel_lookup",
     "context_of",
 ]
 
@@ -172,8 +171,3 @@ class TransitionKernel:
     def load(cls, path) -> "TransitionKernel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def kernel_lookup(kernel: TransitionKernel, n: int, ctx: Mapping) -> HoldingTimePmf:
-    """Resolve the holding-time pmf for status n under a conditioning context."""
-    return kernel.lookup(n, ctx)

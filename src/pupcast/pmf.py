@@ -109,10 +109,6 @@ class LoadPmf:
         probs[count] = 1.0
         return cls(probs)
 
-    @classmethod
-    def bernoulli(cls, p: float) -> "LoadPmf":
-        return cls(np.array([1.0 - p, p]))
-
     def mean(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
 

@@ -45,9 +45,6 @@ class ParcelRecord:
         reached = [n for n, t in self.entry_times.items() if t <= k]
         return max(reached) if reached else None
 
-    def entered(self, n: int) -> int | None:
-        return self.entry_times.get(n)
-
 
 @dataclass
 class EventLog:

@@ -75,10 +75,6 @@ class Timebase:
         hours = delta.days * 24 + delta.seconds // 3600
         return hours // self.slot_hours
 
-    def day_start(self, k: int) -> int:
-        """Index of the midnight slot of the day containing slot ``k``."""
-        return k - self.hour_of(k) // self.slot_hours
-
     def to_json_dict(self) -> dict:
         return {"epoch": self.epoch.isoformat(), "slot_hours": self.slot_hours}
 

@@ -1,7 +1,7 @@
 """Contribution probabilities and the load prediction algorithm."""
 
 from datetime import date
-from math import comb
+from math import comb, exp, factorial
 
 import numpy as np
 import pytest
@@ -237,6 +237,17 @@ def single_carrier_intensity(lam: float, hours=range(24)):
 SELECTION = SelectionModel({"r1": 1.0}, {"r1": {"c1": 1.0}})
 
 
+def two_carrier_orders():
+    """Kernel, intensity and selection with two carriers and two retailers."""
+    kernel = retailer_keyed_kernel()
+    rho = {(w, c): np.linspace(1.0, 2.0 + w, 24) for w in range(1, 8) for c in ("c1", "c2")}
+    rho = {key: row / row.sum() for key, row in rho.items()}
+    volumes = {c: {date(2024, 1, 1 + d): v for d in range(10)} for c, v in (("c1", 40.0), ("c2", 15.0))}
+    intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
+    selection = SelectionModel({"r1": 0.6, "r2": 0.4}, {"r1": {"c1": 0.7, "c2": 0.3}, "r2": {"c1": 0.2, "c2": 0.8}})
+    return kernel, intensity, selection
+
+
 class TestFutureOrdersPmf:
     def make_kernel(self):
         u = HoldingTimePmf.uniform(1, 2)
@@ -261,6 +272,8 @@ class TestFutureOrdersPmf:
             for i in range(1, j)
         )
         assert pmf.mean() == pytest.approx(expected, abs=1e-6)
+        exact = future_orders_pmf(intensity, kernel, SELECTION, "shop", k, j)
+        assert exact.mean() == pytest.approx(expected, abs=1e-12)
 
     def test_truncation_keeps_coverage(self):
         # truncating each Poisson at CDF >= 0.99 keeps at least 99% of the
@@ -276,12 +289,7 @@ class TestFutureOrdersPmf:
     def test_mixture_matches_the_formula(self):
         # per slot and carrier: sum_m Pois(m; lam) Binom(x; m, p), cut at the
         # truncation point and renormalised, then convolved over the pairs
-        kernel = retailer_keyed_kernel()
-        rho = {(w, c): np.linspace(1.0, 2.0 + w, 24) for w in range(1, 8) for c in ("c1", "c2")}
-        rho = {key: row / row.sum() for key, row in rho.items()}
-        volumes = {c: {date(2024, 1, 1 + d): v for d in range(10)} for c, v in (("c1", 40.0), ("c2", 15.0))}
-        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
-        selection = SelectionModel({"r1": 0.6, "r2": 0.4}, {"r1": {"c1": 0.7, "c2": 0.3}, "r2": {"c1": 0.2, "c2": 0.8}})
+        kernel, intensity, selection = two_carrier_orders()
         k = 32
         for j in (1, 2, 4, 7):
             for coverage in (0.99, 1 - 1e-9):
@@ -303,6 +311,31 @@ class TestFutureOrdersPmf:
                 pmf = future_orders_pmf(intensity, kernel, selection, "shop", k, j, coverage=coverage)
                 assert len(pmf.probs) == len(expected)
                 assert np.abs(pmf.probs - expected).max() <= 1e-14
+
+    def test_exact_mode_is_one_poisson(self):
+        # thinned and superposed, the contributing orders of all (slot, carrier)
+        # pairs are one Poisson variable with rate sum(lam p)
+        kernel, intensity, selection = two_carrier_orders()
+        k = 32
+        for j in (1, 2, 4, 7, 30):  # sum(lam p) up to 23.6
+            total = sum(
+                intensity.lambda_at(TB, k + i, c)
+                * sum(
+                    w * prob_future_order_contributes(bind_kernel(kernel, c, r, "shop"), 3, k + i, k, j)
+                    for r, w in selection.p_retailer_given_carrier(c).items()
+                )
+                for i in range(1, j)
+                for c in intensity.carriers
+            )
+            pmf = future_orders_pmf(intensity, kernel, selection, "shop", k, j, coverage=None)
+            x = np.arange(len(pmf.probs) + 1)
+            expected = np.array([exp(-total) * total**m / factorial(m) for m in x])
+            assert np.abs(pmf.probs - expected[:-1]).max() <= 1e-15
+            assert expected[-1] < 1e-16  # cut only where the tail is float noise
+            mean = pmf.mean()
+            var = float((x[:-1] - mean) ** 2 @ pmf.probs)
+            assert abs(mean - total) <= 1e-12 * max(1.0, total)
+            assert abs(var - total) <= 1e-12 * max(1.0, total)
 
 
 class TestPredictLoadPmf:
@@ -337,6 +370,16 @@ class TestPredictLoadPmf:
         gone = ParcelRecord("P1", "c1", "shop", "r1", {0: 1, 1: 2, 2: 3})
         res = predict_load_pmf([gone], kernel, None, None, k=24, j=2)
         assert np.allclose(res.pmf.probs, [1.0])
+
+    def test_negative_horizon_rejected(self):
+        # with no known parcel live, no parcel reaches a per-parcel check
+        cfg = default_scenario()
+        with pytest.raises(ValidationError):
+            predict_load_pmf([], cfg.kernel, cfg.intensity, cfg.selection, 600, -3, entry_status=cfg.entry_status)
+        with pytest.raises(ValidationError):
+            future_orders_pmf(cfg.intensity, cfg.kernel, cfg.selection, cfg.pup, 600, -3, cfg.entry_status)
+        with pytest.raises(ValidationError):
+            predict_load_pmf([], cfg.kernel, None, None, 600, -3)
 
     def test_multiple_pups_rejected(self):
         kernel = chain_kernel([HoldingTimePmf.uniform(1, 2)])

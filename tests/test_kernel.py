@@ -6,7 +6,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel, kernel_lookup
+from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel
 from pupcast.errors import MissingKernel, UnknownStatus, ValidationError
 from pupcast.kernel import context_of
 
@@ -28,12 +28,12 @@ def make_kernel():
 def test_direct_retrieval():
     kernel, keyed, _ = make_kernel()
     ctx = {"weekday": 1, "hour": 10}
-    assert kernel_lookup(kernel, 1, ctx) is keyed
+    assert kernel.lookup(1, ctx) is keyed
 
 
 def test_fallback_on_unseen_context():
     kernel, _, pooled = make_kernel()
-    assert kernel_lookup(kernel, 1, {"weekday": 3, "hour": 22}) is pooled
+    assert kernel.lookup(1, {"weekday": 3, "hour": 22}) is pooled
 
 
 def test_absorbing_status_has_no_kernel():

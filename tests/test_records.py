@@ -27,7 +27,6 @@ def test_status_at():
     assert r.status_at(20) == 3
     assert r.status_at(49) == 3
     assert r.status_at(1000) == 4
-    assert r.entered(3) == 20
 
 
 def test_log_rejects_events_beyond_cutoff():

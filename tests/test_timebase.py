@@ -58,14 +58,6 @@ def test_multi_hour_slots_bin_to_slot_start():
     assert tb.index_of(datetime(2024, 1, 1, 4)) == 1  # 04:00 falls in slot [3h, 6h)
 
 
-def test_day_start():
-    tb = Timebase(MONDAY)
-    assert tb.day_start(0) == 0
-    assert tb.day_start(13) == 0
-    assert tb.day_start(24) == 24
-    assert tb.day_start(49) == 48
-
-
 def test_validation():
     with pytest.raises(ValidationError):
         Timebase(MONDAY, slot_hours=5)
