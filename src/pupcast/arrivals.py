@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import EmptyLog, InsufficientHistory, ValidationError
-from .records import EventLog
+from .records import NEVER, EventLog
 
 __all__ = [
     "HourlyProfile",
@@ -74,6 +74,19 @@ class HourlyProfile:
         return cls(rho)
 
 
+def _take_overs(log_: EventLog, status: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The carriers of the entries into ``status``, sorted, and each entry's
+    index into them and slot."""
+    t = log_.entries_of(status)
+    rows = np.flatnonzero(t != NEVER)
+    if not rows.size:
+        raise EmptyLog(f"no take-over events (status {status}) in log")
+    codes, carrier = np.unique(log_.carrier[rows], return_inverse=True)
+    carriers = sorted(log_.carriers[c] for c in codes.tolist())
+    rank = np.array([carriers.index(log_.carriers[c]) for c in codes.tolist()])
+    return carriers, rank[carrier], t[rows]
+
+
 def fit_hourly_profile(
     log_: EventLog,
     status: int,
@@ -85,29 +98,15 @@ def fit_hourly_profile(
     carrier's active hours (hours with mass on some other weekday);
     non-working days are identically zero.
     """
-    times = [
-        (rec.carrier, rec.entry_times[status])
-        for rec in log_.records
-        if status in rec.entry_times
-    ]
-    if not times:
-        raise EmptyLog(f"no take-over events (status {status}) in log")
+    carriers, carrier, t = _take_overs(log_, status)
     tb = log_.timebase
-    counts: dict[tuple[int, str], np.ndarray] = {}
-    carriers = sorted({c for c, _ in times})
-    for c in carriers:
-        for w in range(1, 8):
-            counts[(w, c)] = np.zeros(24)
-    for c, t in times:
-        counts[(tb.weekday_of(t), c)][tb.hour_of(t)] += 1
+    cells = (carrier * 7 + tb.weekday_of(t) - 1) * 24 + tb.hour_of(t)
+    counts = np.bincount(cells, minlength=len(carriers) * 168).reshape(-1, 7, 24).astype(float)
     rho = {}
-    for c in carriers:
+    for c, by_weekday in zip(carriers, counts):
         days = (working_days or {}).get(c, DEFAULT_WORKING_DAYS)
-        active = np.zeros(24, dtype=bool)
-        for w in range(1, 8):
-            active |= counts[(w, c)] > 0
-        for w in range(1, 8):
-            row = counts[(w, c)]
+        active = (by_weekday > 0).any(axis=0)
+        for w, row in enumerate(by_weekday, start=1):
             if w not in days:
                 rho[(w, c)] = np.zeros(24)
             elif row.sum() > 0:
@@ -196,22 +195,13 @@ def fit_daily_volume(
     forecaster: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> DailyVolumeModel:
     """Count take-overs per carrier per calendar day up to the cutoff."""
+    carriers, carrier, t = _take_overs(log_, status)
     tb = log_.timebase
-    events = [
-        (rec.carrier, tb.date_of(rec.entry_times[status]))
-        for rec in log_.records
-        if status in rec.entry_times
-    ]
-    if not events:
-        raise EmptyLog(f"no take-over events (status {status}) in log")
-    start = min(d for _, d in events)
-    end = tb.date_of(log_.cutoff)
-    n_days = (end - start).days + 1
-    carriers = sorted({c for c, _ in events})
-    history = {c: np.zeros(n_days) for c in carriers}
-    for c, d in events:
-        history[c][(d - start).days] += 1
-    model = DailyVolumeModel(history, start)
+    day = tb.day_of(t)
+    start = tb.date_of(int(t[np.argmin(day)]))
+    n_days = (tb.date_of(log_.cutoff) - start).days + 1
+    counts = np.bincount(carrier * n_days + day - day.min(), minlength=len(carriers) * n_days)
+    model = DailyVolumeModel(dict(zip(carriers, counts.reshape(-1, n_days).astype(float))), start)
     if forecaster is not None:
         model.forecaster = forecaster
     return model
@@ -237,12 +227,24 @@ class OrderIntensity:
     carriers: tuple[str, ...]
 
     def lambda_at(self, timebase, k: int, carrier: str) -> float:
-        w = timebase.weekday_of(k)
-        h = timebase.hour_of(k)
-        lam = self.profile.proportion(w, h, carrier) * self.daily_volume(
-            timebase.date_of(k), carrier
-        )
-        if lam < 0:
+        return float(self.rates(timebase, [k], (carrier,))[0, 0])
+
+    def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
+        """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default).
+
+        Each calendar day's volume is resolved once per carrier.
+        """
+        carriers = self.carriers if carriers is None else carriers
+        slots = np.asarray(slots, dtype=np.int64)
+        _, first, day = np.unique(timebase.day_of(slots), return_index=True, return_inverse=True)
+        dates = [timebase.date_of(k) for k in slots[first].tolist()]
+        weekday, hour = timebase.weekday_of(slots), timebase.hour_of(slots)
+        lam = np.empty((len(slots), len(carriers)))
+        for col, carrier in enumerate(carriers):
+            profile = np.array([self.profile.rho.get((w, carrier), np.zeros(24)) for w in range(1, 8)], dtype=float)
+            volume = np.array([self.daily_volume(d, carrier) for d in dates], dtype=float)
+            lam[:, col] = profile[weekday - 1, hour] * volume[day]
+        if np.any(lam < 0):
             raise ValidationError("negative order intensity")
         return lam
 

@@ -58,7 +58,7 @@ def cmd_fit(args) -> int:
     selection = estimate_selection(log)
     with open(out / "selection.json", "w", encoding="utf-8") as fh:
         json.dump(selection.to_json_dict(), fh, indent=1, sort_keys=True)
-    n_parcels = len(log.records)
+    n_parcels = len(log)
     print(f"fitted models from {n_parcels} parcels (cutoff slot {log.cutoff}) -> {out}")
     return 0
 

@@ -43,7 +43,7 @@ from .arrivals import OrderIntensity, poisson_pmf, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
 from .pmf import HoldingTimePmf, LoadPmf
-from .records import ParcelRecord
+from .records import NEVER, EventLog, ParcelRecord
 
 __all__ = [
     "PmfAt",
@@ -251,12 +251,12 @@ def _future_orders_pmf(
 ) -> LoadPmf:
     k, j = tables.k, tables.j
     # Poisson rate and contribution probability of one order per carrier and entry slot k+1..k+j-1
-    lam, p = [], []
+    lam = intensity.rates(tables.kernel.timebase, range(k + 1, k + j)).ravel()  # slot by slot
+    p = []
     for carrier in intensity.carriers:
         weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
-        lam.append([intensity.lambda_at(tables.kernel.timebase, k + i, carrier) for i in range(1, j)])
         p.append(sum(w * tables[carrier, r][entry_status][: j - 1] for r, w in weights.items()))
-    lam, p = np.array(lam, dtype=float).T.ravel(), np.array(p, dtype=float).T.ravel()  # slot by slot
+    p = np.array(p, dtype=float).T.ravel()
     if coverage is None:
         total = float(lam @ p)
         # the tail is below float noise long before 12 standard deviations and 40 counts past the mean
@@ -306,41 +306,31 @@ class ForecastResult:
         }
 
 
-def _parcel_contribution(rec: ParcelRecord, tables: _Tables, diagnostics: list[str]) -> float | None:
-    """Bernoulli parameter for one known parcel, or None if it cannot contribute."""
-    n_statuses = tables.kernel.n_statuses
+def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -> tuple[float, str | None]:
+    """Bernoulli parameter of a known parcel in status n since t_n, and a note for the diagnostics."""
     k, j = tables.k, tables.j
-    n = rec.status_at(k)
-    if n is None or n >= n_statuses:
-        return None
-    t_n = rec.entry_times[n]
-    values = tables[rec.carrier, rec.retailer]
+    values = tables[carrier, retailer]
     try:
-        return _known(values.pmf_at(n, t_n), values, n, t_n, k, j)
+        return _known(values.pmf_at(n, t_n), values, n, t_n, k, j), None
     except ImpossibleEvidence:
         pass
     except MissingKernel:
-        diagnostics.append(f"parcel {rec.id}: no kernel for status {n}; skipped")
-        return None
+        return 0.0, f"no kernel for status {n}; skipped"
     # Evidence contradicts the fitted pmf (holding time beyond its support).
     # Retry with the coarsest pooled pmf; if that also says the parcel must
     # have left, treat it as departed (the forced-return rule).
     try:
         pooled = tables.kernel.pooled_pmf_at(n, t_n)
     except MissingKernel:
-        diagnostics.append(f"parcel {rec.id}: impossible evidence, no fallback; dropped")
-        return None
+        return 0.0, "impossible evidence, no fallback; dropped"
     try:
-        p = _known(pooled, values, n, t_n, k, j)
-        diagnostics.append(f"parcel {rec.id}: impossible evidence, used pooled fallback")
-        return p
+        return _known(pooled, values, n, t_n, k, j), "impossible evidence, used pooled fallback"
     except ImpossibleEvidence:
-        diagnostics.append(f"parcel {rec.id}: holding time beyond all supports; assumed departed")
-        return 0.0
+        return 0.0, "holding time beyond all supports; assumed departed"
 
 
 def predict_load_pmf(
-    parcels: Sequence[ParcelRecord],
+    parcels: EventLog | Sequence[ParcelRecord],
     kernel,
     intensity: OrderIntensity | None,
     selection: SelectionModel | None,
@@ -351,22 +341,34 @@ def predict_load_pmf(
 ) -> ForecastResult:
     """Full load pmf at k+j from known parcels plus forecast future orders.
 
-    Parcels already picked up contribute nothing; each other parcel adds a
-    Bernoulli factor, and the future-order pmf is convolved in last.
+    The known parcels are those with an entry at or before k that are not
+    yet picked up; each adds a Bernoulli factor, in the log's row order, and
+    the future-order pmf is convolved in last.  A plain list of records is
+    packed into a log first.
     """
-    pups = {rec.pup for rec in parcels}
+    log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
+    pups = log.pup_names()
     if len(pups) > 1:
         raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
-    pup = pups.pop() if pups else ""
+    pup = pups[0] if pups else ""
     diagnostics: list[str] = []
     tables = _Tables(kernel, pup, k, j)
+    rows, status, slot = log.latest(k)
+    live = status < kernel.n_statuses  # not picked up by k
+    rows = rows[live]
+    known: dict[tuple, tuple[float, str | None]] = {}  # (carrier, retailer, n, t_n) -> _parcel_contribution
     probs = np.array([1.0])
-    picked_up = kernel.n_statuses
-    for rec in parcels:
-        if rec.entry_times.get(picked_up, k + 1) <= k:
-            continue  # picked up by k
-        p = _parcel_contribution(rec, tables, diagnostics)
-        if p is not None and p > 0.0:
+    for i, c, r, n, t_n in zip(
+        rows.tolist(), log.carrier[rows].tolist(), log.retailer[rows].tolist(),
+        status[live].tolist(), slot[live].tolist(),
+    ):
+        key = (c, r, n, t_n)
+        if key not in known:
+            known[key] = _parcel_contribution(tables, log.carriers[c], log.retailers[r], n, t_n)
+        p, note = known[key]
+        if note is not None:
+            diagnostics.append(f"parcel {log.ids[i]}: {note}")
+        if p > 0.0:
             probs = np.convolve(probs, [1.0 - p, p])
     if intensity is not None:
         if selection is None:

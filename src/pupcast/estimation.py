@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyLog, NoCompletedTransitions, ValidationError
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
-from .records import EventLog, ParcelRecord
+from .records import NEVER, EventLog
 from .timebase import Timebase
 
 __all__ = [
@@ -135,9 +135,9 @@ def _truncated_pmf(counts: np.ndarray, support_max: int, what: str) -> HoldingTi
 
 
 def _empirical_levels(
-    observations: list[tuple[tuple, int]],
+    context: dict[str, tuple[np.ndarray, tuple | None]],
+    delays: np.ndarray,
     schemas: list[tuple[str, ...]],
-    key_fns: list,
     support_max: int,
     min_count: int,
     what: str,
@@ -145,40 +145,48 @@ def _empirical_levels(
 ) -> StatusKernel:
     """Build a status kernel with hierarchical pooled fallback levels.
 
-    ``observations`` are (full context values, delay) pairs; ``key_fns[i]``
-    projects the full context tuple onto level i's key.  Level 0 keys may be
-    restricted to ``valid_keys``; out-of-range observations still feed the
-    coarser levels.
+    ``context[feature]`` holds one non-negative integer per observed delay,
+    and the labels its codes stand for (None: the integer is the value).
+    Level i is keyed on the features of ``schemas[i]``, its keys in order of
+    first observation.  Level 0 keys may be restricted to ``valid_keys``;
+    out-of-range observations still feed the coarser levels.
     """
-    max_delay = max(delay for _, delay in observations)
+    width = int(delays.max()) + 1
     levels = []
-    for depth, (schema, key_fn) in enumerate(zip(schemas, key_fns)):
-        counts: dict[tuple, np.ndarray] = defaultdict(lambda: np.zeros(max_delay + 1))
-        for ctx, delay in observations:
-            key = key_fn(ctx)
-            counts[key][delay] += 1
+    for depth, schema in enumerate(schemas):
+        code = np.zeros(len(delays), dtype=np.int64)
+        for feature in schema:  # the schema's values in mixed radix
+            values = context[feature][0]
+            code = code * (int(values.max()) + 1) + values
+        _, first, group = np.unique(code, return_index=True, return_inverse=True)
+        counts = np.bincount(group * width + delays, minlength=len(first) * width).reshape(len(first), width)
         pmfs = {}
-        for key, cnt in counts.items():
+        for g in np.argsort(first, kind="stable").tolist():
+            i = first[g]
+            key = tuple(
+                int(values[i]) if labels is None else labels[values[i]]
+                for values, labels in (context[feature] for feature in schema)
+            )
             if depth == 0 and valid_keys is not None and key not in valid_keys:
                 continue
-            if depth < len(schemas) - 1 and cnt.sum() < min_count:
+            if depth < len(schemas) - 1 and counts[g].sum() < min_count:
                 continue  # too sparse: defer to the next coarser level
-            pmfs[key] = _truncated_pmf(cnt, support_max, f"{what}{key}")
+            pmfs[key] = _truncated_pmf(counts[g].astype(float), support_max, f"{what}{key}")
         levels.append(KernelLevel(schema, pmfs))
     return StatusKernel(tuple(levels))
 
 
-def _completed(
-    records: Iterable[ParcelRecord], status_from: int, cutoff: int
-) -> list[tuple[ParcelRecord, int, int]]:
-    """(record, entry slot, delay) for transitions completed by the cutoff."""
-    out = []
-    for rec in records:
-        t_from = rec.entry_times.get(status_from)
-        t_to = rec.entry_times.get(status_from + 1)
-        if t_from is not None and t_to is not None and t_to <= cutoff:
-            out.append((rec, t_from, t_to - t_from))
-    return out
+def _completed(log_: EventLog, pup: str, status_from: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(carrier code, entry slot, delay) of the transitions out of ``status_from``
+    completed by the cutoff, for the parcels bound for ``pup``."""
+    parcels = log_.for_pup(pup)
+    if not len(parcels):
+        raise EmptyLog(f"no records for pup {pup!r}")
+    t_from, t_to = parcels.entries_of(status_from), parcels.entries_of(status_from + 1)
+    rows = np.flatnonzero((t_from != NEVER) & (t_to <= log_.cutoff))
+    if not rows.size:
+        raise NoCompletedTransitions(f"no completed {what} transitions for pup {pup!r}")
+    return parcels.carrier[rows], t_from[rows], t_to[rows] - t_from[rows]
 
 
 def estimate_transit_kernel(
@@ -194,20 +202,11 @@ def estimate_transit_kernel(
     are counted.  Sparse (weekday, carrier) cells fall back to the pooled
     per-carrier pmf, then to the globally pooled pmf.
     """
-    records = log_.for_pup(pup)
-    if not records:
-        raise EmptyLog(f"no records for pup {pup!r}")
-    completed = _completed(records, status_from, log_.cutoff)
-    if not completed:
-        raise NoCompletedTransitions(f"no completed transit transitions for pup {pup!r}")
-    tb = log_.timebase
-    observations = [
-        ((tb.weekday_of(t_from), rec.carrier), delay) for rec, t_from, delay in completed
-    ]
+    carrier, t_from, delays = _completed(log_, pup, status_from, "transit")
     return _empirical_levels(
-        observations,
+        {"weekday": (log_.timebase.weekday_of(t_from), None), "carrier": (carrier, log_.carriers)},
+        delays,
         schemas=[("weekday", "carrier"), ("carrier",), ()],
-        key_fns=[lambda ctx: ctx, lambda ctx: (ctx[1],), lambda ctx: ()],
         support_max=support_max,
         min_count=min_count,
         what=f"transit[{pup}]",
@@ -229,20 +228,12 @@ def estimate_pickup_kernel(
     beyond ``support_max`` (the maximum sojourn before return) is truncated
     and the pmf renormalized.
     """
-    records = log_.for_pup(pup)
-    if not records:
-        raise EmptyLog(f"no records for pup {pup!r}")
-    completed = _completed(records, status_from, log_.cutoff)
-    if not completed:
-        raise NoCompletedTransitions(f"no completed pickup transitions for pup {pup!r}")
+    _, t_from, delays = _completed(log_, pup, status_from, "pickup")
     tb = log_.timebase
-    observations = [
-        ((tb.weekday_of(t_from), tb.hour_of(t_from)), delay) for _, t_from, delay in completed
-    ]
     return _empirical_levels(
-        observations,
+        {"weekday": (tb.weekday_of(t_from), None), "hour": (tb.hour_of(t_from), None)},
+        delays,
         schemas=[("weekday", "hour"), ("weekday",), ()],
-        key_fns=[lambda ctx: ctx, lambda ctx: (ctx[0],), lambda ctx: ()],
         support_max=support_max,
         min_count=min_count,
         what=f"pickup[{pup}]",
@@ -252,19 +243,19 @@ def estimate_pickup_kernel(
 
 def estimate_selection(log_: EventLog) -> SelectionModel:
     """Empirical retailer shares and carrier shares conditional on retailer."""
-    if not log_.records:
+    if not len(log_):
         raise EmptyLog("empty event log")
-    retailer_counts: dict = defaultdict(int)
-    carrier_counts: dict = defaultdict(lambda: defaultdict(int))
-    for rec in log_.records:
-        retailer_counts[rec.retailer] += 1
-        carrier_counts[rec.retailer][rec.carrier] += 1
-    total = sum(retailer_counts.values())
-    p_retailer = {r: cnt / total for r, cnt in retailer_counts.items()}
-    p_cgr = {
-        r: {c: cnt / sum(cc.values()) for c, cnt in cc.items()}
-        for r, cc in ((r, carrier_counts[r]) for r in retailer_counts)
-    }
+    n_carriers = len(log_.carriers)
+    pairs, first, count = np.unique(
+        log_.retailer * n_carriers + log_.carrier, return_index=True, return_counts=True
+    )
+    counts: dict = defaultdict(dict)  # retailer -> carrier -> parcels, in order of first appearance
+    for g in np.argsort(first, kind="stable").tolist():
+        r, c = divmod(int(pairs[g]), n_carriers)
+        counts[log_.retailers[r]][log_.carriers[c]] = int(count[g])
+    total = len(log_)
+    p_retailer = {r: sum(cc.values()) / total for r, cc in counts.items()}
+    p_cgr = {r: {c: cnt / sum(cc.values()) for c, cnt in cc.items()} for r, cc in counts.items()}
     return SelectionModel(p_retailer, p_cgr)
 
 

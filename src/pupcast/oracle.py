@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import ConditioningTooRare, MissingKernel, TooLarge, ValidationErro
 from .estimation import SelectionModel
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
-from .records import EventLog, ParcelRecord
+from .records import NEVER, EventLog, ParcelRecord
 from .scenario import ScenarioConfig
 from .timebase import Timebase
 
@@ -65,30 +65,20 @@ class SimulatedTrace:
 
     def event_log(self, cutoff: int | None = None) -> EventLog:
         """The event log as observed at ``cutoff`` (events after it censored)."""
-        if cutoff is None:
-            cutoff = self.config.horizon_slots - 1
-        records = []
-        for rec in self.parcels:
-            entries = {n: t for n, t in rec.entry_times.items() if t <= cutoff}
-            if entries:
-                records.append(
-                    ParcelRecord(rec.id, rec.carrier, rec.pup, rec.retailer, entries)
-                )
-        return EventLog(records, cutoff, self.config.timebase)
+        return self._uncensored.truncated(self.config.horizon_slots - 1 if cutoff is None else cutoff)
+
+    @cached_property
+    def _uncensored(self) -> EventLog:
+        """Every simulated event, in one log built once; no cutoff censors it."""
+        return EventLog(self.parcels, NEVER, self.config.timebase)
 
     def recount_load(self) -> np.ndarray:
         """Recompute the load series from the raw events (self-consistency check)."""
-        n_statuses = self.config.n_statuses
-        horizon = self.config.horizon_slots
-        load = np.zeros(horizon, dtype=int)
-        for rec in self.parcels:
-            t_del = rec.entry_times.get(n_statuses - 1)
-            if t_del is None:
-                continue
-            t_out = rec.entry_times.get(n_statuses, horizon)
-            lo, hi = min(t_del, horizon), min(t_out, horizon)
-            load[lo:hi] += 1
-        return load
+        n_statuses, horizon = self.config.n_statuses, self.config.horizon_slots
+        t_in, t_out = self._uncensored.entries_of(n_statuses - 1), self._uncensored.entries_of(n_statuses)
+        delivered = t_in != NEVER
+        moves = [np.bincount(np.minimum(t, horizon), minlength=horizon + 1) for t in (t_in[delivered], t_out[delivered])]
+        return np.cumsum(moves[0] - moves[1])[:horizon]
 
     def write_load_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -125,9 +115,9 @@ def simulate(config: ScenarioConfig) -> SimulatedTrace:
     by_carrier = {c: _retailer_shares(config.selection, c) for c in config.intensity.carriers}
     parcels: list[ParcelRecord] = []
     counter = 0
+    rates = config.intensity.rates(tb, range(horizon)).tolist()
     for k in range(horizon):
-        for carrier in config.intensity.carriers:
-            lam = config.intensity.lambda_at(tb, k, carrier)
+        for carrier, lam in zip(config.intensity.carriers, rates[k]):
             count = int(rng.poisson(lam)) if lam > 0 else 0
             retailers, shares = by_carrier[carrier]
             for _ in range(count):
@@ -366,9 +356,9 @@ def mc_load_at(
         retailers, shares = _retailer_shares(selection, carrier)
         routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
         by_carrier[carrier] = routes, shares
-    for t_0 in range(k + 1, k + j):
-        for carrier, (routes, shares) in by_carrier.items():
-            lam = intensity.lambda_at(tb, t_0, carrier)
+    rates = intensity.rates(tb, range(k + 1, k + j)).tolist()
+    for t_0, lams in zip(range(k + 1, k + j), rates):
+        for (routes, shares), lam in zip(by_carrier.values(), lams):
             if lam <= 0.0:
                 continue
             counts = rng.poisson(lam, size=n_replicates)

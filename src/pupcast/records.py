@@ -1,5 +1,14 @@
 """Parcel records and event logs.
 
+An event log holds its parcels as columns.  ``entries[i, c]`` is the slot
+at which parcel i entered status ``statuses[c]`` (statuses ascending), or
+``NEVER`` where no entry was seen; ``carrier``, ``retailer`` and ``pup`` are
+integer codes into the label tuples ``carriers``, ``retailers`` and
+``pups``.  A log is validated once, when it is built from records or read
+from CSV.  ``truncated`` and ``for_pup`` select rows and mask entries, which
+keeps a valid log valid, so they do not validate again.  ``ParcelRecord`` is
+the row type at the edge: a log is built from records and iterates as records.
+
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
 observed status transition.  An empty retailer field means unknown.
@@ -8,15 +17,23 @@ observed status transition.  An empty retailer field means unknown.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EmptyLog, ValidationError
 from .timebase import Timebase
 
-__all__ = ["ParcelRecord", "EventLog", "CSV_HEADER"]
+__all__ = ["ParcelRecord", "EventLog", "CSV_HEADER", "NEVER"]
 
 CSV_HEADER = ["parcel_id", "retailer", "carrier", "pup", "status", "entry_iso8601"]
+
+# The entry slot of a status not seen: later than every cutoff, so that
+# "entered by k" is ``entries <= k`` (slots before the epoch are negative).
+NEVER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -30,15 +47,7 @@ class ParcelRecord:
     entry_times: dict[int, int] = field(default_factory=dict)
 
     def validate(self) -> None:
-        prev_n = prev_t = None
-        for n in sorted(self.entry_times):
-            t = self.entry_times[n]
-            if prev_t is not None and t <= prev_t:
-                raise ValidationError(
-                    f"parcel {self.id}: entry into status {n} at slot {t} does not "
-                    f"follow status {prev_n} at slot {prev_t}"
-                )
-            prev_n, prev_t = n, t
+        EventLog([self], NEVER, None)
 
     def status_at(self, k: int) -> int | None:
         """Highest status entered at or before slot k, or None if unknown."""
@@ -46,96 +55,192 @@ class ParcelRecord:
         return max(reached) if reached else None
 
 
-@dataclass
+def _columns(n_rows: int, row, status, slot) -> tuple[np.ndarray, np.ndarray]:
+    """(statuses, entries) from one (row, status, slot) triple per observed entry."""
+    statuses, col = np.unique(np.asarray(status, dtype=np.int64), return_inverse=True)
+    entries = np.full((n_rows, len(statuses)), NEVER, dtype=np.int64)
+    entries[np.asarray(row, dtype=np.intp), col] = slot
+    return statuses, entries
+
+
+def _encode(values: Iterable) -> tuple[tuple, np.ndarray]:
+    """Labels in order of first appearance, and each value's code."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return tuple(index), np.array(codes, dtype=np.intp)
+
+
 class EventLog:
-    """A collection of parcel records visible up to an observation cutoff."""
+    """The parcels of an event log as columns, visible up to an observation cutoff.
 
-    records: list[ParcelRecord]
-    cutoff: int
-    timebase: Timebase
+    Built from ``ParcelRecord`` rows, kept in their order; iterating the log
+    (or reading ``records``) gives them back.
+    """
 
-    def __post_init__(self) -> None:
-        for rec in self.records:
-            rec.validate()
-            for n, t in rec.entry_times.items():
-                if t > self.cutoff:
-                    raise ValidationError(
-                        f"parcel {rec.id}: entry into status {n} at slot {t} "
-                        f"is beyond the cutoff {self.cutoff}"
-                    )
+    def __init__(self, records: Iterable[ParcelRecord], cutoff: int, timebase: Timebase):
+        records = list(records)
+        sizes = [len(rec.entry_times) for rec in records]
+        fault = self._fill(
+            [rec.id for rec in records],
+            ([rec.carrier for rec in records], [rec.pup for rec in records], [rec.retailer for rec in records]),
+            np.repeat(np.arange(len(records)), sizes),
+            np.fromiter((n for rec in records for n in rec.entry_times), np.int64, sum(sizes)),
+            np.fromiter((t for rec in records for t in rec.entry_times.values()), np.int64, sum(sizes)),
+            cutoff,
+            timebase,
+        )
+        if fault is not None:
+            raise ValidationError(fault[2])
 
-    def for_pup(self, pup: str) -> list[ParcelRecord]:
-        return [rec for rec in self.records if rec.pup == pup]
+    def _fill(self, ids, routing, row, status, slot, cutoff: int, timebase: Timebase):
+        """Set the columns from the parcels' (carriers, pups, retailers) and one
+        (row, status, slot) per entry.  Returns the (row, column, message) of
+        the first parcel whose entries are out of order or beyond the cutoff
+        (order is checked first), or None."""
+        self.ids = np.array(ids, dtype=object)
+        (self.carriers, self.carrier), (self.pups, self.pup), (self.retailers, self.retailer) = map(_encode, routing)
+        self.statuses, self.entries = _columns(len(ids), row, status, slot)
+        self.cutoff, self.timebase = cutoff, timebase
+        seen = self.entries != NEVER
+        lowest = np.iinfo(np.int64).min
+        latest = np.maximum.accumulate(np.where(seen, self.entries, lowest), axis=1)
+        disorder = seen & (self.entries <= np.hstack([np.full((len(ids), 1), lowest), latest[:, :-1]]))
+        late = seen & (self.entries > cutoff)
+        bad = np.flatnonzero((disorder | late).any(axis=1))
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        n, t = self.statuses.tolist(), self.entries[i].tolist()
+        if disorder[i].any():
+            c = int(np.argmax(disorder[i]))
+            p = int(np.flatnonzero(seen[i, :c])[-1])
+            return i, c, (
+                f"parcel {ids[i]}: entry into status {n[c]} at slot {t[c]} does not "
+                f"follow status {n[p]} at slot {t[p]}"
+            )
+        c = int(np.argmax(late[i]))
+        return i, c, f"parcel {ids[i]}: entry into status {n[c]} at slot {t[c]} is beyond the cutoff {cutoff}"
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[ParcelRecord]:
+        statuses = self.statuses.tolist()
+        columns = (self.carrier.tolist(), self.retailer.tolist(), self.pup.tolist(), self.entries.tolist())
+        for pid, c, r, p, slots in zip(self.ids.tolist(), *columns):
+            entries = {n: t for n, t in zip(statuses, slots) if t != NEVER}
+            yield ParcelRecord(pid, self.carriers[c], self.pups[p], self.retailers[r], entries)
+
+    @property
+    def records(self) -> list[ParcelRecord]:
+        return list(self)
+
+    def _view(self, rows: np.ndarray, entries: np.ndarray, cutoff: int, pups: tuple | None = None) -> "EventLog":
+        """The rows ``rows`` with ``entries``, not validated again."""
+        log = object.__new__(EventLog)
+        log.ids, log.carrier, log.retailer = self.ids[rows], self.carrier[rows], self.retailer[rows]
+        log.pup = self.pup[rows] if pups is None else np.zeros(len(rows), dtype=np.intp)
+        log.carriers, log.retailers, log.pups = self.carriers, self.retailers, pups or self.pups
+        log.statuses, log.entries, log.cutoff, log.timebase = self.statuses, entries, cutoff, self.timebase
+        return log
+
+    def for_pup(self, pup: str) -> "EventLog":
+        """The parcels bound for ``pup``.  The view names ``pup`` even when it holds no parcel."""
+        rows = np.flatnonzero(self.pup == (self.pups.index(pup) if pup in self.pups else -1))
+        return self._view(rows, self.entries[rows], self.cutoff, pups=(pup,))
 
     def truncated(self, cutoff: int) -> "EventLog":
         """The log as it would have been observed at an earlier cutoff."""
         if cutoff > self.cutoff:
             raise ValidationError("cannot extend a log beyond its cutoff")
-        records = []
-        for rec in self.records:
-            entries = {n: t for n, t in rec.entry_times.items() if t <= cutoff}
-            if entries:
-                records.append(
-                    ParcelRecord(rec.id, rec.carrier, rec.pup, rec.retailer, entries)
-                )
-        return EventLog(records, cutoff, self.timebase)
+        seen = self.entries <= cutoff
+        rows = np.flatnonzero(seen.any(axis=1))
+        return self._view(rows, np.where(seen[rows], self.entries[rows], NEVER), cutoff)
+
+    def pup_names(self) -> list[str]:
+        """The pups its parcels are bound for; a log with one pup label (a
+        ``for_pup`` view, say) names that pup even when it holds no parcel."""
+        if len(self.pups) == 1:
+            return list(self.pups)
+        return [self.pups[c] for c in np.unique(self.pup).tolist()]
+
+    def entries_of(self, n: int) -> np.ndarray:
+        """Each parcel's entry slot into status n, NEVER where not seen."""
+        c = np.flatnonzero(self.statuses == n)
+        return self.entries[:, c[0]] if c.size else np.full(len(self), NEVER, dtype=np.int64)
+
+    def latest(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, status, slot): the parcels with an entry at or before k, the
+        highest status each had entered by k, and the slot it entered it."""
+        seen = self.entries <= k
+        last = (seen * np.arange(1, seen.shape[1] + 1)).max(axis=1, initial=0) - 1
+        rows = np.flatnonzero(last >= 0)
+        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
 
     # ---- CSV I/O ----
 
     @classmethod
     def from_csv(cls, path, timebase: Timebase, cutoff: int | None = None) -> "EventLog":
-        parcels: dict[str, ParcelRecord] = {}
-        max_t = 0
+        routing: dict[str, tuple] = {}  # parcel id -> (row, carrier, pup, retailer) of its first event
+        row, status, slot, line = (array("q") for _ in range(4))  # one entry per event
+        slot_of: dict[str, int] = {}  # timestamp text -> slot
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != CSV_HEADER:
                 raise ValidationError(f"bad or missing header in {path}: {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
                     continue
-                if len(row) != len(CSV_HEADER):
+                if len(fields) != len(CSV_HEADER):
                     raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-                parcel_id, retailer, carrier, pup, status, entry = row
+                parcel_id, retailer, carrier, pup, n, entry = fields
                 try:
-                    n = int(status)
-                    t = timebase.index_of(datetime.fromisoformat(entry))
-                except (ValueError, ValidationError) as exc:
+                    status.append(int(n))
+                    if entry not in slot_of:
+                        slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
+                except (ValueError, OverflowError, ValidationError) as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-                rec = parcels.get(parcel_id)
-                if rec is None:
-                    rec = ParcelRecord(parcel_id, carrier, pup, retailer or None)
-                    parcels[parcel_id] = rec
-                elif rec.carrier != carrier or rec.pup != pup:
+                first = routing.setdefault(parcel_id, (len(routing), carrier, pup, retailer or None))
+                if first[1:3] != (carrier, pup):
                     raise ValidationError(
                         f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup"
                     )
-                if n in rec.entry_times:
-                    raise ValidationError(
-                        f"{path}:{lineno}: duplicate status {n} for parcel {parcel_id}"
-                    )
-                rec.entry_times[n] = t
-                max_t = max(max_t, t)
-        if not parcels:
+                row.append(first[0])
+                slot.append(slot_of[entry])
+                line.append(lineno)
+        if not routing:
             raise EmptyLog(f"no event rows in {path}")
-        records = sorted(parcels.values(), key=lambda r: r.id)
-        for lineno_rec in records:
-            lineno_rec.validate()
-        return cls(records, cutoff if cutoff is not None else max_t, timebase)
+        ids = sorted(routing)  # rows by parcel id
+        rank = np.empty(len(ids), dtype=np.intp)
+        rank[[routing[pid][0] for pid in ids]] = np.arange(len(ids))
+        row, status = rank[np.frombuffer(row, dtype=np.int64)], np.frombuffer(status, dtype=np.int64)
+        order = np.lexsort((status, row))  # stable: a parcel's repeats of one status in file order
+        repeat = order[1:][(row[order][1:] == row[order][:-1]) & (status[order][1:] == status[order][:-1])]
+        if repeat.size:
+            e = repeat.min()
+            raise ValidationError(f"{path}:{line[e]}: duplicate status {status[e]} for parcel {ids[row[e]]}")
+        log = object.__new__(cls)
+        fault = log._fill(
+            ids, tuple(zip(*(routing[pid][1:] for pid in ids))), row, status, slot,
+            max(0, max(slot)) if cutoff is None else cutoff, timebase,
+        )
+        if fault is not None:
+            i, c, message = fault
+            raise ValidationError(f"{path}:{_columns(len(ids), row, status, line)[1][i, c]}: {message}")
+        return log
 
     def to_csv(self, path) -> None:
+        statuses, entries = self.statuses.tolist(), self.entries.tolist()
+        stamps: dict[int, str] = {}  # slot -> ISO 8601 text
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for rec in sorted(self.records, key=lambda r: r.id):
-                for n in sorted(rec.entry_times):
-                    writer.writerow(
-                        [
-                            rec.id,
-                            rec.retailer or "",
-                            rec.carrier,
-                            rec.pup,
-                            n,
-                            self.timebase.datetime_of(rec.entry_times[n]).isoformat(),
-                        ]
-                    )
+            for i in sorted(range(len(self)), key=self.ids.__getitem__):
+                pid, retailer = self.ids[i], self.retailers[self.retailer[i]]
+                carrier, pup = self.carriers[self.carrier[i]], self.pups[self.pup[i]]
+                for n, t in zip(statuses, entries[i]):
+                    if t != NEVER:
+                        if t not in stamps:
+                            stamps[t] = self.timebase.datetime_of(t).isoformat()
+                        writer.writerow([pid, retailer or "", carrier, pup, n, stamps[t]])

@@ -3,7 +3,8 @@
 Time is sampled with a period of ``slot_hours`` (1 hour by default).  Slot
 ``k`` covers the half-open interval starting ``k * slot_hours`` hours after
 the epoch.  All calendar projections (weekday, hour of day, date) are pure
-functions of ``(k, epoch, slot_hours)``.
+functions of ``(k, epoch, slot_hours)``; ``day_of``, ``weekday_of`` and
+``hour_of`` also map numpy arrays of slots elementwise.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ class Timebase:
     def slots_per_week(self) -> int:
         return 7 * self.slots_per_day
 
+    def day_of(self, k: int) -> int:
+        """Whole days from the epoch's date to the date of slot ``k``."""
+        return (self.epoch.hour + k * self.slot_hours) // 24
+
     def weekday_of(self, k: int) -> int:
         """Day of week of slot ``k``: 1 = Monday ... 7 = Sunday."""
-        total_hours = self.epoch.hour + k * self.slot_hours
-        day_offset = total_hours // 24
-        return (self.epoch.weekday() + day_offset) % 7 + 1
+        return (self.epoch.weekday() + self.day_of(k)) % 7 + 1
 
     def hour_of(self, k: int) -> int:
         """Hour of day (0..23) at which slot ``k`` starts.
@@ -62,7 +65,7 @@ class Timebase:
         return self.epoch + timedelta(hours=int(k) * self.slot_hours)  # numpy ints are rejected
 
     def date_of(self, k: int) -> date:
-        return self.datetime_of(k).date()
+        return self.epoch.date() + timedelta(days=int(self.day_of(k)))
 
     def index_of(self, dt: datetime) -> int:
         """Slot index containing ``dt``.  Floor division; dt may precede epoch."""

@@ -161,6 +161,38 @@ class TestIntensity:
         assert intensity.lambda_at(TB, 24 + 9, "c1") == 0.0  # no volume that day
 
 
+    def test_rates_resolve_each_day_once(self):
+        profile, volume = self.make_models()
+        fitted = OrderIntensity.from_models(profile, volume)
+        asked = []
+
+        def daily(day, carrier):
+            asked.append((day, carrier))
+            return fitted.daily_volume(day, carrier)
+
+        intensity = OrderIntensity(profile, daily, ("c1", "c2"))
+        slots = range(27 * 24 + 5, 30 * 24 + 3)  # four calendar days, history and forecast
+        lam = intensity.rates(TB, slots)
+        assert lam.shape == (len(slots), 2)
+        assert sorted(asked) == sorted({(TB.date_of(k), c) for k in slots for c in ("c1", "c2")})
+        assert len(asked) == 8
+        for row, k in zip(lam.tolist(), slots):  # the per-slot product, float for float
+            for c, value in zip(("c1", "c2"), row):
+                assert value == profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * fitted.daily_volume(
+                    TB.date_of(k), c
+                )
+                assert intensity.lambda_at(TB, k, c) == value
+
+    def test_negative_intensity_rejected(self):
+        profile, _ = self.make_models()
+        intensity = OrderIntensity(profile, lambda day, carrier: -1.0, ("c1",))
+        with pytest.raises(ValidationError, match="negative order intensity"):
+            intensity.rates(TB, range(24))
+        with pytest.raises(ValidationError, match="negative order intensity"):
+            intensity.lambda_at(TB, 9, "c1")
+        assert intensity.lambda_at(TB, 2, "c1") == 0.0  # no orders at 02:00, whatever the volume
+
+
 class TestPoisson:
     def test_pmf_against_scipy(self):
         for lam in (0.3, 1.0, 7.5, 30.0):

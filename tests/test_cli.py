@@ -58,6 +58,19 @@ def test_forecast(workspace, capsys):
         assert f["q05"] <= f["q50"] <= f["q95"]
 
 
+def test_forecast_before_any_parcel_names_the_pup(workspace):
+    out = workspace["root"] / "early.json"
+    code = main([
+        "forecast", "--config", str(workspace["config"]),
+        "--models", str(workspace["models"]),
+        "--log", str(workspace["sim"] / "events.csv"),
+        "--k", "-1", "--horizons", "13", "--out", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert [f["pup"] for f in doc["forecasts"]] == [doc["pup"]] == ["corner-shop"]
+
+
 def test_evaluate(workspace):
     out = workspace["root"] / "report.csv"
     code = main([

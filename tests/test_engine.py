@@ -5,6 +5,8 @@ from math import comb, exp, factorial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
@@ -22,7 +24,7 @@ from pupcast.engine import (
 from pupcast.errors import ImpossibleEvidence, ValidationError
 from pupcast.estimation import SelectionModel, apply_closure_calendar
 from pupcast.oracle import enumerate_contribution_prob, mc_load_at, simulate
-from pupcast.records import ParcelRecord
+from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
 
 from helpers import TB, chain_kernel, fallback_kernel, random_instance, random_pmf
@@ -381,6 +383,18 @@ class TestPredictLoadPmf:
         with pytest.raises(ValidationError):
             predict_load_pmf([], cfg.kernel, None, None, 600, -3)
 
+    def test_pup_without_parcels_keeps_its_name(self):
+        # no parcel of the shop is seen by k: the forecast still names the
+        # shop, and the future orders resolve the kernel keyed on it
+        keyed = StatusKernel((KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 3)}),))
+        kernel = TransitionKernel(2, {0: keyed, 1: keyed}, TB)
+        log = EventLog([ParcelRecord("P1", "c1", "shop", "r1", {0: 30, 1: 32})], cutoff=40, timebase=TB)
+        res = predict_load_pmf(
+            log.truncated(24).for_pup("shop"), kernel, single_carrier_intensity(0.5), SELECTION, k=24, j=6
+        )
+        assert res.pup == "shop"
+        assert res.mean > 0.0
+
     def test_multiple_pups_rejected(self):
         kernel = chain_kernel([HoldingTimePmf.uniform(1, 2)])
         a = ParcelRecord("P1", "c1", "shop", None, {0: 3})
@@ -470,3 +484,66 @@ def test_all_outputs_normalized():
         res = predict_load_pmf(parcels, kernel, intensity, SELECTION, k=24, j=j)
         assert res.pmf.probs.sum() == pytest.approx(1.0, abs=1e-6)
         assert isinstance(res.pmf, LoadPmf)
+
+
+@pytest.fixture(scope="module")
+def five_weeks():
+    cfg = default_scenario(horizon_days=35, ramp=0.0)
+    return cfg, simulate(cfg)
+
+
+def _censored(records, k):
+    """Per-record censoring at k, as rows of plain values."""
+    rows = []
+    for r in records:
+        entries = {n: t for n, t in r.entry_times.items() if t <= k}
+        if entries:
+            rows.append((r.id, r.carrier, r.pup, r.retailer, entries))
+    return rows
+
+
+EDITS = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(["move", "add", "delete", "new"]), st.integers(1, 200)),
+    max_size=40,
+)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(day=st.integers(14, 30), hour=st.integers(0, 23), j=st.sampled_from([0, 1, 13, 37]), edits=EDITS)
+def test_events_after_the_anchor_change_nothing(five_weeks, day, hour, j, edits):
+    # moving, adding or deleting events strictly after k leaves the log seen at
+    # k, and every forecast from it, exactly as they were
+    cfg, trace = five_weeks
+    k = day * 24 + hour
+    records = [ParcelRecord(r.id, r.carrier, r.pup, r.retailer, dict(r.entry_times)) for r in trace.parcels]
+    for pick, edit, step in edits:
+        if edit == "new":
+            records.append(ParcelRecord(f"N{len(records)}", "c1", cfg.pup, "r1", {cfg.entry_status: k + step}))
+            continue
+        entries = records[pick % len(records)].entry_times
+        later = sorted(n for n, t in entries.items() if t > k)
+        if edit == "add":
+            entries[max(entries) + 1] = max(k, *entries.values()) + step
+        elif later and edit == "delete":
+            del entries[later[step % len(later)]]
+        elif later:  # move one later entry anywhere after k between its neighbours
+            n = later[step % len(later)]
+            lo = max([k] + [t for m, t in entries.items() if m < n]) + 1
+            hi = min([lo + 200] + [t - 1 for m, t in entries.items() if m > n])
+            if lo <= hi:
+                entries[n] = lo + step % (hi - lo + 1)
+    last = max(t for r in records for t in r.entry_times.values())
+    uncensored = EventLog(records, last, cfg.timebase)
+    edited = uncensored.truncated(k)
+    seen = trace.event_log(k)
+    rows = [(r.id, r.carrier, r.pup, r.retailer, r.entry_times) for r in edited]
+    assert rows == _censored(trace.parcels, k) == _censored(records, k)
+
+    def forecast(parcels):
+        res = predict_load_pmf(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, j, entry_status=cfg.entry_status)
+        return res.pup, res.pmf.probs.tobytes(), res.diagnostics
+
+    want = forecast(seen.for_pup(cfg.pup))
+    assert forecast(edited.for_pup(cfg.pup)) == want
+    assert forecast(list(edited.for_pup(cfg.pup))) == want  # a plain list is packed into the same columns
+    assert forecast(uncensored.for_pup(cfg.pup)) == want  # the engine reads no entry after k

@@ -1,10 +1,13 @@
 """Simulation, enumeration and Monte Carlo oracles."""
 
+import ast
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pupcast
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, default_scenario, simulate
 from pupcast.arrivals import HourlyProfile, OrderIntensity
 from pupcast.engine import (
@@ -203,3 +206,34 @@ class TestWholeSystemSampler:
         loads = mc_load_at(parcels, kernel, intensity, selection, k, j, n_replicates=20_000, rng=rng, pup="shop")
         se = loads.std(ddof=1) / np.sqrt(len(loads))
         assert abs(loads.mean() - engine_mean) <= 4 * se
+
+
+def _imported(path: Path) -> set[str]:
+    """The pupcast modules that a module of the package imports, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("pupcast." + (node.module or "")).rstrip(".") if node.level else node.module or ""
+            modules = [f"{base}.{a.name}" for a in node.names] if base == "pupcast" else [base]
+        else:
+            continue
+        found |= {m.split(".")[1] for m in modules if m.startswith("pupcast.")}
+    return found
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    # the oracles check the engine, so they must not share its code: neither
+    # oracle.py nor any package module it imports, directly or not, may
+    # import pupcast.engine
+    package = Path(pupcast.__file__).parent
+    assert "engine" in _imported(package / "cli.py")  # the scan sees the engine where it is imported
+    todo, reached = ["oracle"], set()
+    while todo:
+        name = todo.pop()
+        if name not in reached and (package / f"{name}.py").exists():
+            reached.add(name)
+            todo += _imported(package / f"{name}.py")
+    assert "oracle" in reached and "records" in reached
+    assert "engine" not in reached

@@ -3,6 +3,7 @@
 import pytest
 
 from pupcast import EventLog, ParcelRecord
+from pupcast.records import NEVER
 from pupcast.errors import EmptyLog, ValidationError
 
 from helpers import TB
@@ -120,4 +121,64 @@ def test_duplicate_status_and_attribute_change(tmp_path):
         "P1,r1,c2,shop,3,2024-01-02T10:00:00\n"
     )
     with pytest.raises(ValidationError, match="carrier"):
+        EventLog.from_csv(path, TB)
+
+
+def test_columns_latest_status_and_row_order():
+    log = EventLog(
+        [rec("P2", {2: 10, 3: 20, 4: 30}), rec("P1", {2: 12}, retailer=None), rec("P3", {3: 25}, pup="other")],
+        cutoff=40,
+        timebase=TB,
+    )
+    assert log.statuses.tolist() == [2, 3, 4]
+    assert [r.id for r in log] == ["P2", "P1", "P3"]  # rows keep the order they were given in
+    assert log.records[1] == rec("P1", {2: 12}, retailer=None)
+    rows, status, slot = log.latest(22)
+    assert (rows.tolist(), status.tolist(), slot.tolist()) == ([0, 1], [3, 2], [20, 12])
+    assert log.entries_of(3).tolist() == [20, NEVER, 25]
+    assert log.entries_of(7).tolist() == [NEVER] * 3
+    assert len(log.truncated(9)) == 0
+    assert [r.entry_times for r in log.truncated(26)] == [{2: 10, 3: 20}, {2: 12}, {3: 25}]
+    empty = log.for_pup("elsewhere")
+    assert len(empty) == 0 and empty.pup_names() == ["elsewhere"]
+    assert log.pup_names() == ["shop", "other"]
+    assert log.truncated(12).pup_names() == ["shop"]
+
+
+def test_csv_order_error_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+        "P1,r1,c1,shop,3,2024-01-01T09:00:00\n"
+        "P2,r1,c1,shop,2,2024-01-01T08:00:00\n"
+        "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
+    )
+    with pytest.raises(ValidationError, match=r"bad\.csv:2: parcel P1: entry into status 3 at slot 9 does not follow"):
+        EventLog.from_csv(path, TB)
+    path.write_text(
+        "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+        "P1,r1,c1,shop,2,2024-01-01T01:00:00\n"
+        "P2,r1,c1,shop,2,2024-01-01T02:00:00\n"
+        "P2,r1,c1,shop,3,2024-01-01T08:00:00\n"
+    )
+    with pytest.raises(ValidationError, match=r"bad\.csv:4: parcel P2: entry into status 3 at slot 8 is beyond the cutoff 5"):
+        EventLog.from_csv(path, TB, cutoff=5)
+
+
+def test_duplicate_and_out_of_range_status_name_their_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    head = "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+    path.write_text(
+        head
+        + "P2,r1,c1,shop,2,2024-01-01T08:00:00\n"
+        + "P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
+        + "P1,r1,c1,shop,3,2024-01-01T10:00:00\n"
+        + "P2,r1,c1,shop,3,2024-01-01T11:00:00\n"
+        + "P1,r1,c1,shop,2,2024-01-01T12:00:00\n"
+        + "P2,r1,c1,shop,2,2024-01-01T13:00:00\n"
+    )
+    with pytest.raises(ValidationError, match=r"bad\.csv:6: duplicate status 2 for parcel P1"):
+        EventLog.from_csv(path, TB)
+    path.write_text(head + "P1,r1,c1,shop,2,2024-01-01T08:00:00\nP1,r1,c1,shop,99999999999999999999,2024-01-01T09:00:00\n")
+    with pytest.raises(ValidationError, match=r"bad\.csv:3"):
         EventLog.from_csv(path, TB)

@@ -40,6 +40,17 @@ def test_calendar_library_oracle():
         assert tb.index_of(dt) == k
 
 
+def test_slot_arrays_project_elementwise():
+    # the estimators and the order rates project whole columns of slots at once
+    for tb in (Timebase(datetime(2017, 7, 5, 8)), Timebase(datetime(2017, 7, 5, 22), slot_hours=2)):
+        slots = np.arange(-60, 400, 7)
+        days, weekdays, hours = tb.day_of(slots), tb.weekday_of(slots), tb.hour_of(slots)
+        for k, day, weekday, hour in zip(slots.tolist(), days.tolist(), weekdays.tolist(), hours.tolist()):
+            dt = tb.epoch + timedelta(hours=k * tb.slot_hours)
+            assert tb.date_of(k) == dt.date() == tb.epoch.date() + timedelta(days=day)
+            assert (weekday, hour) == (dt.isoweekday(), dt.hour)
+
+
 def test_numpy_slots_project_like_ints():
     # samplers hand numpy slot indices to kernels, and a closure view reads the date of each
     tb = Timebase(datetime(2017, 7, 5, 8))
