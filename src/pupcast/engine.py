@@ -20,13 +20,13 @@ indicator of the delivery slot); a path that leaves the window scores 0.
 A parcel in status n is a dot product of its holding-time row with
 V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
-Each V_m is compiled over the window in one array pass: ``pmf_at`` is
-resolved once per slot, the distinct pmfs are stacked as rows cut to the
-window width, and every slot's row meets V_{m+1} from the next slot on in
-one row-wise product.  Within one forecast, parcels and orders of one
-(carrier, retailer) share one table, and the routes share each V_m that
-they resolve to the same pmfs for (a status conditioned on the calendar
-only is built once for all routes).  The load pmf is the convolution of
+Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
+each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
+as zero-padded probabilities and tail sums; a bare ``pmf_at`` or closure
+view is stacked slot by slot): the terminal gathers tails, and each row,
+cut to the window, meets V_{m+1} in one row-wise product.  In a forecast,
+routes that resolve to the same rows share each V_m (a status conditioned
+on the calendar only is built once for all routes).  The load pmf is the convolution of
 the per-parcel Bernoulli pmfs with the future-order pmf.
 """
 
@@ -42,6 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .arrivals import OrderIntensity, poisson_pmf, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
+from .kernel import PmfTable, stack_rows
 from .pmf import HoldingTimePmf, LoadPmf
 from .records import NEVER, EventLog, ParcelRecord
 
@@ -71,75 +72,68 @@ def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
 
 
 class _Values(dict):
-    """Backward value functions: ``self[m][t - slots[0]]`` is V_m(t) under one bound kernel.
+    """Backward value functions: ``self[m][i]`` is V_m(slots[i]) on one route.
 
-    V_{N-1}(t) is ``terminal(f, t)`` for the status-(N-1) pmf f entered at t.
-    Each V_m is computed on first use and kept.  It depends on the bound
-    kernel only through the pmfs its slots resolve to, so it is also kept in
-    ``shared`` under their identities and V_{m+1}'s: bound kernels that pass
-    the same ``shared`` and resolve to the same pmfs compute it once.
+    ``rows_at(m, slots)`` gives status m's pmf at each slot as rows of a
+    ``PmfTable``; V_{N-1} is ``terminal(rows, table)``.  Each V_m is computed
+    on first use and kept, and also kept in ``shared`` under its rows and
+    V_{m+1}: routes that resolve to the same rows compute it once.
     """
 
     def __init__(
-        self, pmf_at: PmfAt, n_statuses: int, slots: range, terminal: Callable, shared: dict | None = None
+        self, rows_at: Callable, n_statuses: int, slots: np.ndarray, terminal: Callable, shared: dict | None = None
     ):
         super().__init__()
-        self.pmf_at, self.last, self.slots, self.terminal = pmf_at, n_statuses - 1, slots, terminal
+        self.rows_at, self.last, self.slots, self.terminal = rows_at, n_statuses - 1, slots, terminal
         self.shared = {} if shared is None else shared
 
     def __missing__(self, m: int) -> np.ndarray:
         nxt = None if m == self.last else self[m + 1]
         slots = self.slots if nxt is None else self.slots[:-1]  # an entry at the last slot cannot move on
-        pmfs = [self.pmf_at(m, t) for t in slots]
-        key = (m, id(nxt), *map(id, pmfs))
+        rows, table = self.rows_at(m, slots)
+        key = (m, id(nxt), id(table), rows.tobytes())
         entry = self.shared.get(key)
         if entry is None:
-            if nxt is None:
-                v = np.array([self.terminal(f, t) for f, t in zip(pmfs, slots)], dtype=float)
-            else:
-                v = _step(pmfs, nxt)
-            # the memo holds the pmfs and v, so the ids in its keys are never reused
-            entry = self.shared[key] = (v, pmfs)
+            v = self.terminal(rows, table) if nxt is None else _step(table.probs, rows, nxt)
+            # the memo holds nxt and the table, so the ids in its keys are never reused
+            entry = self.shared[key] = (v, nxt, table)
         self[m] = entry[0]
         return entry[0]
 
 
-def _step(pmfs: list[HoldingTimePmf], nxt: np.ndarray) -> np.ndarray:
-    """V_m(t_i) = sum_{d >= 1} f_i(d) V_{m+1}(t_i + d) for the pmfs f_i of all but the last slot.
+def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """V_m(t_i) = sum_{d >= 1} f_i(d) V_{m+1}(t_i + d) for the pmf rows f_i of all but the last slot.
 
-    The distinct pmfs are stacked as rows over the delays 1..width that stay
-    in the window, and each slot's row meets V_{m+1} from the next slot on in
-    one row-wise product.
+    The rows are cut to the delays 1..width that stay in the window, and
+    each meets V_{m+1} from the next slot on in one row-wise product.
     """
     v = np.zeros(len(nxt))
     width = len(nxt) - 1
     if width < 1:
         return v
-    distinct = {id(f): f for f in pmfs}
-    row_of = {key: r for r, key in enumerate(distinct)}
-    table = np.zeros((len(distinct), width))
-    for r, f in enumerate(distinct.values()):
-        cut = f.probs[1 : width + 1]
-        table[r, : len(cut)] = cut
+    cut = probs[rows, 1 : width + 1]
+    if cut.shape[1] < width:
+        cut = np.pad(cut, ((0, 0), (0, width - cut.shape[1])))
     ahead = sliding_window_view(np.concatenate([nxt[1:], np.zeros(width)]), width)[:width]
-    v[:width] = np.einsum("ij,ij->i", table[[row_of[id(f)] for f in pmfs]], ahead)
+    v[:width] = np.einsum("ij,ij->i", cut, ahead)
     return v
 
 
-def _window(pmf_at: PmfAt, n_statuses: int, k: int, j: int, shared: dict | None = None) -> _Values:
+def _window(rows_at: Callable, n_statuses: int, k: int, j: int, shared: dict | None = None) -> _Values:
     """V_m(t) = P(delivered in (k, k+j], still stored at k+j | status m entered at t > k)."""
     if j < 0:
         raise ValidationError("horizon j must be >= 0")
-    return _Values(pmf_at, n_statuses, range(k + 1, k + j + 1), lambda f, t: f.survival(k + j - t), shared)
+    slots = np.arange(k + 1, k + j + 1)
+
+    def stored(rows: np.ndarray, table) -> np.ndarray:  # the pickup survival to k+j
+        return table.tails[rows, np.minimum(k + j + 1 - slots, table.tails.shape[1] - 1)]
+
+    return _Values(rows_at, n_statuses, slots, stored, shared)
 
 
 class _Tables(dict):
-    """The ``_window`` of each (carrier, retailer) at one pup, built on first use.
-
-    All routes share one memo of V_m, so routes whose pmfs agree on the
-    window (all routes at a status conditioned on the calendar only) compute
-    it once.
-    """
+    """The ``_window`` of each (carrier, retailer) at one pup, built on first
+    use; all routes share one memo of V_m."""
 
     def __init__(self, kernel, pup: str, k: int, j: int):
         super().__init__()
@@ -149,20 +143,21 @@ class _Tables(dict):
         self.shared: dict = {}
 
     def __missing__(self, route: tuple) -> _Values:
-        pmf_at = bind_kernel(self.kernel, carrier=route[0], retailer=route[1], pup=self.pup)
-        self[route] = _window(pmf_at, self.kernel.n_statuses, self.k, self.j, self.shared)
+        rows_at = partial(self.kernel.rows_at, carrier=route[0], retailer=route[1], pup=self.pup)
+        self[route] = _window(rows_at, self.kernel.n_statuses, self.k, self.j, self.shared)
         return self[route]
 
 
-def _known(f: HoldingTimePmf, values: _Values, n: int, t_n: int, k: int, j: int) -> float:
-    """Contribution probability of a parcel in status n since t_n whose status-n pmf is f."""
+def _known(r: int, table: PmfTable, values: _Values, n: int, t_n: int, k: int, j: int) -> float:
+    """Contribution probability of a parcel in status n since t_n whose status-n pmf is row r of table."""
     if n < values.last and j == 0:
         return 0.0  # no slot to be delivered in
-    denom = f.survival(k - t_n)
+    f, tails = table.pmfs[r], table.tails[r]  # tails[d] = P(H > d - 1)
+    denom = float(tails[min(k - t_n + 1, len(tails) - 1)])
     if denom <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
     if n == values.last:  # delivered: the ratio of pickup survivals
-        p = f.survival(k + j - t_n) / denom
+        p = float(tails[min(k + j - t_n + 1, len(tails) - 1)]) / denom
     else:
         first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
         row = f.probs[first - t_n : k + j + 1 - t_n]
@@ -176,8 +171,7 @@ def prob_still_stored(pmf_at: PmfAt, n_statuses: int, t_delivered: int, k: int, 
 
     Ratio of the pickup-time survival at k+j to the survival at k.
     """
-    last = n_statuses - 1
-    return _known(pmf_at(last, t_delivered), _window(pmf_at, n_statuses, k, j), last, t_delivered, k, j)
+    return _bound(pmf_at, n_statuses, n_statuses - 1, t_delivered, k, j)
 
 
 def prob_delivered_and_stored_last_hop(
@@ -196,7 +190,13 @@ def prob_delivered_and_stored_multi_hop(
     """
     if not 0 <= n <= n_statuses - 2:
         raise ValidationError(f"status {n} is not an in-transit status for N={n_statuses}")
-    return _known(pmf_at(n, t_n), _window(pmf_at, n_statuses, k, j), n, t_n, k, j)
+    return _bound(pmf_at, n_statuses, n, t_n, k, j)
+
+
+def _bound(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
+    """``_known`` for a parcel on a bare ``pmf_at``, stacked slot by slot."""
+    values = _window(partial(stack_rows, pmf_at), n_statuses, k, j)
+    return _known(0, PmfTable([pmf_at(n, t_n)]), values, n, t_n, k, j)
 
 
 def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: int) -> float:
@@ -209,7 +209,8 @@ def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: i
         raise ValidationError("chain probability needs a status before delivery")
     if t_delivery - t_n < n_statuses - 1 - n:
         return 0.0
-    values = _Values(pmf_at, n_statuses, range(t_n, t_delivery + 1), lambda f, t: float(t == t_delivery))
+    slots = np.arange(t_n, t_delivery + 1)
+    values = _Values(partial(stack_rows, pmf_at), n_statuses, slots, lambda rows, table: (slots == t_delivery) * 1.0)
     return float(values[n][0])
 
 
@@ -219,7 +220,7 @@ def prob_future_order_contributes(
     """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    return float(_window(pmf_at, n_statuses, k, j)[entry_status][t_0 - k - 1])
+    return float(_window(partial(stack_rows, pmf_at), n_statuses, k, j)[entry_status][t_0 - k - 1])
 
 
 def future_orders_pmf(
@@ -311,7 +312,8 @@ def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -
     k, j = tables.k, tables.j
     values = tables[carrier, retailer]
     try:
-        return _known(values.pmf_at(n, t_n), values, n, t_n, k, j), None
+        r, table = tables.kernel.row_at(n, t_n, carrier, retailer, tables.pup)
+        return _known(r, table, values, n, t_n, k, j), None
     except ImpossibleEvidence:
         pass
     except MissingKernel:
@@ -324,7 +326,7 @@ def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -
     except MissingKernel:
         return 0.0, "impossible evidence, no fallback; dropped"
     try:
-        return _known(pooled, values, n, t_n, k, j), "impossible evidence, used pooled fallback"
+        return _known(0, PmfTable([pooled]), values, n, t_n, k, j), "impossible evidence, used pooled fallback"
     except ImpossibleEvidence:
         return 0.0, "holding time beyond all supports; assumed departed"
 

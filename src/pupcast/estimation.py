@@ -13,15 +13,15 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyLog, NoCompletedTransitions, ValidationError
-from .kernel import KernelLevel, StatusKernel, TransitionKernel
+from .kernel import KernelLevel, PmfTable, StatusKernel, TransitionKernel, stack_rows
 from .pmf import HoldingTimePmf
 from .records import NEVER, EventLog
-from .timebase import Timebase
 
 __all__ = [
     "OpeningHours",
@@ -269,52 +269,40 @@ class ClosureAdjustedKernel:
     """
 
     def __init__(self, base: TransitionKernel, closures: set[date]):
-        self.base = base
+        self.base, self.n_statuses, self.timebase = base, base.n_statuses, base.timebase
         self.closures = frozenset(closures)
+        # whole days from the epoch's date, as Timebase.day_of counts them
+        self._closed = np.array(sorted((d - base.timebase.epoch.date()).days for d in self.closures), dtype=int)
         self._cache: dict = {}
-
-    @property
-    def n_statuses(self) -> int:
-        return self.base.n_statuses
-
-    @property
-    def timebase(self) -> Timebase:
-        return self.base.timebase
 
     def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
         pmf = self.base.pmf_at(n, t, carrier, retailer, pup)
-        if not self.closures:
-            return pmf
-        key = (n, t, carrier, retailer, pup)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        adjusted = self._shift(pmf, t)
-        self._cache[key] = adjusted
-        return adjusted
+        key = (id(pmf), t)  # the base kernel keeps its pmfs alive
+        shifted = self._cache.get(key)
+        if shifted is None:
+            shifted = self._cache[key] = self._shift(pmf, t)
+        return shifted
+
+    def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
+        return stack_rows(partial(self.pmf_at, carrier=carrier, retailer=retailer, pup=pup), n, slots)
+
+    def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:
+        return 0, PmfTable([self.pmf_at(n, t, carrier, retailer, pup)])
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
         return self._shift(self.base.pooled_pmf_at(n, t), t)
 
     def _shift(self, pmf: HoldingTimePmf, t: int) -> HoldingTimePmf:
-        tb = self.base.timebase
+        """The pmf itself when no closed day falls in (t, t + support_max]."""
         support_max = pmf.support_max
-        open_slot = np.array(
-            [tb.date_of(t + d) not in self.closures for d in range(support_max + 1)]
-        )
-        if open_slot[1:].all():
+        day = self.timebase.day_of(t + np.arange(support_max + 1))
+        lo, hi = np.searchsorted(self._closed, [day[1], day[-1] + 1])
+        if lo == hi:
             return pmf
-        probs = np.zeros(support_max + 1)
-        # next open slot at or after each delay; support_max as last resort
-        next_open = np.full(support_max + 1, support_max)
-        nearest = None
-        for d in range(support_max, 0, -1):
-            if open_slot[d]:
-                nearest = d
-            next_open[d] = nearest if nearest is not None else support_max
-        for d in range(1, support_max + 1):
-            probs[next_open[d]] += pmf.probs[d]
-        return HoldingTimePmf(probs)
+        # next open delay at or after each delay; support_max as last resort
+        delay = np.where(np.isin(day, self._closed[lo:hi]), support_max, np.arange(support_max + 1))
+        next_open = np.minimum.accumulate(delay[::-1])[::-1]
+        return HoldingTimePmf(np.bincount(next_open[1:], weights=pmf.probs[1:], minlength=support_max + 1))
 
 
 def apply_closure_calendar(kernel: TransitionKernel, closures: set[date]) -> ClosureAdjustedKernel:

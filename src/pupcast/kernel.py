@@ -5,13 +5,18 @@ context features condition the pmf (its schema) and maps feature-value
 tuples to pmfs.  Lookup walks the levels from most to least specific, so
 coarser levels act as declared fallbacks for sparse keys.  A final level
 with an empty schema is a global fallback.
+
+``pmf_at`` and ``rows_at`` read a status compiled on first use: a
+``PmfTable`` of its levels' pmfs and, per route, the row that lookup
+resolves at each slot of a week (the context repeats weekly).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -40,6 +45,33 @@ def context_of(timebase: Timebase, t: int, carrier=None, retailer=None, pup=None
         "retailer": retailer,
         "pup": pup,
     }
+
+
+class PmfTable:
+    """Pmfs as zero-padded rows: ``probs[r]`` is ``pmfs[r].probs`` and, stacked
+    on first use, ``tails[r, d]`` is ``pmfs[r].survival(d - 1)``.  ``row_of``
+    maps a pmf's ``id`` to its row."""
+
+    def __init__(self, pmfs: Iterable[HoldingTimePmf]):
+        self.pmfs = list(pmfs)
+        self.row_of = {id(f): r for r, f in enumerate(self.pmfs)}
+        self.probs = np.zeros((len(self.pmfs), max((len(f.probs) for f in self.pmfs), default=1)))
+        for r, f in enumerate(self.pmfs):
+            self.probs[r, : len(f.probs)] = f.probs
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        tails = np.zeros((len(self.pmfs), self.probs.shape[1] + 1))
+        for r, f in enumerate(self.pmfs):
+            tails[r, : len(f.tails)] = f.tails
+        return tails
+
+
+def stack_rows(pmf_at: Callable, n: int, slots: np.ndarray) -> tuple[np.ndarray, PmfTable]:
+    """Status n's pmf at each slot, ``pmf_at(n, t)``, as a row of a table of the distinct ones."""
+    pmfs = [pmf_at(n, t) for t in slots.tolist()]
+    table = PmfTable({id(f): f for f in pmfs}.values())
+    return np.array([table.row_of[id(f)] for f in pmfs], dtype=np.intp), table
 
 
 @dataclass(frozen=True)
@@ -90,8 +122,8 @@ class TransitionKernel:
     n_statuses: int
     statuses: Mapping[int, StatusKernel]
     timebase: Timebase
-    # resolved pmfs by (n, t mod one week, carrier, retailer, pup); see pmf_at
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # status n's PmfTable, and (rows, table) per (n, carrier, retailer, pup); see _week
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n in self.statuses:
@@ -105,18 +137,45 @@ class TransitionKernel:
             raise MissingKernel(f"no kernel fitted for status {n}")
         return self.statuses[n].lookup(ctx)
 
-    def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
-        """Pmf of the holding time in status n entered at slot t.
+    def _week(self, n: int, route: tuple) -> tuple[np.ndarray, PmfTable]:
+        """Status n's table, and the row that ``lookup`` resolves on route at
+        each slot of a week (-1 where it raises MissingKernel)."""
+        week = self._compiled.get((n, *route))
+        if week is None:
+            sk = self.statuses.get(n) or self.lookup(n, {})  # lookup raises UnknownStatus or MissingKernel
+            pmfs = {id(f): f for level in sk.levels for f in level.pmfs.values()}
+            table = self._compiled.get(n) or self._compiled.setdefault(n, PmfTable(pmfs.values()))
+            rows = np.full(self.timebase.slots_per_week, -1, dtype=np.intp)
+            for s in range(len(rows)):
+                try:
+                    rows[s] = table.row_of[id(sk.lookup(context_of(self.timebase, s, *route)))]
+                except MissingKernel:
+                    pass
+            week = self._compiled[(n, *route)] = (rows, table)
+        return week
 
-        The context repeats every week (weekday and hour are periodic in t,
-        negative t included), so each resolved pmf is memoised under t modulo
-        one week.  A failed lookup raises and is not memoised.
-        """
-        key = (n, t % self.timebase.slots_per_week, carrier, retailer, pup)
-        pmf = self._memo.get(key)
-        if pmf is None:
-            pmf = self._memo[key] = self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))
-        return pmf
+    def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
+        """Pmf of the holding time in status n entered at slot t."""
+        r, table = self.row_at(n, t, carrier, retailer, pup)
+        return table.pmfs[r]
+
+    def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:
+        """``pmf_at`` as a row of status n's table: the compiled row of t modulo
+        one week (the context repeats weekly, negative t included).  A slot
+        without a pmf raises MissingKernel on every call."""
+        rows, table = self._week(n, (carrier, retailer, pup))
+        r = rows[t % len(rows)]
+        if r < 0:
+            self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))  # raises MissingKernel
+        return r, table
+
+    def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
+        """``pmf_at(n, t)`` for each of the slots, as rows of status n's table."""
+        week, table = self._week(n, (carrier, retailer, pup))
+        rows = week.take(slots % len(week))
+        if rows.size and rows.min() < 0:
+            self.row_at(n, int(slots[rows.argmin()]), carrier, retailer, pup)  # raises MissingKernel
+        return rows, table
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
         """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""

@@ -8,6 +8,7 @@ apart).  Load pmfs are dense vectors over parcel counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class HoldingTimePmf:
         if delta < 0:
             return 1.0
         return float(self.probs[delta + 1 :].sum())
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """``tails[d]`` is ``survival(d - 1)`` for d in 0..support_max + 1, bit for bit."""
+        return np.array([self.survival(d - 1) for d in range(len(self.probs) + 1)])
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "HoldingTimePmf":

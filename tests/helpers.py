@@ -2,6 +2,8 @@
 
 from datetime import datetime
 
+import numpy as np
+
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel
 from pupcast.oracle import random_instance, random_pmf  # noqa: F401  (shared by the tests)
 
@@ -28,3 +30,19 @@ def fallback_kernel(*later: HoldingTimePmf) -> TransitionKernel:
     statuses = {0: StatusKernel((weekday, pooled))}
     statuses.update({n: pooled_status(pmf) for n, pmf in enumerate(later, start=1)})
     return TransitionKernel(1 + len(later), statuses, TB)
+
+
+def retailer_keyed_kernel() -> TransitionKernel:
+    """Three statuses: status 0 keyed on the retailer, status 1 on the weekday
+    and carrier, pickup on the weekday and hour; each with a pooled level."""
+    rng = np.random.default_rng(41)
+    by_retailer = KernelLevel(("retailer",), {("r1",): random_pmf(rng, 6), ("r2",): random_pmf(rng, 9)})
+    by_carrier = KernelLevel(
+        ("weekday", "carrier"), {(w, c): random_pmf(rng, 30) for w in range(1, 8) for c in ("c1", "c2")}
+    )
+    by_hour = KernelLevel(("weekday", "hour"), {(w, h): random_pmf(rng, 60) for w in range(1, 8) for h in range(24)})
+    statuses = {
+        n: StatusKernel((level, KernelLevel((), {(): random_pmf(rng, size)})))
+        for n, (level, size) in enumerate([(by_retailer, 6), (by_carrier, 30), (by_hour, 60)])
+    }
+    return TransitionKernel(3, statuses, TB)

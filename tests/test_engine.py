@@ -1,5 +1,6 @@
 """Contribution probabilities and the load prediction algorithm."""
 
+from collections import Counter
 from datetime import date
 from math import comb, exp, factorial
 
@@ -21,13 +22,13 @@ from pupcast.engine import (
     prob_future_order_contributes,
     prob_still_stored,
 )
-from pupcast.errors import ImpossibleEvidence, ValidationError
+from pupcast.errors import ImpossibleEvidence, MissingKernel, ValidationError
 from pupcast.estimation import SelectionModel, apply_closure_calendar
 from pupcast.oracle import enumerate_contribution_prob, mc_load_at, simulate
 from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
 
-from helpers import TB, chain_kernel, fallback_kernel, random_instance, random_pmf
+from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf, retailer_keyed_kernel
 
 
 def stationary(pmfs):
@@ -162,22 +163,6 @@ class TestFutureOrders:
         pmf_at = stationary([u, u])
         with pytest.raises(ValidationError):
             prob_future_order_contributes(pmf_at, 2, t_0=5, k=5, j=3)
-
-
-def retailer_keyed_kernel() -> TransitionKernel:
-    """Three statuses: status 0 keyed on the retailer, status 1 on the weekday
-    and carrier, pickup on the weekday and hour; each with a pooled level."""
-    rng = np.random.default_rng(41)
-    by_retailer = KernelLevel(("retailer",), {("r1",): random_pmf(rng, 6), ("r2",): random_pmf(rng, 9)})
-    by_carrier = KernelLevel(
-        ("weekday", "carrier"), {(w, c): random_pmf(rng, 30) for w in range(1, 8) for c in ("c1", "c2")}
-    )
-    by_hour = KernelLevel(("weekday", "hour"), {(w, h): random_pmf(rng, 60) for w in range(1, 8) for h in range(24)})
-    statuses = {
-        n: StatusKernel((level, KernelLevel((), {(): random_pmf(rng, size)})))
-        for n, (level, size) in enumerate([(by_retailer, 6), (by_carrier, 30), (by_hour, 60)])
-    }
-    return TransitionKernel(3, statuses, TB)
 
 
 def slot_by_slot_values(pmf_at, n_statuses, first_status, k, j):
@@ -469,6 +454,50 @@ class TestPredictLoadPmf:
         doc = res.to_json_dict()
         assert set(doc) == {"pup", "k", "j", "pmf", "mean", "q05", "q50", "q95", "diagnostics"}
         assert doc["q05"] <= doc["q50"] <= doc["q95"]
+
+    def test_parcel_in_a_status_without_kernel_is_skipped(self):
+        # status 0 was never fitted: its parcel is skipped and the others
+        # count, but a window that needs status 0 (orders entering it) raises
+        u = HoldingTimePmf.uniform(1, 2)
+        kernel = TransitionKernel(3, {1: pooled_status(u), 2: pooled_status(u)}, TB)
+        early = ParcelRecord("P1", "c1", "shop", "r1", {0: 20})
+        delivered = ParcelRecord("P2", "c1", "shop", "r1", {0: 20, 1: 22, 2: 24})
+        note = ["parcel P1: no kernel for status 0; skipped"]
+        res = predict_load_pmf([early, delivered], kernel, None, None, k=24, j=1)
+        assert res.diagnostics == note
+        assert np.allclose(res.pmf.probs, [0.5, 0.5])
+        intensity = single_carrier_intensity(0.5)
+        res = predict_load_pmf([early, delivered], kernel, intensity, SELECTION, k=24, j=3, entry_status=1)
+        assert res.diagnostics == note
+        with pytest.raises(MissingKernel, match="no kernel fitted for status 0"):
+            predict_load_pmf([early, delivered], kernel, intensity, SELECTION, k=24, j=3)
+
+
+def test_warm_forecast_reads_only_compiled_tables(monkeypatch):
+    # after one forecast, the next anchor resolves no pmf by lookup and sums
+    # no survival: both come from the kernel's compiled tables
+    cfg = default_scenario()
+    log = simulate(cfg).event_log()
+    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
+    calls = Counter()
+    for owner, name in ((HoldingTimePmf, "survival"), (TransitionKernel, "lookup"), (StatusKernel, "lookup")):
+        def counted(*args, _method=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
+            calls[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def forecast(day):
+        k = day * cfg.timebase.slots_per_day
+        parcels = log.truncated(k).for_pup(cfg.pup)
+        for j in (13, 37, 61, 85):
+            predict_load_pmf(parcels, kernel, cfg.intensity, cfg.selection, k, j, entry_status=cfg.entry_status)
+
+    forecast(100)
+    assert calls["StatusKernel.lookup"] > 0  # the warm-up compiles the tables
+    calls.clear()
+    forecast(130)
+    assert calls == Counter()
 
 
 def test_all_outputs_normalized():

@@ -9,8 +9,9 @@ import pytest
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel
 from pupcast.errors import MissingKernel, UnknownStatus, ValidationError
 from pupcast.kernel import context_of
+from pupcast.scenario import default_scenario
 
-from helpers import TB, pooled_status
+from helpers import TB, pooled_status, retailer_keyed_kernel
 
 
 def make_kernel():
@@ -103,7 +104,7 @@ def test_pmf_at_raises_missing_kernel_on_every_call():
         with pytest.raises(MissingKernel):
             kernel.pmf_at(1, t, carrier="c1")  # status never fitted
         assert kernel.pmf_at(0, t, carrier="c1") is found
-    assert [key[2] for key in kernel._memo] == ["c1", "c1"]  # 5 and -5 are different week slots
+    assert (kernel._week(0, ("c9", None, None))[0] == -1).all()  # c9 has no pmf at any slot of the week
 
 
 def test_context_of():
@@ -146,3 +147,47 @@ def test_json_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "kernel2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---- compiled tables ----
+
+ROUTES = [(c, r, p) for c in ("c1", "c2", "c3") for r in ("r1", "r2", "r3", None) for p in ("shop", None)]
+
+
+@pytest.mark.parametrize("kernel", [default_scenario().kernel, retailer_keyed_kernel()], ids=["default", "retailer-keyed"])
+def test_week_rows_name_the_pmf_lookup_returns(kernel):
+    tb = kernel.timebase
+    week = np.arange(tb.slots_per_week)
+    for n in kernel.statuses:
+        for route in ROUTES:
+            rows, table = kernel.rows_at(n, week, *route)
+            for s in week.tolist():
+                assert table.pmfs[rows[s]] is kernel.lookup(n, context_of(tb, s, *route)), (n, route, s)
+            for shift in (-3, 1, 5):  # any week, negative slots included
+                assert np.array_equal(kernel.rows_at(n, week + shift * len(week), *route)[0], rows)
+
+
+@pytest.mark.parametrize("kernel", [default_scenario().kernel, retailer_keyed_kernel()], ids=["default", "retailer-keyed"])
+def test_table_tails_are_the_survival_bit_for_bit(kernel):
+    for n in kernel.statuses:
+        table = kernel.rows_at(n, np.arange(1))[1]
+        support = table.probs.shape[1] - 1  # the longest support of the status
+        for r, f in enumerate(table.pmfs):
+            assert np.array_equal(table.probs[r], np.pad(f.probs, (0, support + 1 - len(f.probs))))
+            survival = [f.survival(d) for d in range(-1, support + 1)]
+            assert table.tails[r].tolist() == survival  # == on floats: bit for bit
+
+
+def test_slot_without_pmf_raises_on_every_call():
+    # Monday and Tuesday have a pmf, the other days none and there is no pooled level
+    by_day = {(1,): HoldingTimePmf.uniform(1, 3), (2,): HoldingTimePmf.point_mass(2)}
+    kernel = TransitionKernel(1, {0: StatusKernel((KernelLevel(("weekday",), by_day),))}, TB)
+    wednesday = 2 * 24 + 7
+    for t in (wednesday, wednesday, wednesday + TB.slots_per_week, wednesday - 3 * TB.slots_per_week):
+        with pytest.raises(MissingKernel, match="no pmf for context"):
+            kernel.pmf_at(0, t)
+        with pytest.raises(MissingKernel):
+            kernel.rows_at(0, np.arange(min(t, 40), max(t, 40) + 1))
+        assert kernel.pmf_at(0, 30) is by_day[(2,)]
+    rows, table = kernel.rows_at(0, np.arange(48))  # Monday and Tuesday only
+    assert all(table.pmfs[r] is by_day[(1 + s // 24,)] for s, r in enumerate(rows.tolist()))
