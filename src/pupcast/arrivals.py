@@ -285,15 +285,23 @@ class OrderIntensity:
 
 
 def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
-    """exp(-lam) lam^m / m!, computed in log space for stability.
+    """exp(-lam) lam^m / m!: the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied
+    outward from the mode, normalised over the counts to 12 sd and 40 past the
+    mean.  No step rounds a large exponent, as log space did.
 
     Rates and counts broadcast against each other as numpy arrays; a scalar
     pair gives a float.
     """
     lam, m = np.asarray(lam, dtype=float), np.asarray(m)
-    log_fact = np.array([math.lgamma(x + 1) for x in range(int(m.max(initial=0)) + 1)])
-    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: 0 * log(0) is nan
-        pmf = np.where(lam == 0.0, m == 0, np.exp(-lam + m * np.log(lam) - log_fact[m]))
+    x = np.arange(max(int(m.max(initial=0)), int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 40) + 1)
+    rate, mode = lam[..., None], np.floor(lam)[..., None]
+    with np.errstate(divide="ignore"):  # lam = 0 has no count below its mode
+        ratio = np.where(x < mode, (x + 1) / rate, np.where(x > mode, rate / np.maximum(x, 1), 1.0))
+    up = np.cumprod(np.where(x < mode, 1.0, ratio), axis=-1)
+    down = np.cumprod(np.where(x > mode, 1.0, ratio)[..., ::-1], axis=-1)[..., ::-1]
+    pmf = np.where(x < mode, down, up)
+    pmf = np.broadcast_to(pmf / pmf.sum(axis=-1, keepdims=True), np.broadcast_shapes(lam.shape, m.shape) + x.shape)
+    pmf = np.take_along_axis(pmf, np.broadcast_to(m, pmf.shape[:-1])[..., None], axis=-1)[..., 0]
     return pmf if pmf.ndim else float(pmf)
 
 

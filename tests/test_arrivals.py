@@ -3,6 +3,7 @@
 import math
 from datetime import date
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -202,6 +203,14 @@ class TestPoisson:
                 )
         assert poisson_pmf(0.0, 0) == 1.0
         assert poisson_pmf(0.0, 3) == 0.0
+
+    @pytest.mark.parametrize("lam", [23.6, 41.0, 100.0, 250.0])
+    def test_pmf_against_mpmath(self, lam):
+        # a 50-digit reference over the whole support the engine uses
+        m = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 40)
+        with mpmath.workdps(50):
+            exact = [float(mpmath.exp(-mpmath.mpf(lam)) * mpmath.mpf(lam) ** i / mpmath.factorial(i)) for i in m.tolist()]
+        assert np.abs(poisson_pmf(lam, m) - np.array(exact)).max() <= 1e-16
 
     def test_truncation_examples(self):
         assert poisson_truncation(0.0) == 0
