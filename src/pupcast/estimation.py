@@ -22,6 +22,7 @@ from .errors import EmptyLog, NoCompletedTransitions, ValidationError
 from .kernel import KernelLevel, PmfTable, StatusKernel, TransitionKernel, stack_rows
 from .pmf import HoldingTimePmf
 from .records import NEVER, EventLog
+from .timebase import Timebase
 
 __all__ = [
     "OpeningHours",
@@ -269,11 +270,19 @@ class ClosureAdjustedKernel:
     """
 
     def __init__(self, base: TransitionKernel, closures: set[date]):
-        self.base, self.n_statuses, self.timebase = base, base.n_statuses, base.timebase
+        self.base = base
         self.closures = frozenset(closures)
         # whole days from the epoch's date, as Timebase.day_of counts them
         self._closed = np.array(sorted((d - base.timebase.epoch.date()).days for d in self.closures), dtype=int)
         self._cache: dict = {}
+
+    @property
+    def n_statuses(self) -> int:
+        return self.base.n_statuses
+
+    @property
+    def timebase(self) -> Timebase:
+        return self.base.timebase
 
     def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
         pmf = self.base.pmf_at(n, t, carrier, retailer, pup)

@@ -48,20 +48,25 @@ def context_of(timebase: Timebase, t: int, carrier=None, retailer=None, pup=None
 
 
 class PmfTable:
-    """Pmfs as zero-padded rows: ``probs[r]`` is ``pmfs[r].probs`` and, stacked
-    on first use, ``tails[r, d]`` is ``pmfs[r].survival(d - 1)``.  ``row_of``
-    maps a pmf's ``id`` to its row."""
+    """Pmfs as zero-padded rows, each matrix stacked on first use: ``probs[r]``
+    is ``pmfs[r].probs`` and ``tails[r, d]`` is ``pmfs[r].survival(d - 1)``.
+    ``row_of`` maps a pmf's ``id`` to its row."""
 
     def __init__(self, pmfs: Iterable[HoldingTimePmf]):
         self.pmfs = list(pmfs)
         self.row_of = {id(f): r for r, f in enumerate(self.pmfs)}
-        self.probs = np.zeros((len(self.pmfs), max((len(f.probs) for f in self.pmfs), default=1)))
+        self.width = max((len(f.probs) for f in self.pmfs), default=1)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        probs = np.zeros((len(self.pmfs), self.width))
         for r, f in enumerate(self.pmfs):
-            self.probs[r, : len(f.probs)] = f.probs
+            probs[r, : len(f.probs)] = f.probs
+        return probs
 
     @cached_property
     def tails(self) -> np.ndarray:
-        tails = np.zeros((len(self.pmfs), self.probs.shape[1] + 1))
+        tails = np.zeros((len(self.pmfs), self.width + 1))
         for r, f in enumerate(self.pmfs):
             tails[r, : len(f.tails)] = f.tails
         return tails

@@ -105,6 +105,18 @@ def test_pmf_at_raises_missing_kernel_on_every_call():
             kernel.pmf_at(1, t, carrier="c1")  # status never fitted
         assert kernel.pmf_at(0, t, carrier="c1") is found
     assert (kernel._week(0, ("c9", None, None))[0] == -1).all()  # c9 has no pmf at any slot of the week
+    # Monday and Tuesday have a pmf, the other days none
+    by_day = {(1,): HoldingTimePmf.uniform(1, 3), (2,): HoldingTimePmf.point_mass(2)}
+    kernel = TransitionKernel(1, {0: StatusKernel((KernelLevel(("weekday",), by_day),))}, TB)
+    wednesday = 2 * 24 + 7
+    for t in (wednesday, wednesday, wednesday + TB.slots_per_week, wednesday - 3 * TB.slots_per_week):
+        with pytest.raises(MissingKernel, match="no pmf for context"):
+            kernel.pmf_at(0, t)
+        with pytest.raises(MissingKernel, match="no pmf for context"):
+            kernel.rows_at(0, np.arange(min(t, 40), max(t, 40) + 1))
+        assert kernel.pmf_at(0, 30) is by_day[(2,)]
+    rows, table = kernel.rows_at(0, np.arange(48))  # Monday and Tuesday only
+    assert all(table.pmfs[r] is by_day[(1 + s // 24,)] for s, r in enumerate(rows.tolist()))
 
 
 def test_context_of():
@@ -176,18 +188,3 @@ def test_table_tails_are_the_survival_bit_for_bit(kernel):
             assert np.array_equal(table.probs[r], np.pad(f.probs, (0, support + 1 - len(f.probs))))
             survival = [f.survival(d) for d in range(-1, support + 1)]
             assert table.tails[r].tolist() == survival  # == on floats: bit for bit
-
-
-def test_slot_without_pmf_raises_on_every_call():
-    # Monday and Tuesday have a pmf, the other days none and there is no pooled level
-    by_day = {(1,): HoldingTimePmf.uniform(1, 3), (2,): HoldingTimePmf.point_mass(2)}
-    kernel = TransitionKernel(1, {0: StatusKernel((KernelLevel(("weekday",), by_day),))}, TB)
-    wednesday = 2 * 24 + 7
-    for t in (wednesday, wednesday, wednesday + TB.slots_per_week, wednesday - 3 * TB.slots_per_week):
-        with pytest.raises(MissingKernel, match="no pmf for context"):
-            kernel.pmf_at(0, t)
-        with pytest.raises(MissingKernel):
-            kernel.rows_at(0, np.arange(min(t, 40), max(t, 40) + 1))
-        assert kernel.pmf_at(0, 30) is by_day[(2,)]
-    rows, table = kernel.rows_at(0, np.arange(48))  # Monday and Tuesday only
-    assert all(table.pmfs[r] is by_day[(1 + s // 24,)] for s, r in enumerate(rows.tolist()))
