@@ -287,7 +287,7 @@ class OrderIntensity:
 def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
     """exp(-lam) lam^m / m!: the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied
     outward from the mode, normalised over the counts to 12 sd and 40 past the
-    mean.  No step rounds a large exponent, as log space did.
+    mean, so no step rounds a large exponent.
 
     Rates and counts broadcast against each other as numpy arrays; a scalar
     pair gives a float.

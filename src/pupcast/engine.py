@@ -125,8 +125,8 @@ def _window(rows_at: Callable, n_statuses: int, k: int, j: int, shared: dict | N
         raise ValidationError("horizon j must be >= 0")
     slots = np.arange(k + 1, k + j + 1)
 
-    def stored(rows: np.ndarray, table) -> np.ndarray:  # the pickup survival to k+j
-        return table.tails[rows, np.minimum(k + j + 1 - slots, table.tails.shape[1] - 1)]
+    def stored(rows: np.ndarray, table: PmfTable) -> np.ndarray:  # the pickup survival to k+j
+        return table.tails[rows, np.minimum(k + j + 1 - slots, table.width)]
 
     return _Values(rows_at, n_statuses, slots, stored, shared)
 
@@ -153,11 +153,11 @@ def _known(r: int, table: PmfTable, values: _Values, n: int, t_n: int, k: int, j
     if n < values.last and j == 0:
         return 0.0  # no slot to be delivered in
     f, tails = table.pmfs[r], table.tails[r]  # tails[d] = P(H > d - 1)
-    denom = float(tails[min(k - t_n + 1, len(tails) - 1)])
+    denom = float(tails[min(k - t_n + 1, table.width)])
     if denom <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
     if n == values.last:  # delivered: the ratio of pickup survivals
-        p = float(tails[min(k + j - t_n + 1, len(tails) - 1)]) / denom
+        p = float(tails[min(k + j - t_n + 1, table.width)]) / denom
     else:
         first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
         row = f.probs[first - t_n : k + j + 1 - t_n]
