@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "forecast_daily_volume",
     "poisson_truncation",
     "poisson_pmf",
+    "poisson_rows",
     "seasonal_mean_forecaster",
     "DEFAULT_WORKING_DAYS",
 ]
@@ -59,6 +61,11 @@ class HourlyProfile:
     def proportion(self, w: int, h: int, carrier: str) -> float:
         row = self.rho.get((w, carrier))
         return 0.0 if row is None else float(row[h])
+
+    @cached_property
+    def weeks(self) -> dict[str, np.ndarray]:
+        """Each carrier's proportions as a (weekday - 1, hour) matrix, built on first use."""
+        return {c: np.array([self.rho.get((w, c), np.zeros(24)) for w in range(1, 8)], float) for c in self.carriers()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,11 +246,9 @@ class OrderIntensity:
         _, first, day = np.unique(timebase.day_of(slots), return_index=True, return_inverse=True)
         dates = [timebase.date_of(k) for k in slots[first].tolist()]
         weekday, hour = timebase.weekday_of(slots), timebase.hour_of(slots)
-        lam = np.empty((len(slots), len(carriers)))
-        for col, carrier in enumerate(carriers):
-            profile = np.array([self.profile.rho.get((w, carrier), np.zeros(24)) for w in range(1, 8)], dtype=float)
-            volume = np.array([self.daily_volume(d, carrier) for d in dates], dtype=float)
-            lam[:, col] = profile[weekday - 1, hour] * volume[day]
+        profile = np.array([self.profile.weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7, 24)
+        volume = np.array([[self.daily_volume(d, c) for d in dates] for c in carriers], dtype=float)
+        lam = (profile[:, weekday - 1, hour] * volume.reshape(len(carriers), len(dates))[:, day]).T
         if np.any(lam < 0):
             raise ValidationError("negative order intensity")
         return lam
@@ -284,23 +289,28 @@ class OrderIntensity:
         return cls(profile, daily, tuple(sorted(volumes)))
 
 
-def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
-    """exp(-lam) lam^m / m!: the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied
-    outward from the mode, normalised over the counts to 12 sd and 40 past the
-    mean, so no step rounds a large exponent.
-
-    Rates and counts broadcast against each other as numpy arrays; a scalar
-    pair gives a float.
-    """
-    lam, m = np.asarray(lam, dtype=float), np.asarray(m)
-    x = np.arange(max(int(m.max(initial=0)), int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 40) + 1)
+def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
+    """exp(-lam) lam^x / x!, one row per rate, for x below max(size, 12 sd and 41 past the largest mean):
+    the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied outward from the mode and normalised over
+    the row, so no step rounds a large exponent."""
+    lam = np.asarray(lam, dtype=float)
+    x = np.arange(max(size, int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 41))
     rate, mode = lam[..., None], np.floor(lam)[..., None]
-    with np.errstate(divide="ignore"):  # lam = 0 has no count below its mode
-        ratio = np.where(x < mode, (x + 1) / rate, np.where(x > mode, rate / np.maximum(x, 1), 1.0))
-    up = np.cumprod(np.where(x < mode, 1.0, ratio), axis=-1)
-    down = np.cumprod(np.where(x > mode, 1.0, ratio)[..., ::-1], axis=-1)[..., ::-1]
-    pmf = np.where(x < mode, down, up)
-    pmf = np.broadcast_to(pmf / pmf.sum(axis=-1, keepdims=True), np.broadcast_shapes(lam.shape, m.shape) + x.shape)
+    pmf = np.cumprod(np.where(x > mode, rate / np.maximum(x, 1), 1.0), axis=-1)  # from the mode up
+    below = x < mode
+    if below.any():  # and from the mode down
+        with np.errstate(divide="ignore"):  # lam = 0 has no count below its mode
+            ratio = np.where(below, (x + 1) / rate, 1.0)
+        pmf = np.where(below, np.cumprod(ratio[..., ::-1], axis=-1)[..., ::-1], pmf)
+    return pmf / pmf.sum(axis=-1, keepdims=True)
+
+
+def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
+    """exp(-lam) lam^m / m!, read from ``poisson_rows``.  Rates and counts
+    broadcast against each other as numpy arrays; a scalar pair gives a float."""
+    lam, m = np.asarray(lam, dtype=float), np.asarray(m)
+    rows = poisson_rows(lam, int(m.max(initial=0)) + 1)
+    pmf = np.broadcast_to(rows, np.broadcast_shapes(lam.shape, m.shape) + rows.shape[-1:])
     pmf = np.take_along_axis(pmf, np.broadcast_to(m, pmf.shape[:-1])[..., None], axis=-1)[..., 0]
     return pmf if pmf.ndim else float(pmf)
 

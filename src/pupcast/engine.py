@@ -22,12 +22,12 @@ V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
 Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
 each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
-as zero-padded probabilities and tail sums; a bare ``pmf_at`` or closure
-view is stacked slot by slot): the terminal gathers tails, and each row,
-cut to the window, meets V_{m+1} in one row-wise product.  In a forecast,
-routes that resolve to the same rows share each V_m (a status conditioned
-on the calendar only is built once for all routes).  The load pmf is the convolution of
-the per-parcel Bernoulli pmfs with the future-order pmf.
+as zero-padded probabilities and tail sums; a bare ``pmf_at``, or a closure
+view whose closed days the window reaches, is stacked slot by slot): the
+terminal gathers tails, and each row, cut to the window, meets a strided
+view of V_{m+1} in one row-wise product.  Routes that resolve to the same
+rows share each V_m.  The load pmf is the convolution of the per-parcel
+Bernoulli pmfs with the future-order pmf (exactly, one ``poisson_rows`` row).
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrivals import OrderIntensity, poisson_pmf, poisson_truncation
+from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, stack_rows
@@ -114,7 +113,8 @@ def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     cut = probs[rows, 1 : width + 1]
     if cut.shape[1] < width:
         cut = np.pad(cut, ((0, 0), (0, width - cut.shape[1])))
-    ahead = sliding_window_view(np.concatenate([nxt[1:], np.zeros(width)]), width)[:width]
+    ahead = np.concatenate([nxt[1:], np.zeros(width)])
+    ahead = np.ndarray((width, width), buffer=ahead, strides=ahead.strides * 2)  # row i: nxt[i+1:], zero-padded
     v[:width] = np.einsum("ij,ij->i", cut, ahead)
     return v
 
@@ -252,7 +252,7 @@ def _future_orders_pmf(
 ) -> LoadPmf:
     k, j = tables.k, tables.j
     # Poisson rate and contribution probability of one order per carrier and entry slot k+1..k+j-1
-    lam = intensity.rates(tables.kernel.timebase, range(k + 1, k + j)).ravel()  # slot by slot
+    lam = intensity.rates(tables.kernel.timebase, np.arange(k + 1, k + j)).ravel()  # slot by slot
     p = []
     for carrier in intensity.carriers:
         weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
@@ -260,17 +260,16 @@ def _future_orders_pmf(
     p = np.array(p, dtype=float).T.ravel()
     if coverage is None:
         total = float(lam @ p)
-        # the tail is below float noise long before 12 standard deviations and 40 counts past the mean
-        probs = poisson_pmf(total, np.arange(int(total + 12.0 * np.sqrt(total)) + 40))
+        probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
         probs = probs[: np.flatnonzero(probs >= _NOISE)[-1] + 1]
         return LoadPmf(probs / probs.sum())
     live = lam > 0.0
-    lam, p = lam[live, None], p[live, None]
-    top = np.array([poisson_truncation(rate, coverage) for rate in lam[:, 0]], dtype=int)
+    lam, p = lam[live], p[live]
+    top = np.array([poisson_truncation(rate, coverage) for rate in lam], dtype=int)
     x = np.arange(top.max(initial=0) + 1)
     # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x)
-    kept = np.cumsum(poisson_pmf(lam * (1.0 - p), x), axis=1)
-    q = poisson_pmf(lam * p, x) * np.take_along_axis(kept, np.maximum(top[:, None] - x, 0), axis=1)
+    kept = np.cumsum(poisson_rows(lam * (1.0 - p), len(x))[:, : len(x)], axis=1)
+    q = poisson_rows(lam * p, len(x))[:, : len(x)] * np.take_along_axis(kept, np.maximum(top[:, None] - x, 0), axis=1)
     q[x > top[:, None]] = 0.0
     q /= q.sum(axis=1, keepdims=True)
     result = np.array([1.0])

@@ -13,7 +13,7 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
@@ -100,11 +100,15 @@ class SelectionModel:
                     yield r, c, pr * pc
 
     def p_retailer_given_carrier(self, carrier) -> dict:
-        joint = {r: p for r, c, p in self.pairs() if c == carrier}
-        total = sum(joint.values())
-        if total == 0:
-            return {}
-        return {r: p / total for r, p in joint.items()}
+        return dict(self._given_carrier.get(carrier, {}))
+
+    @cached_property
+    def _given_carrier(self) -> dict:
+        """Each carrier's retailer weights, built on first use."""
+        joint: dict = defaultdict(dict)  # carrier -> retailer -> joint probability
+        for r, c, p in self.pairs():
+            joint[c][r] = p
+        return {c: {r: p / sum(weights.values()) for r, p in weights.items()} for c, weights in joint.items()}
 
     def to_json_dict(self) -> dict:
         """JSON document; the unknown retailer ``None`` is written as "", as in the event CSV."""
@@ -293,6 +297,13 @@ class ClosureAdjustedKernel:
         return shifted
 
     def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
+        """The base kernel's rows when no closed day falls in (first slot, last slot + support]."""
+        if slots.size:
+            rows, table = self.base.rows_at(n, slots, carrier, retailer, pup)
+            reach = self.timebase.day_of(np.array([slots.min() + 1, slots.max() + table.width - 1]))
+            lo, hi = np.searchsorted(self._closed, reach + [0, 1])
+            if lo == hi:
+                return rows, table
         return stack_rows(partial(self.pmf_at, carrier=carrier, retailer=retailer, pup=pup), n, slots)
 
     def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:

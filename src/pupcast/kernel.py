@@ -177,7 +177,7 @@ class TransitionKernel:
     def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
         """``pmf_at(n, t)`` for each of the slots, as rows of status n's table."""
         week, table = self._week(n, (carrier, retailer, pup))
-        rows = week.take(slots % len(week))
+        rows = week.take(slots, mode="wrap")  # t modulo one week
         if rows.size and rows.min() < 0:
             self.row_at(n, int(slots[rows.argmin()]), carrier, retailer, pup)  # raises MissingKernel
         return rows, table
@@ -234,4 +234,7 @@ class TransitionKernel:
     @classmethod
     def load(cls, path) -> "TransitionKernel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except ValidationError as exc:  # name the file whose pmfs are bad
+                raise ValidationError(f"{path}: {exc}") from exc

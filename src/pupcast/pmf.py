@@ -42,7 +42,7 @@ class HoldingTimePmf:
         if np.any(probs < 0):
             raise ValidationError("holding-time pmf has negative entries")
         total = probs.sum()
-        if abs(total - 1.0) > PMF_SUM_TOL:
+        if not abs(total - 1.0) <= PMF_SUM_TOL:  # NaN fails this too
             raise ValidationError(f"holding-time pmf sums to {total!r}, not 1")
 
     @property
@@ -106,7 +106,7 @@ class LoadPmf:
         if np.any(probs < 0):
             raise ValidationError("load pmf has negative entries")
         total = probs.sum()
-        if abs(total - 1.0) > LOAD_SUM_TOL:
+        if not abs(total - 1.0) <= LOAD_SUM_TOL:  # NaN fails this too
             raise ValidationError(f"load pmf sums to {total!r}, not 1")
 
     @classmethod
@@ -127,11 +127,8 @@ class LoadPmf:
 
     def trimmed(self, eps: float = 1e-12) -> "LoadPmf":
         """Drop trailing mass below eps and renormalize."""
-        probs = self.probs
-        hi = len(probs)
-        while hi > 1 and probs[hi - 1] < eps:
-            hi -= 1
-        trimmed = probs[:hi]
+        kept = np.flatnonzero(self.probs[1:] >= eps)  # the first entry always stays
+        trimmed = self.probs[: kept[-1] + 2 if kept.size else 1]
         return LoadPmf(trimmed / trimmed.sum())
 
 

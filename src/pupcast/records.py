@@ -138,8 +138,8 @@ class EventLog:
     def _view(self, rows: np.ndarray, entries: np.ndarray, cutoff: int, pups: tuple | None = None) -> "EventLog":
         """The rows ``rows`` with ``entries``, not validated again."""
         log = object.__new__(EventLog)
-        log.ids, log.carrier, log.retailer = self.ids[rows], self.carrier[rows], self.retailer[rows]
-        log.pup = self.pup[rows] if pups is None else np.zeros(len(rows), dtype=np.intp)
+        log.ids, log.carrier, log.retailer = self.ids.take(rows), self.carrier.take(rows), self.retailer.take(rows)
+        log.pup = self.pup.take(rows) if pups is None else np.zeros(len(rows), dtype=np.intp)
         log.carriers, log.retailers, log.pups = self.carriers, self.retailers, pups or self.pups
         log.statuses, log.entries, log.cutoff, log.timebase = self.statuses, entries, cutoff, self.timebase
         return log
@@ -147,15 +147,18 @@ class EventLog:
     def for_pup(self, pup: str) -> "EventLog":
         """The parcels bound for ``pup``.  The view names ``pup`` even when it holds no parcel."""
         rows = np.flatnonzero(self.pup == (self.pups.index(pup) if pup in self.pups else -1))
-        return self._view(rows, self.entries[rows], self.cutoff, pups=(pup,))
+        return self._view(rows, self.entries.take(rows, axis=0), self.cutoff, pups=(pup,))
 
     def truncated(self, cutoff: int) -> "EventLog":
         """The log as it would have been observed at an earlier cutoff."""
         if cutoff > self.cutoff:
             raise ValidationError("cannot extend a log beyond its cutoff")
-        seen = self.entries <= cutoff
-        rows = np.flatnonzero(seen.any(axis=1))
-        return self._view(rows, np.where(seen[rows], self.entries[rows], NEVER), cutoff)
+        seen = np.zeros(len(self), dtype=bool)
+        for column in self.entries.T:  # column by column: a reduction over the short axis is slow
+            seen |= column <= cutoff
+        rows = np.flatnonzero(seen)
+        entries = self.entries.take(rows, axis=0)  # several times faster than indexing a matrix by rows
+        return self._view(rows, np.where(entries <= cutoff, entries, NEVER), cutoff)
 
     def pup_names(self) -> list[str]:
         """The pups its parcels are bound for; a log with one pup label (a
@@ -172,10 +175,11 @@ class EventLog:
     def latest(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, status, slot): the parcels with an entry at or before k, the
         highest status each had entered by k, and the slot it entered it."""
-        seen = self.entries <= k
-        last = (seen * np.arange(1, seen.shape[1] + 1)).max(axis=1, initial=0) - 1
+        last = np.full(len(self), -1)
+        for c, column in enumerate(self.entries.T):  # statuses ascend: the last column seen wins
+            last[column <= k] = c
         rows = np.flatnonzero(last >= 0)
-        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
+        return rows, self.statuses[last[rows]], self.entries.ravel()[rows * self.entries.shape[1] + last[rows]]
 
     # ---- CSV I/O ----
 

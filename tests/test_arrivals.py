@@ -17,6 +17,7 @@ from pupcast.arrivals import (
     fit_hourly_profile,
     forecast_daily_volume,
     poisson_pmf,
+    poisson_rows,
     poisson_truncation,
     seasonal_mean_forecaster,
 )
@@ -184,6 +185,27 @@ class TestIntensity:
                 )
                 assert intensity.lambda_at(TB, k, c) == value
 
+    def test_rates_match_the_slot_by_slot_product(self):
+        # the compiled weekday-by-hour matrices: several carriers, a weekday and
+        # a carrier the profile lacks, slots out of order and before the epoch
+        rng = np.random.default_rng(5)
+        rho = {(w, c): rng.dirichlet(np.ones(24)) for w in range(1, 7) for c in ("c1", "c2")}
+        profile = HourlyProfile(rho)
+        days = [date(2023, 12, 25 + d) for d in range(7)] + [date(2024, 1, d) for d in range(1, 15)]
+        volumes = {c: {d: float(rng.uniform(0.0, 30.0)) for d in days} for c in ("c1", "c2", "c3")}
+        intensity = OrderIntensity.from_schedule(profile, volumes)
+        slots = rng.permutation(np.arange(-7 * 24, 14 * 24))[:200]
+        for carriers in (None, ("c3", "c2"), ("c1",)):
+            lam = intensity.rates(TB, slots, carriers)
+            names = intensity.carriers if carriers is None else carriers
+            expected = [
+                [profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * intensity.daily_volume(TB.date_of(k), c)
+                 for c in names]
+                for k in slots.tolist()
+            ]
+            assert lam.tolist() == expected
+            assert intensity.rates(TB, [], carriers).shape == (0, len(names))
+
     def test_negative_intensity_rejected(self):
         profile, _ = self.make_models()
         intensity = OrderIntensity(profile, lambda day, carrier: -1.0, ("c1",))
@@ -211,6 +233,25 @@ class TestPoisson:
         with mpmath.workdps(50):
             exact = [float(mpmath.exp(-mpmath.mpf(lam)) * mpmath.mpf(lam) ** i / mpmath.factorial(i)) for i in m.tolist()]
         assert np.abs(poisson_pmf(lam, m) - np.array(exact)).max() <= 1e-16
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 7.5, 23.6, 250.0])
+    def test_rows_are_the_pmf_byte_for_byte(self, lam):
+        row = poisson_rows(lam)
+        m = np.arange(len(row))
+        assert row.tobytes() == poisson_pmf(lam, m).tobytes()
+        assert [row[i] for i in (0, 1, 5)] == [poisson_pmf(lam, i) for i in (0, 1, 5)]
+        wide = poisson_rows(lam, len(row) + 30)  # rows as wide as the counts asked for
+        assert wide.tobytes() == poisson_pmf(lam, np.arange(len(row) + 30)).tobytes()
+
+    def test_rows_for_an_array_of_rates(self):
+        lam = np.array([0.0, 0.4, 1.0, 3.7, 41.0])
+        rows = poisson_rows(lam, 8)
+        assert rows.shape[0] == len(lam) and rows.shape[1] >= 8
+        m = np.arange(rows.shape[1])
+        assert rows.tobytes() == poisson_pmf(lam[:, None], m).tobytes()
+        for rate, row in zip(lam.tolist(), rows):  # each row is normalised over the same counts
+            assert row.tobytes() == poisson_pmf(rate, m).tobytes()
+        assert rows[0].tolist() == [1.0] + [0.0] * (rows.shape[1] - 1)
 
     def test_truncation_examples(self):
         assert poisson_truncation(0.0) == 0

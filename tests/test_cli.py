@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -81,6 +82,22 @@ def test_evaluate(workspace):
     lines = out.read_text().splitlines()
     assert lines[0] == "method,j,mae,mape,n,n_mape_excluded"
     assert len(lines) == 1 + 3 * 2  # three methods, two horizons
+
+
+def test_nan_in_kernel_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "kernel.json").read_text())
+    for level in doc["statuses"]["3"]:  # the pickup pmfs
+        for entry in level["pmfs"]:
+            entry["probs"][1] = float("nan")
+    (models / "kernel.json").write_text(json.dumps(doc))
+    code = main([
+        "forecast", "--config", str(workspace["config"]), "--models", str(models),
+        "--log", str(workspace["sim"] / "events.csv"), "--k", str(30 * 24), "--horizons", "13",
+    ])
+    assert code == 2
+    assert str(models / "kernel.json") in capsys.readouterr().err
 
 
 def test_oracle_check(capsys):

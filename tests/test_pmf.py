@@ -20,8 +20,9 @@ class TestHoldingTimePmf:
 
     def test_sum_tolerance(self):
         HoldingTimePmf(np.array([0.0, 1.0 - 5e-10]))  # inside 1e-9
-        with pytest.raises(ValidationError):
-            HoldingTimePmf(np.array([0.0, 0.9]))
+        for bad in ([0.0, 0.9], [0.0, np.nan, 1.0], [0.0, np.nan]):
+            with pytest.raises(ValidationError):
+                HoldingTimePmf(np.array(bad))
 
     def test_cdf_survival(self):
         f = HoldingTimePmf.uniform(1, 4)
@@ -42,8 +43,9 @@ class TestHoldingTimePmf:
 class TestLoadPmf:
     def test_sum_tolerance(self):
         LoadPmf(np.array([0.5, 0.5 - 5e-7]))  # inside 1e-6
-        with pytest.raises(ValidationError):
-            LoadPmf(np.array([0.5, 0.4]))
+        for bad in ([0.5, 0.4], [0.5, np.nan, 0.5], [np.nan]):
+            with pytest.raises(ValidationError):
+                LoadPmf(np.array(bad))
 
     def test_mean_and_quantile(self):
         p = LoadPmf(np.array([0.25, 0.5, 0.25]))
@@ -58,6 +60,23 @@ class TestLoadPmf:
         t = LoadPmf(probs / probs.sum()).trimmed()
         assert len(t.probs) == 2
         assert t.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "probs, kept",
+        [
+            ([1.0], [1.0]),  # a single entry stays
+            ([1e-13, 1.0 - 1e-13], [1e-13, 1.0 - 1e-13]),  # the first entry is never the cut
+            ([1.0 - 2e-13, 1e-13, 1e-13], [1.0]),  # all but the first below eps
+            ([0.5, 1e-13, 0.5, 1e-13], [0.5, 1e-13, 0.5]),  # only trailing mass goes
+        ],
+    )
+    def test_trimmed_edges(self, probs, kept):
+        t = LoadPmf(np.array(probs)).trimmed()
+        assert np.array_equal(t.probs, np.array(kept) / np.sum(kept))
+
+    def test_trimmed_all_below_eps(self):
+        t = LoadPmf(np.array([0.5, 0.5])).trimmed(eps=0.9)
+        assert np.array_equal(t.probs, [1.0])
 
 
 class TestConvolve:

@@ -1,6 +1,8 @@
 """Parcel records and event log CSV I/O."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pupcast import EventLog, ParcelRecord
 from pupcast.records import NEVER
@@ -143,6 +145,40 @@ def test_columns_latest_status_and_row_order():
     assert len(empty) == 0 and empty.pup_names() == ["elsewhere"]
     assert log.pup_names() == ["shop", "other"]
     assert log.truncated(12).pup_names() == ["shop"]
+
+
+@st.composite
+def parcels(draw):
+    """Records whose statuses may skip, entered at increasing slots that may precede the epoch."""
+    records = []
+    for i in range(draw(st.integers(0, 12))):
+        statuses = sorted(draw(st.sets(st.integers(0, 4), max_size=5)))
+        slots = sorted(draw(st.sets(st.integers(-60, 60), min_size=len(statuses), max_size=len(statuses))))
+        pup = draw(st.sampled_from(["shop", "other"]))
+        records.append(rec(f"P{i}", dict(zip(statuses, slots)), pup=pup, retailer=draw(st.sampled_from(["r1", None]))))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(parcels(), st.integers(-70, 60), st.sampled_from([None, "shop", "nowhere"]))
+def test_latest_and_truncated_match_each_record(records, k, pup):
+    log = EventLog(records, cutoff=60, timebase=TB)
+    if pup is not None:  # a view, possibly empty
+        log = log.for_pup(pup)
+        records = [r for r in records if r.pup == pup]
+    rows, status, slot = log.latest(k)
+    expected = [(i, r.status_at(k)) for i, r in enumerate(records) if r.status_at(k) is not None]
+    assert rows.tolist() == [i for i, _ in expected]
+    assert status.tolist() == [n for _, n in expected]
+    assert slot.tolist() == [records[i].entry_times[n] for i, n in expected]
+    early = log.truncated(k)
+    seen = [
+        ParcelRecord(r.id, r.carrier, r.pup, r.retailer, {n: t for n, t in r.entry_times.items() if t <= k})
+        for r in records
+        if any(t <= k for t in r.entry_times.values())
+    ]
+    assert early.records == seen
+    assert early.cutoff == k and early.entries.shape == (len(seen), len(log.statuses))
 
 
 def test_csv_order_error_names_line(tmp_path):
