@@ -63,7 +63,7 @@ class HourlyProfile:
         return 0.0 if row is None else float(row[h])
 
     @cached_property
-    def weeks(self) -> dict[str, np.ndarray]:
+    def _weeks(self) -> dict[str, np.ndarray]:
         """Each carrier's proportions as a (weekday - 1, hour) matrix, built on first use."""
         return {c: np.array([self.rho.get((w, c), np.zeros(24)) for w in range(1, 8)], float) for c in self.carriers()}
 
@@ -246,7 +246,7 @@ class OrderIntensity:
         _, first, day = np.unique(timebase.day_of(slots), return_index=True, return_inverse=True)
         dates = [timebase.date_of(k) for k in slots[first].tolist()]
         weekday, hour = timebase.weekday_of(slots), timebase.hour_of(slots)
-        profile = np.array([self.profile.weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7, 24)
+        profile = np.array([self.profile._weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7, 24)
         volume = np.array([[self.daily_volume(d, c) for d in dates] for c in carriers], dtype=float)
         lam = (profile[:, weekday - 1, hour] * volume.reshape(len(carriers), len(dates))[:, day]).T
         if np.any(lam < 0):

@@ -22,10 +22,9 @@ V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
 Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
 each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
-as zero-padded probabilities and tail sums; a bare ``pmf_at``, or a closure
-view whose closed days the window reaches, is stacked slot by slot): the
-terminal gathers tails, and each row, cut to the window, meets a strided
-view of V_{m+1} in one row-wise product.  Routes that resolve to the same
+as zero-padded probabilities and tail sums; a bare ``pmf_at`` or closure
+view is stacked slot by slot): the terminal gathers tails, and each row,
+cut to the window, meets a strided view of V_{m+1} in one row-wise product.  Routes that resolve to the same
 rows share each V_m.  The load pmf is the convolution of the per-parcel
 Bernoulli pmfs with the future-order pmf (exactly, one ``poisson_rows`` row).
 """

@@ -297,13 +297,6 @@ class ClosureAdjustedKernel:
         return shifted
 
     def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
-        """The base kernel's rows when no closed day falls in (first slot, last slot + support]."""
-        if slots.size:
-            rows, table = self.base.rows_at(n, slots, carrier, retailer, pup)
-            reach = self.timebase.day_of(np.array([slots.min() + 1, slots.max() + table.width - 1]))
-            lo, hi = np.searchsorted(self._closed, reach + [0, 1])
-            if lo == hi:
-                return rows, table
         return stack_rows(partial(self.pmf_at, carrier=carrier, retailer=retailer, pup=pup), n, slots)
 
     def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:

@@ -179,7 +179,7 @@ class EventLog:
         for c, column in enumerate(self.entries.T):  # statuses ascend: the last column seen wins
             last[column <= k] = c
         rows = np.flatnonzero(last >= 0)
-        return rows, self.statuses[last[rows]], self.entries.ravel()[rows * self.entries.shape[1] + last[rows]]
+        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
 
     # ---- CSV I/O ----
 

@@ -449,15 +449,12 @@ class TestPredictLoadPmf:
         assert res.pmf.probs.min() >= 0.0
 
     def test_far_holiday_gives_the_plain_kernels_forecast(self):
-        # 2017-12-25 is 75 days after day 100: the view's window rows are the
-        # kernel's own, and every pmf matches the plain kernel's byte for byte
+        # 2017-12-25 is 75 days after day 100, out of every window's reach:
+        # every pmf matches the plain kernel's byte for byte
         cfg = default_scenario()
         k = 100 * 24
         parcels = simulate(cfg).event_log().truncated(k).for_pup(cfg.pup)
         view = apply_closure_calendar(cfg.kernel, {date(2017, 12, 25)})
-        slots = np.arange(k + 1, k + 86)
-        for n in (2, 3):
-            assert view.rows_at(n, slots, "c1", "r1", cfg.pup)[1] is cfg.kernel.rows_at(n, slots, "c1", "r1", cfg.pup)[1]
         for j in (0, 1, 13, 37, 61, 85):
             for coverage in (None, 0.999999):
                 args = (cfg.intensity, cfg.selection, k, j, cfg.entry_status, coverage)

@@ -1,7 +1,7 @@
 """Empirical kernel estimation, selection model and closure adjustment."""
 
 import json
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -222,19 +222,6 @@ class TestClosureCalendar:
         view = apply_closure_calendar(kernel, closures)
         adjusted = view.pmf_at(0, 5)
         assert adjusted.probs[79] == pytest.approx(1.0)
-
-    def test_rows_at_reads_the_kernel_only_when_no_closed_day_is_in_reach(self):
-        # entries at slots 23..49 (Monday 23:00 to Wednesday 01:00) reach delays of
-        # up to 79 slots: days 1..5 after the epoch can take mass, day 0 and day 6 cannot
-        kernel = self.make_kernel()
-        slots = np.arange(23, 50)
-        base = kernel.rows_at(0, slots)[1]
-        for day in range(-1, 8):
-            view = apply_closure_calendar(kernel, {date(2024, 1, 1) + timedelta(days=day)})
-            rows, table = view.rows_at(0, slots)
-            assert (table is base) == (day not in range(1, 6)), day
-            for r, t in zip(rows.tolist(), slots.tolist()):
-                assert np.array_equal(table.pmfs[r].probs, view.pmf_at(0, t).probs), (day, t)
 
     def test_read_closure_calendar(self, tmp_path):
         path = tmp_path / "closures.txt"
