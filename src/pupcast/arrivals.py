@@ -52,7 +52,7 @@ class HourlyProfile:
             if row.shape != (24,) or np.any(row < 0):
                 raise ValidationError(f"bad profile row for {(w, c)}")
             total = row.sum()
-            if total != 0.0 and abs(total - 1.0) > 1e-9:
+            if total != 0.0 and not abs(total - 1.0) <= 1e-9:  # NaN fails this too
                 raise ValidationError(f"profile row {(w, c)} sums to {total!r}")
 
     def carriers(self) -> list[str]:
@@ -94,16 +94,12 @@ def _take_overs(log_: EventLog, status: int) -> tuple[list[str], np.ndarray, np.
     return carriers, rank[carrier], t[rows]
 
 
-def fit_hourly_profile(
-    log_: EventLog,
-    status: int,
-    working_days: Mapping[str, frozenset] | None = None,
-) -> HourlyProfile:
+def fit_hourly_profile(log_: EventLog, status: int) -> HourlyProfile:
     """Empirical per-(weekday, carrier) hour-of-day proportions of take-overs.
 
-    Working days with no observations get a uniform profile over the
-    carrier's active hours (hours with mass on some other weekday);
-    non-working days are identically zero.
+    Working days (``DEFAULT_WORKING_DAYS``) with no observations get a
+    uniform profile over the carrier's active hours (hours with mass on some
+    other weekday); non-working days are identically zero.
     """
     carriers, carrier, t = _take_overs(log_, status)
     tb = log_.timebase
@@ -111,10 +107,9 @@ def fit_hourly_profile(
     counts = np.bincount(cells, minlength=len(carriers) * 168).reshape(-1, 7, 24).astype(float)
     rho = {}
     for c, by_weekday in zip(carriers, counts):
-        days = (working_days or {}).get(c, DEFAULT_WORKING_DAYS)
         active = (by_weekday > 0).any(axis=0)
         for w, row in enumerate(by_weekday, start=1):
-            if w not in days:
+            if w not in DEFAULT_WORKING_DAYS:
                 rho[(w, c)] = np.zeros(24)
             elif row.sum() > 0:
                 rho[(w, c)] = row / row.sum()

@@ -17,7 +17,7 @@ from . import __version__
 from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
 from .engine import bind_kernel, predict_load_pmf, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
-from .errors import PupcastError
+from .errors import PupcastError, ValidationError
 from .estimation import (
     SelectionModel,
     estimate_pickup_kernel,
@@ -63,14 +63,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _read_model(path: Path, cls):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return cls.from_json_dict(json.load(fh))
+        except ValidationError as exc:  # name the file whose model is bad
+            raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _load_models(models_dir: Path):
     kernel = TransitionKernel.load(models_dir / "kernel.json")
-    with open(models_dir / "profile.json", encoding="utf-8") as fh:
-        profile = HourlyProfile.from_json_dict(json.load(fh))
-    with open(models_dir / "volumes.json", encoding="utf-8") as fh:
-        volume = DailyVolumeModel.from_json_dict(json.load(fh))
-    with open(models_dir / "selection.json", encoding="utf-8") as fh:
-        selection = SelectionModel.from_json_dict(json.load(fh))
+    profile = _read_model(models_dir / "profile.json", HourlyProfile)
+    volume = _read_model(models_dir / "volumes.json", DailyVolumeModel)
+    selection = _read_model(models_dir / "selection.json", SelectionModel)
     return kernel, profile, volume, selection
 
 

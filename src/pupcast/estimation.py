@@ -78,6 +78,13 @@ class OpeningHours:
         return cls({int(w): (int(span[0]), int(span[1])) for w, span in d.items()})
 
 
+def _check_shares(shares: dict, what: str) -> None:
+    if any(p < 0 for p in shares.values()):
+        raise ValidationError(f"{what} have negative entries")
+    if not abs(sum(shares.values()) - 1.0) <= 1e-9:  # NaN fails this too
+        raise ValidationError(f"{what} do not sum to 1")
+
+
 @dataclass(frozen=True)
 class SelectionModel:
     """Empirical retailer and carrier-given-retailer selection probabilities."""
@@ -86,11 +93,9 @@ class SelectionModel:
     p_carrier_given_retailer: dict
 
     def __post_init__(self) -> None:
-        if abs(sum(self.p_retailer.values()) - 1.0) > 1e-9:
-            raise ValidationError("retailer probabilities do not sum to 1")
+        _check_shares(self.p_retailer, "retailer probabilities")
         for r, pc in self.p_carrier_given_retailer.items():
-            if abs(sum(pc.values()) - 1.0) > 1e-9:
-                raise ValidationError(f"carrier probabilities for retailer {r!r} do not sum to 1")
+            _check_shares(pc, f"carrier probabilities for retailer {r!r}")
 
     def pairs(self) -> Iterable[tuple[object, object, float]]:
         """All (retailer, carrier, joint probability) with positive mass."""

@@ -84,6 +84,11 @@ class TestHourlyProfile:
     def test_validation_and_json(self):
         with pytest.raises(ValidationError):
             HourlyProfile({(1, "c1"): np.full(24, 0.1)})
+        bad_one = np.zeros(24)
+        bad_one[[8, 9]] = [np.nan, 1.0]
+        for bad in (np.full(24, np.nan), bad_one):  # abs(nan - 1) > tol is False
+            with pytest.raises(ValidationError):
+                HourlyProfile({(1, "c1"): bad})
         row = np.zeros(24)
         row[8] = 1.0
         profile = HourlyProfile({(1, "c1"): row})

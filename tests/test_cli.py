@@ -100,6 +100,20 @@ def test_nan_in_kernel_exits_2_naming_the_file(workspace, tmp_path, capsys):
     assert str(models / "kernel.json") in capsys.readouterr().err
 
 
+def test_nan_in_profile_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "profile.json").read_text())
+    doc["2|c1"] = [float("nan")] * 24
+    (models / "profile.json").write_text(json.dumps(doc))
+    code = main([
+        "forecast", "--config", str(workspace["config"]), "--models", str(models),
+        "--log", str(workspace["sim"] / "events.csv"), "--k", str(29 * 24), "--horizons", "13",
+    ])
+    assert code == 2
+    assert str(models / "profile.json") in capsys.readouterr().err
+
+
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--instances", "20", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -176,6 +176,11 @@ class TestSelection:
     def test_pairs_and_validation(self):
         with pytest.raises(ValidationError):
             SelectionModel({"r1": 0.5}, {})
+        for bad in ({"r1": float("nan")}, {"r1": 1.5, "r2": -0.5}):
+            with pytest.raises(ValidationError):
+                SelectionModel(bad, {"r1": {"c1": 1.0}, "r2": {"c1": 1.0}})
+            with pytest.raises(ValidationError):
+                SelectionModel({"r1": 1.0}, {"r1": {f"c{i}": p for i, p in enumerate(bad.values())}})
         model = SelectionModel({"r1": 0.5, "r2": 0.5}, {"r1": {"c1": 1.0}, "r2": {"c1": 0.5, "c2": 0.5}})
         joint = {(r, c): p for r, c, p in model.pairs()}
         assert joint[("r2", "c2")] == pytest.approx(0.25)
