@@ -30,7 +30,6 @@ from .engine import (
 from .estimation import (
     OpeningHours,
     SelectionModel,
-    apply_closure_calendar,
     estimate_pickup_kernel,
     estimate_selection,
     estimate_transit_kernel,
@@ -38,7 +37,7 @@ from .estimation import (
 from .evaluate import EvalReport, rolling_origin_evaluate
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .oracle import SimulatedTrace, enumerate_contribution_prob, mc_contribution_prob, mc_load_at, simulate
-from .pmf import HoldingTimePmf, LoadPmf, convolve, point_forecast, tv_distance
+from .pmf import HoldingTimePmf, LoadPmf, convolve, tv_distance
 from .records import EventLog, ParcelRecord
 from .scenario import ScenarioConfig, default_scenario
 from .timebase import Timebase

@@ -22,10 +22,10 @@ V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
 Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
 each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
-as zero-padded probabilities and tail sums; a bare ``pmf_at`` or closure
-view is stacked slot by slot): the terminal gathers tails, and each row,
-cut to the window, meets a strided view of V_{m+1} in one row-wise product.  Routes that resolve to the same
-rows share each V_m.  The load pmf is the convolution of the per-parcel
+as zero-padded probabilities and tail sums; a bare ``pmf_at`` is stacked
+slot by slot): the terminal gathers tails, and each row, cut to the
+window, meets a strided view of V_{m+1} in one row-wise product.  Routes
+that resolve to the same rows share each V_m.  The load pmf is the convolution of the per-parcel
 Bernoulli pmfs with the future-order pmf (exactly, one ``poisson_rows`` row).
 """
 
@@ -40,7 +40,7 @@ import numpy as np
 from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
-from .kernel import PmfTable, stack_rows
+from .kernel import PmfTable
 from .pmf import HoldingTimePmf, LoadPmf
 from .records import NEVER, EventLog, ParcelRecord
 
@@ -67,6 +67,13 @@ _NOISE = 1e-17  # the exact future-order pmf ends where its entries reach float 
 def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
     """Close a transition kernel over one parcel's routing attributes."""
     return partial(kernel.pmf_at, carrier=carrier, retailer=retailer, pup=pup)
+
+
+def _stack_rows(pmf_at: PmfAt, n: int, slots: np.ndarray) -> tuple[np.ndarray, PmfTable]:
+    """Status n's pmf at each slot, ``pmf_at(n, t)``, as a row of a table of the distinct ones."""
+    pmfs = [pmf_at(n, t) for t in slots.tolist()]
+    table = PmfTable({id(f): f for f in pmfs}.values())
+    return np.array([table.row_of[id(f)] for f in pmfs], dtype=np.intp), table
 
 
 class _Values(dict):
@@ -194,7 +201,7 @@ def prob_delivered_and_stored_multi_hop(
 
 def _bound(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
     """``_known`` for a parcel on a bare ``pmf_at``, stacked slot by slot."""
-    values = _window(partial(stack_rows, pmf_at), n_statuses, k, j)
+    values = _window(partial(_stack_rows, pmf_at), n_statuses, k, j)
     return _known(0, PmfTable([pmf_at(n, t_n)]), values, n, t_n, k, j)
 
 
@@ -209,7 +216,7 @@ def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: i
     if t_delivery - t_n < n_statuses - 1 - n:
         return 0.0
     slots = np.arange(t_n, t_delivery + 1)
-    values = _Values(partial(stack_rows, pmf_at), n_statuses, slots, lambda rows, table: (slots == t_delivery) * 1.0)
+    values = _Values(partial(_stack_rows, pmf_at), n_statuses, slots, lambda rows, table: (slots == t_delivery) * 1.0)
     return float(values[n][0])
 
 
@@ -219,7 +226,7 @@ def prob_future_order_contributes(
     """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    return float(_window(partial(stack_rows, pmf_at), n_statuses, k, j)[entry_status][t_0 - k - 1])
+    return float(_window(partial(_stack_rows, pmf_at), n_statuses, k, j)[entry_status][t_0 - k - 1])
 
 
 def future_orders_pmf(
@@ -317,14 +324,15 @@ def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -
     except MissingKernel:
         return 0.0, f"no kernel for status {n}; skipped"
     # Evidence contradicts the fitted pmf (holding time beyond its support).
-    # Retry with the coarsest pooled pmf; if that also says the parcel must
-    # have left, treat it as departed (the forced-return rule).
+    # Retry with the coarsest pooled pmf, itself a row of status n's table;
+    # if that also says the parcel must have left, treat it as departed (the
+    # forced-return rule).
     try:
-        pooled = tables.kernel.pooled_pmf_at(n, t_n)
+        pooled = table.row_of[id(tables.kernel.pooled_pmf_at(n, t_n))]
     except MissingKernel:
         return 0.0, "impossible evidence, no fallback; dropped"
     try:
-        return _known(0, PmfTable([pooled]), values, n, t_n, k, j), "impossible evidence, used pooled fallback"
+        return _known(pooled, table, values, n, t_n, k, j), "impossible evidence, used pooled fallback"
     except ImpossibleEvidence:
         return 0.0, "holding time beyond all supports; assumed departed"
 

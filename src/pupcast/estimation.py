@@ -12,17 +12,15 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import date
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyLog, NoCompletedTransitions, ValidationError
-from .kernel import KernelLevel, PmfTable, StatusKernel, TransitionKernel, stack_rows
+from .kernel import KernelLevel, StatusKernel
 from .pmf import HoldingTimePmf
 from .records import NEVER, EventLog
-from .timebase import Timebase
 
 __all__ = [
     "OpeningHours",
@@ -30,8 +28,6 @@ __all__ = [
     "estimate_transit_kernel",
     "estimate_pickup_kernel",
     "estimate_selection",
-    "apply_closure_calendar",
-    "ClosureAdjustedKernel",
     "MIN_COUNT",
     "TRANSIT_SUPPORT_MAX",
     "PICKUP_SUPPORT_MAX",
@@ -267,73 +263,3 @@ def estimate_selection(log_: EventLog) -> SelectionModel:
     p_retailer = {r: sum(cc.values()) / total for r, cc in counts.items()}
     p_cgr = {r: {c: cnt / sum(cc.values()) for c, cnt in cc.items()} for r, cc in counts.items()}
     return SelectionModel(p_retailer, p_cgr)
-
-
-class ClosureAdjustedKernel:
-    """Kernel view that moves transition mass off known closing days.
-
-    Mass that would land in a closed slot is pushed to the first later open
-    slot; if every later slot within the support is closed, it accumulates
-    at the end of the support (the forced-return rule).  Total mass is
-    preserved by construction.
-    """
-
-    def __init__(self, base: TransitionKernel, closures: set[date]):
-        self.base = base
-        self.closures = frozenset(closures)
-        # whole days from the epoch's date, as Timebase.day_of counts them
-        self._closed = np.array(sorted((d - base.timebase.epoch.date()).days for d in self.closures), dtype=int)
-        self._cache: dict = {}
-
-    @property
-    def n_statuses(self) -> int:
-        return self.base.n_statuses
-
-    @property
-    def timebase(self) -> Timebase:
-        return self.base.timebase
-
-    def pmf_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> HoldingTimePmf:
-        pmf = self.base.pmf_at(n, t, carrier, retailer, pup)
-        key = (id(pmf), t)  # the base kernel keeps its pmfs alive
-        shifted = self._cache.get(key)
-        if shifted is None:
-            shifted = self._cache[key] = self._shift(pmf, t)
-        return shifted
-
-    def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
-        return stack_rows(partial(self.pmf_at, carrier=carrier, retailer=retailer, pup=pup), n, slots)
-
-    def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:
-        return 0, PmfTable([self.pmf_at(n, t, carrier, retailer, pup)])
-
-    def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
-        return self._shift(self.base.pooled_pmf_at(n, t), t)
-
-    def _shift(self, pmf: HoldingTimePmf, t: int) -> HoldingTimePmf:
-        """The pmf itself when no closed day falls in (t, t + support_max]."""
-        support_max = pmf.support_max
-        day = self.timebase.day_of(t + np.arange(support_max + 1))
-        lo, hi = np.searchsorted(self._closed, [day[1], day[-1] + 1])
-        if lo == hi:
-            return pmf
-        # next open delay at or after each delay; support_max as last resort
-        delay = np.where(np.isin(day, self._closed[lo:hi]), support_max, np.arange(support_max + 1))
-        next_open = np.minimum.accumulate(delay[::-1])[::-1]
-        return HoldingTimePmf(np.bincount(next_open[1:], weights=pmf.probs[1:], minlength=support_max + 1))
-
-
-def apply_closure_calendar(kernel: TransitionKernel, closures: set[date]) -> ClosureAdjustedKernel:
-    """Wrap a kernel so that closed dates receive no transition mass."""
-    return ClosureAdjustedKernel(kernel, closures)
-
-
-def read_closure_calendar(path) -> set[date]:
-    """Read a newline-delimited file of ISO closure dates."""
-    closures = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                closures.add(date.fromisoformat(line))
-    return closures

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class PmfTable:
         for r, f in enumerate(self.pmfs):
             tails[r, : len(f.tails)] = f.tails
         return tails
-
-
-def stack_rows(pmf_at: Callable, n: int, slots: np.ndarray) -> tuple[np.ndarray, PmfTable]:
-    """Status n's pmf at each slot, ``pmf_at(n, t)``, as a row of a table of the distinct ones."""
-    pmfs = [pmf_at(n, t) for t in slots.tolist()]
-    table = PmfTable({id(f): f for f in pmfs}.values())
-    return np.array([table.row_of[id(f)] for f in pmfs], dtype=np.intp), table
 
 
 @dataclass(frozen=True)

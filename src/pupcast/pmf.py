@@ -19,7 +19,6 @@ __all__ = [
     "LoadPmf",
     "convolve",
     "tv_distance",
-    "point_forecast",
 ]
 
 PMF_SUM_TOL = 1e-9
@@ -48,13 +47,6 @@ class HoldingTimePmf:
     @property
     def support_max(self) -> int:
         return len(self.probs) - 1
-
-    def cdf(self, delta: int) -> float:
-        """P(H <= delta).  Negative delta gives 0; beyond support gives 1."""
-        if delta < 0:
-            return 0.0
-        hi = min(delta, self.support_max)
-        return float(self.probs[: hi + 1].sum())
 
     def survival(self, delta: int) -> float:
         """P(H > delta).  Tail sum, so deep tails keep full precision."""
@@ -146,15 +138,3 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = np.pad(q, (0, n - len(q)))
     return 0.5 * float(np.abs(p - q).sum())
 
-
-def point_forecast(pmf: LoadPmf, mode: str = "mean", q: float | None = None) -> float:
-    """Reduce a load pmf to a point value: mean, median or a quantile."""
-    if mode == "mean":
-        return pmf.mean()
-    if mode == "median":
-        return float(pmf.quantile(0.5))
-    if mode == "quantile":
-        if q is None:
-            raise InvalidQuantile("quantile mode requires a level q")
-        return float(pmf.quantile(q))
-    raise ValidationError(f"unknown point forecast mode {mode!r}")

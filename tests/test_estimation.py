@@ -1,9 +1,7 @@
-"""Empirical kernel estimation, selection model and closure adjustment."""
+"""Empirical kernel estimation and the selection model."""
 
 import json
-from datetime import date
 
-import numpy as np
 import pytest
 
 from pupcast import EventLog, ParcelRecord
@@ -11,16 +9,12 @@ from pupcast.errors import EmptyLog, NoCompletedTransitions, ValidationError
 from pupcast.estimation import (
     OpeningHours,
     SelectionModel,
-    apply_closure_calendar,
     estimate_pickup_kernel,
     estimate_selection,
     estimate_transit_kernel,
-    read_closure_calendar,
 )
-from pupcast.kernel import TransitionKernel
 
-from helpers import TB, chain_kernel
-from pupcast.pmf import HoldingTimePmf
+from helpers import TB
 
 SHOP_HOURS = OpeningHours({w: (9, 19) for w in range(1, 7)} | {7: (9, 12)})
 
@@ -195,40 +189,3 @@ class TestSelection:
         assert SelectionModel.from_json_dict(doc) == model
         only_unknown = SelectionModel({None: 1.0}, {None: {"c1": 1.0}})
         assert SelectionModel.from_json_dict(only_unknown.to_json_dict()) == only_unknown
-
-
-class TestClosureCalendar:
-    def make_kernel(self) -> TransitionKernel:
-        probs = np.zeros(80)
-        probs[10] = 0.5
-        probs[30] = 0.3
-        probs[60] = 0.2
-        return chain_kernel([HoldingTimePmf(probs)])
-
-    def test_no_closures_is_identity(self):
-        kernel = self.make_kernel()
-        view = apply_closure_calendar(kernel, set())
-        assert view.pmf_at(0, 5) is kernel.pmf_at(0, 5)
-
-    def test_mass_shifts_to_next_open_slot(self):
-        kernel = self.make_kernel()
-        closed = date(2024, 1, 2)  # the Tuesday after the epoch Monday
-        view = apply_closure_calendar(kernel, {closed})
-        adjusted = view.pmf_at(0, 5)  # Monday 05:00 entry; delay 30 lands Tuesday
-        assert adjusted.probs[30] == 0.0
-        # delay 30 (Tue 11:00) moved to the first Wednesday slot, delay 43
-        assert adjusted.probs[43] == pytest.approx(0.3)
-        assert adjusted.probs[10] == pytest.approx(0.5)
-        assert adjusted.probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_all_closed_accumulates_at_support_end(self):
-        kernel = self.make_kernel()
-        closures = {date(2024, 1, 1 + d) for d in range(0, 10)}
-        view = apply_closure_calendar(kernel, closures)
-        adjusted = view.pmf_at(0, 5)
-        assert adjusted.probs[79] == pytest.approx(1.0)
-
-    def test_read_closure_calendar(self, tmp_path):
-        path = tmp_path / "closures.txt"
-        path.write_text("2024-01-02\n\n2024-01-03\n")
-        assert read_closure_calendar(path) == {date(2024, 1, 2), date(2024, 1, 3)}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pupcast.pmf import HoldingTimePmf, LoadPmf, convolve, point_forecast, tv_distance
+from pupcast.pmf import HoldingTimePmf, LoadPmf, convolve, tv_distance
 from pupcast.errors import InvalidQuantile, ValidationError
 
 
@@ -26,9 +26,6 @@ class TestHoldingTimePmf:
 
     def test_cdf_survival(self):
         f = HoldingTimePmf.uniform(1, 4)
-        assert f.cdf(-1) == 0.0
-        assert f.cdf(2) == pytest.approx(0.5)
-        assert f.cdf(99) == pytest.approx(1.0)
         assert f.survival(2) == pytest.approx(0.5)
 
     def test_from_counts_and_point_mass(self):
@@ -125,14 +122,3 @@ def test_tv_distance():
     assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert tv_distance([1.0], [0.0, 1.0]) == pytest.approx(1.0)
     assert tv_distance([0.5, 0.5], [0.5, 0.25, 0.25]) == pytest.approx(0.25)
-
-
-def test_point_forecast():
-    p = LoadPmf(np.array([0.25, 0.5, 0.25]))
-    assert point_forecast(p, "mean") == pytest.approx(1.0)
-    assert point_forecast(LoadPmf.point_mass(7), "median") == 7
-    assert point_forecast(LoadPmf(np.array([0.5, 0.5])), "quantile", q=0.9) == 1
-    with pytest.raises(InvalidQuantile):
-        point_forecast(p, "quantile")
-    with pytest.raises(ValidationError):
-        point_forecast(p, "mode")
