@@ -162,8 +162,8 @@ class DailyVolumeModel:
         if len(lengths) > 1:
             raise ValidationError("carrier histories must cover the same days")
         for c, h in self.history.items():
-            if np.any(np.asarray(h) < 0):
-                raise ValidationError(f"negative daily count for carrier {c!r}")
+            if not np.all(np.asarray(h) >= 0):  # NaN fails this too
+                raise ValidationError(f"negative or NaN daily count for carrier {c!r}")
 
     @property
     def n_days(self) -> int:

@@ -126,8 +126,9 @@ class TestDailyVolume:
     def test_validation(self):
         with pytest.raises(ValidationError):
             DailyVolumeModel({"a": np.zeros(3), "b": np.zeros(4)}, start=date(2024, 1, 1))
-        with pytest.raises(ValidationError):
-            DailyVolumeModel({"a": np.array([-1.0])}, start=date(2024, 1, 1))
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValidationError):
+                DailyVolumeModel({"a": np.array([bad])}, start=date(2024, 1, 1))
 
     def test_fit_counts_per_day(self):
         recs = [takeover("P1", "c1", 8), takeover("P2", "c1", 9), takeover("P3", "c1", 30)]
