@@ -20,6 +20,7 @@ from pupcast import (
     StatusKernel,
     Timebase,
     TransitionKernel,
+    bind_kernel,
     enumerate_contribution_prob,
     mc_contribution_prob,
     prob_delivered_and_stored_last_hop,
@@ -27,7 +28,6 @@ from pupcast import (
     prob_future_order_contributes,
     prob_still_stored,
 )
-from pupcast.engine import bind_kernel
 
 
 def pooled(pmf: HoldingTimePmf) -> StatusKernel:

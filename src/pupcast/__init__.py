@@ -19,7 +19,7 @@ from .arrivals import (
 from .baselines import baseline_holt_winters, baseline_seasonal_naive
 from .engine import (
     ForecastResult,
-    chain_prob_g,
+    bind_kernel,
     future_orders_pmf,
     predict_load_pmf,
     prob_delivered_and_stored_last_hop,

@@ -36,7 +36,7 @@ def _horizons(arg: str) -> tuple[int, ...]:
 
 
 def cmd_fit(args) -> int:
-    config = ScenarioConfig.load(args.config)
+    config = _read_model(args.config, ScenarioConfig)
     log = EventLog.from_csv(args.log, config.timebase)
     entry = config.entry_status
     n_statuses = config.n_statuses
@@ -63,11 +63,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _read_model(path: Path, cls):
+def _read_model(path: str | Path, cls):
     with open(path, encoding="utf-8") as fh:
         try:
             return cls.from_json_dict(json.load(fh))
-        except ValidationError as exc:  # name the file whose model is bad
+        except ValidationError as exc:  # name the file whose model or config is bad
             raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -80,7 +80,7 @@ def _load_models(models_dir: Path):
 
 
 def cmd_forecast(args) -> int:
-    config = ScenarioConfig.load(args.config)
+    config = _read_model(args.config, ScenarioConfig)
     models_dir = Path(args.models)
     kernel, profile, volume, selection = _load_models(models_dir)
     log = EventLog.from_csv(args.log, config.timebase)
@@ -106,7 +106,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = ScenarioConfig.load(args.config)
+    config = _read_model(args.config, ScenarioConfig)
     if args.seed is not None:
         config.seed = args.seed
     trace = simulate(config)
@@ -122,7 +122,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = ScenarioConfig.load(args.config)
+    config = _read_model(args.config, ScenarioConfig)
     if args.seed is not None:
         config.seed = args.seed
     trace = simulate(config)

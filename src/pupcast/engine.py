@@ -13,93 +13,97 @@ whose parameter depends on the parcel's latest known status:
   are exactly Poisson with rate sum(lam p); a float ``coverage`` keeps the
   paper's per-pair truncation instead, in closed form.
 
-The last two, and ``chain_prob_g``, read from one backward value function
-V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from a
-terminal V_{N-1} (the pickup survival to k+j; for ``chain_prob_g`` the
-indicator of the delivery slot); a path that leaves the window scores 0.
-A parcel in status n is a dot product of its holding-time row with
-V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
+The last two read from one backward value function
+V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from the
+terminal V_{N-1}, the pickup survival to k+j; a path that leaves the window
+scores 0.  A parcel in status n is a dot product of its holding-time row
+with V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
 Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
 each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
-as zero-padded probabilities and tail sums; a bare ``pmf_at`` is stacked
-slot by slot): the terminal gathers tails, and each row, cut to the
-window, meets a strided view of V_{m+1} in one row-wise product.  Routes
-that resolve to the same rows share each V_m.  The load pmf is the convolution of the per-parcel
-Bernoulli pmfs with the future-order pmf (exactly, one ``poisson_rows`` row).
+as zero-padded probabilities and tail sums): the terminal gathers tails,
+and each row, cut to the window, meets a strided view of V_{m+1} in one
+row-wise product.  Routes that resolve to the same rows share each V_m, and
+the ``prob_*`` functions read them on a kernel bound by ``bind_kernel``.
+The load pmf is the convolution of the per-parcel Bernoulli pmfs with the
+future-order pmf (exactly, one ``poisson_rows`` row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
-from .kernel import PmfTable
+from .kernel import PmfTable, TransitionKernel
 from .pmf import HoldingTimePmf, LoadPmf
 from .records import NEVER, EventLog, ParcelRecord
 
 __all__ = [
-    "PmfAt",
+    "bind_kernel",
     "prob_still_stored",
     "prob_delivered_and_stored_last_hop",
     "prob_delivered_and_stored_multi_hop",
     "prob_future_order_contributes",
-    "chain_prob_g",
     "future_orders_pmf",
     "predict_load_pmf",
     "ForecastResult",
 ]
 
-# pmf_at(n, t) -> holding-time pmf of status n entered at slot t,
-# with routing attributes (carrier/retailer/pup) already bound.
-PmfAt = Callable[[int, int], HoldingTimePmf]
-
 _EPS = 1e-15
 _NOISE = 1e-17  # the exact future-order pmf ends where its entries reach float noise
 
 
-def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> PmfAt:
+class _Route(NamedTuple):
+    """A kernel bound to one parcel's routing attributes: ``route(n, t)`` is ``kernel.pmf_at``."""
+
+    kernel: TransitionKernel
+    carrier: str | None
+    retailer: str | None
+    pup: str | None
+
+    def __call__(self, n: int, t: int) -> HoldingTimePmf:
+        return self.kernel.pmf_at(n, t, self.carrier, self.retailer, self.pup)
+
+
+def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> _Route:
     """Close a transition kernel over one parcel's routing attributes."""
-    return partial(kernel.pmf_at, carrier=carrier, retailer=retailer, pup=pup)
-
-
-def _stack_rows(pmf_at: PmfAt, n: int, slots: np.ndarray) -> tuple[np.ndarray, PmfTable]:
-    """Status n's pmf at each slot, ``pmf_at(n, t)``, as a row of a table of the distinct ones."""
-    pmfs = [pmf_at(n, t) for t in slots.tolist()]
-    table = PmfTable({id(f): f for f in pmfs}.values())
-    return np.array([table.row_of[id(f)] for f in pmfs], dtype=np.intp), table
+    return _Route(kernel, carrier, retailer, pup)
 
 
 class _Values(dict):
-    """Backward value functions: ``self[m][i]`` is V_m(slots[i]) on one route.
+    """Backward value functions on one route: ``self[m][i]`` is V_m(k+1+i) =
+    P(delivered in (k, k+j], still stored at k+j | status m entered at k+1+i).
 
     ``rows_at(m, slots)`` gives status m's pmf at each slot as rows of a
-    ``PmfTable``; V_{N-1} is ``terminal(rows, table)``.  Each V_m is computed
-    on first use and kept, and also kept in ``shared`` under its rows and
-    V_{m+1}: routes that resolve to the same rows compute it once.
+    ``PmfTable``, whose tails give V_{N-1}.  Each V_m is computed on first
+    use and kept, and also kept in ``shared`` under its rows and V_{m+1}:
+    routes that resolve to the same rows compute it once.
     """
 
-    def __init__(
-        self, rows_at: Callable, n_statuses: int, slots: np.ndarray, terminal: Callable, shared: dict | None = None
-    ):
+    def __init__(self, rows_at: Callable, n_statuses: int, k: int, j: int, shared: dict):
         super().__init__()
-        self.rows_at, self.last, self.slots, self.terminal = rows_at, n_statuses - 1, slots, terminal
-        self.shared = {} if shared is None else shared
+        self.rows_at, self.last, self.shared = rows_at, n_statuses - 1, shared
+        self.slots, self.end = np.arange(k + 1, k + j + 1), k + j + 1
 
     def __missing__(self, m: int) -> np.ndarray:
+        if not 0 <= m <= self.last:
+            raise ValidationError(f"status {m} outside 0..{self.last}")
         nxt = None if m == self.last else self[m + 1]
         slots = self.slots if nxt is None else self.slots[:-1]  # an entry at the last slot cannot move on
         rows, table = self.rows_at(m, slots)
         key = (m, id(nxt), id(table), rows.tobytes())
         entry = self.shared.get(key)
         if entry is None:
-            v = self.terminal(rows, table) if nxt is None else _step(table.probs, rows, nxt)
+            if nxt is None:  # the pickup survival to k+j
+                v = table.tails[rows, np.minimum(self.end - slots, table.width)]
+            else:
+                v = _step(table.probs, rows, nxt)
             # the memo holds nxt and the table, so the ids in its keys are never reused
             entry = self.shared[key] = (v, nxt, table)
         self[m] = entry[0]
@@ -125,32 +129,19 @@ def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     return v
 
 
-def _window(rows_at: Callable, n_statuses: int, k: int, j: int, shared: dict | None = None) -> _Values:
-    """V_m(t) = P(delivered in (k, k+j], still stored at k+j | status m entered at t > k)."""
-    if j < 0:
-        raise ValidationError("horizon j must be >= 0")
-    slots = np.arange(k + 1, k + j + 1)
-
-    def stored(rows: np.ndarray, table: PmfTable) -> np.ndarray:  # the pickup survival to k+j
-        return table.tails[rows, np.minimum(k + j + 1 - slots, table.width)]
-
-    return _Values(rows_at, n_statuses, slots, stored, shared)
-
-
 class _Tables(dict):
-    """The ``_window`` of each (carrier, retailer) at one pup, built on first
+    """The ``_Values`` of each (carrier, retailer) at one pup, built on first
     use; all routes share one memo of V_m."""
 
     def __init__(self, kernel, pup: str, k: int, j: int):
         super().__init__()
         if j < 0:
             raise ValidationError("horizon j must be >= 0")
-        self.kernel, self.pup, self.k, self.j = kernel, pup, k, j
-        self.shared: dict = {}
+        self.kernel, self.pup, self.k, self.j, self.shared = kernel, pup, k, j, {}
 
     def __missing__(self, route: tuple) -> _Values:
         rows_at = partial(self.kernel.rows_at, carrier=route[0], retailer=route[1], pup=self.pup)
-        self[route] = _window(rows_at, self.kernel.n_statuses, self.k, self.j, self.shared)
+        self[route] = _Values(rows_at, self.kernel.n_statuses, self.k, self.j, self.shared)
         return self[route]
 
 
@@ -172,61 +163,49 @@ def _known(r: int, table: PmfTable, values: _Values, n: int, t_n: int, k: int, j
     return min(1.0, max(0.0, p))
 
 
-def prob_still_stored(pmf_at: PmfAt, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
+def prob_still_stored(route: _Route, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
     """P(parcel still stored at k+j | delivered at t_delivered, not picked up by k).
 
     Ratio of the pickup-time survival at k+j to the survival at k.
     """
-    return _bound(pmf_at, n_statuses, n_statuses - 1, t_delivered, k, j)
+    return _bound(route, n_statuses, n_statuses - 1, t_delivered, k, j)
 
 
-def prob_delivered_and_stored_last_hop(
-    pmf_at: PmfAt, n_statuses: int, t_prev: int, k: int, j: int
-) -> float:
+def prob_delivered_and_stored_last_hop(route: _Route, n_statuses: int, t_prev: int, k: int, j: int) -> float:
     """Contribution probability for a parcel one transition away from delivery."""
-    return prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n_statuses - 2, t_prev, k, j)
+    return prob_delivered_and_stored_multi_hop(route, n_statuses, n_statuses - 2, t_prev, k, j)
 
 
-def prob_delivered_and_stored_multi_hop(
-    pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int
-) -> float:
+def prob_delivered_and_stored_multi_hop(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
     """P(delivered in (k, k+j] and not picked up by k+j | status n since t_n, T_{n+1} > k).
 
     Degenerates to the last-hop case when n = N-2.
     """
     if not 0 <= n <= n_statuses - 2:
         raise ValidationError(f"status {n} is not an in-transit status for N={n_statuses}")
-    return _bound(pmf_at, n_statuses, n, t_n, k, j)
+    return _bound(route, n_statuses, n, t_n, k, j)
 
 
-def _bound(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
-    """``_known`` for a parcel on a bare ``pmf_at``, stacked slot by slot."""
-    values = _window(partial(_stack_rows, pmf_at), n_statuses, k, j)
-    return _known(0, PmfTable([pmf_at(n, t_n)]), values, n, t_n, k, j)
+def _route_values(route: _Route, n_statuses: int, k: int, j: int) -> _Values:
+    """The route's value functions on (k, k+j], read from its kernel's compiled tables."""
+    if n_statuses != route.kernel.n_statuses:
+        raise ValidationError(f"n_statuses={n_statuses}, but the kernel has {route.kernel.n_statuses} statuses")
+    return _Tables(route.kernel, route.pup, k, j)[route.carrier, route.retailer]
 
 
-def chain_prob_g(pmf_at: PmfAt, n_statuses: int, n: int, t_n: int, t_delivery: int) -> float:
-    """P(delivery exactly at t_delivery | status n entered at t_n).
-
-    The backward values over [t_n, t_delivery] with terminal 1[t = t_delivery];
-    0 for unreachable times (each hop takes at least one slot).
-    """
-    if n >= n_statuses - 1:
-        raise ValidationError("chain probability needs a status before delivery")
-    if t_delivery - t_n < n_statuses - 1 - n:
-        return 0.0
-    slots = np.arange(t_n, t_delivery + 1)
-    values = _Values(partial(_stack_rows, pmf_at), n_statuses, slots, lambda rows, table: (slots == t_delivery) * 1.0)
-    return float(values[n][0])
+def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
+    """``_known`` for one parcel on a bound kernel."""
+    values = _route_values(route, n_statuses, k, j)
+    return _known(*route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup), values, n, t_n, k, j)
 
 
 def prob_future_order_contributes(
-    pmf_at: PmfAt, n_statuses: int, t_0: int, k: int, j: int, entry_status: int = 0
+    route: _Route, n_statuses: int, t_0: int, k: int, j: int, entry_status: int = 0
 ) -> float:
     """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    return float(_window(partial(_stack_rows, pmf_at), n_statuses, k, j)[entry_status][t_0 - k - 1])
+    return float(_route_values(route, n_statuses, k, j)[entry_status][t_0 - k - 1])
 
 
 def future_orders_pmf(

@@ -55,10 +55,6 @@ class OpeningHours:
             if not 1 <= w <= 7 or not 0 <= ho <= hc <= 23:
                 raise ValidationError(f"bad opening hours for weekday {w}: {(ho, hc)}")
 
-    def is_open(self, w: int, h: int) -> bool:
-        span = self.hours.get(w)
-        return span is not None and span[0] <= h <= span[1]
-
     def valid_keys(self) -> list[tuple[int, int]]:
         return [
             (w, h)

@@ -19,6 +19,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 
 from .arrivals import HourlyProfile, OrderIntensity
+from .errors import ValidationError
 from .estimation import OpeningHours, SelectionModel
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
@@ -42,6 +43,10 @@ class ScenarioConfig:
     seed: int
     capacity: int | None = None
     daily_volumes: dict[str, dict[date, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.entry_status < self.n_statuses:
+            raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
 
     @property
     def n_statuses(self) -> int:
@@ -95,11 +100,6 @@ class ScenarioConfig:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _gamma_like_pmf(mean: float, support_max: int, shape: float = 4.0) -> HoldingTimePmf:

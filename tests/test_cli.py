@@ -114,6 +114,25 @@ def test_nan_in_profile_exits_2_naming_the_file(workspace, tmp_path, capsys):
     assert str(models / "profile.json") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "forecast", "simulate", "evaluate"])
+def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
+    doc = json.loads(workspace["config"].read_text())
+    doc["entry_status"] = 4  # the default chain has statuses 0..3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    args = {
+        "fit": ["--log", str(workspace["sim"] / "events.csv"), "--out", str(tmp_path / "m")],
+        "forecast": [
+            "--models", str(workspace["models"]), "--log", str(workspace["sim"] / "events.csv"),
+            "--k", str(30 * 24), "--horizons", "13",
+        ],
+        "simulate": ["--out", str(tmp_path / "sim")],
+        "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
+    }
+    assert main([command, "--config", str(config), *args[command]]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--instances", "20", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -14,7 +14,6 @@ from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson
 from pupcast.engine import (
     _Tables,
     bind_kernel,
-    chain_prob_g,
     future_orders_pmf,
     predict_load_pmf,
     prob_delivered_and_stored_last_hop,
@@ -24,6 +23,7 @@ from pupcast.engine import (
 )
 from pupcast.errors import ImpossibleEvidence, MissingKernel, ValidationError
 from pupcast.estimation import SelectionModel
+from pupcast.kernel import PmfTable
 from pupcast.oracle import enumerate_contribution_prob, simulate
 from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
@@ -32,8 +32,8 @@ from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_ins
 
 
 def stationary(pmfs):
-    """pmf_at closure over a fixed list of per-status pmfs."""
-    return lambda n, t: pmfs[n]
+    """A bound kernel with one fixed pmf per status."""
+    return bind_kernel(chain_kernel(pmfs))
 
 
 def far_pickup(support_max=50):
@@ -62,32 +62,6 @@ class TestProbStillStored:
         pmf_at = stationary([HoldingTimePmf.uniform(1, 3)])
         with pytest.raises(ImpossibleEvidence):
             prob_still_stored(pmf_at, 1, t_delivered=0, k=5, j=1)
-
-
-class TestChainProb:
-    def test_single_hop_degenerates_to_the_pmf(self):
-        f = HoldingTimePmf.uniform(1, 3)
-        pmf_at = stationary([f, far_pickup()])
-        for delta in range(1, 4):
-            assert chain_prob_g(pmf_at, 2, 0, 0, delta) == pytest.approx(float(f.probs[delta]))
-
-    def test_deterministic_two_hop(self):
-        one = HoldingTimePmf.point_mass(1)
-        pmf_at = stationary([one, one, far_pickup()])
-        assert chain_prob_g(pmf_at, 3, 0, 5, 7) == pytest.approx(1.0)
-        assert chain_prob_g(pmf_at, 3, 0, 5, 8) == 0.0
-
-    def test_two_hop_uniform_convolution(self):
-        u = HoldingTimePmf.uniform(1, 2)
-        pmf_at = stationary([u, u, far_pickup()])
-        assert chain_prob_g(pmf_at, 3, 0, 0, 2) == pytest.approx(0.25)
-        assert chain_prob_g(pmf_at, 3, 0, 0, 3) == pytest.approx(0.5)
-        assert chain_prob_g(pmf_at, 3, 0, 0, 4) == pytest.approx(0.25)
-
-    def test_unreachable_is_zero(self):
-        u = HoldingTimePmf.uniform(1, 2)
-        pmf_at = stationary([u, u, far_pickup()])
-        assert chain_prob_g(pmf_at, 3, 0, 0, 1) == 0.0
 
 
 class TestLastHop:
@@ -163,6 +137,25 @@ class TestFutureOrders:
         pmf_at = stationary([u, u])
         with pytest.raises(ValidationError):
             prob_future_order_contributes(pmf_at, 2, t_0=5, k=5, j=3)
+
+    def test_entry_status_outside_the_chain_rejected(self):
+        pmf_at = stationary([HoldingTimePmf.uniform(1, 2)] * 4)
+        for entry in (4, 5, -1):
+            with pytest.raises(ValidationError, match=f"status {entry} outside 0..3"):
+                prob_future_order_contributes(pmf_at, 4, t_0=11, k=10, j=4, entry_status=entry)
+
+
+def test_n_statuses_must_match_the_kernel():
+    u = HoldingTimePmf.uniform(1, 2)
+    pmf_at = stationary([u, u, u])
+    with pytest.raises(ValidationError):
+        prob_still_stored(pmf_at, 2, 0, k=1, j=1)
+    with pytest.raises(ValidationError):
+        prob_delivered_and_stored_last_hop(pmf_at, 4, 0, k=1, j=1)
+    with pytest.raises(ValidationError):
+        prob_delivered_and_stored_multi_hop(pmf_at, 2, 0, 0, k=1, j=1)
+    with pytest.raises(ValidationError):
+        prob_future_order_contributes(pmf_at, 4, t_0=2, k=1, j=3)
 
 
 def slot_by_slot_values(pmf_at, n_statuses, first_status, k, j):
@@ -325,6 +318,12 @@ class TestPredictLoadPmf:
     def delivered_parcel(self, pid, t_del):
         return ParcelRecord(pid, "c1", "shop", "r1", {0: t_del - 1, 1: t_del})
 
+    def test_entry_status_outside_the_chain_rejected(self):
+        cfg = default_scenario()
+        for j in (0, 13):
+            with pytest.raises(ValidationError, match="status 4 outside 0..3"):
+                predict_load_pmf([], cfg.kernel, cfg.intensity, cfg.selection, 2400, j, entry_status=4)
+
     def test_empty_system(self):
         kernel = chain_kernel([HoldingTimePmf.uniform(1, 2), HoldingTimePmf.uniform(1, 4)])
         res = predict_load_pmf([], kernel, single_carrier_intensity(0.0), SELECTION, k=24, j=5)
@@ -448,19 +447,26 @@ class TestPredictLoadPmf:
             predict_load_pmf([early, delivered], kernel, intensity, SELECTION, k=24, j=3)
 
 
-def test_warm_forecast_reads_only_compiled_tables(monkeypatch):
-    # after one forecast, the next anchor resolves no pmf by lookup and sums
-    # no survival: both come from the kernel's compiled tables
-    cfg = default_scenario()
-    log = simulate(cfg).event_log()
-    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Counts of the calls that build a table, resolve a pmf by lookup or sum a survival."""
     calls = Counter()
-    for owner, name in ((HoldingTimePmf, "survival"), (TransitionKernel, "lookup"), (StatusKernel, "lookup")):
+    owners = ((PmfTable, "__init__"), (HoldingTimePmf, "survival"), (TransitionKernel, "lookup"), (StatusKernel, "lookup"))
+    for owner, name in owners:
         def counted(*args, _method=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
             calls[_key] += 1
             return _method(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_warm_forecast_reads_only_compiled_tables(table_calls):
+    # after one forecast, the next anchor builds no table, resolves no pmf by
+    # lookup and sums no survival: all come from the kernel's compiled tables
+    cfg = default_scenario()
+    log = simulate(cfg).event_log()
+    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
 
     def forecast(day):
         k = day * cfg.timebase.slots_per_day
@@ -469,10 +475,32 @@ def test_warm_forecast_reads_only_compiled_tables(monkeypatch):
             predict_load_pmf(parcels, kernel, cfg.intensity, cfg.selection, k, j, entry_status=cfg.entry_status)
 
     forecast(100)
-    assert calls["StatusKernel.lookup"] > 0  # the warm-up compiles the tables
-    calls.clear()
+    assert table_calls["StatusKernel.lookup"] > 0  # the warm-up compiles the tables
+    table_calls.clear()
     forecast(130)
-    assert calls == Counter()
+    assert table_calls == Counter()
+
+
+def test_single_parcel_api_reads_only_compiled_tables(table_calls):
+    # after one warm-up call on a bound kernel, each prob_* at a new anchor
+    # builds no table, resolves no pmf by lookup and sums no survival
+    cfg = default_scenario()
+    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
+    pmf_at, n_statuses = bind_kernel(kernel, "c2", "r1", cfg.pup), cfg.n_statuses
+    single_parcel = [
+        lambda k: prob_still_stored(pmf_at, n_statuses, k - 5, k, 37),
+        lambda k: prob_delivered_and_stored_last_hop(pmf_at, n_statuses, k - 3, k, 37),
+        lambda k: prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, 2, k - 9, k, 61),
+        lambda k: prob_future_order_contributes(pmf_at, n_statuses, k + 4, k, 13, entry_status=cfg.entry_status),
+    ]
+    for prob in single_parcel:
+        prob(2400)
+    assert table_calls["PmfTable.__init__"] > 0  # the warm-up compiles the tables
+    for k in (2400 + 31, 3100):
+        for prob in single_parcel:
+            table_calls.clear()
+            assert 0.0 < prob(k) < 1.0
+            assert table_calls == Counter()
 
 
 def test_all_outputs_normalized():

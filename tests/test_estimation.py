@@ -34,10 +34,6 @@ class TestOpeningHours:
         assert len(keys) == 6 * 11 + 4  # 9..19 inclusive Mon-Sat, 9..12 Sunday
         assert (7, 12) in keys and (7, 15) not in keys
 
-    def test_is_open(self):
-        assert SHOP_HOURS.is_open(1, 9)
-        assert not SHOP_HOURS.is_open(7, 15)
-
     def test_bad_hours_rejected(self):
         with pytest.raises(ValidationError):
             OpeningHours({8: (9, 12)})

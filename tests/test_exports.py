@@ -1,7 +1,9 @@
-"""Every name a module exports exists."""
+"""Every name a module exports exists, and every name it imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pupcast
 
@@ -16,3 +18,28 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def unused_imports(source: str, exported=()) -> list[str]:
+    """Names a module's source imports but neither uses nor lists in ``exported``."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used and name not in exported]
+
+
+def test_no_unused_imports():
+    paths = sorted(p for p in Path(pupcast.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) >= 13
+    unused = [
+        f"{path.name}:{found}"
+        for path in paths
+        for found in unused_imports(path.read_text(), getattr(importlib.import_module(f"pupcast.{path.stem}"), "__all__", ()))
+    ]
+    assert unused == []
+    assert unused_imports("import json\nfrom math import exp, log\nprint(exp(1))\n") == ["1: json", "2: log"]
