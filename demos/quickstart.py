@@ -19,7 +19,7 @@ from pupcast import (
     estimate_transit_kernel,
     fit_daily_volume,
     fit_hourly_profile,
-    predict_load_pmf,
+    predict_load_pmfs,
     simulate,
 )
 
@@ -55,13 +55,11 @@ def main() -> None:
     parcels = log.for_pup(cfg.pup)
     print(f"\nload forecast anchored at {cfg.timebase.datetime_of(k)}:")
     print(f"{'horizon':>8} {'mean':>7} {'q05':>4} {'q50':>4} {'q95':>4} {'actual':>7}")
-    for j in (13, 37, 61, 85):
-        r = predict_load_pmf(
-            parcels, kernel, intensity, selection, k, j, entry_status=cfg.entry_status
-        )
-        actual = int(trace.load[k + j])
+    # one pass serves all four horizons
+    for r in predict_load_pmfs(parcels, kernel, intensity, selection, k, (13, 37, 61, 85), cfg.entry_status):
+        actual = int(trace.load[k + r.j])
         print(
-            f"{j:>7}h {r.mean:7.2f} {r.pmf.quantile(0.05):4d} "
+            f"{r.j:>7}h {r.mean:7.2f} {r.pmf.quantile(0.05):4d} "
             f"{r.pmf.quantile(0.50):4d} {r.pmf.quantile(0.95):4d} {actual:7d}"
         )
     print("\neach row is a full pmf; mean and quantiles are summaries of it")

@@ -22,6 +22,7 @@ from .engine import (
     bind_kernel,
     future_orders_pmf,
     predict_load_pmf,
+    predict_load_pmfs,
     prob_delivered_and_stored_last_hop,
     prob_delivered_and_stored_multi_hop,
     prob_future_order_contributes,

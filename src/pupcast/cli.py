@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
-from .engine import bind_kernel, predict_load_pmf, prob_still_stored
+from .engine import bind_kernel, predict_load_pmfs, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
 from .errors import PupcastError, ValidationError
 from .estimation import (
@@ -64,15 +64,19 @@ def cmd_fit(args) -> int:
 
 
 def _read_model(path: str | Path, cls):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """``cls`` from a JSON file.  A file that is missing, is not JSON or does
+    not hold a valid model raises ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
-        except ValidationError as exc:  # name the file whose model or config is bad
-            raise ValidationError(f"{path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors are ValueErrors
+        raise ValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_models(models_dir: Path):
-    kernel = TransitionKernel.load(models_dir / "kernel.json")
+    kernel = _read_model(models_dir / "kernel.json", TransitionKernel)
     profile = _read_model(models_dir / "profile.json", HourlyProfile)
     volume = _read_model(models_dir / "volumes.json", DailyVolumeModel)
     selection = _read_model(models_dir / "selection.json", SelectionModel)
@@ -86,13 +90,8 @@ def cmd_forecast(args) -> int:
     log = EventLog.from_csv(args.log, config.timebase)
     parcels = log.truncated(min(args.k, log.cutoff)).for_pup(config.pup)
     intensity = OrderIntensity.from_models(profile, volume)
-    results = []
-    for j in args.horizons:
-        result = predict_load_pmf(
-            parcels, kernel, intensity, selection, args.k, j,
-            entry_status=config.entry_status,
-        )
-        results.append(result.to_json_dict())
+    forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, config.entry_status)
+    results = [result.to_json_dict() for result in forecasts]
     doc = {"pup": config.pup, "k": args.k, "forecasts": results}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

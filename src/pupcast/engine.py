@@ -19,26 +19,31 @@ terminal V_{N-1}, the pickup survival to k+j; a path that leaves the window
 scores 0.  A parcel in status n is a dot product of its holding-time row
 with V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
-Each V_m is one array pass over the window.  ``kernel.rows_at`` gives
-each slot's pmf as a row of a ``PmfTable`` (a kernel's pmfs, compiled once
-as zero-padded probabilities and tail sums): the terminal gathers tails,
-and each row, cut to the window, meets a strided view of V_{m+1} in one
-row-wise product.  Routes that resolve to the same rows share each V_m, and
-the ``prob_*`` functions read them on a kernel bound by ``bind_kernel``.
-The load pmf is the convolution of the per-parcel Bernoulli pmfs with the
-future-order pmf (exactly, one ``poisson_rows`` row).
+A forecast is one array pass over its routes (the known parcels' and the
+future orders' (carrier, retailer) pairs), its known parcels and all its
+horizons.  ``kernel.week_rows`` stacks a status's compiled rows over the
+routes (rows of a ``PmfTable``: a kernel's pmfs, compiled once as
+zero-padded probabilities and tail sums), and one ``take`` cuts them to the
+window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
+column h has the terminal of k+j_h and is zero past it, so one einsum with
+a strided view of V_{m+1} serves every route and horizon.  The parcels in a
+status are one gather of their rows and tails and one product with
+V_{n+1}; only a parcel whose row is missing or whose evidence is impossible
+takes the per-parcel fallback.  The ``prob_*`` functions read the same
+window on a kernel bound by ``bind_kernel``.  The load pmf is the product
+of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
+future-order pmf (exactly, one ``poisson_rows`` row per horizon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
-from .errors import ImpossibleEvidence, MissingKernel, ValidationError
+from .errors import ImpossibleEvidence, MissingKernel, UnknownStatus, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, TransitionKernel
 from .pmf import HoldingTimePmf, LoadPmf
@@ -52,6 +57,7 @@ __all__ = [
     "prob_future_order_contributes",
     "future_orders_pmf",
     "predict_load_pmf",
+    "predict_load_pmfs",
     "ForecastResult",
 ]
 
@@ -76,91 +82,100 @@ def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> _Route:
     return _Route(kernel, carrier, retailer, pup)
 
 
-class _Values(dict):
-    """Backward value functions on one route: ``self[m][i]`` is V_m(k+1+i) =
-    P(delivered in (k, k+j], still stored at k+j | status m entered at k+1+i).
-
-    ``rows_at(m, slots)`` gives status m's pmf at each slot as rows of a
-    ``PmfTable``, whose tails give V_{N-1}.  Each V_m is computed on first
-    use and kept, and also kept in ``shared`` under its rows and V_{m+1}:
-    routes that resolve to the same rows compute it once.
+class _Window:
+    """Backward value functions over the window (k, k + max j] on every route
+    and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
+    the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
+    | status m entered at k+1+i), and 0 for i >= j_h.  ``ok[m][r, h]`` is
+    False where that window has a slot without a pmf.
     """
 
-    def __init__(self, rows_at: Callable, n_statuses: int, k: int, j: int, shared: dict):
-        super().__init__()
-        self.rows_at, self.last, self.shared = rows_at, n_statuses - 1, shared
-        self.slots, self.end = np.arange(k + 1, k + j + 1), k + j + 1
-
-    def __missing__(self, m: int) -> np.ndarray:
-        if not 0 <= m <= self.last:
-            raise ValidationError(f"status {m} outside 0..{self.last}")
-        nxt = None if m == self.last else self[m + 1]
-        slots = self.slots if nxt is None else self.slots[:-1]  # an entry at the last slot cannot move on
-        rows, table = self.rows_at(m, slots)
-        key = (m, id(nxt), id(table), rows.tobytes())
-        entry = self.shared.get(key)
-        if entry is None:
-            if nxt is None:  # the pickup survival to k+j
-                v = table.tails[rows, np.minimum(self.end - slots, table.width)]
+    def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int], lowest: int):
+        self.js = js = np.array(horizons, dtype=np.int64).reshape(-1)
+        if (js < 0).any():
+            raise ValidationError("horizon j must be >= 0")
+        self.kernel, self.pup, self.routes, self.k, self.last = kernel, pup, routes, k, kernel.n_statuses - 1
+        width = int(js.max(initial=0))
+        ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
+        v, ok = np.zeros((len(routes), len(js), width)), np.ones((len(routes), len(js)), dtype=bool)
+        self.values, self.ok = {}, {}
+        for m in range(self.last, max(lowest, 0) - 1, -1):
+            try:
+                weeks, table = kernel.week_rows(m, routes, pup)
+            except MissingKernel:  # a status never fitted: no values from it down
+                v, ok = np.zeros_like(v), np.zeros_like(ok)
             else:
-                v = _step(table.probs, rows, nxt)
-            # the memo holds nxt and the table, so the ids in its keys are never reused
-            entry = self.shared[key] = (v, nxt, table)
-        self[m] = entry[0]
-        return entry[0]
+                # up to k+j_h, or up to the slot before where an entry must still move on
+                rows = weeks.take(np.arange(k + 1, k + width + (m == self.last)), axis=1, mode="wrap")
+                if rows.min(initial=0) < 0:
+                    ok = ok & ((rows >= 0).cumprod(axis=1).sum(axis=1)[:, None] >= js - (m < self.last))
+                    rows = np.maximum(rows, 0)
+                if m == self.last:  # the pickup survival to k+j_h; past it, the zero tail past every support
+                    v = table.tails[rows[:, None, :], np.where(ahead > 0, np.minimum(ahead, table.width), table.width)]
+                else:
+                    v = _step(table.probs, rows, v)
+            self.values[m], self.ok[m] = v, ok
+
+    def entering(self, m: int, routes: np.ndarray) -> np.ndarray:
+        """V_m, raising where it is undefined on one of ``routes`` (a mask)."""
+        if m not in self.values:
+            raise ValidationError(f"status {m} outside 0..{self.last}")
+        unset = np.argwhere(~self.ok[m] & routes[:, None])
+        if unset.size:
+            self.missing(m, *unset[0].tolist())
+        return self.values[m]
+
+    def missing(self, m: int, route: int, h: int) -> None:
+        """Raise the MissingKernel that leaves V_m undefined on a route at a horizon."""
+        for n in range(self.last, m - 1, -1):
+            slots = np.arange(self.k + 1, self.k + self.js[h] + (n == self.last))
+            self.kernel.rows_at(n, slots, *self.routes[route], self.pup)
 
 
 def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """V_m(t_i) = sum_{d >= 1} f_i(d) V_{m+1}(t_i + d) for the pmf rows f_i of all but the last slot.
-
-    The rows are cut to the delays 1..width that stay in the window, and
-    each meets V_{m+1} from the next slot on in one row-wise product.
-    """
-    v = np.zeros(len(nxt))
-    width = len(nxt) - 1
+    """V_m(t_i) = sum_{d >= 1} f_{r,i}(d) V_{m+1}(t_i + d) on each route r and
+    horizon, for the pmf rows f_{r,i} of all but the last slot, cut to the
+    delays 1..width that stay in the window: one einsum with a strided view."""
+    v = np.zeros_like(nxt)
+    width = nxt.shape[-1] - 1
     if width < 1:
         return v
-    cut = probs[rows, 1 : width + 1]
-    if cut.shape[1] < width:
-        cut = np.pad(cut, ((0, 0), (0, width - cut.shape[1])))
-    ahead = np.concatenate([nxt[1:], np.zeros(width)])
-    ahead = np.ndarray((width, width), buffer=ahead, strides=ahead.strides * 2)  # row i: nxt[i+1:], zero-padded
-    v[:width] = np.einsum("ij,ij->i", cut, ahead)
+    cut = probs[:, 1 : width + 1][rows]
+    if cut.shape[-1] < width:
+        cut = np.pad(cut, ((0, 0), (0, 0), (0, width - cut.shape[-1])))
+    ahead = np.concatenate([nxt[..., 1:], np.zeros(nxt.shape[:-1] + (width,))], axis=-1)
+    # [r, h, i, d]: V_{m+1} on route r at slot i + 1 + d, zero past the window
+    ahead = np.ndarray(ahead.shape[:-1] + (width, width), buffer=ahead, strides=ahead.strides + ahead.strides[-1:])
+    v[..., :width] = np.einsum("rid,rhid->rhi", cut, ahead)
     return v
 
 
-class _Tables(dict):
-    """The ``_Values`` of each (carrier, retailer) at one pup, built on first
-    use; all routes share one memo of V_m."""
-
-    def __init__(self, kernel, pup: str, k: int, j: int):
-        super().__init__()
-        if j < 0:
-            raise ValidationError("horizon j must be >= 0")
-        self.kernel, self.pup, self.k, self.j, self.shared = kernel, pup, k, j, {}
-
-    def __missing__(self, route: tuple) -> _Values:
-        rows_at = partial(self.kernel.rows_at, carrier=route[0], retailer=route[1], pup=self.pup)
-        self[route] = _Values(rows_at, self.kernel.n_statuses, self.k, self.j, self.shared)
-        return self[route]
+def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t_n: np.ndarray, route: np.ndarray):
+    """(numerators, denominators) of the contribution probabilities of parcels
+    in status n since t_n <= k whose status-n pmfs are ``rows`` of table:
+    parcel i at horizon h contributes with probability num[i, h] / denom[i]."""
+    since = window.k + 1 - t_n  # the delay from entry to the window's first slot
+    denom = table.tails[rows, np.minimum(since, table.width)]  # tails[r, d] = P(H > d - 1)
+    if n == window.last:  # delivered: the ratio of pickup survivals
+        return table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)], denom
+    values = window.values[n + 1]
+    delays = since[:, None] + np.arange(values.shape[-1])  # to each slot of the window
+    f = np.where(delays < table.width, table.probs[rows[:, None], np.minimum(delays, table.width - 1)], 0.0)
+    return np.einsum("iw,ihw->ih", f, values[route]), denom
 
 
-def _known(r: int, table: PmfTable, values: _Values, n: int, t_n: int, k: int, j: int) -> float:
-    """Contribution probability of a parcel in status n since t_n whose status-n pmf is row r of table."""
-    if n < values.last and j == 0:
+def _known(window: _Window, r: int, table: PmfTable, route: int, n: int, t_n: int, h: int) -> float:
+    """Contribution probability at horizon ``js[h]`` of a parcel in status n
+    since t_n whose status-n pmf is row r of table."""
+    if n < window.last and window.js[h] == 0:
         return 0.0  # no slot to be delivered in
-    f, tails = table.pmfs[r], table.tails[r]  # tails[d] = P(H > d - 1)
-    denom = float(tails[min(k - t_n + 1, table.width)])
-    if denom <= _EPS:
-        raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
-    if n == values.last:  # delivered: the ratio of pickup survivals
-        p = float(tails[min(k + j - t_n + 1, table.width)]) / denom
-    else:
-        first = max(k + 1, t_n + 1)  # earliest slot of the window the transition can reach
-        row = f.probs[first - t_n : k + j + 1 - t_n]
-        p = float(row @ values[n + 1][first - k - 1 : first - k - 1 + len(row)]) / denom
+    num, denom = _contributions(window, n, np.array([r]), table, np.array([t_n]), np.array([route]))
+    if denom[0] <= _EPS:
+        raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {window.k}")
+    if n < window.last and not window.ok[n + 1][route, h]:
+        window.missing(n + 1, route, h)
     # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
-    return min(1.0, max(0.0, p))
+    return min(1.0, max(0.0, float(num[0, h]) / float(denom[0])))
 
 
 def prob_still_stored(route: _Route, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
@@ -186,17 +201,18 @@ def prob_delivered_and_stored_multi_hop(route: _Route, n_statuses: int, n: int, 
     return _bound(route, n_statuses, n, t_n, k, j)
 
 
-def _route_values(route: _Route, n_statuses: int, k: int, j: int) -> _Values:
+def _route_window(route: _Route, n_statuses: int, k: int, j: int, lowest: int) -> _Window:
     """The route's value functions on (k, k+j], read from its kernel's compiled tables."""
     if n_statuses != route.kernel.n_statuses:
         raise ValidationError(f"n_statuses={n_statuses}, but the kernel has {route.kernel.n_statuses} statuses")
-    return _Tables(route.kernel, route.pup, k, j)[route.carrier, route.retailer]
+    return _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,), lowest)
 
 
 def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
     """``_known`` for one parcel on a bound kernel."""
-    values = _route_values(route, n_statuses, k, j)
-    return _known(*route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup), values, n, t_n, k, j)
+    window = _route_window(route, n_statuses, k, j, min(n + 1, n_statuses - 1))
+    r, table = route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup)
+    return _known(window, r, table, 0, n, t_n, 0)
 
 
 def prob_future_order_contributes(
@@ -205,7 +221,19 @@ def prob_future_order_contributes(
     """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    return float(_route_values(route, n_statuses, k, j)[entry_status][t_0 - k - 1])
+    window = _route_window(route, n_statuses, k, j, entry_status)
+    return float(window.entering(entry_status, np.ones(1, dtype=bool))[0, 0, t_0 - k - 1])
+
+
+def _order_mix(intensity: OrderIntensity, selection: SelectionModel, routes: list) -> np.ndarray:
+    """Each carrier's retailer mix as weights (carriers x routes) on ``routes``, which gains the routes it lacks."""
+    index = {route: i for i, route in enumerate(routes)}
+    mix = []
+    for c in intensity.carriers:
+        weights = selection.p_retailer_given_carrier(c) or {None: 1.0}
+        mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
+    routes[:] = index
+    return np.array([[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]).reshape(len(mix), len(index))
 
 
 def future_orders_pmf(
@@ -229,28 +257,40 @@ def future_orders_pmf(
     whose Poisson CDF reaches ``coverage``, renormalized, and the pairs are
     convolved.
     """
-    return _future_orders_pmf(intensity, selection, _Tables(kernel, pup, k, j), entry_status, coverage)
+    routes: list = []
+    mix = _order_mix(intensity, selection, routes)
+    window = _Window(kernel, pup, routes, k, (j,), entry_status)
+    return LoadPmf(_future_orders_pmfs(intensity, mix, window, entry_status, coverage)[0])
 
 
-def _future_orders_pmf(
-    intensity: OrderIntensity, selection: SelectionModel, tables: _Tables, entry_status: int, coverage: float | None
-) -> LoadPmf:
-    k, j = tables.k, tables.j
-    # Poisson rate and contribution probability of one order per carrier and entry slot k+1..k+j-1
-    lam = intensity.rates(tables.kernel.timebase, np.arange(k + 1, k + j)).ravel()  # slot by slot
-    p = []
-    for carrier in intensity.carriers:
-        weights = selection.p_retailer_given_carrier(carrier) or {None: 1.0}
-        p.append(sum(w * tables[carrier, r][entry_status][: j - 1] for r, w in weights.items()))
-    p = np.array(p, dtype=float).T.ravel()
-    if coverage is None:
-        total = float(lam @ p)
+def _future_orders_pmfs(
+    intensity: OrderIntensity, mix: np.ndarray, window: _Window, entry_status: int, coverage: float | None
+) -> list[np.ndarray]:
+    """``future_orders_pmf``'s probabilities at each horizon of the window."""
+    values, js = window.entering(entry_status, mix.any(axis=0)), window.js
+    width = values.shape[-1]
+    # Poisson rate of each entry slot k+1..k+width-1 and carrier, and the
+    # probability that one such order contributes at each horizon
+    lam = intensity.rates(window.kernel.timebase, np.arange(window.k + 1, window.k + width))
+    p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
+    p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
+    if coverage is not None:  # each pair's count is cut at the same point at every horizon
+        top = np.array([poisson_truncation(rate, coverage) for rate in lam.ravel().tolist()], dtype=int)
+        cut = (np.maximum(js - 1, 0) * lam.shape[1]).tolist()
+        return [_truncated_orders(lam.ravel()[:s], p[h].ravel()[:s], top[:s]) for h, s in enumerate(cut)]
+    pmfs = []
+    for total in np.einsum("ic,hic->h", lam, p).tolist():
         probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
         probs = probs[: np.flatnonzero(probs >= _NOISE)[-1] + 1]
-        return LoadPmf(probs / probs.sum())
+        pmfs.append(probs / probs.sum())
+    return pmfs
+
+
+def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The paper's future-order pmf: per (slot, carrier) pair with rate lam
+    and contribution probability p, the count cut at ``top``."""
     live = lam > 0.0
-    lam, p = lam[live], p[live]
-    top = np.array([poisson_truncation(rate, coverage) for rate in lam], dtype=int)
+    lam, p, top = lam[live], p[live], top[live]
     x = np.arange(top.max(initial=0) + 1)
     # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x)
     kept = np.cumsum(poisson_rows(lam * (1.0 - p), len(x))[:, : len(x)], axis=1)
@@ -260,7 +300,27 @@ def _future_orders_pmf(
     result = np.array([1.0])
     for row, cut in zip(q, top):
         result = np.convolve(result, row[: cut + 1])
-    return LoadPmf(result).trimmed()
+    return LoadPmf(result).trimmed().probs
+
+
+def _bernoulli_sums(p: np.ndarray) -> np.ndarray:
+    """Pmf of the number of successes among independent trials i with
+    success probabilities p[i, h], one row per column h.  The factors
+    (1 - p) + p z are multiplied in pairs, level by level."""
+    n = len(p)
+    polys = np.zeros((1 << max(n - 1, 0).bit_length(), p.shape[1], 2))  # padded to a power of two with factors 1
+    polys[..., 0], polys[:n, :, 1] = 1.0, p
+    polys[:n, :, 0] -= p
+    while len(polys) > 1:
+        size = polys.shape[-1]
+        padded = np.zeros((len(polys) // 2, polys.shape[1], 3 * size - 2))
+        padded[..., size - 1 : 2 * size - 1] = polys[1::2]
+        # [pair, h, s, u]: the second factor's coefficient s + u - (size - 1), zero outside;
+        # against the first factor's coefficients reversed, it sums to the product's coefficient s
+        shape, strides = padded.shape[:-1] + (2 * size - 1, size), padded.strides + padded.strides[-1:]
+        hankel = np.ndarray(shape, buffer=padded, strides=strides)
+        polys = np.matmul(hankel, polys[0::2, :, ::-1, None])[..., 0]
+    return polys[0, :, : n + 1]
 
 
 @dataclass
@@ -291,13 +351,13 @@ class ForecastResult:
         }
 
 
-def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -> tuple[float, str | None]:
-    """Bernoulli parameter of a known parcel in status n since t_n, and a note for the diagnostics."""
-    k, j = tables.k, tables.j
-    values = tables[carrier, retailer]
+def _parcel_contribution(window: _Window, route: int, n: int, t_n: int, h: int) -> tuple[float, str | None]:
+    """Bernoulli parameter at horizon ``js[h]`` of a known parcel in status n
+    since t_n, and a note for the diagnostics: the fallback for a parcel
+    whose pmf row is missing or whose evidence is impossible."""
     try:
-        r, table = tables.kernel.row_at(n, t_n, carrier, retailer, tables.pup)
-        return _known(r, table, values, n, t_n, k, j), None
+        r, table = window.kernel.row_at(n, t_n, *window.routes[route], window.pup)
+        return _known(window, r, table, route, n, t_n, h), None
     except ImpossibleEvidence:
         pass
     except MissingKernel:
@@ -307,13 +367,82 @@ def _parcel_contribution(tables: _Tables, carrier, retailer, n: int, t_n: int) -
     # if that also says the parcel must have left, treat it as departed (the
     # forced-return rule).
     try:
-        pooled = table.row_of[id(tables.kernel.pooled_pmf_at(n, t_n))]
+        pooled = table.row_of[id(window.kernel.pooled_pmf_at(n, t_n))]
     except MissingKernel:
         return 0.0, "impossible evidence, no fallback; dropped"
     try:
-        return _known(pooled, table, values, n, t_n, k, j), "impossible evidence, used pooled fallback"
+        return _known(window, pooled, table, route, n, t_n, h), "impossible evidence, used pooled fallback"
     except ImpossibleEvidence:
         return 0.0, "holding time beyond all supports; assumed departed"
+
+
+def predict_load_pmfs(
+    parcels: EventLog | Sequence[ParcelRecord],
+    kernel,
+    intensity: OrderIntensity | None,
+    selection: SelectionModel | None,
+    k: int,
+    horizons: Sequence[int],
+    entry_status: int = 0,
+    coverage: float | None = None,
+) -> list[ForecastResult]:
+    """Full load pmf at k+j for each j of ``horizons``, in their order, from
+    known parcels plus forecast future orders.
+
+    The known parcels are those with an entry at or before k that are not
+    yet picked up; each adds a Bernoulli factor, and the future-order pmf
+    is convolved in last.  Diagnostics name parcels in the log's row order.
+    A plain list of records is packed into a log first.
+    """
+    log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
+    pups = log.pup_names()
+    if len(pups) > 1:
+        raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
+    pup = pups[0] if pups else ""
+    rows, status, slot = log.latest(k)
+    live = status < kernel.n_statuses  # not picked up by k
+    rows, status, slot = rows[live], status[live], slot[live]
+    code = log.carrier[rows] * len(log.retailers) + log.retailer[rows]  # each parcel's (carrier, retailer)
+    pairs = np.flatnonzero(np.bincount(code))
+    route = np.searchsorted(pairs, code)  # each parcel's index into routes
+    routes = [(log.carriers[c], log.retailers[r]) for c, r in (divmod(x, len(log.retailers)) for x in pairs.tolist())]
+    last = kernel.n_statuses - 1
+    lowest = int(status[status < last].min(initial=last - 1)) + 1
+    if intensity is not None:
+        if selection is None:
+            selection = SelectionModel({None: 1.0}, {None: {c: 1.0 / len(intensity.carriers) for c in intensity.carriers}})
+        mix = _order_mix(intensity, selection, routes)
+        lowest = min(lowest, entry_status)
+    window = _Window(kernel, pup, routes, k, horizons, lowest)
+    p = np.zeros((len(rows), len(window.js)))
+    fallback = np.zeros(len(rows), dtype=bool)
+    for n in sorted(set(status.tolist())):
+        here = np.flatnonzero(status == n)
+        try:
+            weeks, table = kernel.week_rows(n, routes, pup)
+        except (MissingKernel, UnknownStatus):
+            fallback[here] = True
+            continue
+        r = weeks[route[here], slot[here] % weeks.shape[1]]
+        num, denom = _contributions(window, n, np.maximum(r, 0), table, slot[here], route[here])
+        # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
+        p[here] = np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0)
+        odd = (r < 0) | (denom <= _EPS) | (n < last and ~window.ok[n + 1][route[here]].all(axis=1))
+        fallback[here[odd]] = True
+    diagnostics: list[list[str]] = [[] for _ in window.js]
+    for i in np.flatnonzero(fallback).tolist():  # in the log's row order
+        for h, notes in enumerate(diagnostics):
+            p[i, h], note = _parcel_contribution(window, int(route[i]), int(status[i]), int(slot[i]), h)
+            if note is not None:
+                notes.append(f"parcel {log.ids[rows[i]]}: {note}")
+    future = [np.ones(1)] * len(window.js)
+    if intensity is not None:
+        future = _future_orders_pmfs(intensity, mix, window, entry_status, coverage)
+    results = []
+    for j, known, orders, notes in zip(window.js.tolist(), _bernoulli_sums(p), future, diagnostics):
+        probs = np.convolve(known, orders)
+        results.append(ForecastResult(pup, k, j, LoadPmf(probs / probs.sum()).trimmed(), notes))
+    return results
 
 
 def predict_load_pmf(
@@ -326,41 +455,5 @@ def predict_load_pmf(
     entry_status: int = 0,
     coverage: float | None = None,
 ) -> ForecastResult:
-    """Full load pmf at k+j from known parcels plus forecast future orders.
-
-    The known parcels are those with an entry at or before k that are not
-    yet picked up; each adds a Bernoulli factor, in the log's row order, and
-    the future-order pmf is convolved in last.  A plain list of records is
-    packed into a log first.
-    """
-    log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
-    pups = log.pup_names()
-    if len(pups) > 1:
-        raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
-    pup = pups[0] if pups else ""
-    diagnostics: list[str] = []
-    tables = _Tables(kernel, pup, k, j)
-    rows, status, slot = log.latest(k)
-    live = status < kernel.n_statuses  # not picked up by k
-    rows = rows[live]
-    known: dict[tuple, tuple[float, str | None]] = {}  # (carrier, retailer, n, t_n) -> _parcel_contribution
-    probs = np.array([1.0])
-    for i, c, r, n, t_n in zip(
-        rows.tolist(), log.carrier[rows].tolist(), log.retailer[rows].tolist(),
-        status[live].tolist(), slot[live].tolist(),
-    ):
-        key = (c, r, n, t_n)
-        if key not in known:
-            known[key] = _parcel_contribution(tables, log.carriers[c], log.retailers[r], n, t_n)
-        p, note = known[key]
-        if note is not None:
-            diagnostics.append(f"parcel {log.ids[i]}: {note}")
-        if p > 0.0:
-            probs = np.convolve(probs, [1.0 - p, p])
-    if intensity is not None:
-        if selection is None:
-            selection = SelectionModel({None: 1.0}, {None: {c: 1.0 / len(intensity.carriers) for c in intensity.carriers}})
-        future = _future_orders_pmf(intensity, selection, tables, entry_status, coverage)
-        probs = np.convolve(probs, future.probs)
-    pmf = LoadPmf(probs / probs.sum()).trimmed()
-    return ForecastResult(pup=pup, k=k, j=j, pmf=pmf, diagnostics=diagnostics)
+    """``predict_load_pmfs`` at the one horizon j."""
+    return predict_load_pmfs(parcels, kernel, intensity, selection, k, (j,), entry_status, coverage)[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import baseline_holt_winters, baseline_seasonal_naive
-from .engine import predict_load_pmf
+from .engine import predict_load_pmfs
 from .errors import InsufficientHistory, ValidationError
 from .oracle import SimulatedTrace
 
@@ -122,16 +122,8 @@ def rolling_origin_evaluate(
             # intensity may be a factory (anchor -> OrderIntensity) so that
             # fitted volume models can be re-anchored without look-ahead
             inten = intensity(k) if callable(intensity) else intensity
-            for j in horizons:
-                result = predict_load_pmf(
-                    parcels,
-                    kernel,
-                    inten,
-                    selection,
-                    k,
-                    j,
-                    entry_status=trace.config.entry_status,
-                )
+            results = predict_load_pmfs(parcels, kernel, inten, selection, k, horizons, trace.config.entry_status)
+            for j, result in zip(horizons, results):
                 preds[("lifecycle", j)].append(result.mean)
         history = daily[:day]  # 13:00 of the anchor day is still in the future
         target_days = [(k + j + (slots_per_day - eval_offset)) // slots_per_day - 1 for j in horizons]

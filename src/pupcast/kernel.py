@@ -6,9 +6,9 @@ tuples to pmfs.  Lookup walks the levels from most to least specific, so
 coarser levels act as declared fallbacks for sparse keys.  A final level
 with an empty schema is a global fallback.
 
-``pmf_at`` and ``rows_at`` read a status compiled on first use: a
-``PmfTable`` of its levels' pmfs and, per route, the row that lookup
-resolves at each slot of a week (the context repeats weekly).
+``pmf_at``, ``rows_at`` and ``week_rows`` read a status compiled on first
+use: a ``PmfTable`` of its levels' pmfs and, per route, the row that
+lookup resolves at each slot of a week (the context repeats weekly).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,6 +174,14 @@ class TransitionKernel:
         if rows.size and rows.min() < 0:
             self.row_at(n, int(slots[rows.argmin()]), carrier, retailer, pup)  # raises MissingKernel
         return rows, table
+
+    def week_rows(self, n: int, routes: Sequence[tuple], pup=None) -> tuple[np.ndarray, PmfTable]:
+        """``_week`` stacked over the (carrier, retailer) pairs of ``routes``:
+        row r, column s is the row of ``pmf_at`` at slot s of the week on
+        route r, -1 where it raises MissingKernel; and status n's table."""
+        # with no routes, the week of an unnamed route still gives the table
+        weeks = [self._week(n, (carrier, retailer, pup)) for carrier, retailer in routes or [(None, None)]]
+        return np.array([rows for rows, _ in weeks], dtype=np.intp)[: len(routes)], weeks[0][1]
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
         """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""

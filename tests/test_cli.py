@@ -114,6 +114,33 @@ def test_nan_in_profile_exits_2_naming_the_file(workspace, tmp_path, capsys):
     assert str(models / "profile.json") in capsys.readouterr().err
 
 
+BAD_JSON = {"wrong shape": '{"pup": "x"}', "not json": "not json", "missing": None}
+
+
+@pytest.mark.parametrize("text", BAD_JSON.values(), ids=BAD_JSON.keys())
+def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text):
+    config = tmp_path / "c.json"
+    if text is not None:
+        config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+    assert f"{config}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", BAD_JSON.values(), ids=BAD_JSON.keys())
+def test_bad_profile_exits_2_naming_the_file(workspace, tmp_path, capsys, text):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    (models / "profile.json").unlink()
+    if text is not None:
+        (models / "profile.json").write_text(text)
+    code = main([
+        "forecast", "--config", str(workspace["config"]), "--models", str(models),
+        "--log", str(workspace["sim"] / "events.csv"), "--k", str(29 * 24), "--horizons", "13",
+    ])
+    assert code == 2
+    assert f"{models / 'profile.json'}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["fit", "forecast", "simulate", "evaluate"])
 def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
     doc = json.loads(workspace["config"].read_text())

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
-    _Tables,
+    _Window,
     bind_kernel,
     future_orders_pmf,
     predict_load_pmf,
+    predict_load_pmfs,
     prob_delivered_and_stored_last_hop,
     prob_delivered_and_stored_multi_hop,
     prob_future_order_contributes,
@@ -175,29 +176,30 @@ def slot_by_slot_values(pmf_at, n_statuses, first_status, k, j):
 class TestCompiledWindow:
     DEFAULT_ROUTES = [("c1", "r1"), ("c2", "r1"), ("c2", "r2"), ("c3", "r2"), ("c1", "r3"), ("c3", "r3")]
 
-    def check(self, kernel, routes, first_status, k, j):
-        tables = _Tables(kernel, "shop", k, j)
-        for route in routes:
+    def check(self, kernel, routes, first_status, k, horizons):
+        window = _Window(kernel, "shop", routes, k, np.array(horizons), first_status)
+        for r, route in enumerate(routes):
             pmf_at = bind_kernel(kernel, carrier=route[0], retailer=route[1], pup="shop")
-            expected = slot_by_slot_values(pmf_at, kernel.n_statuses, first_status, k, j)
-            for m, v in expected.items():
-                assert np.abs(tables[route][m] - v).max() <= 1e-15, (route, m)
-        return tables
+            for h, j in enumerate(horizons):
+                expected = slot_by_slot_values(pmf_at, kernel.n_statuses, first_status, k, j)
+                for m, v in expected.items():
+                    assert np.abs(window.values[m][r, h, :j] - v).max(initial=0.0) <= 1e-15, (route, m, j)
+                    assert not window.values[m][r, h, j:].any()  # zero past k+j
+        return {route: {m: v[r] for m, v in window.values.items()} for r, route in enumerate(routes)}
 
     def test_default_kernel(self):
-        tables = self.check(default_scenario().kernel, self.DEFAULT_ROUTES, 2, 2400 + 7, 61)
+        values = self.check(default_scenario().kernel, self.DEFAULT_ROUTES, 2, 2400 + 7, (61, 0, 13, 61, 1))
         # pickup is keyed on the calendar only, transit on the carrier too
-        assert len({id(tables[route][3]) for route in self.DEFAULT_ROUTES}) == 1
-        assert tables["c1", "r1"][2] is tables["c1", "r3"][2]
-        assert tables["c1", "r1"][2] is not tables["c2", "r1"][2]
+        assert all(np.array_equal(values[route][3], values["c1", "r1"][3]) for route in self.DEFAULT_ROUTES)
+        assert np.array_equal(values["c1", "r1"][2], values["c1", "r3"][2])
+        assert not np.array_equal(values["c1", "r1"][2], values["c2", "r1"][2])
 
     def test_retailer_keyed_status_is_not_shared(self):
         kernel = retailer_keyed_kernel()
         routes = [("c1", "r1"), ("c1", "r2"), ("c2", "r1")]
-        tables = self.check(kernel, routes, 0, 30, 40)
-        assert tables["c1", "r1"][1] is tables["c1", "r2"][1]
-        assert tables["c1", "r1"][0] is not tables["c1", "r2"][0]
-        assert np.abs(tables["c1", "r1"][0] - tables["c1", "r2"][0]).max() > 1e-3
+        values = self.check(kernel, routes, 0, 30, (40, 7))
+        assert np.array_equal(values["c1", "r1"][1], values["c1", "r2"][1])
+        assert np.abs(values["c1", "r1"][0] - values["c1", "r2"][0]).max() > 1e-3
 
 
 def single_carrier_intensity(lam: float, hours=range(24)):
@@ -447,11 +449,9 @@ class TestPredictLoadPmf:
             predict_load_pmf([early, delivered], kernel, intensity, SELECTION, k=24, j=3)
 
 
-@pytest.fixture
-def table_calls(monkeypatch):
-    """Counts of the calls that build a table, resolve a pmf by lookup or sum a survival."""
+def counting(monkeypatch, owners) -> Counter:
+    """Count the calls of each (class, method name) of ``owners``, by "Class.method"."""
     calls = Counter()
-    owners = ((PmfTable, "__init__"), (HoldingTimePmf, "survival"), (TransitionKernel, "lookup"), (StatusKernel, "lookup"))
     for owner, name in owners:
         def counted(*args, _method=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
             calls[_key] += 1
@@ -461,11 +461,114 @@ def table_calls(monkeypatch):
     return calls
 
 
-def test_warm_forecast_reads_only_compiled_tables(table_calls):
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Counts of the calls that build a table, resolve a pmf by lookup or sum a survival."""
+    owners = ((PmfTable, "__init__"), (HoldingTimePmf, "survival"), (TransitionKernel, "lookup"), (StatusKernel, "lookup"))
+    return counting(monkeypatch, owners)
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """Counts of the calls that scan the log, resolve order rates or read one parcel's kernel row."""
+    return counting(monkeypatch, ((EventLog, "latest"), (OrderIntensity, "rates"), (TransitionKernel, "row_at")))
+
+
+@pytest.fixture(scope="module")
+def default_log():
+    cfg = default_scenario()
+    return cfg, simulate(cfg).event_log()
+
+
+def test_all_horizons_make_one_pass(default_log, pass_calls):
+    # four horizons scan the log once and resolve the order rates once; no
+    # parcel of the default scenario needs the per-parcel fallback
+    cfg, log = default_log
+
+    def forecast(day):
+        k = day * cfg.timebase.slots_per_day
+        parcels = log.truncated(k).for_pup(cfg.pup)
+        horizons = (13, 37, 61, 85)
+        return predict_load_pmfs(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, horizons, cfg.entry_status)
+
+    forecast(100)
+    pass_calls.clear()
+    assert len(forecast(130)) == 4
+    assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1})
+
+
+@pytest.mark.parametrize("coverage", [None, 0.99])
+def test_horizons_do_not_leak_into_each_other(default_log, coverage):
+    cfg, log = default_log
+    k = 100 * cfg.timebase.slots_per_day
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    horizons = (37, 0, 13, 37)
+    models = (cfg.kernel, cfg.intensity, cfg.selection)
+    results = predict_load_pmfs(parcels, *models, k, horizons, cfg.entry_status, coverage)
+    assert [r.j for r in results] == list(horizons)
+    for r in results:
+        alone = predict_load_pmf(parcels, *models, k, r.j, cfg.entry_status, coverage)
+        assert len(r.pmf.probs) == len(alone.pmf.probs)
+        assert np.abs(r.pmf.probs - alone.pmf.probs).max() <= 1e-15
+        assert r.diagnostics == alone.diagnostics
+    # at j = 0 no parcel in transit can be delivered and every delivered one is still stored
+    _, status, _ = parcels.latest(k)
+    assert np.array_equal(results[1].pmf.probs, LoadPmf.point_mass(int((status == cfg.n_statuses - 1).sum())).probs)
+    for bad in ((13, -1, 37), (-5,)):
+        with pytest.raises(ValidationError, match="horizon"):
+            predict_load_pmfs(parcels, *models, k, bad, cfg.entry_status, coverage)
+
+
+def test_fallback_notes_keep_the_row_order():
+    # status 0 was never fitted; status 1 allows 1-2 slots on any weekday and
+    # 1-10 in its pooled level
+    weekday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 2) for w in range(1, 8)})
+    pooled = HoldingTimePmf.uniform(1, 10)
+    statuses = {1: StatusKernel((weekday, KernelLevel((), {(): pooled})))}
+    statuses.update({2: pooled_status(HoldingTimePmf.uniform(1, 6)), 3: pooled_status(HoldingTimePmf.uniform(1, 20))})
+    kernel = TransitionKernel(4, statuses, TB)
+    k = 30
+    entries = {
+        "A": {1: 26, 2: 28},
+        "rescued": {1: 25},  # 5 slots in status 1: only the pooled pmf allows it
+        "B": {1: 20, 2: 22, 3: 27},
+        "departed": {1: 10},  # 20 slots: beyond every support
+        "C": {1: 29},
+        "skipped": {0: 28},
+        "delivered": {1: 20, 2: 24, 3: 29},
+        "D": {1: 26, 2: 27},
+    }
+    parcels = [ParcelRecord(pid, "c1", "shop", "r1", times) for pid, times in entries.items()]
+    pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
+
+    def pooled_at(n, t):
+        return pooled if n == 1 else pmf_at(n, t)
+
+    for j in (12, 3):
+        expected = np.array([1.0])
+        for p in (
+            prob_delivered_and_stored_multi_hop(pmf_at, 4, 2, 28, k, j),
+            enumerate_contribution_prob(pooled_at, 4, 1, 25, k, j),
+            prob_still_stored(pmf_at, 4, 27, k, j),
+            prob_delivered_and_stored_multi_hop(pmf_at, 4, 1, 29, k, j),
+            prob_still_stored(pmf_at, 4, 29, k, j),
+            prob_delivered_and_stored_multi_hop(pmf_at, 4, 2, 27, k, j),
+        ):
+            expected = np.convolve(expected, [1.0 - p, p])
+        res = predict_load_pmf(parcels, kernel, None, None, k, j)
+        assert res.diagnostics == [
+            "parcel rescued: impossible evidence, used pooled fallback",
+            "parcel departed: holding time beyond all supports; assumed departed",
+            "parcel skipped: no kernel for status 0; skipped",
+        ]
+        assert len(res.pmf.probs) == len(LoadPmf(expected).trimmed().probs)
+        assert np.abs(res.pmf.probs - LoadPmf(expected).trimmed().probs).max() <= 1e-12
+
+
+def test_warm_forecast_reads_only_compiled_tables(default_log, table_calls):
     # after one forecast, the next anchor builds no table, resolves no pmf by
     # lookup and sums no survival: all come from the kernel's compiled tables
-    cfg = default_scenario()
-    log = simulate(cfg).event_log()
+    cfg, log = default_log
     kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
 
     def forecast(day):
