@@ -95,7 +95,7 @@ class LoadPmf:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or len(probs) == 0:
             raise ValidationError("load pmf needs a non-empty 1-D support")
-        if np.any(probs < 0):
+        if (probs < 0).any():
             raise ValidationError("load pmf has negative entries")
         total = probs.sum()
         if not abs(total - 1.0) <= LOAD_SUM_TOL:  # NaN fails this too
@@ -119,7 +119,7 @@ class LoadPmf:
 
     def trimmed(self, eps: float = 1e-12) -> "LoadPmf":
         """Drop trailing mass below eps and renormalize."""
-        kept = np.flatnonzero(self.probs[1:] >= eps)  # the first entry always stays
+        kept = (self.probs[1:] >= eps).nonzero()[0]  # the first entry always stays
         trimmed = self.probs[: kept[-1] + 2 if kept.size else 1]
         return LoadPmf(trimmed / trimmed.sum())
 

@@ -146,7 +146,7 @@ class EventLog:
 
     def for_pup(self, pup: str) -> "EventLog":
         """The parcels bound for ``pup``.  The view names ``pup`` even when it holds no parcel."""
-        rows = np.flatnonzero(self.pup == (self.pups.index(pup) if pup in self.pups else -1))
+        rows = (self.pup == (self.pups.index(pup) if pup in self.pups else -1)).nonzero()[0]
         return self._view(rows, self.entries.take(rows, axis=0), self.cutoff, pups=(pup,))
 
     def truncated(self, cutoff: int) -> "EventLog":
@@ -156,7 +156,7 @@ class EventLog:
         seen = np.zeros(len(self), dtype=bool)
         for column in self.entries.T:  # column by column: a reduction over the short axis is slow
             seen |= column <= cutoff
-        rows = np.flatnonzero(seen)
+        rows = seen.nonzero()[0]
         entries = self.entries.take(rows, axis=0)  # several times faster than indexing a matrix by rows
         return self._view(rows, np.where(entries <= cutoff, entries, NEVER), cutoff)
 
@@ -172,14 +172,16 @@ class EventLog:
         c = np.flatnonzero(self.statuses == n)
         return self.entries[:, c[0]] if c.size else np.full(len(self), NEVER, dtype=np.int64)
 
-    def latest(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def latest(self, k: int, below: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, status, slot): the parcels with an entry at or before k, the
-        highest status each had entered by k, and the slot it entered it."""
+        highest status each had entered by k, and the slot it entered it;
+        with ``below``, only the parcels whose highest status is below it."""
         last = np.full(len(self), -1)
         for c, column in enumerate(self.entries.T):  # statuses ascend: the last column seen wins
-            last[column <= k] = c
-        rows = np.flatnonzero(last >= 0)
-        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
+            last[column <= k] = c if below is None or self.statuses[c] < below else -1
+        rows = (last >= 0).nonzero()[0]
+        last = last[rows]
+        return rows, self.statuses.take(last), self.entries.ravel().take(rows * len(self.statuses) + last)
 
     # ---- CSV I/O ----
 

@@ -3,8 +3,8 @@
 Time is sampled with a period of ``slot_hours`` (1 hour by default).  Slot
 ``k`` covers the half-open interval starting ``k * slot_hours`` hours after
 the epoch.  All calendar projections (weekday, hour of day, date) are pure
-functions of ``(k, epoch, slot_hours)``; ``day_of``, ``weekday_of`` and
-``hour_of`` also map numpy arrays of slots elementwise.
+functions of ``(k, epoch, slot_hours)``; ``day_of``, ``weekday_of``,
+``hour_of`` and ``week_hour_of`` also map numpy arrays of slots elementwise.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class Timebase:
         hour binned to floor(hour / slot_hours) * slot_hours.
         """
         return (self.epoch.hour + k * self.slot_hours) % 24
+
+    def week_hour_of(self, k: int) -> int:
+        """Hours from Monday 00:00 (0..167) at which slot ``k`` starts: (weekday - 1) * 24 + hour."""
+        return (24 * self.epoch.weekday() + self.epoch.hour + k * self.slot_hours) % 168
 
     def datetime_of(self, k: int) -> datetime:
         return self.epoch + timedelta(hours=int(k) * self.slot_hours)  # numpy ints are rejected

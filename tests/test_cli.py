@@ -184,6 +184,14 @@ def test_empty_log_exits_2(workspace, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "forecast"])
+def test_missing_log_exits_2_naming_the_file(workspace, tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    rest = ["--out", str(tmp_path / "m")] if command == "fit" else ["--models", str(workspace["models"]), "--k", "240"]
+    assert main([command, "--config", str(workspace["config"]), "--log", str(missing), *rest]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def rewrite_rows(src: Path, dst: Path, edit) -> None:
     """Copy an events CSV, passing each data row (a list) through ``edit``."""
     with open(src, newline="", encoding="utf-8") as fh:

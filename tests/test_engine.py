@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
+from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel, engine
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
     _Window,
@@ -29,7 +29,16 @@ from pupcast.oracle import enumerate_contribution_prob, simulate
 from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
 
-from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf, retailer_keyed_kernel
+from helpers import (
+    TB,
+    chain_kernel,
+    fallback_kernel,
+    pooled_status,
+    random_instance,
+    random_pmf,
+    retailer_keyed_kernel,
+    scalar_truncation,
+)
 
 
 def stationary(pmfs):
@@ -290,6 +299,38 @@ class TestFutureOrdersPmf:
                 assert len(pmf.probs) == len(expected)
                 assert np.abs(pmf.probs - expected).max() <= 1e-14
 
+    @pytest.mark.parametrize("coverage", [0.99, 0.999999])
+    def test_mixture_matches_the_formula_at_realistic_width(self, coverage):
+        # the default scenario at day 100, j = 85: 84 entry slots for each of
+        # three carriers.  Each pair is built from the scalar cut point and the
+        # closed form Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x), and the
+        # pairs are convolved in sequence; a pair with lam = 0 is the point mass at 0
+        cfg = default_scenario(seed=3)
+        k, j = 100 * cfg.timebase.slots_per_day, 85
+        expected = np.array([1.0])
+        for i in range(1, j):
+            for c in cfg.intensity.carriers:
+                lam = cfg.intensity.lambda_at(cfg.timebase, k + i, c)
+                if lam == 0.0:
+                    continue
+                p = sum(
+                    w * prob_future_order_contributes(
+                        bind_kernel(cfg.kernel, c, r, cfg.pup), cfg.n_statuses, k + i, k, j, cfg.entry_status
+                    )
+                    for r, w in cfg.selection.p_retailer_given_carrier(c).items()
+                )
+                top = scalar_truncation(lam, coverage)
+                a, b = lam * p, lam * (1.0 - p)
+                q = np.array([
+                    exp(-a) * a**x / factorial(x) * sum(exp(-b) * b**y / factorial(y) for y in range(top - x + 1))
+                    for x in range(top + 1)
+                ])
+                expected = np.convolve(expected, q / q.sum())
+        expected = LoadPmf(expected).trimmed().probs
+        pmf = future_orders_pmf(cfg.intensity, cfg.kernel, cfg.selection, cfg.pup, k, j, cfg.entry_status, coverage)
+        assert len(pmf.probs) == len(expected)
+        assert np.abs(pmf.probs - expected).max() <= 1e-15
+
     def test_exact_mode_is_one_poisson(self):
         # thinned and superposed, the contributing orders of all (slot, carrier)
         # pairs are one Poisson variable with rate sum(lam p)
@@ -495,6 +536,15 @@ def test_all_horizons_make_one_pass(default_log, pass_calls):
     pass_calls.clear()
     assert len(forecast(130)) == 4
     assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1})
+
+
+def test_truncated_forecast_cuts_every_pair_in_one_call(default_log, monkeypatch):
+    cfg, log = default_log
+    calls = counting(monkeypatch, ((engine, "poisson_truncation"),))
+    k = 100 * cfg.timebase.slots_per_day
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    predict_load_pmf(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, 85, cfg.entry_status, coverage=0.99)
+    assert calls == Counter({"pupcast.engine.poisson_truncation": 1})
 
 
 @pytest.mark.parametrize("coverage", [None, 0.99])

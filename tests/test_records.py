@@ -181,6 +181,16 @@ def test_latest_and_truncated_match_each_record(records, k, pup):
     assert early.cutoff == k and early.entries.shape == (len(seen), len(log.statuses))
 
 
+@settings(max_examples=100, deadline=None)
+@given(parcels(), st.integers(-70, 60), st.integers(0, 5))
+def test_latest_below_a_status_keeps_the_parcels_short_of_it(records, k, below):
+    log = EventLog(records, cutoff=60, timebase=TB)
+    rows, status, slot = log.latest(k)
+    short = status < below
+    kept = log.latest(k, below)
+    assert [a.tolist() for a in kept] == [rows[short].tolist(), status[short].tolist(), slot[short].tolist()]
+
+
 def test_csv_order_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

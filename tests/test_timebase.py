@@ -51,6 +51,14 @@ def test_slot_arrays_project_elementwise():
             assert (weekday, hour) == (dt.isoweekday(), dt.hour)
 
 
+def test_week_hour_is_weekday_and_hour():
+    for tb in (Timebase(datetime(2017, 7, 9, 23)), Timebase(datetime(2017, 7, 5, 22), slot_hours=2)):
+        slots = np.arange(-400, 400)
+        expected = (tb.weekday_of(slots) - 1) * 24 + tb.hour_of(slots)
+        assert tb.week_hour_of(slots).tolist() == expected.tolist()
+        assert [tb.week_hour_of(k) for k in (-400, 0, 399)] == expected[[0, 400, 799]].tolist()
+
+
 def test_numpy_slots_project_like_ints():
     # samplers hand numpy slot indices to kernels
     tb = Timebase(datetime(2017, 7, 5, 8))
