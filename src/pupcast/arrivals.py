@@ -28,7 +28,6 @@ __all__ = [
     "poisson_truncation",
     "poisson_pmf",
     "poisson_rows",
-    "poisson_shapes",
     "seasonal_mean_forecaster",
     "DEFAULT_WORKING_DAYS",
 ]
@@ -240,13 +239,12 @@ class OrderIntensity:
         carriers = self.carriers if carriers is None else carriers
         slots = np.asarray(slots, dtype=np.int64)
         day = timebase.day_of(slots)  # whole days from the epoch's date
-        first = int(day.min(initial=0))
+        first = int(day.min()) if day.size else 0
         volume = np.zeros((len(carriers), int(day.max(initial=first - 1)) - first + 1))  # days from the first
         for d in np.bincount(day - first).nonzero()[0].tolist():
             on = timebase.epoch.date() + timedelta(days=first + d)
             volume[:, d] = [self.daily_volume(on, c) for c in carriers]
-        weeks = self.profile._weeks
-        profile = np.array([weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(len(carriers), 7 * 24)
+        profile = np.array([self.profile._weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7 * 24)
         lam = (profile[:, timebase.week_hour_of(slots)] * volume[:, day - first]).T
         if (lam < 0).any():
             raise ValidationError("negative order intensity")
@@ -288,12 +286,12 @@ class OrderIntensity:
         return cls(profile, daily, tuple(sorted(volumes)))
 
 
-def poisson_shapes(lam: float | np.ndarray, width: int) -> np.ndarray:
-    """exp(-lam) lam^x / x! for x below ``width``, one row per rate, up to a factor per rate: the ratios
-    p(x + 1) / p(x) = lam / (x + 1) multiplied outward from the mode (from past the last column, for a
-    mode beyond it), so no step rounds a large exponent."""
+def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
+    """exp(-lam) lam^x / x!, one row per rate, for x below max(size, 12 sd and 41 past the largest mean):
+    the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied outward from the mode and normalised over
+    the row, so no step rounds a large exponent."""
     lam = np.asarray(lam, dtype=float)
-    x = np.arange(width)
+    x = np.arange(max(size, int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 41))
     rate, mode = lam[..., None], np.floor(lam)[..., None]
     pmf = np.cumprod(np.where(x > mode, rate / np.maximum(x, 1), 1.0), axis=-1)  # from the mode up
     below = x < mode
@@ -301,14 +299,6 @@ def poisson_shapes(lam: float | np.ndarray, width: int) -> np.ndarray:
         with np.errstate(divide="ignore"):  # lam = 0 has no count below its mode
             ratio = np.where(below, (x + 1) / rate, 1.0)
         pmf = np.where(below, np.cumprod(ratio[..., ::-1], axis=-1)[..., ::-1], pmf)
-    return pmf
-
-
-def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
-    """exp(-lam) lam^x / x!, one row per rate, for x below max(size, 12 sd and 41 past the largest mean):
-    ``poisson_shapes`` normalised over the row."""
-    lam = np.asarray(lam, dtype=float)
-    pmf = poisson_shapes(lam, max(size, int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 41))
     return pmf / pmf.sum(axis=-1, keepdims=True)
 
 
@@ -322,30 +312,21 @@ def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndar
     return pmf if pmf.ndim else float(pmf)
 
 
-def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int | np.ndarray:
-    """Smallest m with Poisson CDF(m) >= coverage, for each rate (a scalar rate gives an int): the
-    terms exp(-lam) lam^m / m! multiplied out and summed in order of m, a block of counts at a time
-    (each twice the last), until every CDF reaches ``coverage`` or stops short of it."""
-    rates = np.asarray(lam, dtype=float)
-    if np.any(rates < 0) or np.any(rates == np.inf):
-        raise ValidationError("lambda must be finite and >= 0")
+def poisson_truncation(lam: float, coverage: float = 0.99) -> int:
+    """Smallest m with Poisson CDF(m) >= coverage."""
+    if lam < 0:
+        raise ValidationError("lambda must be >= 0")
     if not 0.0 < coverage < 1.0:
         raise ValidationError("coverage must be in (0, 1)")
-    top = np.zeros(rates.size, dtype=np.int64)  # a rate of 0 is cut at 0
-    rows = np.flatnonzero(rates.ravel() > 0.0)
-    rate = rates.ravel()[rows, None]
-    terms = np.array([math.exp(-x) for x in rate[:, 0].tolist()]).reshape(-1, 1)  # np.exp rounds some rates apart
-    cdf, m, width = terms, 0, 16
-    while rows.size:  # the last column of terms and cdf is at count m
-        terms = np.cumprod(np.hstack([terms[:, -1:], rate / np.arange(m + 1, m + width)]), axis=1)
-        cdf = np.cumsum(np.hstack([cdf[:, -1:], terms[:, 1:]]), axis=1)
-        reached = cdf >= coverage
-        hit = reached.any(axis=1)
-        top[rows[hit]] = m + np.argmax(reached[hit], axis=1)
-        # a CDF short of coverage whose terms have underflowed, or no longer move it past the mode, stays short
-        stalled = ~hit & ((terms[:, -1] == 0.0) | ((m + width - 1 > rate[:, 0]) & (cdf[:, -1] == cdf[:, -2])))
-        if stalled.any():
-            raise ValidationError(f"the Poisson CDF of rate {rate[stalled, 0][0]} never reaches {coverage}")
-        rows, rate, terms, cdf = rows[~hit], rate[~hit], terms[~hit], cdf[~hit]
-        m, width = m + width - 1, 2 * width
-    return int(top[0]) if rates.ndim == 0 else top.reshape(rates.shape)
+    if lam == 0.0:
+        return 0
+    term = math.exp(-lam)
+    cdf = term
+    m = 0
+    while cdf < coverage:
+        m += 1
+        term *= lam / m
+        cdf += term
+        if m > 10_000_000:  # unreachable for sane lambda; guards infinite loop
+            raise ValidationError(f"poisson_truncation diverged for lam={lam}")
+    return m

@@ -37,7 +37,7 @@ def _horizons(arg: str) -> tuple[int, ...]:
 
 def cmd_fit(args) -> int:
     config = _read_model(args.config, ScenarioConfig)
-    log = _read_log(args.log, config.timebase)
+    log = EventLog.from_csv(args.log, config.timebase)
     entry = config.entry_status
     n_statuses = config.n_statuses
     statuses = dict(config.kernel.statuses)
@@ -75,14 +75,6 @@ def _read_model(path: str | Path, cls):
         raise ValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_log(path: str, timebase) -> EventLog:
-    """The event log at ``path``; a file that cannot be read raises ValidationError naming it."""
-    try:
-        return EventLog.from_csv(path, timebase)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {type(exc).__name__}: {exc.strerror or exc}") from exc
-
-
 def _load_models(models_dir: Path):
     kernel = _read_model(models_dir / "kernel.json", TransitionKernel)
     profile = _read_model(models_dir / "profile.json", HourlyProfile)
@@ -95,7 +87,7 @@ def cmd_forecast(args) -> int:
     config = _read_model(args.config, ScenarioConfig)
     models_dir = Path(args.models)
     kernel, profile, volume, selection = _load_models(models_dir)
-    log = _read_log(args.log, config.timebase)
+    log = EventLog.from_csv(args.log, config.timebase)
     parcels = log.truncated(min(args.k, log.cutoff)).for_pup(config.pup)
     intensity = OrderIntensity.from_models(profile, volume)
     forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, config.entry_status)
@@ -237,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PupcastError as exc:
+    except (PupcastError, OSError) as exc:  # an OSError names the file it could not read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,29 +1,38 @@
 """Per-parcel contribution probabilities and the load prediction algorithm.
 
-Each parcel's contribution to the load at slot k+j is a Bernoulli variable:
-a delivered parcel's is a ratio of pickup survivals; a parcel in transit
-must be delivered in (k, k+j] and not picked up by k+j, given that it has
-not left its status by k; a future order is a virtual parcel entering the
-chain after k, mixed over retailers.  Orders are Poisson per (slot, carrier)
-pair, so the contributing ones are exactly Poisson with rate sum(lam p).  A
-float ``coverage`` keeps the paper's rule instead: one ``poisson_truncation``
-call cuts every pair's count, the closed-form rows of all pairs and horizons
-are built at once up to the largest cut, and each horizon's rows are
-convolved in sequence.
+Each parcel's contribution to the load at slot k+j is a Bernoulli variable
+whose parameter depends on the parcel's latest known status:
 
-Both read one backward value function V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d)
-over the window (k, k + max j], from V_{N-1}, the pickup survival to k+j; a
-path that leaves the window scores 0.  A parcel in status n is a dot product
-of its holding-time row with V_{n+1}; an order entering status e at t_0 adds
-V_e(t_0).  A forecast is one array pass over its routes (the (carrier,
-retailer) pairs of its parcels and orders), parcels and horizons:
-``kernel.week_rows`` stacks each status's compiled ``PmfTable`` rows over the
-routes, V_m is an array (routes, horizons, slots), zero past each k+j_h, and
-one einsum with a strided view of V_{m+1} serves them all.  Only a parcel
-whose row is missing or whose evidence is impossible takes the per-parcel
-fallback; the ``prob_*`` functions read the same window on a kernel bound by
-``bind_kernel``.  The load pmf is the product of the Bernoulli pmfs, taken in
-pairs, convolved with the future-order pmf.
+* already delivered: ratio of pickup survival probabilities;
+* in transit (any earlier status): probability of being delivered within
+  (k, k+j] and not picked up by k+j, conditioned on the transition out of
+  the current status not having happened by k;
+* not yet ordered: the same joint event for a virtual parcel entering the
+  chain at a future slot, mixed over retailers.  Orders are Poisson per
+  slot and carrier, so by thinning and superposition the contributing ones
+  are exactly Poisson with rate sum(lam p); a float ``coverage`` keeps the
+  paper's per-pair truncation instead, in closed form.
+
+The last two read from one backward value function
+V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from the
+terminal V_{N-1}, the pickup survival to k+j; a path that leaves the window
+scores 0.  A parcel in status n is a dot product of its holding-time row
+with V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
+
+A forecast is one array pass over its routes (the known parcels' and the
+future orders' (carrier, retailer) pairs), its known parcels and all its
+horizons.  ``kernel.week_rows`` stacks a status's compiled rows over the
+routes (rows of a ``PmfTable``: a kernel's pmfs, compiled once as
+zero-padded probabilities and tail sums), and one ``take`` cuts them to the
+window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
+column h has the terminal of k+j_h and is zero past it, so one einsum with
+a strided view of V_{m+1} serves every route and horizon.  The parcels in a
+status are one gather of their rows and tails and one product with
+V_{n+1}; only a parcel whose row is missing or whose evidence is impossible
+takes the per-parcel fallback.  The ``prob_*`` functions read the same
+window on a kernel bound by ``bind_kernel``.  The load pmf is the product
+of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
+future-order pmf (exactly, one ``poisson_rows`` row per horizon).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arrivals import OrderIntensity, poisson_rows, poisson_shapes, poisson_truncation
+from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
 from .errors import ImpossibleEvidence, MissingKernel, UnknownStatus, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, TransitionKernel
@@ -266,7 +275,9 @@ def _future_orders_pmfs(
     p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
     p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
-        return _truncated_orders(lam.ravel(), p.reshape(len(js), -1), poisson_truncation(lam.ravel(), coverage))
+        top = np.array([poisson_truncation(rate, coverage) for rate in lam.ravel().tolist()], dtype=int)
+        cut = (np.maximum(js - 1, 0) * lam.shape[1]).tolist()
+        return [_truncated_orders(lam.ravel()[:s], p[h].ravel()[:s], top[:s]) for h, s in enumerate(cut)]
     pmfs = []
     for total in np.einsum("ic,hic->h", lam, p).tolist():
         probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
@@ -275,27 +286,21 @@ def _future_orders_pmfs(
     return pmfs
 
 
-def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
-    """The paper's future-order pmf at each horizon h: per (slot, carrier)
-    pair with rate lam and contribution probability p[h], the count cut at
-    ``top``.  A pair with lam p = 0 adds the point mass at 0 and is dropped."""
-    h, pair = np.nonzero((lam > 0.0) & (p > 0.0))  # by horizon
-    ends = np.searchsorted(h, np.arange(len(p) + 1))
-    lam, p, top = lam[pair], p[h, pair], top[pair]
+def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The paper's future-order pmf: per (slot, carrier) pair with rate lam
+    and contribution probability p, the count cut at ``top``."""
+    live = lam > 0.0
+    lam, p, top = lam[live], p[live], top[live]
     x = np.arange(top.max(initial=0) + 1)
-    # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x),
-    # normalised over x; a factor per pair in either Poisson row cancels
-    kept = np.cumsum(poisson_shapes(lam * (1.0 - p), len(x)), axis=1)
-    q = poisson_shapes(lam * p, len(x)) * np.take_along_axis(kept, np.maximum(top[:, None] - x, 0), axis=1)
+    # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x)
+    kept = np.cumsum(poisson_rows(lam * (1.0 - p), len(x))[:, : len(x)], axis=1)
+    q = poisson_rows(lam * p, len(x))[:, : len(x)] * np.take_along_axis(kept, np.maximum(top[:, None] - x, 0), axis=1)
     q[x > top[:, None]] = 0.0
     q /= q.sum(axis=1, keepdims=True)
-    pmfs = []
-    for first, last in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        result = np.array([1.0])
-        for i in range(first, last):
-            result = np.convolve(result, q[i, : top[i] + 1])
-        pmfs.append(LoadPmf(result).trimmed().probs)
-    return pmfs
+    result = np.array([1.0])
+    for row, cut in zip(q, top):
+        result = np.convolve(result, row[: cut + 1])
+    return LoadPmf(result).trimmed().probs
 
 
 def _bernoulli_sums(p: np.ndarray) -> np.ndarray:
@@ -394,7 +399,7 @@ def predict_load_pmfs(
     if len(pups) > 1:
         raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
     pup = pups[0] if pups else ""
-    rows, status, slot = log.latest(k, below=kernel.n_statuses)  # not picked up by k
+    rows, status, slot = log.latest(k, kernel.n_statuses)  # not picked up by k
     code = log.carrier[rows] * len(log.retailers) + log.retailer[rows]  # each parcel's (carrier, retailer)
     pairs = np.bincount(code).nonzero()[0]
     route = np.searchsorted(pairs, code)  # each parcel's index into routes

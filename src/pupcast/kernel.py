@@ -120,7 +120,8 @@ class TransitionKernel:
     n_statuses: int
     statuses: Mapping[int, StatusKernel]
     timebase: Timebase
-    # status n's PmfTable, (rows, table) per (n, carrier, retailer, pup) and per (n, routes, pup)
+    # status n's PmfTable, (rows, table) per (n, carrier, retailer, pup) (see _week) and the last
+    # (routes, stack, table) of week_rows per (n, pup)
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -178,15 +179,16 @@ class TransitionKernel:
     def week_rows(self, n: int, routes: Sequence[tuple], pup=None) -> tuple[np.ndarray, PmfTable]:
         """``_week`` stacked over the (carrier, retailer) pairs of ``routes``:
         row r, column s is the row of ``pmf_at`` at slot s of the week on
-        route r, -1 where it raises MissingKernel; and status n's table."""
-        key = (n, tuple(routes), pup)
-        if key not in self._compiled:
+        route r, -1 where it raises MissingKernel; and status n's table.  The
+        stack is read-only and kept until other routes are asked for n and pup."""
+        last = self._compiled.get((n, pup))
+        if last is None or last[0] != tuple(routes):
             # with no routes, the week of an unnamed route still gives the table
             weeks = [self._week(n, (carrier, retailer, pup)) for carrier, retailer in routes or [(None, None)]]
             stack = np.array([rows for rows, _ in weeks], dtype=np.intp)[: len(routes)]
-            stack.flags.writeable = False  # shared by every call on these routes
-            self._compiled[key] = stack, weeks[0][1]
-        return self._compiled[key]
+            stack.flags.writeable = False
+            last = self._compiled[(n, pup)] = tuple(routes), stack, weeks[0][1]
+        return last[1:]
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
         """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""

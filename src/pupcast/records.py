@@ -172,16 +172,15 @@ class EventLog:
         c = np.flatnonzero(self.statuses == n)
         return self.entries[:, c[0]] if c.size else np.full(len(self), NEVER, dtype=np.int64)
 
-    def latest(self, k: int, below: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, status, slot): the parcels with an entry at or before k, the
-        highest status each had entered by k, and the slot it entered it;
-        with ``below``, only the parcels whose highest status is below it."""
+    def latest(self, k: int, below: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, status, slot): the parcels with an entry at or before k whose
+        highest status entered by k is below ``below``, that status, and the
+        slot it entered it."""
         last = np.full(len(self), -1)
         for c, column in enumerate(self.entries.T):  # statuses ascend: the last column seen wins
-            last[column <= k] = c if below is None or self.statuses[c] < below else -1
+            last[column <= k] = c if self.statuses[c] < below else -1
         rows = (last >= 0).nonzero()[0]
-        last = last[rows]
-        return rows, self.statuses.take(last), self.entries.ravel().take(rows * len(self.statuses) + last)
+        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
 
     # ---- CSV I/O ----
 

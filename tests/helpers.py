@@ -1,6 +1,5 @@
 """Shared builders for the test suite: tiny kernels and random instances."""
 
-import math
 from datetime import datetime
 
 import numpy as np
@@ -9,20 +8,6 @@ from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, Transit
 from pupcast.oracle import random_instance, random_pmf  # noqa: F401  (shared by the tests)
 
 TB = Timebase(datetime(2024, 1, 1, 0))  # a Monday, midnight
-
-
-def scalar_truncation(lam: float, coverage: float) -> int:
-    """Smallest m with Poisson CDF(m) >= coverage, term by term as a scalar
-    loop: the reference that the array ``poisson_truncation`` must equal."""
-    if lam == 0.0:
-        return 0
-    term = cdf = math.exp(-lam)
-    m = 0
-    while cdf < coverage:
-        m += 1
-        term *= lam / m
-        cdf += term
-    return m
 
 
 def pooled_status(pmf: HoldingTimePmf) -> StatusKernel:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel, engine
+from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
     _Window,
@@ -29,16 +29,7 @@ from pupcast.oracle import enumerate_contribution_prob, simulate
 from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
 
-from helpers import (
-    TB,
-    chain_kernel,
-    fallback_kernel,
-    pooled_status,
-    random_instance,
-    random_pmf,
-    retailer_keyed_kernel,
-    scalar_truncation,
-)
+from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf, retailer_keyed_kernel
 
 
 def stationary(pmfs):
@@ -302,7 +293,7 @@ class TestFutureOrdersPmf:
     @pytest.mark.parametrize("coverage", [0.99, 0.999999])
     def test_mixture_matches_the_formula_at_realistic_width(self, coverage):
         # the default scenario at day 100, j = 85: 84 entry slots for each of
-        # three carriers.  Each pair is built from the scalar cut point and the
+        # three carriers.  Each pair is built from its cut point and the
         # closed form Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x), and the
         # pairs are convolved in sequence; a pair with lam = 0 is the point mass at 0
         cfg = default_scenario(seed=3)
@@ -319,7 +310,7 @@ class TestFutureOrdersPmf:
                     )
                     for r, w in cfg.selection.p_retailer_given_carrier(c).items()
                 )
-                top = scalar_truncation(lam, coverage)
+                top = poisson_truncation(lam, coverage)
                 a, b = lam * p, lam * (1.0 - p)
                 q = np.array([
                     exp(-a) * a**x / factorial(x) * sum(exp(-b) * b**y / factorial(y) for y in range(top - x + 1))
@@ -538,15 +529,6 @@ def test_all_horizons_make_one_pass(default_log, pass_calls):
     assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1})
 
 
-def test_truncated_forecast_cuts_every_pair_in_one_call(default_log, monkeypatch):
-    cfg, log = default_log
-    calls = counting(monkeypatch, ((engine, "poisson_truncation"),))
-    k = 100 * cfg.timebase.slots_per_day
-    parcels = log.truncated(k).for_pup(cfg.pup)
-    predict_load_pmf(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, 85, cfg.entry_status, coverage=0.99)
-    assert calls == Counter({"pupcast.engine.poisson_truncation": 1})
-
-
 @pytest.mark.parametrize("coverage", [None, 0.99])
 def test_horizons_do_not_leak_into_each_other(default_log, coverage):
     cfg, log = default_log
@@ -562,7 +544,7 @@ def test_horizons_do_not_leak_into_each_other(default_log, coverage):
         assert np.abs(r.pmf.probs - alone.pmf.probs).max() <= 1e-15
         assert r.diagnostics == alone.diagnostics
     # at j = 0 no parcel in transit can be delivered and every delivered one is still stored
-    _, status, _ = parcels.latest(k)
+    _, status, _ = parcels.latest(k, cfg.n_statuses)
     assert np.array_equal(results[1].pmf.probs, LoadPmf.point_mass(int((status == cfg.n_statuses - 1).sum())).probs)
     for bad in ((13, -1, 37), (-5,)):
         with pytest.raises(ValidationError, match="horizon"):

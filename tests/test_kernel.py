@@ -188,3 +188,24 @@ def test_table_tails_are_the_survival_bit_for_bit(kernel):
             assert np.array_equal(table.probs[r], np.pad(f.probs, (0, support + 1 - len(f.probs))))
             survival = [f.survival(d) for d in range(-1, support + 1)]
             assert table.tails[r].tolist() == survival  # == on floats: bit for bit
+
+
+def test_week_rows_keep_only_the_last_routes_per_status_and_pup():
+    # every subset and order of routes stacks the per-route weeks, and the
+    # kernel keeps one stack per (status, pup), not one per route list
+    kernel = default_scenario().kernel
+    pairs = [(c, r) for c in ("c1", "c2", "c3") for r in ("r1", "r2", None)]
+    for pup in ("shop", None):
+        kernel.week_rows(2, [], pup)  # the week of an unnamed route gives the table
+        kernel.week_rows(2, pairs, pup)
+    size = len(kernel._compiled)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        routes = [pairs[i] for i in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+        for pup in ("shop", None):
+            stack, table = kernel.week_rows(2, routes, pup)
+            assert not stack.flags.writeable and stack.shape == (len(routes), kernel.timebase.slots_per_week)
+            for row, (c, r) in zip(stack, routes):
+                assert np.array_equal(row, kernel.rows_at(2, np.arange(stack.shape[1]), c, r, pup)[0])
+            assert table is kernel._compiled[2]  # status 2's table
+    assert len(kernel._compiled) == size

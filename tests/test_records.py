@@ -135,8 +135,10 @@ def test_columns_latest_status_and_row_order():
     assert log.statuses.tolist() == [2, 3, 4]
     assert [r.id for r in log] == ["P2", "P1", "P3"]  # rows keep the order they were given in
     assert log.records[1] == rec("P1", {2: 12}, retailer=None)
-    rows, status, slot = log.latest(22)
+    rows, status, slot = log.latest(22, below=5)
     assert (rows.tolist(), status.tolist(), slot.tolist()) == ([0, 1], [3, 2], [20, 12])
+    rows, status, slot = log.latest(35, below=4)  # P2 has entered status 4 by then
+    assert (rows.tolist(), status.tolist(), slot.tolist()) == ([1, 2], [2, 3], [12, 25])
     assert log.entries_of(3).tolist() == [20, NEVER, 25]
     assert log.entries_of(7).tolist() == [NEVER] * 3
     assert len(log.truncated(9)) == 0
@@ -160,14 +162,15 @@ def parcels(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(parcels(), st.integers(-70, 60), st.sampled_from([None, "shop", "nowhere"]))
-def test_latest_and_truncated_match_each_record(records, k, pup):
+@given(parcels(), st.integers(-70, 60), st.sampled_from([None, "shop", "nowhere"]), st.integers(0, 5))
+def test_latest_and_truncated_match_each_record(records, k, pup, below):
     log = EventLog(records, cutoff=60, timebase=TB)
     if pup is not None:  # a view, possibly empty
         log = log.for_pup(pup)
         records = [r for r in records if r.pup == pup]
-    rows, status, slot = log.latest(k)
+    rows, status, slot = log.latest(k, below)
     expected = [(i, r.status_at(k)) for i, r in enumerate(records) if r.status_at(k) is not None]
+    expected = [(i, n) for i, n in expected if n < below]
     assert rows.tolist() == [i for i, _ in expected]
     assert status.tolist() == [n for _, n in expected]
     assert slot.tolist() == [records[i].entry_times[n] for i, n in expected]
@@ -179,16 +182,6 @@ def test_latest_and_truncated_match_each_record(records, k, pup):
     ]
     assert early.records == seen
     assert early.cutoff == k and early.entries.shape == (len(seen), len(log.statuses))
-
-
-@settings(max_examples=100, deadline=None)
-@given(parcels(), st.integers(-70, 60), st.integers(0, 5))
-def test_latest_below_a_status_keeps_the_parcels_short_of_it(records, k, below):
-    log = EventLog(records, cutoff=60, timebase=TB)
-    rows, status, slot = log.latest(k)
-    short = status < below
-    kept = log.latest(k, below)
-    assert [a.tolist() for a in kept] == [rows[short].tolist(), status[short].tolist(), slot[short].tolist()]
 
 
 def test_csv_order_error_names_line(tmp_path):
