@@ -246,8 +246,8 @@ class OrderIntensity:
             volume[:, d] = [self.daily_volume(on, c) for c in carriers]
         profile = np.array([self.profile._weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7 * 24)
         lam = (profile[:, timebase.week_hour_of(slots)] * volume[:, day - first]).T
-        if (lam < 0).any():
-            raise ValidationError("negative order intensity")
+        if not (lam >= 0).all():  # NaN fails it too
+            raise ValidationError(f"{'negative' if (lam < 0).any() else 'NaN'} order intensity")
         return lam
 
     @classmethod

@@ -28,8 +28,10 @@ window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
 column h has the terminal of k+j_h and is zero past it, so one einsum with
 a strided view of V_{m+1} serves every route and horizon.  The parcels in a
 status are one gather of their rows and tails and one product with
-V_{n+1}; only a parcel whose row is missing or whose evidence is impossible
-takes the per-parcel fallback.  The ``prob_*`` functions read the same
+V_{n+1}.  A parcel whose row is missing, whose evidence is impossible or
+whose window lacks a pmf is settled in the same arrays with a note; those
+with impossible evidence take one more product, with the coarsest pooled
+pmf, a row of the same table.  The ``prob_*`` functions read the same
 window on a kernel bound by ``bind_kernel``.  The load pmf is the product
 of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
 future-order pmf (exactly, one ``poisson_rows`` row per horizon).
@@ -43,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
-from .errors import ImpossibleEvidence, MissingKernel, UnknownStatus, ValidationError
+from .errors import ImpossibleEvidence, MissingKernel, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, TransitionKernel
 from .pmf import HoldingTimePmf, LoadPmf
@@ -121,15 +123,12 @@ class _Window:
         if m not in self.values:
             raise ValidationError(f"status {m} outside 0..{self.last}")
         unset = np.argwhere(~self.ok[m] & routes[:, None])
-        if unset.size:
-            self.missing(m, *unset[0].tolist())
+        if unset.size:  # the MissingKernel that leaves V_m undefined on that route at that horizon
+            route, h = unset[0].tolist()
+            for n in range(self.last, m - 1, -1):
+                slots = np.arange(self.k + 1, self.k + self.js[h] + (n == self.last))
+                self.kernel.rows_at(n, slots, *self.routes[route], self.pup)
         return self.values[m]
-
-    def missing(self, m: int, route: int, h: int) -> None:
-        """Raise the MissingKernel that leaves V_m undefined on a route at a horizon."""
-        for n in range(self.last, m - 1, -1):
-            slots = np.arange(self.k + 1, self.k + self.js[h] + (n == self.last))
-            self.kernel.rows_at(n, slots, *self.routes[route], self.pup)
 
 
 def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -151,31 +150,21 @@ def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
 
 def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t_n: np.ndarray, route: np.ndarray):
-    """(numerators, denominators) of the contribution probabilities of parcels
-    in status n since t_n <= k whose status-n pmfs are ``rows`` of table:
-    parcel i at horizon h contributes with probability num[i, h] / denom[i]."""
+    """(p, denom) for parcels in status n since t_n <= k whose status-n pmfs
+    are ``rows`` of table: parcel i contributes at horizon h with probability
+    p[i, h], its joint probability over denom[i] = P(H > k - t_n); where
+    denom[i] <= _EPS its evidence is impossible."""
     since = window.k + 1 - t_n  # the delay from entry to the window's first slot
     denom = table.tails[rows, np.minimum(since, table.width)]  # tails[r, d] = P(H > d - 1)
     if n == window.last:  # delivered: the ratio of pickup survivals
-        return table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)], denom
-    values = window.values[n + 1]
-    delays = since[:, None] + np.arange(values.shape[-1])  # to each slot of the window
-    f = np.where(delays < table.width, table.probs[rows[:, None], np.minimum(delays, table.width - 1)], 0.0)
-    return np.einsum("iw,ihw->ih", f, values[route]), denom
-
-
-def _known(window: _Window, r: int, table: PmfTable, route: int, n: int, t_n: int, h: int) -> float:
-    """Contribution probability at horizon ``js[h]`` of a parcel in status n
-    since t_n whose status-n pmf is row r of table."""
-    if n < window.last and window.js[h] == 0:
-        return 0.0  # no slot to be delivered in
-    num, denom = _contributions(window, n, np.array([r]), table, np.array([t_n]), np.array([route]))
-    if denom[0] <= _EPS:
-        raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {window.k}")
-    if n < window.last and not window.ok[n + 1][route, h]:
-        window.missing(n + 1, route, h)
+        num = table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)]
+    else:
+        values = window.values[n + 1]
+        delays = since[:, None] + np.arange(values.shape[-1])  # to each slot of the window
+        f = np.where(delays < table.width, table.probs[rows[:, None], np.minimum(delays, table.width - 1)], 0.0)
+        num = np.einsum("iw,ihw->ih", f, values[route])
     # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
-    return min(1.0, max(0.0, float(num[0, h]) / float(denom[0])))
+    return np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0), denom
 
 
 def prob_still_stored(route: _Route, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
@@ -209,10 +198,17 @@ def _route_window(route: _Route, n_statuses: int, k: int, j: int, lowest: int) -
 
 
 def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
-    """``_known`` for one parcel on a bound kernel."""
+    """Contribution probability at k+j of one parcel in status n since t_n, on a bound kernel."""
     window = _route_window(route, n_statuses, k, j, min(n + 1, n_statuses - 1))
     r, table = route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup)
-    return _known(window, r, table, 0, n, t_n, 0)
+    if n < window.last and j == 0:
+        return 0.0  # no slot to be delivered in
+    p, denom = _contributions(window, n, np.array([r]), table, np.array([t_n]), np.zeros(1, dtype=int))
+    if denom[0] <= _EPS:
+        raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
+    if n < window.last:
+        window.entering(n + 1, np.ones(1, dtype=bool))  # raises where the window lacks a pmf
+    return float(p[0, 0])
 
 
 def prob_future_order_contributes(
@@ -351,31 +347,6 @@ class ForecastResult:
         }
 
 
-def _parcel_contribution(window: _Window, route: int, n: int, t_n: int, h: int) -> tuple[float, str | None]:
-    """Bernoulli parameter at horizon ``js[h]`` of a known parcel in status n
-    since t_n, and a note for the diagnostics: the fallback for a parcel
-    whose pmf row is missing or whose evidence is impossible."""
-    try:
-        r, table = window.kernel.row_at(n, t_n, *window.routes[route], window.pup)
-        return _known(window, r, table, route, n, t_n, h), None
-    except ImpossibleEvidence:
-        pass
-    except MissingKernel:
-        return 0.0, f"no kernel for status {n}; skipped"
-    # Evidence contradicts the fitted pmf (holding time beyond its support).
-    # Retry with the coarsest pooled pmf, itself a row of status n's table;
-    # if that also says the parcel must have left, treat it as departed (the
-    # forced-return rule).
-    try:
-        pooled = table.row_of[id(window.kernel.pooled_pmf_at(n, t_n))]
-    except MissingKernel:
-        return 0.0, "impossible evidence, no fallback; dropped"
-    try:
-        return _known(window, pooled, table, route, n, t_n, h), "impossible evidence, used pooled fallback"
-    except ImpossibleEvidence:
-        return 0.0, "holding time beyond all supports; assumed departed"
-
-
 def predict_load_pmfs(
     parcels: EventLog | Sequence[ParcelRecord],
     kernel,
@@ -391,7 +362,10 @@ def predict_load_pmfs(
 
     The known parcels are those with an entry at or before k that are not
     yet picked up; each adds a Bernoulli factor, and the future-order pmf
-    is convolved in last.  Diagnostics name parcels in the log's row order.
+    is convolved in last.  A parcel with no pmf, or no pmf in its window, is
+    skipped; one with impossible evidence takes its status's pooled pmf, or
+    is dropped (none) or assumed departed (ruled out too).  Each adds 0 but
+    a rescued one, and a note; the notes name parcels in the log's row order.
     A plain list of records is packed into a log first.
     """
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
@@ -413,25 +387,42 @@ def predict_load_pmfs(
         lowest = min(lowest, entry_status)
     window = _Window(kernel, pup, routes, k, horizons, lowest)
     p = np.zeros((len(rows), len(window.js)))
-    fallback = np.zeros(len(rows), dtype=bool)
+    noted = {}  # a fallback parcel's note at each horizon ("" for none), by its index
     for n in sorted(set(status.tolist())):
         here = (status == n).nonzero()[0]
         try:
             weeks, table = kernel.week_rows(n, routes, pup)
-        except (MissingKernel, UnknownStatus):
-            fallback[here] = True
+        except MissingKernel:
+            noted.update(dict.fromkeys(here.tolist(), [f"no kernel for status {n}; skipped"] * len(window.js)))
             continue
         r = weeks[route[here], slot[here] % weeks.shape[1]]
-        num, denom = _contributions(window, n, np.maximum(r, 0), table, slot[here], route[here])
-        # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
-        p[here] = np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0)
+        p[here], denom = _contributions(window, n, np.maximum(r, 0), table, slot[here], route[here])
         odd = (r < 0) | (denom <= _EPS) | (n < last and ~window.ok[n + 1][route[here]].all(axis=1))
-        fallback[here[odd]] = True
+        if odd.any():  # a row missing, impossible evidence or a window without a pmf
+            at, r, on = here[odd], r[odd], route[here[odd]]
+            skipped, rescued = f"no kernel for status {n}; skipped", "impossible evidence, used pooled fallback"
+            note = np.full((len(at), len(window.js)), "", dtype=object)  # "" and rescued keep p
+            bad = (r >= 0) & (denom[odd] <= _EPS)
+            if bad.any():  # retried with the coarsest pooled pmf, a row of the same table
+                try:
+                    pooled = table.row_of[id(kernel.pooled_pmf_at(n, int(slot[at[bad]][0])))]
+                except MissingKernel:
+                    note[bad] = "impossible evidence, no fallback; dropped"
+                else:
+                    r[bad] = pooled
+                    p[at[bad]], denom = _contributions(window, n, r[bad], table, slot[at[bad]], on[bad])
+                    departed = "holding time beyond all supports; assumed departed"
+                    note[bad] = np.where(denom <= _EPS, departed, rescued)[:, None]
+            if n < last:  # no slot to be delivered in at j = 0; skipped where the window lacks a pmf
+                note[:, window.js == 0] = ""
+                note[((note == "") | (note == rescued)) & ~window.ok[n + 1][on] & (window.js > 0)] = skipped
+            note[r < 0] = skipped
+            p[at] = np.where((note == "") | (note == rescued), p[at], 0.0)
+            noted.update(zip(at.tolist(), note.tolist()))
     diagnostics: list[list[str]] = [[] for _ in window.js]
-    for i in fallback.nonzero()[0].tolist():  # in the log's row order
-        for h, notes in enumerate(diagnostics):
-            p[i, h], note = _parcel_contribution(window, int(route[i]), int(status[i]), int(slot[i]), h)
-            if note is not None:
+    for i in sorted(noted):  # in the log's row order
+        for notes, note in zip(diagnostics, noted[i]):
+            if note:
                 notes.append(f"parcel {log.ids[rows[i]]}: {note}")
     future = [np.ones(1)] * len(window.js)
     if intensity is not None:

@@ -348,6 +348,18 @@ class TestFutureOrdersPmf:
             assert abs(var - total) <= 1e-12 * max(1.0, total)
 
 
+@pytest.mark.parametrize("coverage", [None, 0.99])
+def test_nan_order_intensity_rejected(coverage):
+    # one NaN daily volume fails lam >= 0 as a negative one does, at either coverage
+    cfg = default_scenario(seed=3)
+    k = 100 * cfg.timebase.slots_per_day
+    volumes = {c: dict(days) for c, days in cfg.daily_volumes.items()}
+    volumes["c1"][cfg.timebase.date_of(k + 12)] = float("nan")
+    intensity = OrderIntensity.from_schedule(cfg.intensity.profile, volumes)
+    with pytest.raises(ValidationError, match="NaN order intensity"):
+        predict_load_pmf([], cfg.kernel, intensity, cfg.selection, k, 37, cfg.entry_status, coverage)
+
+
 class TestPredictLoadPmf:
     def delivered_parcel(self, pid, t_del):
         return ParcelRecord(pid, "c1", "shop", "r1", {0: t_del - 1, 1: t_del})
@@ -443,6 +455,22 @@ class TestPredictLoadPmf:
         assert np.allclose(res.pmf.probs, [1.0 - p, p], rtol=0, atol=1e-12)
         assert res.diagnostics == ["parcel P1: impossible evidence, used pooled fallback"]
 
+    def test_rescued_parcel_in_a_window_without_a_pmf_is_skipped(self):
+        # status 1 has no Sunday pmf and no global level, so the window
+        # (140, 152], which reaches Sunday, lacks a pmf: the parcel with
+        # ordinary evidence and the one only status 0's pooled pmf allows
+        # (5 slots) are both skipped there, while prob_* still raises
+        no_sunday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 4) for w in range(1, 7)})
+        statuses = {0: fallback_kernel().statuses[0], 1: StatusKernel((no_sunday,))}
+        kernel = TransitionKernel(3, {**statuses, 2: pooled_status(HoldingTimePmf.uniform(1, 20))}, TB)
+        pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
+        for t_0, error in ((139, MissingKernel), (135, ImpossibleEvidence)):
+            res = predict_load_pmf([ParcelRecord("P1", "c1", "shop", "r1", {0: t_0})], kernel, None, None, k=140, j=12)
+            assert res.diagnostics == ["parcel P1: no kernel for status 0; skipped"]
+            assert np.array_equal(res.pmf.probs, [1.0])
+            with pytest.raises(error):
+                prob_delivered_and_stored_multi_hop(pmf_at, 3, 0, t_0, k=140, j=12)
+
     def test_in_transit_probability_never_exceeds_one(self):
         # rounding in the backward sum puts this parcel's probability at
         # 1 + 2.2e-16; unclamped, its Bernoulli factor has a negative entry
@@ -514,7 +542,7 @@ def default_log():
 
 def test_all_horizons_make_one_pass(default_log, pass_calls):
     # four horizons scan the log once and resolve the order rates once; no
-    # parcel of the default scenario needs the per-parcel fallback
+    # parcel reads its own kernel row
     cfg, log = default_log
 
     def forecast(day):
@@ -551,15 +579,15 @@ def test_horizons_do_not_leak_into_each_other(default_log, coverage):
             predict_load_pmfs(parcels, *models, k, bad, cfg.entry_status, coverage)
 
 
-def test_fallback_notes_keep_the_row_order():
-    # status 0 was never fitted; status 1 allows 1-2 slots on any weekday and
-    # 1-10 in its pooled level
+def fallback_log():
+    """(kernel, parcels, k): status 0 was never fitted; status 1 allows 1-2
+    slots on any weekday and 1-10 in its pooled level; at k = 30 the log holds
+    a parcel of each fallback between ordinary ones."""
     weekday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 2) for w in range(1, 8)})
     pooled = HoldingTimePmf.uniform(1, 10)
     statuses = {1: StatusKernel((weekday, KernelLevel((), {(): pooled})))}
     statuses.update({2: pooled_status(HoldingTimePmf.uniform(1, 6)), 3: pooled_status(HoldingTimePmf.uniform(1, 20))})
     kernel = TransitionKernel(4, statuses, TB)
-    k = 30
     entries = {
         "A": {1: 26, 2: 28},
         "rescued": {1: 25},  # 5 slots in status 1: only the pooled pmf allows it
@@ -570,13 +598,17 @@ def test_fallback_notes_keep_the_row_order():
         "delivered": {1: 20, 2: 24, 3: 29},
         "D": {1: 26, 2: 27},
     }
-    parcels = [ParcelRecord(pid, "c1", "shop", "r1", times) for pid, times in entries.items()]
+    return kernel, [ParcelRecord(pid, "c1", "shop", "r1", times) for pid, times in entries.items()], 30
+
+
+def test_fallback_notes_keep_the_row_order():
+    kernel, parcels, k = fallback_log()
     pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
 
     def pooled_at(n, t):
-        return pooled if n == 1 else pmf_at(n, t)
+        return kernel.statuses[1].coarsest() if n == 1 else pmf_at(n, t)
 
-    for j in (12, 3):
+    for j in (12, 3, 0):
         expected = np.array([1.0])
         for p in (
             prob_delivered_and_stored_multi_hop(pmf_at, 4, 2, 28, k, j),
@@ -588,13 +620,113 @@ def test_fallback_notes_keep_the_row_order():
         ):
             expected = np.convolve(expected, [1.0 - p, p])
         res = predict_load_pmf(parcels, kernel, None, None, k, j)
-        assert res.diagnostics == [
+        skipped = ["parcel skipped: no kernel for status 0; skipped"]
+        # at j = 0 no parcel in transit can be delivered: only the missing kernel is noted
+        assert res.diagnostics == (skipped if j == 0 else [
             "parcel rescued: impossible evidence, used pooled fallback",
             "parcel departed: holding time beyond all supports; assumed departed",
-            "parcel skipped: no kernel for status 0; skipped",
-        ]
+            *skipped,
+        ])
         assert len(res.pmf.probs) == len(LoadPmf(expected).trimmed().probs)
         assert np.abs(res.pmf.probs - LoadPmf(expected).trimmed().probs).max() <= 1e-12
+        if j == 0:  # the two delivered parcels
+            assert np.array_equal(res.pmf.probs, LoadPmf.point_mass(2).probs)
+
+
+def test_fallback_parcels_take_no_per_parcel_path(monkeypatch):
+    # the fallbacks are served in the forecast's arrays: no parcel reads its
+    # own kernel row, and status 1's pooled pmf is looked up once for both of
+    # its parcels with impossible evidence, whatever the horizons
+    kernel, parcels, k = fallback_log()
+    calls = counting(monkeypatch, ((TransitionKernel, "row_at"), (TransitionKernel, "pooled_pmf_at")))
+    assert len(predict_load_pmfs(parcels, kernel, None, None, k, (12, 3, 0, 7))) == 4
+    assert calls == Counter({"TransitionKernel.pooled_pmf_at": 1})
+
+
+def fallback_instance(rng):
+    """(kernel, parcels, k, horizons): 2-4 statuses, some never fitted, with
+    weekday levels that miss weekdays, retailer levels and optional global
+    levels; 1-7 parcels entered by k, a few picked up; 1-4 horizons in 0..29."""
+    n_statuses = int(rng.integers(2, 5))
+    statuses = {}
+    for n in range(n_statuses):
+        if rng.random() < 0.12:
+            continue
+        support, levels = int(rng.integers(1, 9)), []
+        if rng.random() < 0.75:
+            days = [w for w in range(1, 8) if rng.random() < 0.7]
+            levels.append(KernelLevel(("weekday",), {(w,): random_pmf(rng, support) for w in days}))
+        if rng.random() < 0.25:
+            levels.append(KernelLevel(("retailer",), {("r1",): random_pmf(rng, support + 2)}))
+        if rng.random() < 0.65 or not levels:
+            levels.append(KernelLevel((), {(): random_pmf(rng, int(rng.integers(support, 16)))}))
+        statuses[n] = StatusKernel(tuple(levels))
+    k = int(rng.integers(30, 200))
+    parcels = []
+    for i in range(int(rng.integers(1, 8))):
+        t, times = k - int(rng.integers(0, 25)), {}
+        for n in range(int(rng.integers(0, n_statuses + 1)), -1, -1):  # status n_statuses: picked up
+            times[n], t = t, t - int(rng.integers(1, 8))
+        carrier, retailer = rng.choice(["c1", "c2"]), rng.choice(["r1", "r2"])
+        parcels.append(ParcelRecord(f"P{i}", str(carrier), "shop", str(retailer), times))
+    horizons = [int(j) for j in rng.integers(0, 30, size=int(rng.integers(1, 4)))]
+    if rng.random() < 0.3:
+        horizons.append(0)
+    return TransitionKernel(n_statuses, statuses, TB), parcels, k, horizons
+
+
+def single_parcel_contribution(kernel, parcel, k, j):
+    """A known parcel's contribution at k+j and its note, from the public
+    prob_* functions: a missing kernel skips it; impossible evidence retries
+    on a kernel whose status n keeps only its last level, if that is global."""
+    n, t_n = max(parcel.entry_times.items())
+    n_statuses = kernel.n_statuses
+
+    def prob(kernel):
+        pmf_at = bind_kernel(kernel, parcel.carrier, parcel.retailer, parcel.pup)
+        if n == n_statuses - 1:
+            return prob_still_stored(pmf_at, n_statuses, t_n, k, j)
+        return prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
+
+    skipped = (0.0, f"no kernel for status {n}; skipped")
+    try:
+        return prob(kernel), ""
+    except MissingKernel:
+        return skipped
+    except ImpossibleEvidence:
+        pass
+    last = kernel.statuses[n].levels[-1]
+    if last.schema:
+        return 0.0, "impossible evidence, no fallback; dropped"
+    pooled = TransitionKernel(n_statuses, {**kernel.statuses, n: StatusKernel((last,))}, TB)
+    try:
+        return prob(pooled), "impossible evidence, used pooled fallback"
+    except ImpossibleEvidence:
+        return 0.0, "holding time beyond all supports; assumed departed"
+    except MissingKernel:
+        return skipped
+
+
+def test_fallback_rules_match_the_single_parcel_api():
+    # every known parcel's factor and note, on random instances full of
+    # missing rows, impossible evidence and windows without a pmf
+    rng = np.random.default_rng(14)
+    seen = Counter()
+    for _ in range(300):
+        kernel, parcels, k, horizons = fallback_instance(rng)
+        for j, res in zip(horizons, predict_load_pmfs(parcels, kernel, None, None, k, horizons)):
+            expected, notes = np.array([1.0]), []
+            for parcel in parcels:
+                if max(parcel.entry_times) < kernel.n_statuses:  # not picked up
+                    p, note = single_parcel_contribution(kernel, parcel, k, j)
+                    expected = np.convolve(expected, [1.0 - p, p])
+                    notes += [f"parcel {parcel.id}: {note}"] if note else []
+                    seen[note.split(" status")[0]] += 1
+            assert res.diagnostics == notes
+            want = LoadPmf(expected).trimmed().probs
+            assert len(res.pmf.probs) == len(want)
+            assert np.abs(res.pmf.probs - want).max() <= 1e-12
+    assert len(seen) == 5 and min(seen.values()) >= 50  # ordinary parcels and each note, often
 
 
 def test_warm_forecast_reads_only_compiled_tables(default_log, table_calls):
