@@ -17,7 +17,7 @@ from . import __version__
 from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
 from .engine import bind_kernel, predict_load_pmfs, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
-from .errors import PupcastError, ValidationError
+from .errors import PupcastError
 from .estimation import (
     SelectionModel,
     estimate_pickup_kernel,
@@ -25,7 +25,7 @@ from .estimation import (
     estimate_transit_kernel,
 )
 from .evaluate import DEFAULT_HORIZONS, rolling_origin_evaluate
-from .kernel import TransitionKernel
+from .kernel import TransitionKernel, read_model, write_model
 from .oracle import enumerate_contribution_prob, random_instance, simulate
 from .records import EventLog
 from .scenario import ScenarioConfig
@@ -36,55 +36,30 @@ def _horizons(arg: str) -> tuple[int, ...]:
 
 
 def cmd_fit(args) -> int:
-    config = _read_model(args.config, ScenarioConfig)
+    config = read_model(args.config, ScenarioConfig)
     log = EventLog.from_csv(args.log, config.timebase)
-    entry = config.entry_status
-    n_statuses = config.n_statuses
+    entry, last = config.entry_status, config.n_statuses - 1
     statuses = dict(config.kernel.statuses)
     statuses[entry] = estimate_transit_kernel(log, config.pup, status_from=entry)
-    statuses[n_statuses - 1] = estimate_pickup_kernel(
-        log, config.pup, config.opening, status_from=n_statuses - 1
-    )
-    kernel = TransitionKernel(n_statuses, statuses, config.timebase)
+    statuses[last] = estimate_pickup_kernel(log, config.pup, config.opening, status_from=last)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kernel.save(out / "kernel.json")
-    profile = fit_hourly_profile(log, status=entry)
-    with open(out / "profile.json", "w", encoding="utf-8") as fh:
-        json.dump(profile.to_json_dict(), fh, indent=1, sort_keys=True)
-    volume = fit_daily_volume(log, status=entry)
-    with open(out / "volumes.json", "w", encoding="utf-8") as fh:
-        json.dump(volume.to_json_dict(), fh, indent=1, sort_keys=True)
-    selection = estimate_selection(log)
-    with open(out / "selection.json", "w", encoding="utf-8") as fh:
-        json.dump(selection.to_json_dict(), fh, indent=1, sort_keys=True)
-    n_parcels = len(log)
-    print(f"fitted models from {n_parcels} parcels (cutoff slot {log.cutoff}) -> {out}")
+    TransitionKernel(config.n_statuses, statuses, config.timebase).save(out / "kernel.json")
+    write_model(out / "profile.json", fit_hourly_profile(log, status=entry))
+    write_model(out / "volumes.json", fit_daily_volume(log, status=entry))
+    write_model(out / "selection.json", estimate_selection(log))
+    print(f"fitted models from {len(log)} parcels (cutoff slot {log.cutoff}) -> {out}")
     return 0
 
 
-def _read_model(path: str | Path, cls):
-    """``cls`` from a JSON file.  A file that is missing, is not JSON or does
-    not hold a valid model raises ValidationError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors are ValueErrors
-        raise ValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _load_models(models_dir: Path):
-    kernel = _read_model(models_dir / "kernel.json", TransitionKernel)
-    profile = _read_model(models_dir / "profile.json", HourlyProfile)
-    volume = _read_model(models_dir / "volumes.json", DailyVolumeModel)
-    selection = _read_model(models_dir / "selection.json", SelectionModel)
-    return kernel, profile, volume, selection
+    models = {"kernel": TransitionKernel, "profile": HourlyProfile, "volumes": DailyVolumeModel,
+              "selection": SelectionModel}  # the files pupcast fit writes
+    return tuple(read_model(models_dir / f"{name}.json", cls) for name, cls in models.items())
 
 
 def cmd_forecast(args) -> int:
-    config = _read_model(args.config, ScenarioConfig)
+    config = read_model(args.config, ScenarioConfig)
     models_dir = Path(args.models)
     kernel, profile, volume, selection = _load_models(models_dir)
     log = EventLog.from_csv(args.log, config.timebase)
@@ -93,19 +68,18 @@ def cmd_forecast(args) -> int:
     forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, config.entry_status)
     results = [result.to_json_dict() for result in forecasts]
     doc = {"pup": config.pup, "k": args.k, "forecasts": results}
+    text = json.dumps(doc, indent=1, sort_keys=True)  # indented for people to read
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-        print()
+        print(text)
     for r in results:
         print(f"j={r['j']:3d}  mean={r['mean']:8.3f}  q05={r['q05']}  q50={r['q50']}  q95={r['q95']}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    config = _read_model(args.config, ScenarioConfig)
+    config = read_model(args.config, ScenarioConfig)
     if args.seed is not None:
         config.seed = args.seed
     trace = simulate(config)
@@ -121,7 +95,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _read_model(args.config, ScenarioConfig)
+    config = read_model(args.config, ScenarioConfig)
     if args.seed is not None:
         config.seed = args.seed
     trace = simulate(config)

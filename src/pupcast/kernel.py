@@ -209,7 +209,7 @@ class TransitionKernel:
                 {
                     "schema": list(level.schema),
                     "pmfs": [
-                        {"key": list(key), "probs": [float(p) for p in pmf.probs]}
+                        {"key": list(key), "probs": pmf.probs.tolist()}
                         for key, pmf in sorted(level.pmfs.items(), key=lambda kv: repr(kv[0]))
                     ],
                 }
@@ -236,13 +236,27 @@ class TransitionKernel:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_model(path, self)
 
     @classmethod
     def load(cls, path) -> "TransitionKernel":
+        return read_model(path, cls)
+
+
+def read_model(path, cls):
+    """``cls`` from a JSON file.  A file that is missing, is not JSON or does
+    not hold a valid model raises ValidationError naming the file."""
+    try:
         with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except ValidationError as exc:  # name the file whose pmfs are bad
-                raise ValidationError(f"{path}: {exc}") from exc
+            return cls.from_json_dict(json.load(fh))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors are ValueErrors
+        raise ValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_model(path, model) -> None:
+    """``model.to_json_dict()`` as compact JSON with sorted keys, from the C encoder (``json.dump``
+    and any ``indent`` select the Python one); floats keep ``repr``, so a model reads back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(model.to_json_dict(), sort_keys=True) + "\n")

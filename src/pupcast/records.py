@@ -20,7 +20,7 @@ import csv
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,10 @@ CSV_HEADER = ["parcel_id", "retailer", "carrier", "pup", "status", "entry_iso860
 # The entry slot of a status not seen: later than every cutoff, so that
 # "entered by k" is ``entries <= k`` (slots before the epoch are negative).
 NEVER = np.iinfo(np.int64).max
+
+# The entries of a log read from CSV may span at most ten years: a timestamp
+# farther out is a typo, and would stretch the fitted volume history to match.
+MAX_SPAN_DAYS = 3653
 
 
 @dataclass
@@ -63,11 +67,10 @@ def _columns(n_rows: int, row, status, slot) -> tuple[np.ndarray, np.ndarray]:
     return statuses, entries
 
 
-def _encode(values: Iterable) -> tuple[tuple, np.ndarray]:
+def _encode(values: Sequence) -> tuple[tuple, np.ndarray]:
     """Labels in order of first appearance, and each value's code."""
-    index: dict = {}
-    codes = [index.setdefault(v, len(index)) for v in values]
-    return tuple(index), np.array(codes, dtype=np.intp)
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return tuple(index), np.array(list(map(index.__getitem__, values)), dtype=np.intp)
 
 
 class EventLog:
@@ -188,37 +191,48 @@ class EventLog:
     def from_csv(cls, path, timebase: Timebase, cutoff: int | None = None) -> "EventLog":
         routing: dict[str, tuple] = {}  # parcel id -> (row, carrier, pup, retailer) of its first event
         row, status, slot, line = (array("q") for _ in range(4))  # one entry per event
-        slot_of: dict[str, int] = {}  # timestamp text -> slot
+        status_of, slot_of = {}, {}  # status text -> status, timestamp text -> slot: each text converted once
+        add_row, add_status, add_slot, add_line = row.append, status.append, slot.append, line.append
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != CSV_HEADER:
                 raise ValidationError(f"bad or missing header in {path}: {header}")
             for lineno, fields in enumerate(reader, start=2):
-                if not fields:
-                    continue
-                if len(fields) != len(CSV_HEADER):
-                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-                parcel_id, retailer, carrier, pup, n, entry = fields
                 try:
-                    status.append(int(n))
-                    if entry not in slot_of:
-                        slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
+                    parcel_id, retailer, carrier, pup, status_text, entry = fields
+                except ValueError:
+                    if not fields:
+                        continue
+                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
+                try:
+                    n = status_of.get(status_text)
+                    if n is None:
+                        n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
+                    t = slot_of.get(entry)
+                    if t is None:
+                        t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
                 except (ValueError, OverflowError, ValidationError) as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-                first = routing.setdefault(parcel_id, (len(routing), carrier, pup, retailer or None))
-                if first[1:3] != (carrier, pup):
-                    raise ValidationError(
-                        f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup"
-                    )
-                row.append(first[0])
-                slot.append(slot_of[entry])
-                line.append(lineno)
+                first = routing.get(parcel_id)
+                if first is None:
+                    first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
+                elif first[1] != carrier or first[2] != pup:
+                    raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
+                add_row(first[0])
+                add_status(n)
+                add_slot(t)
+                add_line(lineno)
         if not routing:
             raise EmptyLog(f"no event rows in {path}")
+        slot = np.frombuffer(slot, dtype=np.int64)
+        if slot.max() - slot.min() > MAX_SPAN_DAYS * timebase.slots_per_day:
+            e = int(np.abs(slot - np.median(slot)).argmax())  # the entry farther from the median
+            stamp = timebase.datetime_of(slot[e]).isoformat()
+            raise ValidationError(f"{path}:{line[e]}: entry at {stamp} makes the log span over {MAX_SPAN_DAYS} days")
         ids = sorted(routing)  # rows by parcel id
-        rank = np.empty(len(ids), dtype=np.intp)
-        rank[[routing[pid][0] for pid in ids]] = np.arange(len(ids))
+        first_rows, *columns = zip(*map(routing.__getitem__, ids))  # columns: carriers, pups, retailers
+        rank = np.argsort(first_rows)  # file order -> id order
         row, status = rank[np.frombuffer(row, dtype=np.int64)], np.frombuffer(status, dtype=np.int64)
         order = np.lexsort((status, row))  # stable: a parcel's repeats of one status in file order
         repeat = order[1:][(row[order][1:] == row[order][:-1]) & (status[order][1:] == status[order][:-1])]
@@ -227,8 +241,8 @@ class EventLog:
             raise ValidationError(f"{path}:{line[e]}: duplicate status {status[e]} for parcel {ids[row[e]]}")
         log = object.__new__(cls)
         fault = log._fill(
-            ids, tuple(zip(*(routing[pid][1:] for pid in ids))), row, status, slot,
-            max(0, max(slot)) if cutoff is None else cutoff, timebase,
+            ids, columns, row, status, slot,
+            max(0, int(slot.max())) if cutoff is None else cutoff, timebase,
         )
         if fault is not None:
             i, c, message = fault

@@ -12,7 +12,6 @@ activity).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
@@ -21,7 +20,7 @@ import numpy as np
 from .arrivals import HourlyProfile, OrderIntensity
 from .errors import ValidationError
 from .estimation import OpeningHours, SelectionModel
-from .kernel import KernelLevel, StatusKernel, TransitionKernel
+from .kernel import KernelLevel, StatusKernel, TransitionKernel, write_model
 from .pmf import HoldingTimePmf
 from .timebase import Timebase
 
@@ -98,8 +97,7 @@ class ScenarioConfig:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_model(path, self)
 
 
 def _gamma_like_pmf(mean: float, support_max: int, shape: float = 4.0) -> HoldingTimePmf:

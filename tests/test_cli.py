@@ -12,7 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pupcast import default_scenario
+from pupcast.arrivals import DailyVolumeModel, HourlyProfile, fit_daily_volume, fit_hourly_profile
 from pupcast.cli import main
+from pupcast.estimation import SelectionModel, estimate_pickup_kernel, estimate_selection, estimate_transit_kernel
+from pupcast.kernel import TransitionKernel
+from pupcast.records import EventLog
+from pupcast.scenario import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +257,69 @@ def test_corrupted_field_exits_0_or_2(workspace, row, field, value):
             lambda i, r: [value if f == field else x for f, x in enumerate(r)] if i == row else r,
         )
         assert fit(workspace, log, Path(tmp) / "m") in (0, 2)
+
+
+def test_far_timestamp_exits_2_naming_its_line(workspace, tmp_path, capsys):
+    # One mistyped year on a parcel's last entry used to pass every check and
+    # fit a daily-volume history millions of days long.
+    events = workspace["sim"] / "events.csv"
+    with open(events, newline="", encoding="utf-8") as fh:
+        pickup = next(i for i, row in enumerate(list(csv.reader(fh))[1:]) if row[4] == "4")
+    far = tmp_path / "far.csv"
+    rewrite_rows(events, far, lambda i, row: row[:5] + ["9999-07-05T23:00:00"] if i == pickup else row)
+    assert fit(workspace, far, tmp_path / "m") == 2
+    assert f"far.csv:{pickup + 2}: entry at 9999-07-05T23:00:00" in capsys.readouterr().err
+
+
+MODEL_FILES = ("kernel.json", "profile.json", "volumes.json", "selection.json")
+
+
+def test_fit_writes_the_same_bytes_twice(workspace, tmp_path):
+    assert fit(workspace, workspace["sim"] / "events.csv", tmp_path / "again") == 0
+    for name in MODEL_FILES:
+        assert (tmp_path / "again" / name).read_bytes() == (workspace["models"] / name).read_bytes()
+
+
+def test_model_files_load_back_bit_for_bit(workspace):
+    config = ScenarioConfig.from_json_dict(json.loads(workspace["config"].read_text()))
+    log = EventLog.from_csv(workspace["sim"] / "events.csv", config.timebase)
+    models = workspace["models"]
+    entry, last = config.entry_status, config.n_statuses - 1
+    kernel = TransitionKernel.load(models / "kernel.json")
+    fitted = {
+        entry: estimate_transit_kernel(log, config.pup, status_from=entry),
+        last: estimate_pickup_kernel(log, config.pup, config.opening, status_from=last),
+    }
+    for n, status in fitted.items():
+        for mine, saved in zip(status.levels, kernel.statuses[n].levels, strict=True):
+            assert mine.schema == saved.schema and mine.pmfs.keys() == saved.pmfs.keys()
+            for key, pmf in mine.pmfs.items():
+                assert pmf.probs.tobytes() == saved.pmfs[key].probs.tobytes()
+    profile = HourlyProfile.from_json_dict(json.loads((models / "profile.json").read_text()))
+    rho = fit_hourly_profile(log, status=entry).rho
+    assert rho.keys() == profile.rho.keys()
+    assert all(rho[key].tobytes() == profile.rho[key].tobytes() for key in rho)
+    volume = DailyVolumeModel.from_json_dict(json.loads((models / "volumes.json").read_text()))
+    history = fit_daily_volume(log, status=entry).history
+    assert history.keys() == volume.history.keys()
+    assert all(history[c].tobytes() == volume.history[c].tobytes() for c in history)
+    selection = SelectionModel.from_json_dict(json.loads((models / "selection.json").read_text()))
+    assert selection == estimate_selection(log)
+
+
+def test_models_in_the_indented_layout_give_the_same_forecast(workspace, tmp_path):
+    indented = tmp_path / "indented"
+    indented.mkdir()
+    for name in MODEL_FILES:  # the layout model files had before they were written compact
+        doc = json.loads((workspace["models"] / name).read_text())
+        with open(indented / name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+    outputs = []
+    for models in (workspace["models"], indented):
+        out = tmp_path / f"{models.name}.json"
+        assert main([
+            "forecast", "--config", str(workspace["config"]), "--models", str(models),
+            "--log", str(workspace["sim"] / "events.csv"), "--k", str(30 * 24), "--horizons", "13,37", "--out", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,11 +1,15 @@
 """Parcel records and event log CSV I/O."""
 
+import csv
+from datetime import datetime, timedelta
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pupcast import EventLog, ParcelRecord
-from pupcast.records import NEVER
+from pupcast import EventLog, ParcelRecord, Timebase
+from pupcast.records import MAX_SPAN_DAYS, NEVER
 from pupcast.errors import EmptyLog, ValidationError
 
 from helpers import TB
@@ -220,4 +224,95 @@ def test_duplicate_and_out_of_range_status_name_their_line(tmp_path):
         EventLog.from_csv(path, TB)
     path.write_text(head + "P1,r1,c1,shop,2,2024-01-01T08:00:00\nP1,r1,c1,shop,99999999999999999999,2024-01-01T09:00:00\n")
     with pytest.raises(ValidationError, match=r"bad\.csv:3"):
+        EventLog.from_csv(path, TB)
+
+
+ODD_IDS = st.text(alphabet='ab,"\n\r x', min_size=1, max_size=6)  # exercise the csv quoting
+
+
+@st.composite
+def odd_logs(draw):
+    """A valid log of parcels with odd ids, its rows in id order, and its cutoff as read from CSV."""
+    records = []
+    for pid in sorted(draw(st.sets(ODD_IDS, min_size=1, max_size=8))):
+        statuses = sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=5)))
+        slots = sorted(draw(st.sets(st.integers(-60, 60), min_size=len(statuses), max_size=len(statuses))))
+        carrier, pup = draw(st.sampled_from(["c1", "c,2"])), draw(st.sampled_from(["shop", 'the "other"']))
+        records.append(rec(pid, dict(zip(statuses, slots)), carrier, pup, draw(st.sampled_from(["r1", None]))))
+    cutoff = max(0, max(t for r in records for t in r.entry_times.values()))
+    return EventLog(records, cutoff, TB)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_logs(), st.randoms(use_true_random=False), st.integers(0, 4))
+def test_csv_round_trip_of_shuffled_rows_with_blank_lines(tmp_path_factory, log, random, blanks):
+    path = tmp_path_factory.mktemp("csv") / "events.csv"
+    log.to_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    random.shuffle(rows)
+    for _ in range(blanks):
+        rows.insert(random.randrange(len(rows) + 1), [])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    back = EventLog.from_csv(path, TB)
+    assert back.ids.tolist() == log.ids.tolist()
+    assert (back.carriers, back.pups, back.retailers) == (log.carriers, log.pups, log.retailers)
+    for column in ("carrier", "pup", "retailer", "statuses", "entries"):
+        assert np.array_equal(getattr(back, column), getattr(log, column))
+    assert back.cutoff == log.cutoff
+
+
+HEAD = "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+CARRIER_CHANGE = "P1,r1,c2,shop,3,2024-01-01T11:00:00\n"
+BAD_TIMESTAMP = "P2,r1,c1,shop,3,2024-01-01T25:00:00\n"
+
+
+@pytest.mark.parametrize(
+    "third, fifth, named",
+    [(CARRIER_CHANGE, BAD_TIMESTAMP, r"bad\.csv:3: parcel P1 changes carrier"),
+     (BAD_TIMESTAMP, CARRIER_CHANGE, r"bad\.csv:3: .*hour")],
+    ids=["carrier change first", "bad timestamp first"],
+)
+def test_the_earlier_of_two_faults_is_named(tmp_path, third, fifth, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        HEAD + "P1,r1,c1,shop,2,2024-01-01T09:00:00\n" + third
+        + "P2,r1,c1,shop,2,2024-01-01T10:00:00\n" + fifth
+    )
+    with pytest.raises(ValidationError, match=named):
+        EventLog.from_csv(path, TB)
+
+
+def test_each_timestamp_text_is_converted_once(tmp_path, monkeypatch):
+    path = tmp_path / "events.csv"
+    path.write_text(
+        HEAD
+        + "P1,r1,c1,shop,2,2024-01-01T09:00:00\nP2,r1,c1,shop,2,2024-01-01T09:00:00\n"
+        + "P1,r1,c1,shop,3,2024-01-01T12:00:00\nP2,r1,c1,shop,3,2024-01-01T12:00:00\n"
+        + "P3,r1,c1,shop,2,2024-01-01T09:00:00\nP3,r1,c1,shop,3,2024-01-01T10:30:00\n"
+    )
+    seen = []
+    index_of = Timebase.index_of
+    monkeypatch.setattr(Timebase, "index_of", lambda self, dt: seen.append(dt) or index_of(self, dt))
+    log = EventLog.from_csv(path, TB)
+    assert sorted(seen) == [datetime(2024, 1, 1, 9), datetime(2024, 1, 1, 10, 30), datetime(2024, 1, 1, 12)]
+    assert log.entries.tolist() == [[9, 12], [9, 12], [9, 10]]
+
+
+def test_entries_may_span_ten_years_and_no_more(tmp_path):
+    path = tmp_path / "span.csv"
+    last = TB.datetime_of(MAX_SPAN_DAYS * 24)
+    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
+                    + f"P1,r1,c1,shop,3,{last.isoformat()}\n")
+    assert EventLog.from_csv(path, TB).cutoff == MAX_SPAN_DAYS * 24
+    later = last + timedelta(hours=1)
+    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
+                    + f"P1,r1,c1,shop,3,{later.isoformat()}\n")
+    with pytest.raises(ValidationError, match=rf"span\.csv:4: entry at {later.isoformat()} .* {MAX_SPAN_DAYS} days"):
+        EventLog.from_csv(path, TB)
+    # the entry named is the one farther from the median, here the earliest
+    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP0,r1,c1,shop,2,1900-01-01T00:00:00\n"
+                    + "P2,r1,c1,shop,2,2024-01-02T00:00:00\n")
+    with pytest.raises(ValidationError, match=r"span\.csv:3: entry at 1900-01-01T00:00:00"):
         EventLog.from_csv(path, TB)
