@@ -8,7 +8,9 @@ with an empty schema is a global fallback.
 
 ``pmf_at``, ``rows_at`` and ``week_rows`` read a status compiled on first
 use: a ``PmfTable`` of its levels' pmfs and, per route, the row that
-lookup resolves at each slot of a week (the context repeats weekly).
+lookup resolves at each slot of a week (the context repeats weekly).  A
+week is built level by level, each resolving only the distinct keys it
+takes in the week, with no lookup per slot.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingKernel, UnknownStatus, ValidationError
-from .pmf import HoldingTimePmf
+from .pmf import HoldingTimePmf, tail_sums
 from .timebase import Timebase
 
 __all__ = [
@@ -36,8 +38,9 @@ __all__ = [
 FEATURES = ("weekday", "hour", "carrier", "retailer", "pup")
 
 
-def context_of(timebase: Timebase, t: int, carrier=None, retailer=None, pup=None) -> dict:
-    """Conditioning context for a transition out of a status entered at slot t."""
+def context_of(timebase: Timebase, t, carrier=None, retailer=None, pup=None) -> dict:
+    """Conditioning context for a transition out of a status entered at slot t.
+    For an array of slots, the weekday and hour are arrays of the same shape."""
     return {
         "weekday": timebase.weekday_of(t),
         "hour": timebase.hour_of(t),
@@ -48,9 +51,10 @@ def context_of(timebase: Timebase, t: int, carrier=None, retailer=None, pup=None
 
 
 class PmfTable:
-    """Pmfs as zero-padded rows, each matrix stacked on first use: ``probs[r]``
-    is ``pmfs[r].probs`` and ``tails[r, d]`` is ``pmfs[r].survival(d - 1)``.
-    ``row_of`` maps a pmf's ``id`` to its row."""
+    """Pmfs as zero-padded rows, each matrix built on first use: ``probs[r]``
+    is ``pmfs[r].probs`` and ``tails`` is ``tail_sums(probs)``, so ``tails[r]``
+    is ``pmfs[r].tails`` padded with zeros, bit for bit, and ``tails[r, d]`` is
+    ``pmfs[r].survival(d - 1)``.  ``row_of`` maps a pmf's ``id`` to its row."""
 
     def __init__(self, pmfs: Iterable[HoldingTimePmf]):
         self.pmfs = list(pmfs)
@@ -66,10 +70,7 @@ class PmfTable:
 
     @cached_property
     def tails(self) -> np.ndarray:
-        tails = np.zeros((len(self.pmfs), self.width + 1))
-        for r, f in enumerate(self.pmfs):
-            tails[r, : len(f.tails)] = f.tails
-        return tails
+        return tail_sums(self.probs)
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class TransitionKernel:
     n_statuses: int
     statuses: Mapping[int, StatusKernel]
     timebase: Timebase
-    # status n's PmfTable, (rows, table) per (n, carrier, retailer, pup) (see _week) and the last
-    # (routes, stack, table) of week_rows per (n, pup)
+    # status n's PmfTable; per (n, level index, route features it names) the level's week and per
+    # (n, carrier, retailer, pup) the (rows, table) of _week; the last (routes, stack, table) of
+    # week_rows per (n, pup)
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,20 +138,34 @@ class TransitionKernel:
             raise MissingKernel(f"no kernel fitted for status {n}")
         return self.statuses[n].lookup(ctx)
 
+    def _table(self, n: int) -> PmfTable:
+        """Status n's pmfs, compiled on first use."""
+        if n not in self._compiled:
+            sk = self.statuses.get(n) or self.lookup(n, {})  # lookup raises UnknownStatus or MissingKernel
+            self._compiled[n] = PmfTable({id(f): f for level in sk.levels for f in level.pmfs.values()}.values())
+        return self._compiled[n]
+
     def _week(self, n: int, route: tuple) -> tuple[np.ndarray, PmfTable]:
         """Status n's table, and the row that ``lookup`` resolves on route at
-        each slot of a week (-1 where it raises MissingKernel)."""
+        each slot of a week (-1 where it raises MissingKernel).  Each level,
+        most specific first, fills the slots no earlier level resolved from
+        its own week, which resolves each distinct key once and is kept for
+        all routes that agree on the route features the level names."""
         week = self._compiled.get((n, *route))
         if week is None:
-            sk = self.statuses.get(n) or self.lookup(n, {})  # lookup raises UnknownStatus or MissingKernel
-            pmfs = {id(f): f for level in sk.levels for f in level.pmfs.values()}
-            table = self._compiled.get(n) or self._compiled.setdefault(n, PmfTable(pmfs.values()))
-            rows = np.full(self.timebase.slots_per_week, -1, dtype=np.intp)
-            for s in range(len(rows)):
-                try:
-                    rows[s] = table.row_of[id(sk.lookup(context_of(self.timebase, s, *route)))]
-                except MissingKernel:
-                    pass
+            table, size = self._table(n), self.timebase.slots_per_week
+            given = dict(zip(("carrier", "retailer", "pup"), route))
+            rows = np.full(size, -1, dtype=np.intp)
+            for i, level in enumerate(self.statuses[n].levels):
+                name = (n, i, tuple(given[f] for f in level.schema if f in given))
+                if name not in self._compiled:
+                    ctx = context_of(self.timebase, np.arange(size))  # the weekday and hour of each slot
+                    keys = [*zip(*([given[f]] * size if f in given else ctx[f].tolist() for f in level.schema))]
+                    keys = keys or [()] * size  # a level without features has one key
+                    pmfs = {key: level.pmfs.get(key) for key in dict.fromkeys(keys)}  # each distinct key once
+                    found = {key: table.row_of[id(f)] for key, f in pmfs.items() if f is not None}
+                    self._compiled[name] = np.array([found.get(key, -1) for key in keys], dtype=np.intp)
+                rows = np.where(rows < 0, self._compiled[name], rows)
             week = self._compiled[(n, *route)] = (rows, table)
         return week
 
@@ -183,11 +199,10 @@ class TransitionKernel:
         stack is read-only and kept until other routes are asked for n and pup."""
         last = self._compiled.get((n, pup))
         if last is None or last[0] != tuple(routes):
-            # with no routes, the week of an unnamed route still gives the table
-            weeks = [self._week(n, (carrier, retailer, pup)) for carrier, retailer in routes or [(None, None)]]
-            stack = np.array([rows for rows, _ in weeks], dtype=np.intp)[: len(routes)]
+            weeks = [self._week(n, (carrier, retailer, pup))[0] for carrier, retailer in routes]
+            stack = np.array(weeks, dtype=np.intp).reshape(len(routes), self.timebase.slots_per_week)
             stack.flags.writeable = False
-            last = self._compiled[(n, pup)] = tuple(routes), stack, weeks[0][1]
+            last = self._compiled[(n, pup)] = tuple(routes), stack, self._table(n)
         return last[1:]
 
     def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:

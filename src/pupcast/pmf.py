@@ -18,6 +18,7 @@ __all__ = [
     "HoldingTimePmf",
     "LoadPmf",
     "convolve",
+    "tail_sums",
     "tv_distance",
 ]
 
@@ -49,15 +50,13 @@ class HoldingTimePmf:
         return len(self.probs) - 1
 
     def survival(self, delta: int) -> float:
-        """P(H > delta).  Tail sum, so deep tails keep full precision."""
-        if delta < 0:
-            return 1.0
-        return float(self.probs[delta + 1 :].sum())
+        """P(H > delta): ``tails[delta + 1]``, 1 for delta < 0 and 0 from support_max on."""
+        return float(self.tails[min(max(delta + 1, 0), len(self.probs))])
 
     @cached_property
     def tails(self) -> np.ndarray:
-        """``tails[d]`` is ``survival(d - 1)`` for d in 0..support_max + 1, bit for bit."""
-        return np.array([self.survival(d - 1) for d in range(len(self.probs) + 1)])
+        """``tails[d]`` is P(H >= d) for d in 0..support_max + 1 (see ``tail_sums``)."""
+        return tail_sums(self.probs)
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "HoldingTimePmf":
@@ -122,6 +121,19 @@ class LoadPmf:
         kept = (self.probs[1:] >= eps).nonzero()[0]  # the first entry always stays
         trimmed = self.probs[: kept[-1] + 2 if kept.size else 1]
         return LoadPmf(trimmed / trimmed.sum())
+
+
+def tail_sums(probs: np.ndarray) -> np.ndarray:
+    """``tails[..., d]`` is ``probs[..., d:].sum()`` for d in 0..n along the last
+    axis (of length n), with exactly 1 at d = 0 and 0 at d = n.  One reverse
+    cumulative sum from the deepest delay in ``np.longdouble`` (a float64 one
+    drifts by ulps over a long support), capped at 1, so tails never rise and
+    deep ones keep full precision; padding zeros leave the tails bit for bit."""
+    tails = np.empty((*probs.shape[:-1], probs.shape[-1] + 1))
+    tails[..., 0], tails[..., -1] = 1.0, 0.0
+    deep_first = probs[..., :0:-1].astype(np.longdouble)
+    tails[..., -2:0:-1] = np.cumsum(deep_first, axis=-1, out=deep_first)
+    return np.minimum(tails, 1.0, out=tails)
 
 
 def convolve(a: LoadPmf, b: LoadPmf) -> LoadPmf:

@@ -742,10 +742,21 @@ def test_warm_forecast_reads_only_compiled_tables(default_log, table_calls):
             predict_load_pmf(parcels, kernel, cfg.intensity, cfg.selection, k, j, entry_status=cfg.entry_status)
 
     forecast(100)
-    assert table_calls["StatusKernel.lookup"] > 0  # the warm-up compiles the tables
+    assert table_calls["PmfTable.__init__"] > 0  # the warm-up compiles the tables
     table_calls.clear()
     forecast(130)
     assert table_calls == Counter()
+
+
+def test_fresh_kernel_compiles_without_survival_or_lookup(default_log, table_calls):
+    # a fresh kernel's first forecast sums no survival and resolves no pmf by
+    # lookup: it builds one table for each status it reads, here both fitted ones
+    cfg, log = default_log
+    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
+    k = 100 * cfg.timebase.slots_per_day
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    predict_load_pmfs(parcels, kernel, cfg.intensity, cfg.selection, k, (13, 37, 61, 85), entry_status=cfg.entry_status)
+    assert table_calls == Counter({"PmfTable.__init__": len(cfg.kernel.statuses)})
 
 
 def test_single_parcel_api_reads_only_compiled_tables(table_calls):

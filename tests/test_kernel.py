@@ -11,7 +11,7 @@ from pupcast.errors import MissingKernel, UnknownStatus, ValidationError
 from pupcast.kernel import context_of
 from pupcast.scenario import default_scenario
 
-from helpers import TB, pooled_status, retailer_keyed_kernel
+from helpers import TB, pooled_status, random_pmf, retailer_keyed_kernel
 
 
 def make_kernel():
@@ -166,17 +166,39 @@ def test_json_round_trip_bit_exact(tmp_path):
 ROUTES = [(c, r, p) for c in ("c1", "c2", "c3") for r in ("r1", "r2", "r3", None) for p in ("shop", None)]
 
 
-@pytest.mark.parametrize("kernel", [default_scenario().kernel, retailer_keyed_kernel()], ids=["default", "retailer-keyed"])
+def holed_kernel() -> TransitionKernel:
+    """2-hour slots from a Wednesday 06:00.  A weekday x hour x carrier level
+    with holes lies over a weekday-only level without weekends, and there is no
+    pooled level: some slots resolve at each level and some at none.  A day's
+    slots before 06:00 belong to another weekday than the epoch's day offset."""
+    rng = np.random.default_rng(13)
+    by_hour = KernelLevel(
+        ("weekday", "hour", "carrier"),
+        {(w, h, c): random_pmf(rng, 4) for w in range(1, 8) for h in range(0, 24, 2) for c in ("c1", "c2") if (w + h // 2) % 3},
+    )
+    by_day = KernelLevel(("weekday",), {(w,): random_pmf(rng, 5) for w in range(1, 6)})
+    return TransitionKernel(1, {0: StatusKernel((by_hour, by_day))}, Timebase(datetime(2024, 1, 3, 6), slot_hours=2))
+
+
+@pytest.mark.parametrize(
+    "kernel", [default_scenario().kernel, retailer_keyed_kernel(), holed_kernel()], ids=["default", "retailer-keyed", "2h-holes"]
+)
 def test_week_rows_name_the_pmf_lookup_returns(kernel):
     tb = kernel.timebase
     week = np.arange(tb.slots_per_week)
     for n in kernel.statuses:
-        for route in ROUTES:
-            rows, table = kernel.rows_at(n, week, *route)
+        for carrier, retailer, pup in ROUTES:
+            (rows,), table = kernel.week_rows(n, [(carrier, retailer)], pup)
             for s in week.tolist():
-                assert table.pmfs[rows[s]] is kernel.lookup(n, context_of(tb, s, *route)), (n, route, s)
+                ctx = context_of(tb, s, carrier, retailer, pup)
+                if rows[s] < 0:
+                    with pytest.raises(MissingKernel):
+                        kernel.lookup(n, ctx)
+                else:
+                    assert table.pmfs[rows[s]] is kernel.lookup(n, ctx), (n, ctx)
+            found = week[rows >= 0]
             for shift in (-3, 1, 5):  # any week, negative slots included
-                assert np.array_equal(kernel.rows_at(n, week + shift * len(week), *route)[0], rows)
+                assert np.array_equal(kernel.rows_at(n, found + shift * len(week), carrier, retailer, pup)[0], rows[found])
 
 
 @pytest.mark.parametrize("kernel", [default_scenario().kernel, retailer_keyed_kernel()], ids=["default", "retailer-keyed"])

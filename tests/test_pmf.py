@@ -1,5 +1,7 @@
 """Discrete distribution invariants and arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from pupcast.pmf import HoldingTimePmf, LoadPmf, convolve, tv_distance
 from pupcast.errors import InvalidQuantile, ValidationError
+from pupcast.scenario import default_scenario
 
 
 class TestHoldingTimePmf:
@@ -27,6 +30,22 @@ class TestHoldingTimePmf:
     def test_cdf_survival(self):
         f = HoldingTimePmf.uniform(1, 4)
         assert f.survival(2) == pytest.approx(0.5)
+
+    def test_tails_are_exact_tail_sums_that_never_rise(self):
+        # the default kernel's pmfs and Dirichlet(0.3) pmfs on 336 delays; summed
+        # one slice per delay, 2 of the former and 13 of the latter rise by an ulp
+        kernel = default_scenario().kernel
+        pmfs = list({id(f): f for sk in kernel.statuses.values() for lv in sk.levels for f in lv.pmfs.values()}.values())
+        rng = np.random.default_rng(11)
+        pmfs += [HoldingTimePmf.from_counts(np.append(0.0, rng.gamma(0.3, size=336))) for _ in range(200)]
+        for f in pmfs:
+            tails = f.tails
+            assert len(tails) == len(f.probs) + 1 and tails[0] == 1.0 and tails[-1] == 0.0
+            assert (np.diff(tails) <= 0).all()
+            exact = [math.fsum(f.probs[d:]) for d in range(len(tails))]
+            assert np.abs(tails - exact).max() <= 1e-15
+            for delta in range(-3, f.support_max + 4):
+                assert f.survival(delta) == tails[min(max(delta + 1, 0), len(f.probs))]
 
     def test_from_counts_and_point_mass(self):
         f = HoldingTimePmf.from_counts([0, 2, 0, 1])
