@@ -314,19 +314,21 @@ def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndar
 
 def poisson_truncation(lam: float, coverage: float = 0.99) -> int:
     """Smallest m with Poisson CDF(m) >= coverage."""
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
     if not 0.0 < coverage < 1.0:
         raise ValidationError("coverage must be in (0, 1)")
-    if lam == 0.0:
+    if lam == 0.0:  # most (slot, carrier) pairs of a forecast
         return 0
-    term = math.exp(-lam)
-    cdf = term
-    m = 0
-    while cdf < coverage:
-        m += 1
-        term *= lam / m
+    if lam > 700.0:  # exp(-lam) underflows past 708: start 12 sd below the mean, skipping mass under 1e-30
+        start = int(lam - 12.0 * math.sqrt(lam))
+        term = math.exp(start * math.log(lam) - lam - math.lgamma(start + 1))
+    else:
+        start, term = 0, math.exp(-lam)
+    cdf = 0.0
+    for m in range(start, int(lam + 12.0 * math.sqrt(lam)) + 41):  # poisson_rows' end: the pmf past it sums below 1e-32
         cdf += term
-        if m > 10_000_000:  # unreachable for sane lambda; guards infinite loop
-            raise ValidationError(f"poisson_truncation diverged for lam={lam}")
-    return m
+        if cdf >= coverage:
+            return m
+        term *= lam / (m + 1)
+    raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam}")

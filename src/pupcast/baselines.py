@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InsufficientHistory
 
-__all__ = ["baseline_seasonal_naive", "baseline_holt_winters", "HoltWinters"]
+__all__ = ["baseline_seasonal_naive", "baseline_holt_winters"]
 
 
 def baseline_seasonal_naive(series: np.ndarray, steps: int, period: int = 7) -> np.ndarray:
@@ -19,73 +19,10 @@ def baseline_seasonal_naive(series: np.ndarray, steps: int, period: int = 7) -> 
     Steps beyond one period reuse the same last observed cycle.
     """
     series = np.asarray(series, dtype=float)
-    if len(series) < period:
-        raise InsufficientHistory(f"need at least one period ({period}) of history")
     n = len(series)
-    out = np.empty(steps)
-    for h in range(steps):
-        idx = n + h
-        while idx >= n:
-            idx -= period
-        out[h] = series[idx]
-    return out
-
-
-class HoltWinters:
-    """Additive triple exponential smoothing with a weekly season.
-
-    Level and trend are initialized from a least-squares line through the
-    history; initial seasonal terms are the per-weekday means of the
-    residuals.  ``damping`` < 1 damps the trend in multi-step forecasts.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        beta: float = 0.05,
-        gamma: float = 0.25,
-        period: int = 7,
-        damping: float = 1.0,
-    ):
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.period = period
-        self.damping = damping
-        self.level = 0.0
-        self.trend = 0.0
-        self.season: np.ndarray | None = None
-
-    def fit(self, series: np.ndarray) -> "HoltWinters":
-        series = np.asarray(series, dtype=float)
-        p = self.period
-        if len(series) < 2 * p:
-            raise InsufficientHistory(f"need at least two seasons ({2 * p}) of history")
-        t = np.arange(len(series))
-        slope, intercept = np.polyfit(t, series, 1)
-        residuals = series - (intercept + slope * t)
-        season = np.array([residuals[i::p].mean() for i in range(p)])
-        season -= season.mean()
-        level, trend = intercept, slope
-        for i, y in enumerate(series):
-            s = season[i % p]
-            prev_level = level
-            level = self.alpha * (y - s) + (1 - self.alpha) * (level + trend)
-            trend = self.beta * (level - prev_level) + (1 - self.beta) * trend
-            season[i % p] = self.gamma * (y - level) + (1 - self.gamma) * s
-        self.level, self.trend, self.season = level, trend, season
-        self._n = len(series)
-        return self
-
-    def forecast(self, steps: int) -> np.ndarray:
-        if self.season is None:
-            raise InsufficientHistory("forecast called before fit")
-        out = np.empty(steps)
-        damp_sum = 0.0
-        for h in range(1, steps + 1):
-            damp_sum += self.damping**h
-            out[h - 1] = self.level + damp_sum * self.trend + self.season[(self._n + h - 1) % self.period]
-        return out
+    if n < period:
+        raise InsufficientHistory(f"need at least one period ({period}) of history")
+    return series[n - period + np.arange(steps) % period]
 
 
 def baseline_holt_winters(
@@ -97,6 +34,28 @@ def baseline_holt_winters(
     period: int = 7,
     damping: float = 1.0,
 ) -> np.ndarray:
-    """Fit an additive Holt-Winters model and forecast ``steps`` days ahead."""
-    model = HoltWinters(alpha, beta, gamma, period, damping).fit(series)
-    return model.forecast(steps)
+    """Fit an additive Holt-Winters model and forecast ``steps`` days ahead.
+
+    Additive triple exponential smoothing with a weekly season.  Level and
+    trend are initialized from a least-squares line through the history;
+    initial seasonal terms are the per-weekday means of the residuals.
+    ``damping`` < 1 damps the trend in multi-step forecasts.
+    """
+    series = np.asarray(series, dtype=float)
+    n, p = len(series), period
+    if n < 2 * p:
+        raise InsufficientHistory(f"need at least two seasons ({2 * p}) of history")
+    t = np.arange(n)
+    slope, intercept = np.polyfit(t, series, 1)
+    residuals = series - (intercept + slope * t)
+    season = np.array([residuals[i::p].mean() for i in range(p)])
+    season -= season.mean()
+    level, trend = intercept, slope
+    for i, y in enumerate(series):
+        s = season[i % p]
+        prev_level = level
+        level = alpha * (y - s) + (1 - alpha) * (level + trend)
+        trend = beta * (level - prev_level) + (1 - beta) * trend
+        season[i % p] = gamma * (y - level) + (1 - gamma) * s
+    damp_sum = np.cumsum([damping**h for h in range(1, steps + 1)])
+    return level + damp_sum * trend + season[(n + np.arange(steps)) % p]

@@ -24,7 +24,7 @@ from .estimation import (
     estimate_selection,
     estimate_transit_kernel,
 )
-from .evaluate import DEFAULT_HORIZONS, rolling_origin_evaluate
+from .evaluate import DEFAULT_HORIZONS, METHODS, rolling_origin_evaluate
 from .kernel import TransitionKernel, read_model, write_model
 from .oracle import enumerate_contribution_prob, random_instance, simulate
 from .records import EventLog
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", help="fitted model directory; ground truth if omitted")
     p.add_argument("--seed", type=int)
     p.add_argument("--horizons", type=_horizons, default=DEFAULT_HORIZONS)
-    p.add_argument("--methods", default="lifecycle,seasonal-naive,holt-winters")
+    p.add_argument("--methods", default=",".join(METHODS), help="comma-separated names from %(default)s")
     p.add_argument("--first-anchor-day", type=int, default=28)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

@@ -221,12 +221,13 @@ def prob_future_order_contributes(
     return float(window.entering(entry_status, np.ones(1, dtype=bool))[0, 0, t_0 - k - 1])
 
 
-def _order_mix(intensity: OrderIntensity, selection: SelectionModel, routes: list) -> np.ndarray:
-    """Each carrier's retailer mix as weights (carriers x routes) on ``routes``, which gains the routes it lacks."""
+def _order_mix(intensity: OrderIntensity, selection: SelectionModel | None, routes: list) -> np.ndarray:
+    """Each carrier's retailer mix as weights (carriers x routes) on ``routes``, which gains the routes it lacks.
+    A carrier without retailer weights, or any without ``selection``, orders with retailer None."""
     index = {route: i for i, route in enumerate(routes)}
     mix = []
     for c in intensity.carriers:
-        weights = selection.p_retailer_given_carrier(c) or {None: 1.0}
+        weights = (selection and selection.p_retailer_given_carrier(c)) or {None: 1.0}
         mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
     routes[:] = index
     return np.array([[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]).reshape(len(mix), len(index))
@@ -381,8 +382,6 @@ def predict_load_pmfs(
     last = kernel.n_statuses - 1
     lowest = int(status[status < last].min(initial=last - 1)) + 1
     if intensity is not None:
-        if selection is None:
-            selection = SelectionModel({None: 1.0}, {None: {c: 1.0 / len(intensity.carriers) for c in intensity.carriers}})
         mix = _order_mix(intensity, selection, routes)
         lowest = min(lowest, entry_status)
     window = _Window(kernel, pup, routes, k, horizons, lowest)
@@ -405,7 +404,7 @@ def predict_load_pmfs(
             bad = (r >= 0) & (denom[odd] <= _EPS)
             if bad.any():  # retried with the coarsest pooled pmf, a row of the same table
                 try:
-                    pooled = table.row_of[id(kernel.pooled_pmf_at(n, int(slot[at[bad]][0])))]
+                    pooled = table.row_of[id(kernel.pooled_pmf_at(n))]
                 except MissingKernel:
                     note[bad] = "impossible evidence, no fallback; dropped"
                 else:

@@ -19,10 +19,12 @@ from .engine import predict_load_pmfs
 from .errors import InsufficientHistory, ValidationError
 from .oracle import SimulatedTrace
 
-__all__ = ["EvalReport", "EvalRow", "rolling_origin_evaluate", "DEFAULT_HORIZONS"]
+__all__ = ["EvalReport", "EvalRow", "rolling_origin_evaluate", "DEFAULT_HORIZONS", "METHODS"]
 
 DEFAULT_HORIZONS = (13, 37, 61, 85)
 EVAL_HOUR = 13
+BASELINES = {"seasonal-naive": baseline_seasonal_naive, "holt-winters": baseline_holt_winters}
+METHODS = ("lifecycle", *BASELINES)
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,11 @@ def _scores(method: str, j: int, preds: list[float], truths: list[int]) -> EvalR
     )
 
 
-def _daily_series(trace: SimulatedTrace, eval_hour: int = EVAL_HOUR) -> np.ndarray:
-    """True load sampled once per day at ``eval_hour``."""
+def _daily_series(trace: SimulatedTrace) -> np.ndarray:
+    """True load sampled once per day at ``EVAL_HOUR``."""
     tb = trace.config.timebase
     slots_per_day = tb.slots_per_day
-    offset = eval_hour // tb.slot_hours
+    offset = EVAL_HOUR // tb.slot_hours
     n_days = len(trace.load) // slots_per_day
     return trace.load[offset : offset + n_days * slots_per_day : slots_per_day].astype(float)
 
@@ -87,15 +89,23 @@ def rolling_origin_evaluate(
     selection,
     anchors: list[int],
     horizons: tuple[int, ...] = DEFAULT_HORIZONS,
-    methods: tuple[str, ...] = ("lifecycle", "seasonal-naive", "holt-winters"),
+    methods: tuple[str, ...] = METHODS,
 ) -> EvalReport:
     """Score the requested methods on identical (anchor, horizon) pairs.
 
-    Anchors are slot indexes at midnight.  The lifecycle method forecasts
-    with the supplied (fitted or ground-truth) models using only evidence
-    up to each anchor; the baselines see the daily load series up to the
-    day before the anchor.
+    ``methods`` are names from ``METHODS``: "lifecycle", and the baselines
+    of ``BASELINES``.  Anchors are slot indexes at midnight, and each
+    anchor plus horizon must land at 13:00 within the trace.  The lifecycle
+    method forecasts with the supplied (fitted or ground-truth) models
+    using only evidence up to each anchor; the baselines see the daily load
+    series up to the day before the anchor.  An unknown method or an empty
+    anchor list raises ValidationError before any forecast runs.
     """
+    for m in methods:
+        if m not in METHODS:
+            raise ValidationError(f"unknown method {m!r}; accepted: {', '.join(METHODS)}")
+    if not anchors:
+        raise ValidationError("no anchors to evaluate")
     tb = trace.config.timebase
     slots_per_day = tb.slots_per_day
     eval_offset = EVAL_HOUR // tb.slot_hours
@@ -126,15 +136,12 @@ def rolling_origin_evaluate(
             for j, result in zip(horizons, results):
                 preds[("lifecycle", j)].append(result.mean)
         history = daily[:day]  # 13:00 of the anchor day is still in the future
-        target_days = [(k + j + (slots_per_day - eval_offset)) // slots_per_day - 1 for j in horizons]
-        if "seasonal-naive" in methods:
-            sn = baseline_seasonal_naive(history, steps=max(target_days) - day + 2)
-            for j, td in zip(horizons, target_days):
-                preds[("seasonal-naive", j)].append(float(sn[td - day]))
-        if "holt-winters" in methods:
-            hw = baseline_holt_winters(history, steps=max(target_days) - day + 2)
-            for j, td in zip(horizons, target_days):
-                preds[("holt-winters", j)].append(float(hw[td - day]))
+        ahead = [(k + j - eval_offset) // slots_per_day - day for j in horizons]  # days from the anchor's to k + j's
+        for name, baseline in BASELINES.items():
+            if name in methods:
+                forecast = baseline(history, steps=max(ahead) + 1)
+                for j, h in zip(horizons, ahead):
+                    preds[(name, j)].append(float(forecast[h]))
 
     rows = [_scores(m, j, preds[(m, j)], truths[j]) for m in methods for j in horizons]
     return EvalReport(rows)

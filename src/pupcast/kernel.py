@@ -205,8 +205,8 @@ class TransitionKernel:
             last = self._compiled[(n, pup)] = tuple(routes), stack, self._table(n)
         return last[1:]
 
-    def pooled_pmf_at(self, n: int, t: int) -> HoldingTimePmf:
-        """Status n's least specific pmf at entry slot t: the fallback for impossible evidence."""
+    def pooled_pmf_at(self, n: int) -> HoldingTimePmf:
+        """Status n's least specific pmf: the fallback for impossible evidence."""
         if n not in self.statuses:
             raise MissingKernel(f"no kernel fitted for status {n}")
         return self.statuses[n].coarsest()

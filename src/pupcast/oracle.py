@@ -334,7 +334,7 @@ def mc_load_at(
             # evidence beyond the support: retry with the pooled pmf, and if
             # that fails too the parcel has departed (the engine's rule)
             try:
-                probs = _after(kernel.pooled_pmf_at(n, t_n), k - t_n)
+                probs = _after(kernel.pooled_pmf_at(n), k - t_n)
             except MissingKernel:
                 pass
         if probs is None:

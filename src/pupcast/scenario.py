@@ -44,6 +44,9 @@ class ScenarioConfig:
     daily_volumes: dict[str, dict[date, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.kernel.timebase != self.timebase:  # volumes and kernel context must share one calendar
+            kernel_tb, tb = self.kernel.timebase.to_json_dict(), self.timebase.to_json_dict()
+            raise ValidationError(f"kernel timebase {kernel_tb} differs from the config's {tb}")
         if not 0 <= self.entry_status < self.n_statuses:
             raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
 

@@ -292,6 +292,17 @@ class TestPoisson:
             if m > 0:
                 assert cdf - poisson_pmf(float(lam), m) < 0.99
 
+    def test_truncation_at_large_rates_matches_scipy(self):
+        # exp(-lam) underflows past lam = 708
+        for lam in (700.0, 708.5, 740.0, 745.0, 746.0, 2500.0, 1e5):
+            for coverage in (0.5, 0.99, 0.999999):
+                assert poisson_truncation(lam, coverage) == stats.poisson.ppf(coverage, lam), (lam, coverage)
+
+    def test_truncation_beyond_float_reach_raises(self):
+        # the float sum of the pmf stops short of the largest float below 1
+        with pytest.raises(ValidationError, match="out of float reach"):
+            poisson_truncation(4.0, math.nextafter(1.0, 0.0))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             poisson_truncation(-1.0)

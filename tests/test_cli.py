@@ -146,10 +146,11 @@ def test_bad_profile_exits_2_naming_the_file(workspace, tmp_path, capsys, text):
     assert f"{models / 'profile.json'}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fit", "forecast", "simulate", "evaluate"])
-def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
-    doc = json.loads(workspace["config"].read_text())
-    doc["entry_status"] = 4  # the default chain has statuses 0..3
+CONFIG_COMMANDS = ["fit", "forecast", "simulate", "evaluate"]
+
+
+def run_with_config(workspace, tmp_path, command, doc) -> Path:
+    """Run ``command`` on the workspace with the config ``doc``, expecting exit 2; return the config's path."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     args = {
@@ -162,7 +163,45 @@ def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp
         "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
     }
     assert main([command, "--config", str(config), *args[command]]) == 2
+    return config
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
+    doc = json.loads(workspace["config"].read_text())
+    doc["entry_status"] = 4  # the default chain has statuses 0..3
+    config = run_with_config(workspace, tmp_path, command, doc)
     assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_kernel_timebase_apart_from_the_config_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
+    doc = json.loads(workspace["config"].read_text())
+    doc["timebase"]["epoch"] = "2017-07-05T00:00:00"  # the kernel keeps 2017-07-03
+    config = run_with_config(workspace, tmp_path, command, doc)
+    err = capsys.readouterr().err
+    assert str(config) in err and "2017-07-05" in err and "2017-07-03" in err
+
+
+def test_evaluate_unknown_method_exits_2_naming_the_accepted_ones(workspace, tmp_path, capsys):
+    code = main([
+        "evaluate", "--config", str(workspace["config"]), "--methods", "lifecycle,bogus",
+        "--out", str(tmp_path / "report.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert all(name in err for name in ("lifecycle", "seasonal-naive", "holt-winters"))
+
+
+def test_evaluate_without_anchors_exits_2(workspace, tmp_path, capsys):
+    code = main([
+        "evaluate", "--config", str(workspace["config"]), "--first-anchor-day", "400",
+        "--out", str(tmp_path / "report.csv"),
+    ])
+    assert code == 2
+    assert "anchor" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_oracle_check(capsys):

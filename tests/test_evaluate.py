@@ -42,6 +42,15 @@ def test_alignment_validated():
         )
 
 
+def test_no_anchors_or_an_unknown_method_rejected_before_any_forecast():
+    trace = periodic_trace()
+    with pytest.raises(ValidationError, match="no anchors"):
+        rolling_origin_evaluate(trace, None, None, None, [], methods=BASELINES)
+    # no kernel: the lifecycle forecast would fail if it ran
+    with pytest.raises(ValidationError, match="'bogus'.*lifecycle, seasonal-naive, holt-winters"):
+        rolling_origin_evaluate(trace, None, None, None, [28 * 24], methods=("lifecycle", "bogus"))
+
+
 def test_mape_excludes_zero_truth():
     trace = periodic_trace()
     trace.load = np.zeros_like(trace.load)  # true load identically zero
