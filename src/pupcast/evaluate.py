@@ -73,15 +73,6 @@ def _scores(method: str, j: int, preds: list[float], truths: list[int]) -> EvalR
     )
 
 
-def _daily_series(trace: SimulatedTrace) -> np.ndarray:
-    """True load sampled once per day at ``EVAL_HOUR``."""
-    tb = trace.config.timebase
-    slots_per_day = tb.slots_per_day
-    offset = EVAL_HOUR // tb.slot_hours
-    n_days = len(trace.load) // slots_per_day
-    return trace.load[offset : offset + n_days * slots_per_day : slots_per_day].astype(float)
-
-
 def rolling_origin_evaluate(
     trace: SimulatedTrace,
     kernel,
@@ -107,9 +98,8 @@ def rolling_origin_evaluate(
     if not anchors:
         raise ValidationError("no anchors to evaluate")
     tb = trace.config.timebase
-    slots_per_day = tb.slots_per_day
-    eval_offset = EVAL_HOUR // tb.slot_hours
-    daily = _daily_series(trace)
+    first = (EVAL_HOUR - tb.hour_of(0)) // tb.slot_hours % tb.slots_per_day  # on slot 0's day or the next
+    daily = trace.load[first :: tb.slots_per_day].astype(float)  # the true load at EVAL_HOUR of each day
     for k in anchors:
         if tb.hour_of(k) != 0:
             raise ValidationError(f"anchor {k} is not at midnight")
@@ -123,7 +113,6 @@ def rolling_origin_evaluate(
     truths: dict[int, list[int]] = {j: [] for j in horizons}
 
     for k in anchors:
-        day = k // slots_per_day
         for j in horizons:
             truths[j].append(int(trace.load[k + j]))
         if "lifecycle" in methods:
@@ -135,8 +124,8 @@ def rolling_origin_evaluate(
             results = predict_load_pmfs(parcels, kernel, inten, selection, k, horizons, trace.config.entry_status)
             for j, result in zip(horizons, results):
                 preds[("lifecycle", j)].append(result.mean)
-        history = daily[:day]  # 13:00 of the anchor day is still in the future
-        ahead = [(k + j - eval_offset) // slots_per_day - day for j in horizons]  # days from the anchor's to k + j's
+        history = daily[: tb.day_of(k) - tb.day_of(first)]  # 13:00 of the anchor day is still in the future
+        ahead = [tb.day_of(k + j) - tb.day_of(k) for j in horizons]  # days from the anchor's to k + j's
         for name, baseline in BASELINES.items():
             if name in methods:
                 forecast = baseline(history, steps=max(ahead) + 1)

@@ -15,6 +15,13 @@ probabilities and loads:
 ``random_instance`` draws the small random kernels that the enumeration
 comparisons run on.
 
+``simulate`` draws the Poisson count of each (slot, carrier) in turn, then
+the block's uniforms in one ``random`` call: per parcel one for its retailer
+(if its carrier has shares), then one per status.  ``Generator.choice(n,
+p=p)`` spends one uniform u on ``_cdf(p).searchsorted(u, side="right")``, so
+this is the trace of one ``choice`` per draw.  Delays are mapped with one
+``pmf_at`` per status, route and slot of the week, as the kernel repeats weekly.
+
 Both Monte Carlo oracles draw a parcel's onward path with one sampler,
 ``_still_stored``: status by status it draws the holding times of the
 parcels not yet past k+j in groups of equal (route, entry slot), routes
@@ -26,6 +33,7 @@ so a seeded generator gives byte-identical loads.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property, partial
@@ -101,40 +109,63 @@ def _retailer_shares(selection: SelectionModel | None, carrier) -> tuple[list, n
     return retailers, weights / weights.sum()
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf that ``Generator.choice(len(probs), p=probs)`` searches, from its float operations."""
+    cdf = probs.cumsum()
+    return cdf / cdf[-1]
+
+
 def simulate(config: ScenarioConfig) -> SimulatedTrace:
     """Draw a full synthetic history from the ground-truth models.
 
     Orders per slot per carrier are Poisson with the ground-truth intensity;
-    each parcel then draws its holding times from the ground-truth kernel.
-    The output is fully determined by ``config.seed``.
+    each parcel then draws its retailer and its holding times from the
+    uniforms of its block.  The output is fully determined by ``config.seed``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    tb = config.timebase
-    kernel = config.kernel
-    horizon = config.horizon_slots
-    by_carrier = {c: _retailer_shares(config.selection, c) for c in config.intensity.carriers}
-    parcels: list[ParcelRecord] = []
-    counter = 0
-    rates = config.intensity.rates(tb, range(horizon)).tolist()
-    for k in range(horizon):
-        for carrier, lam in zip(config.intensity.carriers, rates[k]):
-            count = int(rng.poisson(lam)) if lam > 0 else 0
-            retailers, shares = by_carrier[carrier]
-            for _ in range(count):
-                retailer = retailers[rng.choice(len(retailers), p=shares)] if shares is not None else None
-                counter += 1
-                entries = {config.entry_status: k}
-                t = k
-                for n in range(config.entry_status, config.n_statuses):
-                    pmf = kernel.pmf_at(n, t, carrier=carrier, retailer=retailer, pup=config.pup)
-                    t = t + int(_draw_delay(rng, pmf)[0])
-                    entries[n + 1] = t
-                parcels.append(
-                    ParcelRecord(f"P{counter:06d}", carrier, config.pup, retailer, entries)
-                )
-    trace = SimulatedTrace(config=config, parcels=parcels, load=np.zeros(0, dtype=int))
+    trace = SimulatedTrace(config=config, parcels=_parcels(config), load=np.zeros(0, dtype=int))
     trace.load = trace.recount_load()
     return trace
+
+
+def _parcels(config: ScenarioConfig) -> list[ParcelRecord]:
+    """``simulate``'s parcels; the draws' arrays are freed before the trace is built."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    tb, kernel, pup = config.timebase, config.kernel, config.pup
+    first, last, carriers = config.entry_status, config.n_statuses, config.intensity.carriers
+    shares = [_retailer_shares(config.selection, c) for c in carriers]
+    has_shares = np.array([p is not None for _, p in shares], dtype=np.intp)
+    width = last - first + has_shares  # uniforms per parcel of each carrier
+    u, entered, carrier = array("d"), [], []
+    for k, lams in enumerate(config.intensity.rates(tb, range(config.horizon_slots)).tolist()):
+        for c, lam in enumerate(lams):
+            count = int(rng.poisson(lam)) if lam > 0 else 0
+            if count:
+                u.frombytes(rng.random(count * int(width[c])).tobytes())
+                entered += [k] * count  # the parcels of a slot share its int
+                carrier += [c] * count
+    carrier, u = np.array(carrier, dtype=np.intp), np.frombuffer(u)
+    hops = np.cumsum(width[carrier]) - (last - first)  # each parcel's first uniform for a status
+    retailer = np.zeros(len(carrier), dtype=np.intp)
+    for c in np.flatnonzero(has_shares):  # the retailer's uniform comes just before
+        retailer[carrier == c] = _cdf(shares[c][1]).searchsorted(u[hops[carrier == c] - 1], side="right")
+    route = carrier * max((len(retailers) for retailers, _ in shares), default=1) + retailer
+    times, cdfs, week = [np.array(entered, dtype=np.intp)], {}, tb.slots_per_week
+    for col, n in enumerate(range(first, last)):
+        t = times[-1].copy()  # becomes the entry into status n + 1, group by group
+        key = route * week + t % week
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist() + [len(order)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            i, members = order[lo], order[lo:hi]
+            pmf = kernel.pmf_at(n, int(t[i]), carriers[carrier[i]], shares[carrier[i]][0][retailer[i]], pup)
+            cdf = cdfs[id(pmf)] if id(pmf) in cdfs else cdfs.setdefault(id(pmf), _cdf(pmf.probs))
+            t[members] += cdf.searchsorted(u[hops[members] + col], side="right")
+        times.append(t)
+    rows = zip(carrier.tolist(), retailer.tolist(), entered, *(t.tolist() for t in times[1:]))
+    return [
+        ParcelRecord(f"P{i:06d}", carriers[c], pup, shares[c][0][r], dict(zip(range(first, last + 1), row)))
+        for i, (c, r, *row) in enumerate(rows, 1)
+    ]
 
 
 def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:

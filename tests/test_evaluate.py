@@ -1,10 +1,13 @@
 """Rolling-origin evaluation: alignment, scoring and determinism."""
 
+from datetime import datetime
+
 import numpy as np
 import pytest
 
-from pupcast import default_scenario, simulate
+from pupcast import Timebase, default_scenario, simulate
 from pupcast.errors import InsufficientHistory, ValidationError
+from pupcast.evaluate import BASELINES as BASELINE_FUNCTIONS
 from pupcast.evaluate import EVAL_HOUR, rolling_origin_evaluate
 from pupcast.oracle import SimulatedTrace
 
@@ -90,3 +93,17 @@ def test_eval_hour_is_13():
     assert EVAL_HOUR == 13
     for j in (13, 37, 61, 85):
         assert j % 24 == 13
+
+
+def test_baselines_see_the_eval_hour_of_each_day_before_the_anchor(monkeypatch):
+    # with an epoch at 05:00, slot 13 is 18:00 and a midnight anchor is slot 19 + 24 d
+    cfg = default_scenario(horizon_days=42, ramp=0.0)
+    cfg.timebase = tb = Timebase(datetime(2017, 7, 3, 5))
+    trace = SimulatedTrace(config=cfg, parcels=[], load=np.arange(cfg.horizon_slots))  # each slot's load is the slot
+    seen = []
+    monkeypatch.setitem(BASELINE_FUNCTIONS, "seasonal-naive", lambda history, steps: seen.append(history) or np.zeros(steps))
+    anchors = [19 + 28 * 24, 19 + 30 * 24]
+    rolling_origin_evaluate(trace, None, None, None, anchors, methods=("seasonal-naive",))
+    for k, history in zip(anchors, seen, strict=True):
+        expected = [s for s in range(k) if tb.hour_of(s) == EVAL_HOUR and tb.day_of(s) < tb.day_of(k)]
+        assert history.tolist() == expected

@@ -1,6 +1,7 @@
 """Simulation, enumeration and Monte Carlo oracles."""
 
 import ast
+import hashlib
 from datetime import date
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from pupcast.engine import (
     prob_delivered_and_stored_multi_hop,
     prob_still_stored,
 )
-from pupcast.errors import ConditioningTooRare, TooLarge, ValidationError
+from pupcast.errors import ConditioningTooRare, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
     enumerate_contribution_prob,
@@ -32,12 +33,54 @@ def stationary(pmfs):
     return lambda n, t: pmfs[n]
 
 
+def trace_digest(trace) -> str:
+    """sha256 of every parcel's (id, carrier, retailer, pup, entry times) and of the load's bytes."""
+    h = hashlib.sha256()
+    for rec in trace.parcels:
+        h.update(repr((rec.id, rec.carrier, rec.retailer, rec.pup, sorted(rec.entry_times.items()))).encode())
+    h.update(trace.load.tobytes())
+    return h.hexdigest()
+
+
+def point_mass_scenario():
+    """Two statuses from entry status 0, a day then three hours, on the default arrivals."""
+    cfg = default_scenario(horizon_days=14, ramp=0.0)
+    one_day = HoldingTimePmf.point_mass(24, support_max=100)
+    three_h = HoldingTimePmf.point_mass(3, support_max=336)
+    cfg.kernel = chain_kernel([one_day, three_h], timebase=cfg.timebase)
+    cfg.entry_status = 0
+    return cfg
+
+
+def unselected_scenario():
+    """Four weeks without a selection model: no carrier draws a retailer."""
+    cfg = default_scenario(horizon_days=28)
+    cfg.selection = None
+    return cfg
+
+
+# digests of the traces that simulate drew with one scalar Generator.choice per parcel and status
+GOLDEN_TRACES = {
+    "seed 1": (lambda: default_scenario(seed=1), "89a21742c3054739fcdf1172241f0a34c3ee106f534a317380bf891cd9d9f4da"),
+    "seed 2": (lambda: default_scenario(seed=2), "777e71c62e3af29270744261dc1a06c43d5ba9d13f56685c310b46cccb668109"),
+    "seed 3": (lambda: default_scenario(seed=3), "f99e3ccf5089859c930efd204982cb26e9c69196cb66e9847e4143d0996e1298"),
+    "seed 1, 5x volumes": (
+        lambda: default_scenario(seed=1, base_volumes={"c1": 45.0, "c2": 30.0, "c3": 20.0}),
+        "7a3733126dffe598c020170591da5f514fc5eb0048f72fbca7669c7dddfe2049",
+    ),
+    "no selection": (unselected_scenario, "9bf6a83648cac4bc6cc4975a2fbad32afeb58fa8034b67d2e65359c63de136f1"),
+    "point masses": (point_mass_scenario, "753cbff9a031104dab6f1c82eafdf6d86db9be04f310bd423b71df04a8974052"),
+}
+
+
 class TestSimulate:
     def test_zero_intensity_gives_empty_trace(self):
         cfg = default_scenario(horizon_days=7, base_volumes={"c1": 0.0, "c2": 0.0, "c3": 0.0})
-        trace = simulate(cfg)
-        assert trace.parcels == []
-        assert not trace.load.any()
+        for intensity in (cfg.intensity, OrderIntensity.from_schedule(HourlyProfile({}), {})):  # no carrier at all
+            cfg.intensity = intensity
+            trace = simulate(cfg)
+            assert trace.parcels == []
+            assert not trace.load.any()
 
     def test_self_consistency(self):
         cfg = default_scenario(horizon_days=21, ramp=0.0)
@@ -59,19 +102,26 @@ class TestSimulate:
         assert not np.array_equal(a.load, b.load)
 
     def test_point_mass_kernels_give_exact_delays(self):
-        cfg = default_scenario(horizon_days=14, ramp=0.0)
-        one_day = HoldingTimePmf.point_mass(24, support_max=100)
-        three_h = HoldingTimePmf.point_mass(3, support_max=336)
-        kernel = chain_kernel([one_day, three_h], timebase=cfg.timebase)
-        # reuse the scenario's arrivals but force a 2-status deterministic chain
-        cfg.kernel = kernel
-        cfg.entry_status = 0
-        trace = simulate(cfg)
+        trace = simulate(point_mass_scenario())
         assert trace.parcels
         for rec in trace.parcels:
             assert rec.entry_times[1] - rec.entry_times[0] == 24
             assert rec.entry_times[2] - rec.entry_times[1] == 3
         assert np.array_equal(trace.recount_load(), trace.load)
+
+    @pytest.mark.parametrize("case", GOLDEN_TRACES)
+    def test_traces_match_their_golden_digests(self, case):
+        scenario, digest = GOLDEN_TRACES[case]
+        assert trace_digest(simulate(scenario())) == digest
+
+    def test_a_missing_pmf_raises(self):
+        # pickup pmfs exist for the opening hours only, with no pooled fallback,
+        # and deliveries also happen when the shop is closed
+        cfg = default_scenario(horizon_days=14, ramp=0.0)
+        opening_hours = StatusKernel(cfg.kernel.statuses[3].levels[:1])
+        cfg.kernel = TransitionKernel(4, {2: cfg.kernel.statuses[2], 3: opening_hours}, cfg.timebase)
+        with pytest.raises(MissingKernel):
+            simulate(cfg)
 
     def test_event_log_censors_at_cutoff(self):
         cfg = default_scenario(horizon_days=21, ramp=0.0)
@@ -237,3 +287,14 @@ def test_oracle_imports_nothing_from_the_engine():
             todo += _imported(package / f"{name}.py")
     assert "oracle" in reached and "records" in reached
     assert "engine" not in reached
+
+
+def test_oracle_reads_no_compiled_kernel_table():
+    # the engine reads the kernel through its compiled tables; the oracles
+    # look each pmf up with pmf_at, so that a fault in the tables shows
+    tree = ast.parse((Path(pupcast.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "pmf_at" in named  # the scan sees the names oracle.py uses
+    assert not named & {"week_rows", "rows_at", "row_at", "PmfTable", "_compiled"}
