@@ -107,7 +107,8 @@ def cmd_evaluate(args) -> int:
         kernel, intensity, selection = config.kernel, config.intensity, config.selection
     spd = config.timebase.slots_per_day
     last_anchor_day = config.horizon_days - (max(args.horizons) // spd + 1)
-    anchors = [d * spd for d in range(args.first_anchor_day, last_anchor_day + 1)]
+    midnight = config.timebase.hour_of(0) // config.timebase.slot_hours  # slots from day 0's midnight to slot 0
+    anchors = [d * spd - midnight for d in range(args.first_anchor_day, last_anchor_day + 1) if d * spd >= midnight]
     report = rolling_origin_evaluate(
         trace, kernel, intensity, selection, anchors, horizons=args.horizons,
         methods=tuple(args.methods.split(",")),

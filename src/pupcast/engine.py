@@ -26,7 +26,10 @@ routes (rows of a ``PmfTable``: a kernel's pmfs, compiled once as
 zero-padded probabilities and tail sums), and one ``take`` cuts them to the
 window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
 column h has the terminal of k+j_h and is zero past it, so one einsum with
-a strided view of V_{m+1} serves every route and horizon.  The parcels in a
+a strided view of V_{m+1} serves every route and horizon.  V depends on k
+only through k mod one week: the kernel keeps each window per weekly phase
+(its last ``_WINDOWS``, in ``_compiled``), and a repeat runs no backward
+pass; only repeated forecasts on one kernel gain.  The parcels in a
 status are one gather of their rows and tails and one product with
 V_{n+1}.  A parcel whose row is missing, whose evidence is impossible or
 whose window lacks a pmf is settled in the same arrays with a note; those
@@ -65,6 +68,7 @@ __all__ = [
 
 _EPS = 1e-15
 _NOISE = 1e-17  # the exact future-order pmf ends where its entries reach float noise
+_WINDOWS = 128  # value-function windows a kernel keeps, the oldest dropped first
 
 
 class _Route(NamedTuple):
@@ -89,7 +93,8 @@ class _Window:
     and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
     the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
     | status m entered at k+1+i), and 0 for i >= j_h.  ``ok[m][r, h]`` is
-    False where that window has a slot without a pmf.
+    False where that window has a slot without a pmf.  The kernel keeps both,
+    read-only, per ``key``; k, js and routes are set per call.
     """
 
     def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int], lowest: int):
@@ -97,6 +102,11 @@ class _Window:
         if (js < 0).any():
             raise ValidationError("horizon j must be >= 0")
         self.kernel, self.pup, self.routes, self.k, self.last = kernel, pup, routes, k, kernel.n_statuses - 1
+        windows = kernel._compiled.setdefault("windows", {})
+        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(js.tolist()), max(lowest, 0))
+        if key in windows:
+            self.values, self.ok = windows[key]
+            return
         width = int(js.max(initial=0))
         ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
         v, ok = np.zeros((len(routes), len(js), width)), np.ones((len(routes), len(js)), dtype=bool)
@@ -116,7 +126,11 @@ class _Window:
                     v = table.tails[rows[:, None, :], np.where(ahead > 0, np.minimum(ahead, table.width), table.width)]
                 else:
                     v = _step(table.probs, rows, v)
+            v.flags.writeable = ok.flags.writeable = False
             self.values[m], self.ok[m] = v, ok
+        if len(windows) >= _WINDOWS:
+            del windows[next(iter(windows))]  # the oldest
+        windows[key] = self.values, self.ok
 
     def entering(self, m: int, routes: np.ndarray) -> np.ndarray:
         """V_m, raising where it is undefined on one of ``routes`` (a mask)."""

@@ -123,7 +123,7 @@ class TransitionKernel:
     timebase: Timebase
     # status n's PmfTable; per (n, level index, route features it names) the level's week and per
     # (n, carrier, retailer, pup) the (rows, table) of _week; the last (routes, stack, table) of
-    # week_rows per (n, pup)
+    # week_rows per (n, pup); under "windows", the engine's value functions per weekly phase
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

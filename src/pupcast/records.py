@@ -193,36 +193,41 @@ class EventLog:
         row, status, slot, line = (array("q") for _ in range(4))  # one entry per event
         status_of, slot_of = {}, {}  # status text -> status, timestamp text -> slot: each text converted once
         add_row, add_status, add_slot, add_line = row.append, status.append, slot.append, line.append
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise ValidationError(f"bad or missing header in {path}: {header}")
-            for lineno, fields in enumerate(reader, start=2):
-                try:
-                    parcel_id, retailer, carrier, pup, status_text, entry = fields
-                except ValueError:
-                    if not fields:
-                        continue
-                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
-                try:
-                    n = status_of.get(status_text)
-                    if n is None:
-                        n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
-                    t = slot_of.get(entry)
-                    if t is None:
-                        t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
-                except (ValueError, OverflowError, ValidationError) as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-                first = routing.get(parcel_id)
-                if first is None:
-                    first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
-                elif first[1] != carrier or first[2] != pup:
-                    raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
-                add_row(first[0])
-                add_status(n)
-                add_slot(t)
-                add_line(lineno)
+        try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != CSV_HEADER:
+                    raise ValidationError(f"bad or missing header in {path}: {header}")
+                for lineno, fields in enumerate(reader, start=2):
+                    try:
+                        parcel_id, retailer, carrier, pup, status_text, entry = fields
+                    except ValueError:
+                        if not fields:
+                            continue
+                        raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
+                    try:
+                        n = status_of.get(status_text)
+                        if n is None:
+                            n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
+                        t = slot_of.get(entry)
+                        if t is None:
+                            t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
+                    except (ValueError, OverflowError, ValidationError) as exc:
+                        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                    first = routing.get(parcel_id)
+                    if first is None:
+                        first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
+                    elif first[1] != carrier or first[2] != pup:
+                        raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
+                    add_row(first[0])
+                    add_status(n)
+                    add_slot(t)
+                    add_line(lineno)
+        except UnicodeDecodeError:  # the first line whose bytes do not come back from a decode that replaces bad ones
+            with open(path, "rb") as fh:
+                lineno = next((i for i, raw in enumerate(fh, 1) if raw.decode(errors="replace").encode() != raw), "?")
+            raise ValidationError(f"{path}:{lineno}: not UTF-8 text") from None
         if not routing:
             raise EmptyLog(f"no event rows in {path}")
         slot = np.frombuffer(slot, dtype=np.int64)

@@ -204,6 +204,18 @@ def test_evaluate_without_anchors_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_evaluate_with_an_epoch_off_midnight_anchors_at_midnight(workspace, tmp_path):
+    # days count from the epoch's date: day 28's midnight is slot 28 * 24 - 5
+    doc = json.loads(workspace["config"].read_text())
+    doc["timebase"]["epoch"] = doc["kernel"]["epoch"] = "2017-07-03T05:00:00"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--config", str(config), "--horizons", "13,37", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert {row["n"] for row in csv.DictReader(fh)} == {"6"}  # days 28..33
+
+
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--instances", "20", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -259,6 +271,16 @@ def test_timezone_aware_timestamp_exits_2(workspace, tmp_path, capsys):
     )
     assert fit(workspace, bad, tmp_path / "m") == 2
     assert "tz.csv:2" in capsys.readouterr().err
+
+
+def test_non_utf8_log_exits_2_naming_its_line(workspace, tmp_path, capsys):
+    lines = (workspace["sim"] / "events.csv").read_bytes().splitlines(keepends=True)
+    lines[51] = b"\xff" + lines[51]
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"".join(lines))
+    assert fit(workspace, bad, tmp_path / "m") == 2
+    err = capsys.readouterr().err
+    assert "latin.csv:52: not UTF-8" in err and "Traceback" not in err
 
 
 def test_fit_with_unknown_retailers(workspace, tmp_path):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, TransitionKernel
+from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, Timebase, TransitionKernel
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
+    _WINDOWS,
     _Window,
     bind_kernel,
     future_orders_pmf,
@@ -40,6 +41,13 @@ def stationary(pmfs):
 def far_pickup(support_max=50):
     """Pickup pmf with all mass far beyond any horizon used in these tests."""
     return HoldingTimePmf.point_mass(support_max, support_max=support_max)
+
+
+def no_sunday_kernel() -> TransitionKernel:
+    """``fallback_kernel``'s status 0; status 1 has no Sunday pmf and no global level; pickup uniform on 1-20."""
+    no_sunday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 4) for w in range(1, 7)})
+    statuses = {0: fallback_kernel().statuses[0], 1: StatusKernel((no_sunday,))}
+    return TransitionKernel(3, {**statuses, 2: pooled_status(HoldingTimePmf.uniform(1, 20))}, TB)
 
 
 class TestProbStillStored:
@@ -460,9 +468,7 @@ class TestPredictLoadPmf:
         # (140, 152], which reaches Sunday, lacks a pmf: the parcel with
         # ordinary evidence and the one only status 0's pooled pmf allows
         # (5 slots) are both skipped there, while prob_* still raises
-        no_sunday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 4) for w in range(1, 7)})
-        statuses = {0: fallback_kernel().statuses[0], 1: StatusKernel((no_sunday,))}
-        kernel = TransitionKernel(3, {**statuses, 2: pooled_status(HoldingTimePmf.uniform(1, 20))}, TB)
+        kernel = no_sunday_kernel()
         pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
         for t_0, error in ((139, MissingKernel), (135, ImpossibleEvidence)):
             res = predict_load_pmf([ParcelRecord("P1", "c1", "shop", "r1", {0: t_0})], kernel, None, None, k=140, j=12)
@@ -779,6 +785,136 @@ def test_single_parcel_api_reads_only_compiled_tables(table_calls):
             table_calls.clear()
             assert 0.0 < prob(k) < 1.0
             assert table_calls == Counter()
+
+
+def same_phase_calls(cfg, log, kernel, k):
+    """Each kind of forecast at anchor k on ``kernel``: the pmfs and notes, and the probabilities."""
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    models = (cfg.intensity, cfg.selection)
+    results = [
+        predict_load_pmf(parcels, kernel, *models, k, 37, entry_status=cfg.entry_status),
+        *predict_load_pmfs(parcels, kernel, *models, k, (13, 37, 61, 85), entry_status=cfg.entry_status),
+        future_orders_pmf(cfg.intensity, kernel, cfg.selection, cfg.pup, k, 61, cfg.entry_status),
+    ]
+    pmf_at = bind_kernel(kernel, "c2", "r1", cfg.pup)
+    probs = [
+        prob_delivered_and_stored_multi_hop(pmf_at, cfg.n_statuses, cfg.entry_status, k - 9, k, 61),
+        prob_future_order_contributes(pmf_at, cfg.n_statuses, k + 4, k, 13, entry_status=cfg.entry_status),
+    ]
+    return [(r.probs, []) if isinstance(r, LoadPmf) else (r.pmf.probs, r.diagnostics) for r in results], probs
+
+
+def assert_same_bytes(a, b):
+    (pmfs_a, probs_a), (pmfs_b, probs_b) = a, b
+    assert len(pmfs_a) == len(pmfs_b) and probs_a == probs_b  # == on floats: bit for bit
+    for (probs, notes), (other, other_notes) in zip(pmfs_a, pmfs_b):
+        assert probs.tobytes() == other.tobytes() and notes == other_notes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_warm_kernel_gives_a_fresh_kernels_bytes(seed):
+    # the warm kernel keeps windows from anchors a week before and two weeks
+    # after, and from other phases, horizons and routes (the routes of the
+    # parcels of carrier c3 come first): at k it reads every window from
+    # them, and gives the bytes a fresh kernel computes
+    cfg = default_scenario(seed=seed)
+    log = simulate(cfg).event_log()
+    day, week = cfg.timebase.slots_per_day, cfg.timebase.slots_per_week
+    k = 100 * day + 7
+
+    def fresh():
+        return TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)
+
+    warm = fresh()
+    for anchor in (k - day, k - week, k + 3 * day, k + 2 * week):
+        parcels = log.truncated(anchor).for_pup(cfg.pup)
+        c3 = [parcel for parcel in parcels if parcel.carrier == "c3"]
+        predict_load_pmfs(c3, warm, cfg.intensity, cfg.selection, anchor, (13, 37, 61, 85), cfg.entry_status)
+        predict_load_pmfs(parcels, warm, cfg.intensity, cfg.selection, anchor, (61, 1), cfg.entry_status)
+        pmf_at = bind_kernel(warm, "c1", "r2", cfg.pup)
+        prob_delivered_and_stored_multi_hop(pmf_at, cfg.n_statuses, cfg.entry_status, anchor - 9, anchor, 61)
+        same_phase_calls(cfg, log, warm, anchor)
+    windows = list(warm._compiled["windows"])
+    assert_same_bytes(same_phase_calls(cfg, log, warm, k), same_phase_calls(cfg, log, fresh(), k))
+    assert list(warm._compiled["windows"]) == windows  # no window computed at k
+
+
+def test_a_window_without_a_pmf_raises_on_a_hit_as_on_a_miss():
+    # status 1 has no Sunday pmf and no global level: every window that
+    # reaches Sunday skips its parcel and raises MissingKernel, whether it is
+    # computed or read from an anchor a week or two earlier
+    kernel = no_sunday_kernel()
+    pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
+    for k in (140, 140 + 168, 140 + 336, 140 - 168):
+        res = predict_load_pmf([ParcelRecord("P1", "c1", "shop", "r1", {0: k - 1})], kernel, None, None, k=k, j=12)
+        assert res.diagnostics == ["parcel P1: no kernel for status 0; skipped"]
+        assert np.array_equal(res.pmf.probs, [1.0])
+        with pytest.raises(MissingKernel):
+            prob_delivered_and_stored_multi_hop(pmf_at, 3, 0, k - 1, k=k, j=12)
+        with pytest.raises(MissingKernel):
+            prob_future_order_contributes(pmf_at, 3, k + 1, k=k, j=12)
+    # two windows, from status 1 down for the parcel in status 0 and from 0 for an order entering it,
+    # computed at k = 140 and read at the other anchors
+    assert len(kernel._compiled["windows"]) == 2
+
+
+def test_the_windows_of_two_pups_are_kept_apart():
+    level = KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 4), ("kiosk",): HoldingTimePmf.uniform(3, 9)})
+    statuses = {0: StatusKernel((level,)), 1: pooled_status(HoldingTimePmf.uniform(1, 20))}
+    warm = TransitionKernel(2, statuses, TB)
+    probs = []
+    for pup in ("shop", "kiosk"):
+        fresh = TransitionKernel(2, statuses, TB)
+        probs.append(prob_future_order_contributes(bind_kernel(fresh, "c1", "r1", pup), 2, 31, 30, 6))
+        assert prob_future_order_contributes(bind_kernel(warm, "c1", "r1", pup), 2, 31, 30, 6) == probs[-1]
+    assert probs[0] != probs[1]
+
+
+def test_the_windows_stay_under_the_cap_and_keep_the_tables():
+    # more distinct windows than the cap: the oldest are dropped, every
+    # earlier result comes back, and no table, week or stack goes
+    rng = np.random.default_rng(7)
+    kernel = chain_kernel([random_pmf(rng, 6), random_pmf(rng, 9), random_pmf(rng, 12)])
+    pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
+
+    def probs():
+        return [prob_still_stored(pmf_at, 3, 20, 24, j) for j in range(_WINDOWS + 20)]
+
+    first = probs()
+    compiled = {key: value for key, value in kernel._compiled.items() if key != "windows"}
+    windows = kernel._compiled["windows"]
+    assert len(windows) == _WINDOWS
+    assert not any(a.flags.writeable for pair in windows.values() for part in pair for a in part.values())
+    assert probs() == first  # == on floats: bit for bit
+    assert len(kernel._compiled["windows"]) == _WINDOWS
+    assert {key: value for key, value in kernel._compiled.items() if key != "windows"} == compiled
+    assert {n for n in compiled if isinstance(n, int)} == {2}  # the pickup table
+
+
+@pytest.mark.parametrize("slot_hours", [1, 2])
+def test_a_window_repeats_weekly(slot_hours):
+    # the windows are kept by k modulo one week: on fresh kernels, k and
+    # k plus or minus whole weeks give equal values and ok
+    default = default_scenario().kernel
+    cases = [
+        (default.statuses, default.n_statuses, TestCompiledWindow.DEFAULT_ROUTES, 2),
+        (retailer_keyed_kernel().statuses, 3, [("c1", "r1"), ("c1", "r2"), ("c2", "r1")], 0),
+        (no_sunday_kernel().statuses, 3, [("c1", "r1")], 0),
+    ]
+    timebase = Timebase(TB.epoch, slot_hours)
+    week, unset = timebase.slots_per_week, False
+    for statuses, n_statuses, routes, lowest in cases:
+        for k in (5, 70, 140 // slot_hours):
+            windows = [
+                _Window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1), lowest)
+                for shift in (0, week, -week, -3 * week)
+            ]
+            unset |= any(not ok.all() for ok in windows[0].ok.values())
+            for window in windows[1:]:
+                assert window.values.keys() == windows[0].values.keys()
+                for m, v in windows[0].values.items():
+                    assert np.array_equal(window.values[m], v) and np.array_equal(window.ok[m], windows[0].ok[m])
+    assert unset  # the window without a Sunday pmf
 
 
 def test_all_outputs_normalized():

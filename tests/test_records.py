@@ -102,6 +102,22 @@ def test_timezone_aware_timestamp_names_line(tmp_path):
         EventLog.from_csv(path, TB)
 
 
+def test_undecodable_line_is_named(tmp_path):
+    # the reader decodes the file in blocks, so line 300 is past the first
+    # block and the named line is not the csv reader's line at the error
+    path = tmp_path / "latin.csv"
+    rows = [b"parcel_id,retailer,carrier,pup,status,entry_iso8601\n"]
+    rows += [f"P{i},r1,c1,shop,2,2024-01-01T10:00:00\n".encode() for i in range(1, 400)]
+    rows[299] = b"\xff" + rows[299]
+    rows[349] = b"P349,r\xe9,c1,shop,2,2024-01-01T10:00:00\n"
+    path.write_bytes(b"".join(rows))
+    with pytest.raises(ValidationError, match=r"latin\.csv:300: not UTF-8"):
+        EventLog.from_csv(path, TB)
+    path.write_bytes(b"\xef" + b"".join(rows[:2]))  # in the header
+    with pytest.raises(ValidationError, match=r"latin\.csv:1: not UTF-8"):
+        EventLog.from_csv(path, TB)
+
+
 def test_missing_header_and_empty_file(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("P1,r1,c1,shop,2,2024-01-01T10:00:00\n")
