@@ -32,12 +32,12 @@ def main() -> None:
 
     cfg = default_scenario(seed=args.seed, horizon_days=args.days)
     trace = simulate(cfg)
-    print(f"simulated {len(trace.parcels)} parcels over {args.days} days at {cfg.pup!r}")
+    print(f"simulated {len(trace.log)} parcels over {args.days} days at {cfg.pup!r}")
 
     # anchor: midnight, two weeks before the end so every horizon is observable
     k = (args.days - 14) * 24
     log = trace.event_log(cutoff=k)
-    print(f"fitting on the event log as observed at slot {k} ({len(log.records)} parcels)")
+    print(f"fitting on the event log as observed at slot {k} ({len(log)} parcels)")
 
     kernel = TransitionKernel(
         n_statuses=cfg.n_statuses,

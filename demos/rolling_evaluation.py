@@ -35,7 +35,7 @@ def main() -> None:
     trace = simulate(cfg)
     anchors = [(42 + 6 * i) * 24 for i in range(args.anchors)]
     print(
-        f"simulated {len(trace.parcels)} parcels over {cfg.horizon_days} days; "
+        f"simulated {len(trace.log)} parcels over {cfg.horizon_days} days; "
         f"{len(anchors)} anchors, first at day {anchors[0] // 24}"
     )
 

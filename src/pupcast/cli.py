@@ -87,10 +87,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace.event_log().to_csv(out / "events.csv")
     trace.write_load_csv(out / "load_true.csv")
-    print(
-        f"simulated {len(trace.parcels)} parcels over {config.horizon_days} days "
-        f"(seed {config.seed}) -> {out}"
-    )
+    print(f"simulated {len(trace.log)} parcels over {config.horizon_days} days (seed {config.seed}) -> {out}")
     return 0
 
 

@@ -89,8 +89,8 @@ def rolling_origin_evaluate(
     anchor plus horizon must land at 13:00 within the trace.  The lifecycle
     method forecasts with the supplied (fitted or ground-truth) models
     using only evidence up to each anchor; the baselines see the daily load
-    series up to the day before the anchor.  An unknown method or an empty
-    anchor list raises ValidationError before any forecast runs.
+    series up to the day before the anchor.  An unknown method, no anchors or
+    an anchor before slot 0 raises ValidationError before any forecast runs.
     """
     for m in methods:
         if m not in METHODS:
@@ -101,6 +101,8 @@ def rolling_origin_evaluate(
     first = (EVAL_HOUR - tb.hour_of(0)) // tb.slot_hours % tb.slots_per_day  # on slot 0's day or the next
     daily = trace.load[first :: tb.slots_per_day].astype(float)  # the true load at EVAL_HOUR of each day
     for k in anchors:
+        if k < 0:
+            raise ValidationError(f"anchor {k} is before slot 0")
         if tb.hour_of(k) != 0:
             raise ValidationError(f"anchor {k} is not at midnight")
         for j in horizons:

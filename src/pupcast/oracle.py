@@ -65,34 +65,32 @@ MIN_ACCEPTANCE = 1e-4
 
 @dataclass
 class SimulatedTrace:
-    """Full simulation output: all parcels (uncensored) plus the load series."""
+    """Full simulation output: every event, in one uncensored log, plus the load series."""
 
     config: ScenarioConfig
-    parcels: list[ParcelRecord]
+    log: EventLog  # no cutoff censors it
     load: np.ndarray  # true load per slot, 0..horizon_slots-1
 
     def event_log(self, cutoff: int | None = None) -> EventLog:
         """The event log as observed at ``cutoff`` (events after it censored)."""
-        return self._uncensored.truncated(self.config.horizon_slots - 1 if cutoff is None else cutoff)
+        return self.log.truncated(self.config.horizon_slots - 1 if cutoff is None else cutoff)
 
     @cached_property
-    def _uncensored(self) -> EventLog:
-        """Every simulated event, in one log built once; no cutoff censors it."""
-        return EventLog(self.parcels, NEVER, self.config.timebase)
+    def parcels(self) -> list[ParcelRecord]:
+        """The log's parcels as records, built the first time they are read."""
+        return self.log.records
 
     def recount_load(self) -> np.ndarray:
         """Recompute the load series from the raw events (self-consistency check)."""
         n_statuses, horizon = self.config.n_statuses, self.config.horizon_slots
-        t_in, t_out = self._uncensored.entries_of(n_statuses - 1), self._uncensored.entries_of(n_statuses)
+        t_in, t_out = self.log.entries_of(n_statuses - 1), self.log.entries_of(n_statuses)
         delivered = t_in != NEVER
         moves = [np.bincount(np.minimum(t, horizon), minlength=horizon + 1) for t in (t_in[delivered], t_out[delivered])]
         return np.cumsum(moves[0] - moves[1])[:horizon]
 
     def write_load_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,load\n")
-            for k, value in enumerate(self.load):
-                fh.write(f"{k},{int(value)}\n")
+            fh.write("".join(["k,load\n", *(f"{k},{int(value)}\n" for k, value in enumerate(self.load.tolist()))]))
 
 
 def _draw_delay(rng: np.random.Generator, pmf, size: int = 1) -> np.ndarray:
@@ -122,13 +120,13 @@ def simulate(config: ScenarioConfig) -> SimulatedTrace:
     each parcel then draws its retailer and its holding times from the
     uniforms of its block.  The output is fully determined by ``config.seed``.
     """
-    trace = SimulatedTrace(config=config, parcels=_parcels(config), load=np.zeros(0, dtype=int))
+    trace = SimulatedTrace(config=config, log=_log(config), load=np.zeros(0, dtype=int))
     trace.load = trace.recount_load()
     return trace
 
 
-def _parcels(config: ScenarioConfig) -> list[ParcelRecord]:
-    """``simulate``'s parcels; the draws' arrays are freed before the trace is built."""
+def _log(config: ScenarioConfig) -> EventLog:
+    """``simulate``'s log, built from the draws' arrays: parcel i is ``P{i:06d}``."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     tb, kernel, pup = config.timebase, config.kernel, config.pup
     first, last, carriers = config.entry_status, config.n_statuses, config.intensity.carriers
@@ -141,7 +139,7 @@ def _parcels(config: ScenarioConfig) -> list[ParcelRecord]:
             count = int(rng.poisson(lam)) if lam > 0 else 0
             if count:
                 u.frombytes(rng.random(count * int(width[c])).tobytes())
-                entered += [k] * count  # the parcels of a slot share its int
+                entered += [k] * count
                 carrier += [c] * count
     carrier, u = np.array(carrier, dtype=np.intp), np.frombuffer(u)
     hops = np.cumsum(width[carrier]) - (last - first)  # each parcel's first uniform for a status
@@ -161,11 +159,16 @@ def _parcels(config: ScenarioConfig) -> list[ParcelRecord]:
             cdf = cdfs[id(pmf)] if id(pmf) in cdfs else cdfs.setdefault(id(pmf), _cdf(pmf.probs))
             t[members] += cdf.searchsorted(u[hops[members] + col], side="right")
         times.append(t)
-    rows = zip(carrier.tolist(), retailer.tolist(), entered, *(t.tolist() for t in times[1:]))
-    return [
-        ParcelRecord(f"P{i:06d}", carriers[c], pup, shares[c][0][r], dict(zip(range(first, last + 1), row)))
-        for i, (c, r, *row) in enumerate(rows, 1)
-    ]
+    ids, statuses = [f"P{i:06d}" for i in range(1, len(carrier) + 1)], np.arange(first, last + 1)
+    retailers = [shares[c][0][r] for c, r in zip(carrier.tolist(), retailer.tolist())]
+    log = object.__new__(EventLog)
+    fault = log._fill(
+        ids, ([carriers[c] for c in carrier.tolist()], [pup] * len(ids), retailers),
+        np.tile(np.arange(len(ids)), len(statuses)), np.repeat(statuses, len(ids)), np.concatenate(times), NEVER, tb,
+    )
+    if fault is not None:
+        raise ValidationError(fault[2])
+    return log
 
 
 def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:

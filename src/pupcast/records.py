@@ -4,10 +4,10 @@ An event log holds its parcels as columns.  ``entries[i, c]`` is the slot
 at which parcel i entered status ``statuses[c]`` (statuses ascending), or
 ``NEVER`` where no entry was seen; ``carrier``, ``retailer`` and ``pup`` are
 integer codes into the label tuples ``carriers``, ``retailers`` and
-``pups``.  A log is validated once, when it is built from records or read
-from CSV.  ``truncated`` and ``for_pup`` select rows and mask entries, which
-keeps a valid log valid, so they do not validate again.  ``ParcelRecord`` is
-the row type at the edge: a log is built from records and iterates as records.
+``pups``.  A log is validated once, when it is built from records, read from
+CSV or filled from ``simulate``'s draws.  ``truncated`` and ``for_pup`` select
+rows and mask entries, which keeps a valid log valid, so they do not validate
+again.  ``ParcelRecord`` is the row type at the edge: a log iterates as records.
 
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
@@ -16,10 +16,12 @@ observed status transition.  An empty retailer field means unknown.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -89,8 +91,7 @@ class EventLog:
             np.repeat(np.arange(len(records)), sizes),
             np.fromiter((n for rec in records for n in rec.entry_times), np.int64, sum(sizes)),
             np.fromiter((t for rec in records for t in rec.entry_times.values()), np.int64, sum(sizes)),
-            cutoff,
-            timebase,
+            cutoff, timebase,
         )
         if fault is not None:
             raise ValidationError(fault[2])
@@ -193,41 +194,46 @@ class EventLog:
         row, status, slot, line = (array("q") for _ in range(4))  # one entry per event
         status_of, slot_of = {}, {}  # status text -> status, timestamp text -> slot: each text converted once
         add_row, add_status, add_slot, add_line = row.append, status.append, slot.append, line.append
+        def read(lines) -> None:  # the rows of text lines; a row read a second time agrees with its first reading
+            reader = csv.reader(lines)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValidationError(f"bad or missing header in {path}: {header}")
+            for lineno, fields in enumerate(reader, start=2):
+                try:
+                    parcel_id, retailer, carrier, pup, status_text, entry = fields
+                except ValueError:
+                    if not fields:
+                        continue
+                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
+                try:
+                    n = status_of.get(status_text)
+                    if n is None:
+                        n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
+                    t = slot_of.get(entry)
+                    if t is None:
+                        t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
+                except (ValueError, OverflowError, ValidationError) as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                first = routing.get(parcel_id)
+                if first is None:
+                    first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
+                elif first[1] != carrier or first[2] != pup:
+                    raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
+                add_row(first[0])
+                add_status(n)
+                add_slot(t)
+                add_line(lineno)
         try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
             with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header != CSV_HEADER:
-                    raise ValidationError(f"bad or missing header in {path}: {header}")
-                for lineno, fields in enumerate(reader, start=2):
-                    try:
-                        parcel_id, retailer, carrier, pup, status_text, entry = fields
-                    except ValueError:
-                        if not fields:
-                            continue
-                        raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
-                    try:
-                        n = status_of.get(status_text)
-                        if n is None:
-                            n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
-                        t = slot_of.get(entry)
-                        if t is None:
-                            t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
-                    except (ValueError, OverflowError, ValidationError) as exc:
-                        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-                    first = routing.get(parcel_id)
-                    if first is None:
-                        first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
-                    elif first[1] != carrier or first[2] != pup:
-                        raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
-                    add_row(first[0])
-                    add_status(n)
-                    add_slot(t)
-                    add_line(lineno)
+                read(fh)
         except UnicodeDecodeError:  # the first line whose bytes do not come back from a decode that replaces bad ones
             with open(path, "rb") as fh:
-                lineno = next((i for i, raw in enumerate(fh, 1) if raw.decode(errors="replace").encode() != raw), "?")
-            raise ValidationError(f"{path}:{lineno}: not UTF-8 text") from None
+                lines = fh.read().splitlines(keepends=True)  # split as the text reader splits
+            bad = next(i for i, raw in enumerate(lines, 1) if raw.decode(errors="replace").encode() != raw)
+            with contextlib.suppress(UnicodeDecodeError):  # decoded line by line, the rows before line `bad` are
+                read(raw.decode() for raw in lines)  # read in full, so a fault among them is named first
+            raise ValidationError(f"{path}:{bad}: not UTF-8 text") from None
         if not routing:
             raise EmptyLog(f"no event rows in {path}")
         slot = np.frombuffer(slot, dtype=np.int64)
@@ -255,16 +261,18 @@ class EventLog:
         return log
 
     def to_csv(self, path) -> None:
-        statuses, entries = self.statuses.tolist(), self.entries.tolist()
-        stamps: dict[int, str] = {}  # slot -> ISO 8601 text
+        """Rows by parcel id, then status; each parcel's quoted fields and each slot's text are made once."""
+        line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line it would write, ending in \r\n
+        order = sorted(range(len(self)), key=self.ids.__getitem__)
+        entries = self.entries[order]
+        row, col = (entries != NEVER).nonzero()  # row-major: parcel by parcel, statuses ascending
+        slots, at = np.unique(entries[row, col], return_inverse=True)
+        fields = zip(self.ids[order].tolist(), *(a[order].tolist() for a in (self.retailer, self.carrier, self.pup)))
+        heads = [line([i, self.retailers[r] or "", self.carriers[c], self.pups[p], ""])[:-2] for i, r, c, p in fields]
+        texts = [f"{n}," for n in self.statuses.tolist()]
+        stamps = [self.timebase.datetime_of(t).isoformat() + "\r\n" for t in slots.tolist()]
+        text = [line(CSV_HEADER)] + [""] * (3 * len(row))  # the header, then each row in three parts
+        for k, (parts, index) in enumerate([(heads, row), (texts, col), (stamps, at)], 1):
+            text[k::3] = map(parts.__getitem__, index.tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for i in sorted(range(len(self)), key=self.ids.__getitem__):
-                pid, retailer = self.ids[i], self.retailers[self.retailer[i]]
-                carrier, pup = self.carriers[self.carrier[i]], self.pups[self.pup[i]]
-                for n, t in zip(statuses, entries[i]):
-                    if t != NEVER:
-                        if t not in stamps:
-                            stamps[t] = self.timebase.datetime_of(t).isoformat()
-                        writer.writerow([pid, retailer or "", carrier, pup, n, stamps[t]])
+            fh.write("".join(text))

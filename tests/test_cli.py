@@ -1,6 +1,7 @@
 """Command-line surface: fit, forecast, simulate, evaluate, oracle-check."""
 
 import csv
+import hashlib
 import json
 import shutil
 import tempfile
@@ -41,6 +42,22 @@ def test_simulate_outputs(workspace):
     load_lines = (workspace["sim"] / "load_true.csv").read_text().splitlines()
     assert load_lines[0] == "k,load"
     assert len(load_lines) == 35 * 24 + 1
+
+
+# sha256 of the files `pupcast simulate` writes for the default config,
+# recorded with a row-by-row csv.writer: the column-wise writer matches it
+SIMULATED_FILES = {
+    "events.csv": "332344047024c78201797d790eace7f872626865187a0c7778e1f3e5e0466341",
+    "load_true.csv": "6c8db1f0f2f2c007e6c1b8957b1a9f0fe2c1a0fc9b5fc985bd4d68b9e200a1c0",
+}
+
+
+def test_simulate_writes_the_golden_files(tmp_path):
+    config = tmp_path / "config.json"
+    default_scenario().save(config)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    for name, digest in SIMULATED_FILES.items():
+        assert hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fit_outputs(workspace):

@@ -9,7 +9,9 @@ from pupcast import Timebase, default_scenario, simulate
 from pupcast.errors import InsufficientHistory, ValidationError
 from pupcast.evaluate import BASELINES as BASELINE_FUNCTIONS
 from pupcast.evaluate import EVAL_HOUR, rolling_origin_evaluate
+from pupcast import evaluate
 from pupcast.oracle import SimulatedTrace
+from pupcast.records import NEVER, EventLog
 
 
 def periodic_trace(n_days=42):
@@ -17,7 +19,7 @@ def periodic_trace(n_days=42):
     cfg = default_scenario(horizon_days=n_days, ramp=0.0)
     daily = np.array([20, 18, 18, 19, 17, 12, 6])
     load = np.repeat(np.tile(daily, n_days // 7 + 1)[:n_days], 24)
-    return SimulatedTrace(config=cfg, parcels=[], load=load)
+    return SimulatedTrace(config=cfg, log=EventLog([], NEVER, cfg.timebase), load=load)
 
 
 BASELINES = ("seasonal-naive", "holt-winters")
@@ -99,7 +101,7 @@ def test_baselines_see_the_eval_hour_of_each_day_before_the_anchor(monkeypatch):
     # with an epoch at 05:00, slot 13 is 18:00 and a midnight anchor is slot 19 + 24 d
     cfg = default_scenario(horizon_days=42, ramp=0.0)
     cfg.timebase = tb = Timebase(datetime(2017, 7, 3, 5))
-    trace = SimulatedTrace(config=cfg, parcels=[], load=np.arange(cfg.horizon_slots))  # each slot's load is the slot
+    trace = SimulatedTrace(config=cfg, log=EventLog([], NEVER, tb), load=np.arange(cfg.horizon_slots))  # each slot's load is the slot
     seen = []
     monkeypatch.setitem(BASELINE_FUNCTIONS, "seasonal-naive", lambda history, steps: seen.append(history) or np.zeros(steps))
     anchors = [19 + 28 * 24, 19 + 30 * 24]
@@ -107,3 +109,16 @@ def test_baselines_see_the_eval_hour_of_each_day_before_the_anchor(monkeypatch):
     for k, history in zip(anchors, seen, strict=True):
         expected = [s for s in range(k) if tb.hour_of(s) == EVAL_HOUR and tb.day_of(s) < tb.day_of(k)]
         assert history.tolist() == expected
+
+
+def test_an_anchor_before_slot_0_is_rejected_before_any_forecast(monkeypatch):
+    # with an epoch at 15:00, anchor -15 is day 0's midnight, and its truth at
+    # slot -15 + 13 would wrap round to the end of the trace
+    cfg = default_scenario(horizon_days=42, ramp=0.0)
+    cfg.timebase = Timebase(datetime(2017, 7, 3, 15))
+    trace = SimulatedTrace(config=cfg, log=EventLog([], NEVER, cfg.timebase), load=np.arange(cfg.horizon_slots))
+    forecasts = []
+    monkeypatch.setattr(evaluate, "predict_load_pmfs", lambda *args: forecasts.append(args))
+    with pytest.raises(ValidationError, match="anchor -15 is before slot 0"):
+        rolling_origin_evaluate(trace, cfg.kernel, cfg.intensity, cfg.selection, [-15], horizons=(13,))
+    assert not forecasts

@@ -24,6 +24,7 @@ from pupcast.oracle import (
     mc_contribution_prob,
     mc_load_at,
 )
+from pupcast.cli import main
 from pupcast.records import ParcelRecord
 
 from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance
@@ -113,6 +114,18 @@ class TestSimulate:
     def test_traces_match_their_golden_digests(self, case):
         scenario, digest = GOLDEN_TRACES[case]
         assert trace_digest(simulate(scenario())) == digest
+
+    def test_simulate_builds_no_records(self, tmp_path, monkeypatch):
+        built = []
+        init = ParcelRecord.__init__
+        monkeypatch.setattr(ParcelRecord, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        cfg = default_scenario(horizon_days=28)
+        trace = simulate(cfg)
+        trace.event_log(cutoff=400)
+        cfg.save(tmp_path / "config.json")
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "sim")]) == 0
+        assert not built
+        assert len(trace.parcels) == len(trace.log) == len(built)  # built when first read
 
     def test_a_missing_pmf_raises(self):
         # pickup pmfs exist for the opening hours only, with no pooled fallback,

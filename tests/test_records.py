@@ -1,6 +1,7 @@
 """Parcel records and event log CSV I/O."""
 
 import csv
+import io
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pupcast import EventLog, ParcelRecord, Timebase
-from pupcast.records import MAX_SPAN_DAYS, NEVER
+from pupcast.records import CSV_HEADER, MAX_SPAN_DAYS, NEVER
 from pupcast.errors import EmptyLog, ValidationError
 
 from helpers import TB
@@ -115,6 +116,27 @@ def test_undecodable_line_is_named(tmp_path):
         EventLog.from_csv(path, TB)
     path.write_bytes(b"\xef" + b"".join(rows[:2]))  # in the header
     with pytest.raises(ValidationError, match=r"latin\.csv:1: not UTF-8"):
+        EventLog.from_csv(path, TB)
+
+
+def test_a_faulty_row_before_an_undecodable_line_of_its_block_is_named(tmp_path):
+    # both lines fall in the first block the reader decodes, before the loop reaches line 3
+    path = tmp_path / "two.csv"
+    path.write_bytes(
+        b"parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+        b"P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
+        b"P1,r1,c1,shop,three,2024-01-01T10:00:00\n"
+        b"P2,r\xe9,c1,shop,2,2024-01-01T10:00:00\n"
+    )
+    with pytest.raises(ValidationError, match=r"two\.csv:3: "):
+        EventLog.from_csv(path, TB)
+    # a bad byte inside a quoted id that spans two lines: the row is not UTF-8, not short of fields
+    path.write_bytes(
+        b"parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
+        b"P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
+        b'"P\n\xe92",r1,c1,shop,2,2024-01-01T10:00:00\n'
+    )
+    with pytest.raises(ValidationError, match=r"two\.csv:4: not UTF-8"):
         EventLog.from_csv(path, TB)
 
 
@@ -277,6 +299,25 @@ def test_csv_round_trip_of_shuffled_rows_with_blank_lines(tmp_path_factory, log,
     for column in ("carrier", "pup", "retailer", "statuses", "entries"):
         assert np.array_equal(getattr(back, column), getattr(log, column))
     assert back.cutoff == log.cutoff
+
+
+def row_by_row_csv(log) -> bytes:
+    """The log's CSV from one csv.writer row per entry: parcels by id, statuses ascending."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    for r in sorted(log, key=lambda r: r.id):
+        for n, t in sorted(r.entry_times.items()):
+            writer.writerow([r.id, r.retailer or "", r.carrier, r.pup, n, log.timebase.datetime_of(t).isoformat()])
+    return text.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_logs())
+def test_to_csv_writes_the_bytes_of_a_row_by_row_writer(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("csv") / "events.csv"
+    log.to_csv(path)
+    assert path.read_bytes() == row_by_row_csv(log)
 
 
 HEAD = "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
