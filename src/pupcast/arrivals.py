@@ -169,11 +169,6 @@ class DailyVolumeModel:
     def n_days(self) -> int:
         return len(next(iter(self.history.values())))
 
-    @property
-    def end(self) -> date:
-        """First day not covered by the history."""
-        return self.start + timedelta(days=self.n_days)
-
     def to_json_dict(self) -> dict:
         return {
             "start": self.start.isoformat(),
@@ -181,14 +176,11 @@ class DailyVolumeModel:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict, forecaster=None) -> "DailyVolumeModel":
-        model = cls(
+    def from_json_dict(cls, d: dict) -> "DailyVolumeModel":
+        return cls(
             history={c: np.array(h, dtype=float) for c, h in d["history"].items()},
             start=date.fromisoformat(d["start"]),
         )
-        if forecaster is not None:
-            model.forecaster = forecaster
-        return model
 
 
 def fit_daily_volume(

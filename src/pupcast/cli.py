@@ -7,6 +7,7 @@ arguments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from . import __version__
 from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
 from .engine import bind_kernel, predict_load_pmfs, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
-from .errors import PupcastError
+from .errors import PupcastError, ValidationError
 from .estimation import (
     SelectionModel,
     estimate_pickup_kernel,
@@ -52,6 +53,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _scenario(args) -> ScenarioConfig:
+    """The config file's scenario, with ``--seed`` for its seed where given."""
+    config = read_model(args.config, ScenarioConfig)
+    try:
+        return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config} with --seed {args.seed}: {exc}") from exc
+
+
 def _load_models(models_dir: Path):
     models = {"kernel": TransitionKernel, "profile": HourlyProfile, "volumes": DailyVolumeModel,
               "selection": SelectionModel}  # the files pupcast fit writes
@@ -79,9 +89,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = read_model(args.config, ScenarioConfig)
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _scenario(args)
     trace = simulate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,9 +100,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = read_model(args.config, ScenarioConfig)
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _scenario(args)
     trace = simulate(config)
     models_dir = Path(args.models) if args.models else None
     if models_dir:
@@ -119,30 +125,26 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances {args.instances}: check at least one instance")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for trial in range(args.instances):
+    for _ in range(args.instances):
         kernel, k, j = random_instance(rng, max_statuses=4, max_support=5)
         n_statuses = kernel.n_statuses
         pmf_at = bind_kernel(kernel)
         n = int(rng.integers(0, n_statuses))
-        if n == n_statuses - 1:
-            t_n = int(rng.integers(0, k + 1))
-            try:
+        future = n < n_statuses - 1 and rng.random() < 0.3
+        t_n = k + 1 + int(rng.integers(0, max(1, j - 1))) if future else int(rng.integers(0, k + 1))
+        try:
+            if future:
+                closed = prob_future_order_contributes(pmf_at, n_statuses, t_n, k, j, entry_status=n)
+            elif n == n_statuses - 1:
                 closed = prob_still_stored(pmf_at, n_statuses, t_n, k, j)
-            except PupcastError:
-                continue
-        elif rng.random() < 0.3:
-            t_n = k + 1 + int(rng.integers(0, max(1, j - 1)))
-            if t_n > k + j:
-                continue
-            closed = prob_future_order_contributes(pmf_at, n_statuses, t_n, k, j, entry_status=n)
-        else:
-            t_n = int(rng.integers(0, k + 1))
-            try:
+            else:
                 closed = prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
-            except PupcastError:
-                continue
+        except PupcastError:
+            continue
         exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         worst = max(worst, abs(closed - exact))
     print(f"oracle-check: {args.instances} random instances, worst |closed - exact| = {worst:.3e}")

@@ -33,6 +33,7 @@ so a seeded generator gives byte-identical loads.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
@@ -271,66 +272,32 @@ def enumerate_contribution_prob(
     """Exact conditional contribution probability by exhaustive path summation.
 
     Literal nested sums over every transition-time path; independent of the
-    engine's backward value function.  Raises TooLarge when the
-    path count bound exceeds ``max_paths``.
+    engine's backward value function.  A parcel in status n since t_n <= k is
+    conditioned on leaving status n after k (for the last status: not
+    picked up by k); an order placed at t_n > k carries no condition.  Mass
+    beyond a last-status pmf's support is never picked up: it meets the
+    condition and counts as stored at k+j, unless the parcel was delivered
+    after k+j.  Raises TooLarge when the path count bound exceeds ``max_paths``.
     """
-    supports = [pmf_at(m, t_n).support_max for m in range(n, n_statuses)]
-    bound = 1
-    for s in supports:
-        bound *= s
-        if bound > max_paths:
-            raise TooLarge(f"path bound exceeds {max_paths}")
+    if math.prod(pmf_at(m, t_n).support_max for m in range(n, n_statuses)) > max_paths:
+        raise TooLarge(f"path bound exceeds {max_paths}")
 
-    conditioned = t_n <= k  # future orders (t_n > k) carry no conditioning event
-    numer = 0.0
-    denom = 0.0
-
-    if n == n_statuses - 1:
-        f = pmf_at(n, t_n)
-        for delta in range(1, f.support_max + 1):
-            prob = float(f.probs[delta])
-            if prob == 0.0:
-                continue
-            t_pick = t_n + delta
-            survives_cond = (not conditioned) or t_pick > k
-            if survives_cond:
-                denom += prob
-                if t_pick > k + j:
-                    numer += prob
-        # residual mass beyond the support never transitions inside any window
-        residual = 1.0 - float(f.probs.sum())
-        denom += residual
-        numer += residual
-        if denom <= 0.0:
-            raise ValidationError("conditioning event has zero probability")
-        return numer / denom
-
-    def recurse(status: int, t: int, prob: float) -> None:
-        nonlocal numer, denom
+    def paths(status: int, t: int, prob: float) -> tuple[float, float]:
+        """(numerator, denominator) mass of the paths that enter ``status`` at t with probability prob."""
+        probs = pmf_at(status, t).probs
+        first = max(1, k - t + 1)  # left after k: binds at status n only, as later ones are entered after k
         if status == n_statuses - 1:
-            denom += prob
-            if t > k + j:
-                return  # delivered too late: contributes 0 but is a valid path
-            f = pmf_at(status, t)
-            stays = 0.0
-            for delta in range(1, f.support_max + 1):
-                if t + delta > k + j:
-                    stays += float(f.probs[delta])
-            stays += 1.0 - float(f.probs.sum())  # truncated tail: still stored
-            numer += prob * stays
-            return
-        f = pmf_at(status, t)
-        for delta in range(1, f.support_max + 1):
-            p_step = float(f.probs[delta])
-            if p_step == 0.0:
-                continue
-            t_next = t + delta
-            # paths failing the conditioning event are excluded everywhere
-            if status == n and conditioned and t_next <= k:
-                continue
-            recurse(status + 1, t_next, prob * p_step)
+            residual = 1.0 - float(probs.sum())
+            stored = 0.0 if t > k + j else float(probs[k + j - t + 1:].sum()) + residual
+            return prob * stored, prob * (float(probs[first:].sum()) + residual)
+        numer = denom = 0.0
+        for delta in range(first, len(probs)):
+            if probs[delta] > 0.0:
+                a, b = paths(status + 1, t + delta, prob * float(probs[delta]))
+                numer, denom = numer + a, denom + b
+        return numer, denom
 
-    recurse(n, t_n, 1.0)
+    numer, denom = paths(n, t_n, 1.0)
     if denom <= 0.0:
         raise ValidationError("conditioning event has zero probability")
     return numer / denom

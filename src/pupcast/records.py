@@ -199,13 +199,13 @@ class EventLog:
             header = next(reader, None)
             if header != CSV_HEADER:
                 raise ValidationError(f"bad or missing header in {path}: {header}")
-            for lineno, fields in enumerate(reader, start=2):
+            for fields in reader:  # reader.line_num: the row's last line, as an id may span lines
                 try:
                     parcel_id, retailer, carrier, pup, status_text, entry = fields
                 except ValueError:
                     if not fields:
                         continue
-                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields") from None
+                    raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} fields") from None
                 try:
                     n = status_of.get(status_text)
                     if n is None:
@@ -214,16 +214,16 @@ class EventLog:
                     if t is None:
                         t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
                 except (ValueError, OverflowError, ValidationError) as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                    raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
                 first = routing.get(parcel_id)
                 if first is None:
                     first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
                 elif first[1] != carrier or first[2] != pup:
-                    raise ValidationError(f"{path}:{lineno}: parcel {parcel_id} changes carrier or pup")
+                    raise ValidationError(f"{path}:{reader.line_num}: parcel {parcel_id} changes carrier or pup")
                 add_row(first[0])
                 add_status(n)
                 add_slot(t)
-                add_line(lineno)
+                add_line(reader.line_num)
         try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
             with open(path, newline="", encoding="utf-8") as fh:
                 read(fh)

@@ -49,6 +49,10 @@ class ScenarioConfig:
             raise ValidationError(f"kernel timebase {kernel_tb} differs from the config's {tb}")
         if not 0 <= self.entry_status < self.n_statuses:
             raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} is negative")
+        if self.horizon_days < 1:
+            raise ValidationError(f"horizon_days {self.horizon_days} is below 1")
 
     @property
     def n_statuses(self) -> int:

@@ -200,6 +200,24 @@ def test_kernel_timebase_apart_from_the_config_exits_2_naming_the_config(workspa
     assert str(config) in err and "2017-07-05" in err and "2017-07-03" in err
 
 
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("field, value", [("seed", -1), ("horizon_days", -3), ("horizon_days", 0)])
+def test_negative_seed_or_short_horizon_exits_2_naming_the_config(workspace, tmp_path, capsys, command, field, value):
+    doc = json.loads(workspace["config"].read_text())
+    doc[field] = value
+    config = run_with_config(workspace, tmp_path, command, doc)
+    err = capsys.readouterr().err
+    assert str(config) in err and field in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_negative_seed_option_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")] + (["--horizons", "13"] if command == "evaluate" else [])
+    assert main([command, "--config", str(workspace["config"]), "--seed", "-1", *out]) == 2
+    err = capsys.readouterr().err
+    assert str(workspace["config"]) in err and "seed" in err
+
+
 def test_evaluate_unknown_method_exits_2_naming_the_accepted_ones(workspace, tmp_path, capsys):
     code = main([
         "evaluate", "--config", str(workspace["config"]), "--methods", "lifecycle,bogus",
@@ -236,6 +254,12 @@ def test_evaluate_with_an_epoch_off_midnight_anchors_at_midnight(workspace, tmp_
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--instances", "20", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_oracle_check_of_no_instance_exits_2(capsys, instances):
+    assert main(["oracle-check", "--instances", instances]) == 2
+    assert "--instances" in capsys.readouterr().err
 
 
 def test_malformed_log_exits_2(workspace, tmp_path, capsys):

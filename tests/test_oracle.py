@@ -144,6 +144,53 @@ class TestSimulate:
         assert all(t <= cutoff for rec in log.records for t in rec.entry_times.values())
 
 
+def pinned_instances():
+    """The (pmf_at, n_statuses, n, t_n, k, j) instances that the enumeration is pinned on.
+
+    Per seeded random kernel: a delivered parcel with pickup mass before k, one
+    delivered at k, one hop and several hops away from delivery, and future
+    orders entering the last and the first status.  Then two chains whose pmf
+    sums to 1 - 5e-10, so that the mass beyond the support counts, and a
+    parcel that was certainly picked up by k.
+    """
+    out = []
+    for seed in range(6):
+        kernel, k, j = random_instance(np.random.default_rng(seed), max_statuses=4, max_support=8)
+        last = kernel.n_statuses - 1
+        pmf_at = kernel.pmf_at
+        out += [(pmf_at, last + 1, last, k - 2, k, j), (pmf_at, last + 1, last, k, k, j)]
+        out += [(pmf_at, last + 1, last - 1, k - 1, k, j), (pmf_at, last + 1, 0, k - 1, k, j)]
+        out += [(pmf_at, last + 1, last, k + 1, k, j), (pmf_at, last + 1, 0, k + 1, k, j)]
+    short = HoldingTimePmf(np.array([0.0, 0.25, 0.5, 0.25 - 5e-10]))  # sums to 1 - 5e-10
+    u = HoldingTimePmf.uniform(1, 3)
+    for pmfs in ([u, short], [short, u, short]):
+        last = len(pmfs) - 1
+        out += [(stationary(pmfs), last + 1, n, t_n, 4, 2) for n, t_n in [(last, 0), (last, 2), (last, 5), (0, 3)]]
+    return out + [(stationary([HoldingTimePmf.point_mass(1, support_max=2)]), 1, 0, 0, 4, 2)]  # picked up by k
+
+
+# enumerate_contribution_prob on pinned_instances() while it had a branch of its own for delivered
+# parcels: two lines per random kernel, one per short-pmf chain; ValidationError where the
+# conditioning event has zero probability
+PINNED_ENUMERATION = [
+    1.529191172417544e-16, 1.1102230246251565e-16, 0.24453751354969508,
+    0.2177267229387472, 1.1102230246251565e-16, 0.06544511644878442,
+    0.0, 0.0, 0.0,
+    0.3415287221394537, 0.0, 0.5996590684930184,
+    1.491309234748108e-16, 1.1102230246251565e-16, 0.03964233683121248,
+    0.5161584427296129, 1.1102230246251565e-16, 0.28671526340931425,
+    0.0, 0.12457997507225027, 0.48733254887104915,
+    0.04419792899858227, 0.23944561270556292, 0.009319737357495384,
+    0.2090584571732882, 0.2530369102740184, 0.07125821015519977,
+    0.0, 0.35739378610034406, 0.0,
+    0.0, 0.0, 0.13602329893047568,
+    0.47789429994304405, 0.0, 0.4144976853105944,
+    1.0, 2.000000165480742e-09, 0.75, 0.8749999999999999,
+    1.0, 2.000000165480742e-09, 0.75, 0.22222222237037034,
+    ValidationError,
+]
+
+
 class TestEnumeration:
     def test_single_hop_partial_sums(self):
         f = HoldingTimePmf.uniform(1, 4)
@@ -157,6 +204,14 @@ class TestEnumeration:
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u, u, u, u])
         assert enumerate_contribution_prob(pmf_at, 4, 0, 12, 10, 2) == 0.0
+
+    def test_pinned_values(self):
+        for instance, want in zip(pinned_instances(), PINNED_ENUMERATION, strict=True):
+            if want is ValidationError:
+                with pytest.raises(ValidationError, match="zero probability"):
+                    enumerate_contribution_prob(*instance)
+            else:
+                assert abs(enumerate_contribution_prob(*instance) - want) <= 1e-15
 
     def test_too_large(self):
         big = HoldingTimePmf.uniform(1, 400)

@@ -341,6 +341,22 @@ def test_the_earlier_of_two_faults_is_named(tmp_path, third, fifth, named):
         EventLog.from_csv(path, TB)
 
 
+SPANNING_ID = '"P\n1",r1,c1,shop,2,2024-01-01T09:00:00\n'  # a quoted id over lines 2-3
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [("P2,r1,c1,shop,three,2024-01-01T10:00:00\n", r"bad\.csv:4: "),
+     ("P2,r1,c1,shop,2,2024-01-01T10:00:00\nP2,r1,c1,shop,2,2024-01-01T11:00:00\n", r"bad\.csv:5: duplicate")],
+    ids=["bad status", "duplicate status"],
+)
+def test_rows_after_a_quoted_line_break_are_named_by_their_line(tmp_path, rows, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEAD + SPANNING_ID + rows)
+    with pytest.raises(ValidationError, match=named):
+        EventLog.from_csv(path, TB)
+
+
 def test_each_timestamp_text_is_converted_once(tmp_path, monkeypatch):
     path = tmp_path / "events.csv"
     path.write_text(
