@@ -2,14 +2,15 @@
 
 The intensity at slot k for carrier c factors into an hourly profile (the
 proportion of the carrier's daily take-overs falling in each hour of each
-weekday) times a forecast of the carrier's daily volume.
+weekday) times a forecast of the carrier's daily volume.  An intensity keeps
+what it reads of both, so the models are read-only once used in a forecast.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -55,17 +56,13 @@ class HourlyProfile:
             if total != 0.0 and not abs(total - 1.0) <= 1e-9:  # NaN fails this too
                 raise ValidationError(f"profile row {(w, c)} sums to {total!r}")
 
-    def carriers(self) -> list[str]:
-        return sorted({c for _, c in self.rho})
-
     def proportion(self, w: int, h: int, carrier: str) -> float:
         row = self.rho.get((w, carrier))
         return 0.0 if row is None else float(row[h])
 
     @cached_property
-    def _weeks(self) -> dict[str, np.ndarray]:
-        """Each carrier's proportions as a (weekday - 1, hour) matrix, built on first use."""
-        return {c: np.array([self.rho.get((w, c), np.zeros(24)) for w in range(1, 8)], float) for c in self.carriers()}
+    def _stacks(self) -> dict[tuple[str, ...], np.ndarray]:
+        return {}  # carriers -> their (carrier, week hour) proportions, filled by ``OrderIntensity.rates``
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,6 +216,7 @@ class OrderIntensity:
     profile: HourlyProfile
     daily_volume: Callable[[date, str], float]
     carriers: tuple[str, ...]
+    _volumes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lambda_at(self, timebase, k: int, carrier: str) -> float:
         return float(self.rates(timebase, [k], (carrier,))[0, 0])
@@ -226,19 +224,28 @@ class OrderIntensity:
     def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
         """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default).
 
-        Each calendar day the slots fall on is resolved once per carrier.
+        Each calendar day's volumes and the profile's rows are read once per tuple of carriers.
         """
-        carriers = self.carriers if carriers is None else carriers
+        carriers = self.carriers if carriers is None else tuple(carriers)
         slots = np.asarray(slots, dtype=np.int64)
         day = timebase.day_of(slots)  # whole days from the epoch's date
         first = int(day.min()) if day.size else 0
-        volume = np.zeros((len(carriers), int(day.max(initial=first - 1)) - first + 1))  # days from the first
-        for d in np.bincount(day - first).nonzero()[0].tolist():
-            on = timebase.epoch.date() + timedelta(days=first + d)
-            volume[:, d] = [self.daily_volume(on, c) for c in carriers]
-        profile = np.array([self.profile._weeks.get(c, np.zeros((7, 24))) for c in carriers]).reshape(-1, 7 * 24)
-        lam = (profile[:, timebase.week_hour_of(slots)] * volume[:, day - first]).T
-        if not (lam >= 0).all():  # NaN fails it too
+        day -= first  # days from the first
+        origin = timebase.epoch.date().toordinal() + first  # the first day's date as an ordinal
+        slots_on = np.bincount(day)
+        volume = np.zeros((len(carriers), len(slots_on)))
+        for d in slots_on.nonzero()[0].tolist():
+            key = (origin + d, carriers)
+            if key not in self._volumes:
+                self._volumes[key] = np.array([self.daily_volume(date.fromordinal(key[0]), c) for c in carriers])
+            volume[:, d] = self._volumes[key]
+        if carriers not in self.profile._stacks:
+            rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in carriers for w in range(1, 8)]
+            self.profile._stacks[carriers] = np.array(rows, float).reshape(len(carriers), 7 * 24)
+        profile = self.profile._stacks[carriers]
+        # fancy indexing leaves lam C-ordered, and the einsums that sum it depend on that order bit for bit
+        lam = (profile[:, timebase.week_hour_of(slots)] * volume[:, day]).T
+        if not lam.min(initial=0.0) >= 0:  # NaN fails it too
             raise ValidationError(f"{'negative' if (lam < 0).any() else 'NaN'} order intensity")
         return lam
 
@@ -287,9 +294,8 @@ def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
     rate, mode = lam[..., None], np.floor(lam)[..., None]
     pmf = np.cumprod(np.where(x > mode, rate / np.maximum(x, 1), 1.0), axis=-1)  # from the mode up
     below = x < mode
-    if below.any():  # and from the mode down
-        with np.errstate(divide="ignore"):  # lam = 0 has no count below its mode
-            ratio = np.where(below, (x + 1) / rate, 1.0)
+    if below.any():  # and from the mode down; lam = 0 has no count below its mode
+        ratio = np.divide(x + 1.0, rate, out=np.ones(below.shape), where=below)
         pmf = np.where(below, np.cumprod(ratio[..., ::-1], axis=-1)[..., ::-1], pmf)
     return pmf / pmf.sum(axis=-1, keepdims=True)
 

@@ -136,9 +136,9 @@ class _Window:
         """V_m, raising where it is undefined on one of ``routes`` (a mask)."""
         if m not in self.values:
             raise ValidationError(f"status {m} outside 0..{self.last}")
-        unset = np.argwhere(~self.ok[m] & routes[:, None])
-        if unset.size:  # the MissingKernel that leaves V_m undefined on that route at that horizon
-            route, h = unset[0].tolist()
+        unset = ~self.ok[m] & routes[:, None]
+        if unset.any():  # the MissingKernel that leaves V_m undefined on that route at that horizon
+            route, h = np.argwhere(unset)[0].tolist()
             for n in range(self.last, m - 1, -1):
                 slots = np.arange(self.k + 1, self.k + self.js[h] + (n == self.last))
                 self.kernel.rows_at(n, slots, *self.routes[route], self.pup)
@@ -237,14 +237,20 @@ def prob_future_order_contributes(
 
 def _order_mix(intensity: OrderIntensity, selection: SelectionModel | None, routes: list) -> np.ndarray:
     """Each carrier's retailer mix as weights (carriers x routes) on ``routes``, which gains the routes it lacks.
-    A carrier without retailer weights, or any without ``selection``, orders with retailer None."""
-    index = {route: i for i, route in enumerate(routes)}
-    mix = []
-    for c in intensity.carriers:
-        weights = (selection and selection.p_retailer_given_carrier(c)) or {None: 1.0}
-        mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
-    routes[:] = index
-    return np.array([[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]).reshape(len(mix), len(index))
+    A carrier without retailer weights, or any without ``selection``, orders with retailer None; selection keeps it."""
+    known = {} if selection is None else selection._mixes
+    key = (intensity.carriers, tuple(routes))
+    if key not in known:
+        index = {route: i for i, route in enumerate(routes)}
+        mix = []
+        for c in intensity.carriers:
+            weights = (selection and selection.p_retailer_given_carrier(c)) or {None: 1.0}
+            mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
+        mix = np.array([[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]).reshape(len(mix), len(index))
+        mix.flags.writeable = False
+        known[key] = mix, tuple(index)
+    mix, routes[:] = known[key]
+    return mix
 
 
 def future_orders_pmf(

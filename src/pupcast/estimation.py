@@ -4,7 +4,8 @@ Kernels are fitted by empirical frequencies from completed transitions only
 (completion at or before the observation cutoff, so fitting never uses
 look-ahead).  Sparse conditioning keys fall back hierarchically to pooled
 pmfs; cells with fewer than ``min_count`` completed observations defer to
-the next coarser level.
+the next coarser level.  A ``SelectionModel`` keeps the weights it derives, so
+it is read-only once used in a forecast.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class SelectionModel:
         for r, c, p in self.pairs():
             joint[c][r] = p
         return {c: {r: p / sum(weights.values()) for r, p in weights.items()} for c, weights in joint.items()}
+
+    @cached_property
+    def _mixes(self) -> dict:
+        return {}  # the engine's order mixes, per (carriers, routes)
 
     def to_json_dict(self) -> dict:
         """JSON document; the unknown retailer ``None`` is written as "", as in the event CSV."""

@@ -62,6 +62,7 @@ __all__ = [
 
 # mc_contribution_prob gives up when fewer draws than this pass its conditioning event
 MIN_ACCEPTANCE = 1e-4
+_EPS = 1e-15  # enumerate_contribution_prob's zero: a conditioning probability this small is rounding
 
 
 @dataclass
@@ -277,7 +278,8 @@ def enumerate_contribution_prob(
     picked up by k); an order placed at t_n > k carries no condition.  Mass
     beyond a last-status pmf's support is never picked up: it meets the
     condition and counts as stored at k+j, unless the parcel was delivered
-    after k+j.  Raises TooLarge when the path count bound exceeds ``max_paths``.
+    after k+j.  Raises TooLarge when the path count bound exceeds ``max_paths``,
+    and ValidationError when the condition's probability is at most ``_EPS``.
     """
     if math.prod(pmf_at(m, t_n).support_max for m in range(n, n_statuses)) > max_paths:
         raise TooLarge(f"path bound exceeds {max_paths}")
@@ -298,7 +300,7 @@ def enumerate_contribution_prob(
         return numer, denom
 
     numer, denom = paths(n, t_n, 1.0)
-    if denom <= 0.0:
+    if denom <= _EPS:
         raise ValidationError("conditioning event has zero probability")
     return numer / denom
 

@@ -7,7 +7,8 @@ integer codes into the label tuples ``carriers``, ``retailers`` and
 ``pups``.  A log is validated once, when it is built from records, read from
 CSV or filled from ``simulate``'s draws.  ``truncated`` and ``for_pup`` select
 rows and mask entries, which keeps a valid log valid, so they do not validate
-again.  ``ParcelRecord`` is the row type at the edge: a log iterates as records.
+again; views share columns, so a log is read-only once used in a forecast.
+``ParcelRecord`` is the row type at the edge: a log iterates as records.
 
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
@@ -20,6 +21,7 @@ import contextlib
 import csv
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from datetime import datetime
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -126,7 +128,11 @@ class EventLog:
         return i, c, f"parcel {ids[i]}: entry into status {n[c]} at slot {t[c]} is beyond the cutoff {cutoff}"
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.carrier)
+
+    @cached_property
+    def ids(self) -> np.ndarray:  # an object array: a view takes its source's rows when first read
+        return self._ids_of[0].ids.take(self._ids_of[1])
 
     def __iter__(self) -> Iterator[ParcelRecord]:
         statuses = self.statuses.tolist()
@@ -142,14 +148,16 @@ class EventLog:
     def _view(self, rows: np.ndarray, entries: np.ndarray, cutoff: int, pups: tuple | None = None) -> "EventLog":
         """The rows ``rows`` with ``entries``, not validated again."""
         log = object.__new__(EventLog)
-        log.ids, log.carrier, log.retailer = self.ids.take(rows), self.carrier.take(rows), self.retailer.take(rows)
+        log._ids_of, log.carrier, log.retailer = (self, rows), self.carrier.take(rows), self.retailer.take(rows)
         log.pup = self.pup.take(rows) if pups is None else np.zeros(len(rows), dtype=np.intp)
         log.carriers, log.retailers, log.pups = self.carriers, self.retailers, pups or self.pups
         log.statuses, log.entries, log.cutoff, log.timebase = self.statuses, entries, cutoff, self.timebase
         return log
 
     def for_pup(self, pup: str) -> "EventLog":
-        """The parcels bound for ``pup``.  The view names ``pup`` even when it holds no parcel."""
+        """The parcels bound for ``pup``, or the log if that is its only pup; a view names ``pup`` even when empty."""
+        if self.pups == (pup,):
+            return self
         rows = (self.pup == (self.pups.index(pup) if pup in self.pups else -1)).nonzero()[0]
         return self._view(rows, self.entries.take(rows, axis=0), self.cutoff, pups=(pup,))
 
@@ -180,11 +188,14 @@ class EventLog:
         """(rows, status, slot): the parcels with an entry at or before k whose
         highest status entered by k is below ``below``, that status, and the
         slot it entered it."""
-        last = np.full(len(self), -1)
-        for c, column in enumerate(self.entries.T):  # statuses ascend: the last column seen wins
-            last[column <= k] = c if self.statuses[c] < below else -1
-        rows = (last >= 0).nonzero()[0]
-        return rows, self.statuses[last[rows]], self.entries[rows, last[rows]]
+        low = int((self.statuses < below).sum())  # statuses ascend: the columns below ``below`` come first
+        rows = (self.entries[:, low:].min(axis=1, initial=NEVER) > k).nonzero()[0]  # none of the others by k
+        entries = self.entries.take(rows, axis=0)
+        last = np.full(len(rows), -1)
+        for c, column in enumerate(entries.T[:low]):  # the last column seen wins
+            last[column <= k] = c
+        seen = (last >= 0).nonzero()[0]
+        return rows[seen], self.statuses[last[seen]], entries[seen, last[seen]]
 
     # ---- CSV I/O ----
 

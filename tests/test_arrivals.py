@@ -2,14 +2,14 @@
 
 import hashlib
 import math
-from datetime import date
+from datetime import date, datetime, timedelta
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from pupcast import EventLog, ParcelRecord
+from pupcast import EventLog, ParcelRecord, Timebase
 from pupcast.arrivals import (
     DailyVolumeModel,
     HourlyProfile,
@@ -185,6 +185,8 @@ class TestIntensity:
         assert lam.shape == (len(slots), 2)
         assert sorted(asked) == sorted({(TB.date_of(k), c) for k in slots for c in ("c1", "c2")})
         assert len(asked) == 8
+        asked.clear()  # the intensity keeps each day's volumes: a second call asks nothing
+        assert intensity.rates(TB, slots).tobytes() == lam.tobytes() and asked == []
         for row, k in zip(lam.tolist(), slots):  # the per-slot product, float for float
             for c, value in zip(("c1", "c2"), row):
                 assert value == profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * fitted.daily_volume(
@@ -212,6 +214,23 @@ class TestIntensity:
             ]
             assert lam.tolist() == expected
             assert intensity.rates(TB, [], carriers).shape == (0, len(names))
+
+    def test_rates_through_two_timebases(self):
+        # the volumes are kept by calendar date and the profile by week hour, so
+        # one intensity read through epochs at different hours gives each
+        # timebase its own per-slot product, call after call
+        rng = np.random.default_rng(8)
+        profile = HourlyProfile({(w, c): rng.dirichlet(np.ones(24)) for w in range(1, 8) for c in ("c1", "c2")})
+        days = [date(2023, 12, 31) + timedelta(days=d) for d in range(8)]
+        volumes = {c: {d: float(rng.uniform(0.0, 30.0)) for d in days} for c in ("c1", "c2")}
+        intensity = OrderIntensity.from_schedule(profile, volumes)
+        slots = range(-3, 5 * 24 + 7)
+        for tb in (TB, Timebase(datetime(2024, 1, 1, 5)), Timebase(datetime(2023, 12, 31, 21)), TB):
+            expected = [
+                [profile.proportion(tb.weekday_of(k), tb.hour_of(k), c) * volumes[c][tb.date_of(k)] for c in ("c1", "c2")]
+                for k in slots
+            ]
+            assert intensity.rates(tb, slots).tolist() == expected
 
     def test_rates_far_from_the_epoch(self):
         # slots years after (and before) the epoch: only the days they fall on

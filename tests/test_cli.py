@@ -256,6 +256,21 @@ def test_oracle_check(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_check_reports_what_it_compared(capsys):
+    # an instance whose closed form raises (impossible evidence, a window
+    # without a pmf) is skipped and counted; the draws are those of seed 0
+    assert main(["oracle-check", "--instances", "200", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "200 random instances drawn, 150 compared, 50 skipped" in out
+    assert "worst |closed - exact| = 2.920e-15" in out
+
+
+def test_oracle_check_with_nothing_compared_exits_2(capsys):
+    assert main(["oracle-check", "--instances", "1", "--seed", "3"]) == 2  # its one draw is skipped
+    out = capsys.readouterr().out
+    assert "0 compared, 1 skipped" in out and "FAIL: no instance was compared" in out
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_oracle_check_of_no_instance_exits_2(capsys, instances):
     assert main(["oracle-check", "--instances", instances]) == 2

@@ -839,6 +839,31 @@ def test_a_warm_kernel_gives_a_fresh_kernels_bytes(seed):
     assert list(warm._compiled["windows"]) == windows  # no window computed at k
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_models_warmed_by_a_sweep_forecast_as_fresh_ones(seed):
+    # after a full daily sweep the models keep their value windows, day
+    # volumes, profile stacks and order mixes; at every tenth anchor they give
+    # the bytes and notes that fresh models give, one horizon at a time and
+    # four at once
+    cfg = default_scenario(seed=seed)
+    log = simulate(cfg).event_log()
+    horizons = (13, 37, 61, 85)
+
+    def forecasts(models, k):
+        parcels = log.truncated(k).for_pup(cfg.pup)
+        one = [predict_load_pmf(parcels, *models, k, j, cfg.entry_status) for j in horizons]
+        four = predict_load_pmfs(parcels, *models, k, horizons, cfg.entry_status)
+        return [(r.pmf.probs.tobytes(), r.diagnostics) for r in one + four]
+
+    warm = cfg.kernel, cfg.intensity, cfg.selection
+    anchors = [d * cfg.timebase.slots_per_day for d in range(28, 178)]
+    for k in anchors:
+        forecasts(warm, k)
+    for k in anchors[::10]:
+        fresh = default_scenario(seed=seed)
+        assert forecasts(warm, k) == forecasts((fresh.kernel, fresh.intensity, fresh.selection), k)
+
+
 def test_a_window_without_a_pmf_raises_on_a_hit_as_on_a_miss():
     # status 1 has no Sunday pmf and no global level: every window that
     # reaches Sunday skips its parcel and raises MissingKernel, whether it is

@@ -17,7 +17,7 @@ from pupcast.engine import (
     prob_delivered_and_stored_multi_hop,
     prob_still_stored,
 )
-from pupcast.errors import ConditioningTooRare, MissingKernel, TooLarge, ValidationError
+from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
     enumerate_contribution_prob,
@@ -212,6 +212,18 @@ class TestEnumeration:
                     enumerate_contribution_prob(*instance)
             else:
                 assert abs(enumerate_contribution_prob(*instance) - want) <= 1e-15
+
+    def test_zero_probability_condition_raises(self):
+        # k = 7 is past the pickup support of 5, so a parcel delivered at 0 was
+        # certainly picked up by k: the condition's probability is a rounding
+        # residual, and the engine's closed form calls the evidence impossible
+        kernel, k, j = random_instance(np.random.default_rng(0), max_statuses=4, max_support=5)
+        route, n_statuses = bind_kernel(kernel), kernel.n_statuses
+        assert (k, j) == (7, 10)
+        with pytest.raises(ImpossibleEvidence):
+            prob_still_stored(route, n_statuses, 0, k, j)
+        with pytest.raises(ValidationError, match="zero probability"):
+            enumerate_contribution_prob(route, n_statuses, n_statuses - 1, 0, k, j)
 
     def test_too_large(self):
         big = HoldingTimePmf.uniform(1, 400)

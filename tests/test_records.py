@@ -52,7 +52,11 @@ def test_for_pup_and_truncated():
         cutoff=40,
         timebase=TB,
     )
-    assert [r.id for r in log.for_pup("shop")] == ["P1", "P3"]
+    assert [r.id for r in log.for_pup("shop")] == ["P1", "P3"]  # two pups: a view of one
+    assert [r.id for r in log.for_pup("other")] == ["P2"] and log.for_pup("other").pups == ("other",)
+    shop = log.for_pup("shop")
+    assert shop.for_pup("shop") is shop  # a log of one pup label is its own view of it
+    assert len(shop.for_pup("other")) == 0 and shop.for_pup("other").pup_names() == ["other"]
     early = log.truncated(15)
     assert early.cutoff == 15
     assert [r.id for r in early.records] == ["P1", "P2"]
@@ -204,26 +208,40 @@ def parcels(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(parcels(), st.integers(-70, 60), st.sampled_from([None, "shop", "nowhere"]), st.integers(0, 5))
-def test_latest_and_truncated_match_each_record(records, k, pup, below):
+@given(parcels(), st.data(), st.sampled_from([None, "shop", "nowhere"]))
+def test_latest_and_truncated_match_each_record(records, data, pup):
+    # k anywhere, or just before, at or just after an entry; every below, from
+    # none of the statuses to all of them; on the log or a view, and truncated at k
     log = EventLog(records, cutoff=60, timebase=TB)
     if pup is not None:  # a view, possibly empty
         log = log.for_pup(pup)
         records = [r for r in records if r.pup == pup]
-    rows, status, slot = log.latest(k, below)
-    expected = [(i, r.status_at(k)) for i, r in enumerate(records) if r.status_at(k) is not None]
-    expected = [(i, n) for i, n in expected if n < below]
-    assert rows.tolist() == [i for i, _ in expected]
-    assert status.tolist() == [n for _, n in expected]
-    assert slot.tolist() == [records[i].entry_times[n] for i, n in expected]
-    early = log.truncated(k)
-    seen = [
-        ParcelRecord(r.id, r.carrier, r.pup, r.retailer, {n: t for n, t in r.entry_times.items() if t <= k})
-        for r in records
-        if any(t <= k for t in r.entry_times.values())
-    ]
-    assert early.records == seen
-    assert early.cutoff == k and early.entries.shape == (len(seen), len(log.statuses))
+    near = [t + d for r in records for t in r.entry_times.values() for d in (-1, 0, 1)]
+    k = data.draw(st.integers(-70, 60) | st.sampled_from(near or [0]))
+    early = log.truncated(min(k, 60))
+    for below in range(-1, 7):
+        for on in (log, early):
+            rows, status, slot = on.latest(k, below)
+            expected = [(i, r.status_at(k)) for i, r in enumerate(records) if r.status_at(k) is not None]
+            if on is early:  # its rows are the parcels with an entry by k
+                expected = list(enumerate(n for _, n in expected))
+            got = list(zip(rows.tolist(), status.tolist(), slot.tolist()))
+            assert got == [(i, n, on.records[i].entry_times[n]) for i, n in expected if n < below]
+    if k <= 60:
+        seen = [
+            ParcelRecord(r.id, r.carrier, r.pup, r.retailer, {n: t for n, t in r.entry_times.items() if t <= k})
+            for r in records
+            if any(t <= k for t in r.entry_times.values())
+        ]
+        assert early.records == seen
+        assert early.cutoff == k and early.entries.shape == (len(seen), len(log.statuses))
+
+
+def test_views_take_their_ids_when_read():
+    log = EventLog([rec("P1", {2: 10}), rec("P2", {2: 12}, pup="other"), rec("P3", {2: 30})], cutoff=40, timebase=TB)
+    view = log.truncated(20).for_pup("shop")
+    assert "ids" not in vars(view) and len(view) == 1
+    assert view.ids.tolist() == ["P1"] and [r.id for r in view] == ["P1"]
 
 
 def test_csv_order_error_names_line(tmp_path):
