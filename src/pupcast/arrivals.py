@@ -2,16 +2,16 @@
 
 The intensity at slot k for carrier c factors into an hourly profile (the
 proportion of the carrier's daily take-overs falling in each hour of each
-weekday) times a forecast of the carrier's daily volume.  An intensity keeps
-what it reads of both, so the models are read-only once used in a forecast.
+weekday) times a forecast of the carrier's daily volume.  An intensity holds
+both as tables, built once: the profile by (carrier, week hour) and the
+volumes by (carrier, calendar day).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date
-from functools import cached_property
+from datetime import date, timedelta
 from typing import Callable, Mapping
 
 import numpy as np
@@ -59,10 +59,6 @@ class HourlyProfile:
     def proportion(self, w: int, h: int, carrier: str) -> float:
         row = self.rho.get((w, carrier))
         return 0.0 if row is None else float(row[h])
-
-    @cached_property
-    def _stacks(self) -> dict[tuple[str, ...], np.ndarray]:
-        return {}  # carriers -> their (carrier, week hour) proportions, filled by ``OrderIntensity.rates``
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,9 +151,8 @@ class DailyVolumeModel:
     )
 
     def __post_init__(self) -> None:
-        lengths = {len(h) for h in self.history.values()}
-        if len(lengths) > 1:
-            raise ValidationError("carrier histories must cover the same days")
+        if len({len(h) for h in self.history.values()}) != 1:  # no carrier, or carriers over different days
+            raise ValidationError("the history needs one carrier or more, all over the same days")
         for c, h in self.history.items():
             if not np.all(np.asarray(h) >= 0):  # NaN fails this too
                 raise ValidationError(f"negative or NaN daily count for carrier {c!r}")
@@ -207,44 +202,44 @@ def forecast_daily_volume(model: DailyVolumeModel, days_ahead: int) -> dict[str,
 
 @dataclass
 class OrderIntensity:
-    """lambda(k, carrier): expected take-overs per slot for future slots.
+    """lambda(k, carrier): expected take-overs per slot.
 
-    ``daily_volume`` maps (calendar day, carrier) to the expected number of
-    take-overs that day; the hourly profile breaks the day down into slots.
+    ``volumes[i, d]`` is the expected number of take-overs of ``carriers[i]``
+    on the calendar day ``start + d``, and the hourly profile breaks each day
+    down into slots.  A day before ``start`` and a carrier not in
+    ``carriers`` have no orders; a day past the table's last raises
+    ``InsufficientHistory``.
     """
 
     profile: HourlyProfile
-    daily_volume: Callable[[date, str], float]
     carriers: tuple[str, ...]
-    _volumes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    start: date
+    volumes: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.volumes = np.asarray(self.volumes, dtype=float)
+        if self.volumes.ndim != 2 or len(self.volumes) != len(self.carriers):
+            raise ValidationError(f"volumes of shape {self.volumes.shape} for {len(self.carriers)} carriers")
+        rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in self.carriers for w in range(1, 8)]
+        # the two tables rates gathers from, each with a zero last row for a carrier the intensity
+        # lacks, and the volumes with a zero last column for the days before ``start``
+        self._rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0)))
+        self._volumes = np.pad(self.volumes, ((0, 1), (0, 1)))
 
     def lambda_at(self, timebase, k: int, carrier: str) -> float:
         return float(self.rates(timebase, [k], (carrier,))[0, 0])
 
     def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
-        """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default).
-
-        Each calendar day's volumes and the profile's rows are read once per tuple of carriers.
-        """
+        """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default)."""
         carriers = self.carriers if carriers is None else tuple(carriers)
+        rows = np.array([self.carriers.index(c) if c in self.carriers else -1 for c in carriers], dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
-        day = timebase.day_of(slots)  # whole days from the epoch's date
-        first = int(day.min()) if day.size else 0
-        day -= first  # days from the first
-        origin = timebase.epoch.date().toordinal() + first  # the first day's date as an ordinal
-        slots_on = np.bincount(day)
-        volume = np.zeros((len(carriers), len(slots_on)))
-        for d in slots_on.nonzero()[0].tolist():
-            key = (origin + d, carriers)
-            if key not in self._volumes:
-                self._volumes[key] = np.array([self.daily_volume(date.fromordinal(key[0]), c) for c in carriers])
-            volume[:, d] = self._volumes[key]
-        if carriers not in self.profile._stacks:
-            rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in carriers for w in range(1, 8)]
-            self.profile._stacks[carriers] = np.array(rows, float).reshape(len(carriers), 7 * 24)
-        profile = self.profile._stacks[carriers]
-        # fancy indexing leaves lam C-ordered, and the einsums that sum it depend on that order bit for bit
-        lam = (profile[:, timebase.week_hour_of(slots)] * volume[:, day]).T
+        day = timebase.day_of(slots) + (timebase.epoch.date() - self.start).days  # days from ``start``
+        if rows.size and day.max(initial=-1) >= self.volumes.shape[1]:
+            asked, last = (self.start + timedelta(days=int(d)) for d in (day.max(), self.volumes.shape[1] - 1))
+            raise InsufficientHistory(f"no order volume for {asked}: the volumes end on {last}")
+        wh, day = timebase.week_hour_of(slots)[:, None], np.where(day < 0, -1, day)[:, None]
+        lam = self._rho[rows, wh] * self._volumes[rows, day]
         if not lam.min(initial=0.0) >= 0:  # NaN fails it too
             raise ValidationError(f"{'negative' if (lam < 0).any() else 'NaN'} order intensity")
         return lam
@@ -253,36 +248,26 @@ class OrderIntensity:
     def from_models(
         cls, profile: HourlyProfile, volume: DailyVolumeModel, max_days_ahead: int = 32
     ) -> "OrderIntensity":
-        """Intensity backed by fitted models; volumes beyond the history end
-        come from the model's forecaster."""
+        """Intensity backed by fitted models: each carrier's history, then
+        ``max_days_ahead`` days of the model's forecast."""
         forecasts = forecast_daily_volume(volume, max_days_ahead)
-
-        def daily(day: date, carrier: str) -> float:
-            hist = volume.history.get(carrier)
-            if hist is None:
-                return 0.0
-            idx = (day - volume.start).days
-            if idx < 0:
-                return 0.0
-            if idx < len(hist):
-                return float(hist[idx])
-            ahead = idx - len(hist)
-            if ahead >= max_days_ahead:
-                raise InsufficientHistory(f"no volume forecast {ahead + 1} days ahead")
-            return float(forecasts[carrier][ahead])
-
-        return cls(profile, daily, tuple(sorted(volume.history)))
+        carriers = tuple(sorted(volume.history))
+        table = [np.concatenate([volume.history[c], forecasts[c]]) for c in carriers]
+        return cls(profile, carriers, volume.start, table)
 
     @classmethod
     def from_schedule(
         cls, profile: HourlyProfile, volumes: Mapping[str, Mapping[date, float]]
     ) -> "OrderIntensity":
-        """Ground-truth intensity from explicit per-day volumes (simulation)."""
-
-        def daily(day: date, carrier: str) -> float:
-            return float(volumes.get(carrier, {}).get(day, 0.0))
-
-        return cls(profile, daily, tuple(sorted(volumes)))
+        """Ground-truth intensity from explicit per-day volumes (simulation),
+        over the span of their dates; a day missing in that span has none."""
+        carriers = tuple(sorted(volumes))
+        ordinal = {day: day.toordinal() for by_day in volumes.values() for day in by_day}
+        first = min(ordinal.values(), default=date.max.toordinal())  # with no date, every day comes before it
+        table = np.zeros((len(carriers), max(ordinal.values(), default=first - 1) - first + 1))
+        for row, c in zip(table, carriers):
+            row[[ordinal[day] - first for day in volumes[c]]] = list(volumes[c].values())
+        return cls(profile, carriers, date.fromordinal(first), table)
 
 
 def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:

@@ -62,16 +62,20 @@ def _scenario(args) -> ScenarioConfig:
         raise ValidationError(f"{args.config} with --seed {args.seed}: {exc}") from exc
 
 
-def _load_models(models_dir: Path):
+def _load_models(config: ScenarioConfig, models_dir: Path):
+    """The models ``pupcast fit`` wrote; their kernel must share the config's calendar, which reads the log."""
     models = {"kernel": TransitionKernel, "profile": HourlyProfile, "volumes": DailyVolumeModel,
               "selection": SelectionModel}  # the files pupcast fit writes
-    return tuple(read_model(models_dir / f"{name}.json", cls) for name, cls in models.items())
+    kernel, *rest = (read_model(models_dir / f"{name}.json", cls) for name, cls in models.items())
+    if kernel.timebase != config.timebase:
+        kernel_tb, tb = kernel.timebase.to_json_dict(), config.timebase.to_json_dict()
+        raise ValidationError(f"{models_dir / 'kernel.json'}: kernel timebase {kernel_tb} differs from the config's {tb}")
+    return kernel, *rest
 
 
 def cmd_forecast(args) -> int:
     config = read_model(args.config, ScenarioConfig)
-    models_dir = Path(args.models)
-    kernel, profile, volume, selection = _load_models(models_dir)
+    kernel, profile, volume, selection = _load_models(config, Path(args.models))
     log = EventLog.from_csv(args.log, config.timebase)
     parcels = log.truncated(min(args.k, log.cutoff)).for_pup(config.pup)
     intensity = OrderIntensity.from_models(profile, volume)
@@ -102,9 +106,8 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _scenario(args)
     trace = simulate(config)
-    models_dir = Path(args.models) if args.models else None
-    if models_dir:
-        kernel, profile, volume, selection = _load_models(models_dir)
+    if args.models:
+        kernel, profile, volume, selection = _load_models(config, Path(args.models))
         intensity = OrderIntensity.from_models(profile, volume)
     else:
         kernel, intensity, selection = config.kernel, config.intensity, config.selection

@@ -286,9 +286,9 @@ def _future_orders_pmfs(
     """``future_orders_pmf``'s probabilities at each horizon of the window."""
     values, js = window.entering(entry_status, mix.any(axis=0)), window.js
     width = values.shape[-1]
-    # Poisson rate of each entry slot k+1..k+width-1 and carrier, and the
-    # probability that one such order contributes at each horizon
-    lam = intensity.rates(window.kernel.timebase, np.arange(window.k + 1, window.k + width))
+    # Poisson rate of each entry slot k+1..k+width-1 and carrier (C-ordered: the einsum
+    # below sums in memory order), and the probability that one such order contributes at each horizon
+    lam = np.ascontiguousarray(intensity.rates(window.kernel.timebase, np.arange(window.k + 1, window.k + width)))
     p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
     p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
     if coverage is not None:  # each pair's count is cut at the same point at every horizon

@@ -1,11 +1,13 @@
-"""Shared builders for the test suite: tiny kernels and random instances."""
+"""Shared builders for the test suite: tiny kernels, random instances and a forecast digest."""
 
+import hashlib
 from datetime import datetime
 
 import numpy as np
 
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, Timebase, TransitionKernel
-from pupcast.oracle import random_instance, random_pmf  # noqa: F401  (shared by the tests)
+from pupcast.engine import predict_load_pmfs
+from pupcast.oracle import random_instance, random_pmf, simulate  # noqa: F401  (shared by the tests)
 
 TB = Timebase(datetime(2024, 1, 1, 0))  # a Monday, midnight
 
@@ -46,3 +48,18 @@ def retailer_keyed_kernel() -> TransitionKernel:
         for n, (level, size) in enumerate([(by_retailer, 6), (by_carrier, 30), (by_hour, 60)])
     }
     return TransitionKernel(3, statuses, TB)
+
+
+def forecast_digest(cfg, days, horizons) -> str:
+    """sha256 of every pmf and note of ``predict_load_pmfs`` at ``horizons`` on ``cfg``'s simulated
+    log, cut by ``truncated(k).for_pup(pup)`` at the midnight starting each of ``days``, with the
+    config's own models."""
+    log, tb = simulate(cfg).event_log(), cfg.timebase
+    h = hashlib.sha256()
+    for day in days:
+        k = day * tb.slots_per_day - tb.hour_of(0) // tb.slot_hours
+        parcels = log.truncated(k).for_pup(cfg.pup)
+        for result in predict_load_pmfs(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, horizons, cfg.entry_status):
+            h.update(result.pmf.probs.tobytes())
+            h.update(repr(result.diagnostics).encode())
+    return h.hexdigest()

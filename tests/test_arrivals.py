@@ -126,6 +126,8 @@ class TestDailyVolume:
     def test_validation(self):
         with pytest.raises(ValidationError):
             DailyVolumeModel({"a": np.zeros(3), "b": np.zeros(4)}, start=date(2024, 1, 1))
+        with pytest.raises(ValidationError, match="one carrier or more"):
+            DailyVolumeModel({}, start=date(2024, 1, 1))
         for bad in (-1.0, np.nan):
             with pytest.raises(ValidationError):
                 DailyVolumeModel({"a": np.array([bad])}, start=date(2024, 1, 1))
@@ -164,39 +166,40 @@ class TestIntensity:
         assert total == pytest.approx(8.0, abs=1e-9)
 
     def test_schedule_backed_intensity(self):
+        # the table spans the schedule's dates: a day missing inside the span has no
+        # orders, and a day past its last raises, naming the dates
         profile, _ = self.make_models()
-        intensity = OrderIntensity.from_schedule(profile, {"c1": {date(2024, 1, 1): 4.0}})
+        intensity = OrderIntensity.from_schedule(profile, {"c1": {date(2024, 1, 1): 4.0, date(2024, 1, 3): 8.0}})
         assert intensity.lambda_at(TB, 9, "c1") == pytest.approx(1.0)
         assert intensity.lambda_at(TB, 24 + 9, "c1") == 0.0  # no volume that day
+        assert intensity.lambda_at(TB, 48 + 9, "c1") == pytest.approx(2.0)
+        assert intensity.lambda_at(TB, -24 + 9, "c1") == 0.0  # before the first day
+        with pytest.raises(InsufficientHistory, match="2024-01-04.*2024-01-03"):
+            intensity.rates(TB, range(48, 73))
 
+    def test_fitted_rates_match_the_slot_by_slot_product(self):
+        # history and forecast days, read through epochs at different hours:
+        # each lambda is the profile's proportion times the model's volume that day
+        rng = np.random.default_rng(3)
+        profile = HourlyProfile({(w, c): rng.dirichlet(np.ones(24)) for w in range(1, 8) for c in ("c1", "c2")})
+        volume = DailyVolumeModel({c: rng.uniform(0.0, 30.0, 28) for c in ("c1", "c2")}, start=date(2024, 1, 1))
+        forecasts = forecast_daily_volume(volume, 32)
+        intensity = OrderIntensity.from_models(profile, volume)
+        slots = range(27 * 24 - 2, 30 * 24 + 3)  # four calendar days, history and forecast
+        for tb in (TB, Timebase(datetime(2024, 1, 1, 5)), Timebase(datetime(2023, 12, 31, 21))):
+            def daily(k, c):
+                d = (tb.date_of(k) - volume.start).days
+                return volume.history[c][d] if d < 28 else forecasts[c][d - 28]
 
-    def test_rates_resolve_each_day_once(self):
-        profile, volume = self.make_models()
-        fitted = OrderIntensity.from_models(profile, volume)
-        asked = []
-
-        def daily(day, carrier):
-            asked.append((day, carrier))
-            return fitted.daily_volume(day, carrier)
-
-        intensity = OrderIntensity(profile, daily, ("c1", "c2"))
-        slots = range(27 * 24 + 5, 30 * 24 + 3)  # four calendar days, history and forecast
-        lam = intensity.rates(TB, slots)
-        assert lam.shape == (len(slots), 2)
-        assert sorted(asked) == sorted({(TB.date_of(k), c) for k in slots for c in ("c1", "c2")})
-        assert len(asked) == 8
-        asked.clear()  # the intensity keeps each day's volumes: a second call asks nothing
-        assert intensity.rates(TB, slots).tobytes() == lam.tobytes() and asked == []
-        for row, k in zip(lam.tolist(), slots):  # the per-slot product, float for float
-            for c, value in zip(("c1", "c2"), row):
-                assert value == profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * fitted.daily_volume(
-                    TB.date_of(k), c
-                )
-                assert intensity.lambda_at(TB, k, c) == value
+            expected = [[profile.proportion(tb.weekday_of(k), tb.hour_of(k), c) * daily(k, c) for c in ("c1", "c2")]
+                        for k in slots]
+            assert intensity.rates(tb, slots).tolist() == expected
+            assert [[intensity.lambda_at(tb, k, c) for c in ("c1", "c2")] for k in slots] == expected
 
     def test_rates_match_the_slot_by_slot_product(self):
-        # the compiled weekday-by-hour matrices: several carriers, a weekday and
-        # a carrier the profile lacks, slots out of order and before the epoch
+        # the stacked weekday-by-hour tables: several carriers, a weekday and
+        # a carrier the profile lacks, one the intensity lacks, slots out of
+        # order and before the epoch
         rng = np.random.default_rng(5)
         rho = {(w, c): rng.dirichlet(np.ones(24)) for w in range(1, 7) for c in ("c1", "c2")}
         profile = HourlyProfile(rho)
@@ -204,11 +207,11 @@ class TestIntensity:
         volumes = {c: {d: float(rng.uniform(0.0, 30.0)) for d in days} for c in ("c1", "c2", "c3")}
         intensity = OrderIntensity.from_schedule(profile, volumes)
         slots = rng.permutation(np.arange(-7 * 24, 14 * 24))[:200]
-        for carriers in (None, ("c3", "c2"), ("c1",)):
+        for carriers in (None, ("c3", "c2"), ("c1",), ("c9", "c1")):  # c9 has no volume and no profile
             lam = intensity.rates(TB, slots, carriers)
             names = intensity.carriers if carriers is None else carriers
             expected = [
-                [profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * intensity.daily_volume(TB.date_of(k), c)
+                [profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * volumes.get(c, {}).get(TB.date_of(k), 0.0)
                  for c in names]
                 for k in slots.tolist()
             ]
@@ -233,32 +236,43 @@ class TestIntensity:
             assert intensity.rates(tb, slots).tolist() == expected
 
     def test_rates_far_from_the_epoch(self):
-        # slots years after (and before) the epoch: only the days they fall on
-        # are resolved, and each lambda is the per-slot product
+        # slots ten years after and before the epoch, in one schedule whose
+        # twenty years between them are missing days: each lambda is the
+        # per-slot product
         profile, _ = self.make_models()
-        for start in (3650 * 24 + 7, -3650 * 24 + 7):
-            asked = []
-
-            def daily(day, carrier):
-                asked.append(day)
-                return float(day.toordinal() % 17)
-
-            intensity = OrderIntensity(profile, daily, ("c1", "c2"))
+        starts = (3650 * 24 + 7, -3650 * 24 + 7)
+        days = [TB.date_of(start) + timedelta(days=d) for start in starts for d in range(3)]
+        volumes = {c: {day: float(day.toordinal() % 17) for day in days} for c in ("c1", "c2")}
+        intensity = OrderIntensity.from_schedule(profile, volumes)
+        assert intensity.volumes.shape == (2, (days[2] - days[3]).days + 1)
+        for start in starts:
             slots = np.arange(start, start + 60)[::-1]  # three calendar days, out of order
-            lam = intensity.rates(TB, slots)
-            assert sorted(set(asked)) == sorted({TB.date_of(k) for k in slots.tolist()}) and len(asked) == 6
-            expected = [[profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * daily(TB.date_of(k), c)
+            expected = [[profile.proportion(TB.weekday_of(k), TB.hour_of(k), c) * volumes[c][TB.date_of(k)]
                          for c in ("c1", "c2")] for k in slots.tolist()]
-            assert lam.tolist() == expected
+            assert intensity.rates(TB, slots).tolist() == expected
+        assert not intensity.rates(TB, range(0, 3650 * 24, 7)).any()  # the missing days
 
     def test_negative_intensity_rejected(self):
         profile, _ = self.make_models()
-        intensity = OrderIntensity(profile, lambda day, carrier: -1.0, ("c1",))
+        intensity = OrderIntensity.from_schedule(profile, {"c1": {date(2024, 1, 1): -1.0}})
         with pytest.raises(ValidationError, match="negative order intensity"):
             intensity.rates(TB, range(24))
         with pytest.raises(ValidationError, match="negative order intensity"):
             intensity.lambda_at(TB, 9, "c1")
         assert intensity.lambda_at(TB, 2, "c1") == 0.0  # no orders at 02:00, whatever the volume
+
+    def test_fitted_table_edges(self):
+        # 28 days of history and 32 forecast days: none before the history,
+        # the last forecast day is read, the day after it raises
+        profile, volume = self.make_models()
+        intensity = OrderIntensity.from_models(profile, volume)
+        assert intensity.start == date(2024, 1, 1) and intensity.volumes.shape == (1, 28 + 32)
+        assert not intensity.rates(TB, range(-7 * 24, 0)).any()
+        assert intensity.lambda_at(TB, 59 * 24 + 9, "c1") == pytest.approx(2.0)  # 2024-02-29, a Thursday
+        with pytest.raises(InsufficientHistory, match="2024-03-01.*2024-02-29"):
+            intensity.lambda_at(TB, 60 * 24 + 9, "c1")
+        with pytest.raises(InsufficientHistory):
+            OrderIntensity.from_models(profile, volume, max_days_ahead=8).rates(TB, range(35 * 24, 37 * 24))
 
 
 class TestPoisson:

@@ -200,6 +200,37 @@ def test_kernel_timebase_apart_from_the_config_exits_2_naming_the_config(workspa
     assert str(config) in err and "2017-07-05" in err and "2017-07-03" in err
 
 
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_models_fitted_under_another_calendar_exit_2_naming_the_kernel(workspace, tmp_path, capsys, command):
+    # a consistent config a day later than the one the models were fitted under:
+    # the log would be read on one calendar and the kernel keyed on the other
+    doc = json.loads(workspace["config"].read_text())
+    doc["timebase"]["epoch"] = doc["kernel"]["epoch"] = "2017-07-04T00:00:00"  # the models keep 2017-07-03
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    args = {
+        "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", "1200", "--horizons", "13,37"],
+        "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
+    }
+    assert main([command, "--config", str(config), "--models", str(workspace["models"]), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert str(workspace["models"] / "kernel.json") in err and "2017-07-04" in err and "2017-07-03" in err
+
+
+def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "volumes.json").read_text())
+    doc["history"] = {}
+    (models / "volumes.json").write_text(json.dumps(doc))
+    code = main([
+        "forecast", "--config", str(workspace["config"]), "--models", str(models),
+        "--log", str(workspace["sim"] / "events.csv"), "--k", str(30 * 24), "--horizons", "13",
+    ])
+    assert code == 2
+    assert f"{models / 'volumes.json'}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("field, value", [("seed", -1), ("horizon_days", -3), ("horizon_days", 0)])
 def test_negative_seed_or_short_horizon_exits_2_naming_the_config(workspace, tmp_path, capsys, command, field, value):

@@ -30,7 +30,16 @@ from pupcast.oracle import enumerate_contribution_prob, simulate
 from pupcast.records import EventLog, ParcelRecord
 from pupcast.scenario import default_scenario
 
-from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf, retailer_keyed_kernel
+from helpers import (
+    TB,
+    chain_kernel,
+    fallback_kernel,
+    forecast_digest,
+    pooled_status,
+    random_instance,
+    random_pmf,
+    retailer_keyed_kernel,
+)
 
 
 def stationary(pmfs):
@@ -561,6 +570,38 @@ def test_all_horizons_make_one_pass(default_log, pass_calls):
     pass_calls.clear()
     assert len(forecast(130)) == 4
     assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1})
+
+
+def test_forecast_bytes_do_not_depend_on_the_memory_order_of_the_rates(default_log, monkeypatch):
+    # the engine sums the rates in an order of its own, so Fortran-ordered
+    # rates give the same bytes as C-ordered ones
+    cfg, log = default_log
+
+    def pmfs(day):
+        k = day * cfg.timebase.slots_per_day
+        parcels = log.truncated(k).for_pup(cfg.pup)
+        results = predict_load_pmfs(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, (13, 37, 61, 85), cfg.entry_status)
+        return [r.pmf.probs.tobytes() for r in results]
+
+    days = (30, 100, 150)
+    expected = [pmfs(day) for day in days]
+    rates = OrderIntensity.rates
+    monkeypatch.setattr(OrderIntensity, "rates", lambda *args: np.asfortranarray(rates(*args)))
+    assert [pmfs(day) for day in days] == expected
+
+
+# digests of every pmf and note at days 28-177 and j = 13/37/61/85, as the exact path gave them
+# when the intensity was read through a per-day callable
+GOLDEN_FORECASTS = {
+    1: "57405693ef1dc9a30543a7243a45209a3627ade623824cd3acd187a5b6bada3e",
+    2: "d2182bc4bf161a998820a6ce2cdc6979b800ee258c32a12c2cbf1aa88fb31eba",
+    3: "1a1bf7b5886ebd34f61ba0d96d56a8a18b01379596db95c52d10271d13107f7d",
+}
+
+
+@pytest.mark.parametrize("seed", GOLDEN_FORECASTS)
+def test_forecasts_match_their_golden_digests(seed):
+    assert forecast_digest(default_scenario(seed=seed), range(28, 178), (13, 37, 61, 85)) == GOLDEN_FORECASTS[seed]
 
 
 @pytest.mark.parametrize("coverage", [None, 0.99])
