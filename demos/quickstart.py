@@ -12,13 +12,9 @@ import argparse
 
 from pupcast import (
     OrderIntensity,
-    TransitionKernel,
     default_scenario,
-    estimate_pickup_kernel,
-    estimate_selection,
-    estimate_transit_kernel,
     fit_daily_volume,
-    fit_hourly_profile,
+    fit_models,
     predict_load_pmfs,
     simulate,
 )
@@ -39,16 +35,7 @@ def main() -> None:
     log = trace.event_log(cutoff=k)
     print(f"fitting on the event log as observed at slot {k} ({len(log)} parcels)")
 
-    kernel = TransitionKernel(
-        n_statuses=cfg.n_statuses,
-        statuses={
-            2: estimate_transit_kernel(log, cfg.pup, status_from=2),
-            3: estimate_pickup_kernel(log, cfg.pup, cfg.opening, status_from=3),
-        },
-        timebase=cfg.timebase,
-    )
-    selection = estimate_selection(log)
-    profile = fit_hourly_profile(log, status=cfg.entry_status)
+    kernel, profile, _, selection = fit_models(log, cfg)
     volume = fit_daily_volume(log.truncated(k - 1), status=cfg.entry_status)
     intensity = OrderIntensity.from_models(profile, volume)
 

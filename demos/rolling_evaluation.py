@@ -13,13 +13,9 @@ import argparse
 
 from pupcast import (
     OrderIntensity,
-    TransitionKernel,
     default_scenario,
-    estimate_pickup_kernel,
-    estimate_selection,
-    estimate_transit_kernel,
     fit_daily_volume,
-    fit_hourly_profile,
+    fit_models,
     rolling_origin_evaluate,
     simulate,
 )
@@ -39,17 +35,7 @@ def main() -> None:
         f"{len(anchors)} anchors, first at day {anchors[0] // 24}"
     )
 
-    fit_log = trace.event_log(cutoff=anchors[0])
-    kernel = TransitionKernel(
-        n_statuses=cfg.n_statuses,
-        statuses={
-            2: estimate_transit_kernel(fit_log, cfg.pup, status_from=2),
-            3: estimate_pickup_kernel(fit_log, cfg.pup, cfg.opening, status_from=3),
-        },
-        timebase=cfg.timebase,
-    )
-    selection = estimate_selection(fit_log)
-    profile = fit_hourly_profile(fit_log, status=cfg.entry_status)
+    kernel, profile, _, selection = fit_models(trace.event_log(cutoff=anchors[0]), cfg)
     forecaster = seasonal_mean_forecaster(trend_damping=1.0)
 
     def intensity_at_anchor(k: int) -> OrderIntensity:

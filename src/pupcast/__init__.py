@@ -34,6 +34,7 @@ from .estimation import (
     estimate_pickup_kernel,
     estimate_selection,
     estimate_transit_kernel,
+    fit_models,
 )
 from .evaluate import EvalReport, rolling_origin_evaluate
 from .kernel import KernelLevel, StatusKernel, TransitionKernel

@@ -15,16 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity, fit_daily_volume, fit_hourly_profile
+from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity
 from .engine import bind_kernel, predict_load_pmfs, prob_still_stored
 from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
 from .errors import PupcastError, ValidationError
-from .estimation import (
-    SelectionModel,
-    estimate_pickup_kernel,
-    estimate_selection,
-    estimate_transit_kernel,
-)
+from .estimation import SelectionModel, fit_models
 from .evaluate import DEFAULT_HORIZONS, METHODS, rolling_origin_evaluate
 from .kernel import TransitionKernel, read_model, write_model
 from .oracle import enumerate_contribution_prob, random_instance, simulate
@@ -36,19 +31,18 @@ def _horizons(arg: str) -> tuple[int, ...]:
     return tuple(int(x) for x in arg.split(","))
 
 
+MODELS = {"kernel.json": TransitionKernel, "profile.json": HourlyProfile, "volumes.json": DailyVolumeModel,
+          "selection.json": SelectionModel}  # the files pupcast fit writes, in the order fit_models returns them
+
+
 def cmd_fit(args) -> int:
     config = read_model(args.config, ScenarioConfig)
     log = EventLog.from_csv(args.log, config.timebase)
-    entry, last = config.entry_status, config.n_statuses - 1
-    statuses = dict(config.kernel.statuses)
-    statuses[entry] = estimate_transit_kernel(log, config.pup, status_from=entry)
-    statuses[last] = estimate_pickup_kernel(log, config.pup, config.opening, status_from=last)
+    models = fit_models(log, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    TransitionKernel(config.n_statuses, statuses, config.timebase).save(out / "kernel.json")
-    write_model(out / "profile.json", fit_hourly_profile(log, status=entry))
-    write_model(out / "volumes.json", fit_daily_volume(log, status=entry))
-    write_model(out / "selection.json", estimate_selection(log))
+    for name, model in zip(MODELS, models):
+        write_model(out / name, model)
     print(f"fitted models from {len(log)} parcels (cutoff slot {log.cutoff}) -> {out}")
     return 0
 
@@ -63,22 +57,23 @@ def _scenario(args) -> ScenarioConfig:
 
 
 def _load_models(config: ScenarioConfig, models_dir: Path):
-    """The models ``pupcast fit`` wrote; their kernel must share the config's calendar, which reads the log."""
-    models = {"kernel": TransitionKernel, "profile": HourlyProfile, "volumes": DailyVolumeModel,
-              "selection": SelectionModel}  # the files pupcast fit writes
-    kernel, *rest = (read_model(models_dir / f"{name}.json", cls) for name, cls in models.items())
+    """The (kernel, intensity, selection) of the models ``pupcast fit`` wrote; their kernel must share
+    the config's calendar, which reads the log, and its status count, which says which status is stored."""
+    kernel, profile, volume, selection = (read_model(models_dir / name, cls) for name, cls in MODELS.items())
+    path = models_dir / "kernel.json"
     if kernel.timebase != config.timebase:
         kernel_tb, tb = kernel.timebase.to_json_dict(), config.timebase.to_json_dict()
-        raise ValidationError(f"{models_dir / 'kernel.json'}: kernel timebase {kernel_tb} differs from the config's {tb}")
-    return kernel, *rest
+        raise ValidationError(f"{path}: kernel timebase {kernel_tb} differs from the config's {tb}")
+    if kernel.n_statuses != config.n_statuses:
+        raise ValidationError(f"{path}: kernel has {kernel.n_statuses} statuses, the config {config.n_statuses}")
+    return kernel, OrderIntensity.from_models(profile, volume), selection
 
 
 def cmd_forecast(args) -> int:
     config = read_model(args.config, ScenarioConfig)
-    kernel, profile, volume, selection = _load_models(config, Path(args.models))
+    kernel, intensity, selection = _load_models(config, Path(args.models))
     log = EventLog.from_csv(args.log, config.timebase)
     parcels = log.truncated(min(args.k, log.cutoff)).for_pup(config.pup)
-    intensity = OrderIntensity.from_models(profile, volume)
     forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, config.entry_status)
     results = [result.to_json_dict() for result in forecasts]
     doc = {"pup": config.pup, "k": args.k, "forecasts": results}
@@ -107,8 +102,7 @@ def cmd_evaluate(args) -> int:
     config = _scenario(args)
     trace = simulate(config)
     if args.models:
-        kernel, profile, volume, selection = _load_models(config, Path(args.models))
-        intensity = OrderIntensity.from_models(profile, volume)
+        kernel, intensity, selection = _load_models(config, Path(args.models))
     else:
         kernel, intensity, selection = config.kernel, config.intensity, config.selection
     spd = config.timebase.slots_per_day

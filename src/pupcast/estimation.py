@@ -1,5 +1,6 @@
 """Empirical estimation of transition kernels and selection probabilities.
 
+``fit_models`` fits every model a forecast takes from one PUP's parcels.
 Kernels are fitted by empirical frequencies from completed transitions only
 (completion at or before the observation cutoff, so fitting never uses
 look-ahead).  Sparse conditioning keys fall back hierarchically to pooled
@@ -18,8 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .arrivals import DailyVolumeModel, HourlyProfile, fit_daily_volume, fit_hourly_profile
 from .errors import EmptyLog, NoCompletedTransitions, ValidationError
-from .kernel import KernelLevel, StatusKernel
+from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
 from .records import NEVER, EventLog
 
@@ -29,6 +31,7 @@ __all__ = [
     "estimate_transit_kernel",
     "estimate_pickup_kernel",
     "estimate_selection",
+    "fit_models",
     "MIN_COUNT",
     "TRANSIT_SUPPORT_MAX",
     "PICKUP_SUPPORT_MAX",
@@ -264,3 +267,16 @@ def estimate_selection(log_: EventLog) -> SelectionModel:
     p_retailer = {r: sum(cc.values()) / total for r, cc in counts.items()}
     p_cgr = {r: {c: cnt / sum(cc.values()) for c, cnt in cc.items()} for r, cc in counts.items()}
     return SelectionModel(p_retailer, p_cgr)
+
+
+def fit_models(log_: EventLog, config) -> tuple[TransitionKernel, HourlyProfile, DailyVolumeModel, SelectionModel]:
+    """The models ``pupcast fit`` writes, fitted on the parcels bound for ``config.pup`` alone: a transit kernel
+    for each status from the entry status to the one before the last, a pickup kernel for the last, and the
+    profile and volumes of the entries into the entry status.  Of ``config`` only its pup, opening hours,
+    status count, entry status and timebase are read."""
+    parcels, pup = log_.for_pup(config.pup), config.pup
+    entry, last = config.entry_status, config.n_statuses - 1
+    statuses = {n: estimate_transit_kernel(parcels, pup, status_from=n) for n in range(entry, last)}
+    statuses[last] = estimate_pickup_kernel(parcels, pup, config.opening, status_from=last)
+    kernel = TransitionKernel(config.n_statuses, statuses, config.timebase)
+    return kernel, fit_hourly_profile(parcels, entry), fit_daily_volume(parcels, entry), estimate_selection(parcels)

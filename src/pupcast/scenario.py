@@ -12,7 +12,7 @@ activity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -41,7 +41,6 @@ class ScenarioConfig:
     horizon_days: int
     seed: int
     capacity: int | None = None
-    daily_volumes: dict[str, dict[date, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kernel.timebase != self.timebase:  # volumes and kernel context must share one calendar
@@ -65,14 +64,13 @@ class ScenarioConfig:
     # ---- JSON round trip ----
 
     def to_json_dict(self) -> dict:
+        intensity = self.intensity  # its volumes are written every day of their span
+        days = [(intensity.start + timedelta(days=d)).isoformat() for d in range(intensity.volumes.shape[1])]
         return {
             "timebase": self.timebase.to_json_dict(),
             "kernel": self.kernel.to_json_dict(),
-            "profile": self.intensity.profile.to_json_dict(),
-            "daily_volumes": {
-                c: {d.isoformat(): v for d, v in sorted(vols.items())}
-                for c, vols in sorted(self.daily_volumes.items())
-            },
+            "profile": intensity.profile.to_json_dict(),
+            "daily_volumes": {c: dict(zip(days, row.tolist())) for c, row in zip(intensity.carriers, intensity.volumes)},
             "selection": self.selection.to_json_dict(),
             "opening": self.opening.to_json_dict(),
             "pup": self.pup,
@@ -100,7 +98,6 @@ class ScenarioConfig:
             horizon_days=int(doc["horizon_days"]),
             seed=int(doc["seed"]),
             capacity=doc.get("capacity"),
-            daily_volumes=volumes,
         )
 
     def save(self, path) -> None:
@@ -223,5 +220,4 @@ def default_scenario(
         horizon_days=horizon_days,
         seed=seed,
         capacity=45,
-        daily_volumes=volumes,
     )

@@ -146,7 +146,6 @@ def estimation_scenario(n_days: int = 126, seed: int = 4242) -> ScenarioConfig:
         entry_status=2,
         horizon_days=n_days,
         seed=seed,
-        daily_volumes=volumes,
     )
 
 

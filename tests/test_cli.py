@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pupcast import default_scenario
+from pupcast import HoldingTimePmf, default_scenario, simulate
 from pupcast.arrivals import DailyVolumeModel, HourlyProfile, fit_daily_volume, fit_hourly_profile
 from pupcast.cli import main
 from pupcast.estimation import SelectionModel, estimate_pickup_kernel, estimate_selection, estimate_transit_kernel
 from pupcast.kernel import TransitionKernel
 from pupcast.records import EventLog
 from pupcast.scenario import ScenarioConfig
+
+from helpers import pooled_status
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +55,32 @@ SIMULATED_FILES = {
 }
 
 
+# sha256 of the model files `pupcast fit` writes from those events; a change
+# to an estimator or a model schema re-pins them on purpose
+FITTED_FILES = {
+    "kernel.json": "4b5137d7b86346700aa07366c59af7da8bbccc8520ea404c46e2c3a96ca5ba08",
+    "profile.json": "e4e968224095bac311d7812a90a5204fcbe55f7256a6a82a27093abcb91c60c2",
+    "volumes.json": "7bc5f14e9e93848ee29fb16e9e972c633fa81d51a51f3c9c6edc95a7636221e6",
+    "selection.json": "47baf22affa75b07934e72ae529aaba2dae3638fc0afe76b0ded69b2a59badf0",
+}
+
+
 def test_simulate_writes_the_golden_files(tmp_path):
     config = tmp_path / "config.json"
     default_scenario().save(config)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
     for name, digest in SIMULATED_FILES.items():
         assert hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_fit_writes_the_golden_files(tmp_path):
+    config = tmp_path / "config.json"
+    default_scenario().save(config)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["fit", "--config", str(config), "--log", str(tmp_path / "sim" / "events.csv"),
+                 "--out", str(tmp_path / "models")]) == 0
+    for name, digest in FITTED_FILES.items():
+        assert hashlib.sha256((tmp_path / "models" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fit_outputs(workspace):
@@ -215,6 +238,23 @@ def test_models_fitted_under_another_calendar_exit_2_naming_the_kernel(workspace
     assert main([command, "--config", str(config), "--models", str(workspace["models"]), *args[command]]) == 2
     err = capsys.readouterr().err
     assert str(workspace["models"] / "kernel.json") in err and "2017-07-04" in err and "2017-07-03" in err
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_models_with_another_status_count_exit_2_naming_the_kernel(workspace, tmp_path, capsys, command):
+    # a fifth status would make picked-up parcels count as stored
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "kernel.json").read_text())
+    doc["n_statuses"], doc["statuses"]["4"] = 5, doc["statuses"]["3"]
+    (models / "kernel.json").write_text(json.dumps(doc))
+    args = {
+        "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", str(30 * 24), "--horizons", "13"],
+        "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
+    }
+    assert main([command, "--config", str(workspace["config"]), "--models", str(models), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert str(models / "kernel.json") in err and "5 statuses" in err
 
 
 def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, capsys):
@@ -426,6 +466,45 @@ def test_fit_writes_the_same_bytes_twice(workspace, tmp_path):
     assert fit(workspace, workspace["sim"] / "events.csv", tmp_path / "again") == 0
     for name in MODEL_FILES:
         assert (tmp_path / "again" / name).read_bytes() == (workspace["models"] / name).read_bytes()
+
+
+def fitted_files(config: ScenarioConfig, log: Path, out: Path) -> dict[str, bytes]:
+    """``pupcast fit``'s model files for ``log`` under ``config``."""
+    config.save(out.with_suffix(".json"))
+    assert main(["fit", "--config", str(out.with_suffix(".json")), "--log", str(log), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in MODEL_FILES}
+
+
+def test_fit_reads_no_pmf_of_the_config(tmp_path):
+    # a chain entering at the order (status 1, a seller's preparation) before
+    # the take-over: every status up to the last is fitted from the log
+    cfg = default_scenario(seed=3, horizon_days=70)
+    statuses = {1: pooled_status(HoldingTimePmf.uniform(4, 40)), **cfg.kernel.statuses}
+    cfg = replace(cfg, kernel=TransitionKernel(4, statuses, cfg.timebase), entry_status=1)
+    simulate(cfg).event_log().to_csv(tmp_path / "events.csv")
+    other = {**statuses, 2: pooled_status(HoldingTimePmf.uniform(10, 60))}
+    other_cfg = replace(cfg, kernel=TransitionKernel(4, other, cfg.timebase))
+    files = fitted_files(cfg, tmp_path / "events.csv", tmp_path / "a")
+    assert files == fitted_files(other_cfg, tmp_path / "events.csv", tmp_path / "b")
+    assert sorted(json.loads(files["kernel.json"])["statuses"]) == ["1", "2", "3"]
+
+
+def test_fit_counts_only_the_config_pups_parcels(workspace, tmp_path):
+    # another pup's parcels, under their own ids and up to the same last entry,
+    # take over with the same carriers and retailers
+    other = replace(default_scenario(seed=2, horizon_days=35, ramp=0.0), pup="other-shop")
+    simulate(other).event_log().to_csv(tmp_path / "other.csv")
+    with open(workspace["sim"] / "events.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "other.csv", newline="", encoding="utf-8") as fh:
+        extra = list(csv.reader(fh))[1:]
+    last = max(row[5] for row in rows[1:])
+    with open(tmp_path / "both.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows + [["Q" + row[0], *row[1:]] for row in extra if row[5] <= last])
+    config = ScenarioConfig.from_json_dict(json.loads(workspace["config"].read_text()))
+    assert fitted_files(config, tmp_path / "both.csv", tmp_path / "both") == {
+        name: (workspace["models"] / name).read_bytes() for name in MODEL_FILES
+    }
 
 
 def test_model_files_load_back_bit_for_bit(workspace):

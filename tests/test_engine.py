@@ -370,9 +370,9 @@ def test_nan_order_intensity_rejected(coverage):
     # one NaN daily volume fails lam >= 0 as a negative one does, at either coverage
     cfg = default_scenario(seed=3)
     k = 100 * cfg.timebase.slots_per_day
-    volumes = {c: dict(days) for c, days in cfg.daily_volumes.items()}
-    volumes["c1"][cfg.timebase.date_of(k + 12)] = float("nan")
-    intensity = OrderIntensity.from_schedule(cfg.intensity.profile, volumes)
+    truth, volumes = cfg.intensity, cfg.intensity.volumes.copy()
+    volumes[truth.carriers.index("c1"), (cfg.timebase.date_of(k + 12) - truth.start).days] = float("nan")
+    intensity = OrderIntensity(truth.profile, truth.carriers, truth.start, volumes)
     with pytest.raises(ValidationError, match="NaN order intensity"):
         predict_load_pmf([], cfg.kernel, intensity, cfg.selection, k, 37, cfg.entry_status, coverage)
 
