@@ -165,7 +165,7 @@ def _log(config: ScenarioConfig) -> EventLog:
     retailers = [shares[c][0][r] for c, r in zip(carrier.tolist(), retailer.tolist())]
     log = object.__new__(EventLog)
     fault = log._fill(
-        ids, ([carriers[c] for c in carrier.tolist()], [pup] * len(ids), retailers),
+        ids, [(carriers, carrier), ((pup,), np.zeros(len(ids), dtype=np.intp)), (retailers, np.arange(len(ids)))],
         np.tile(np.arange(len(ids)), len(statuses)), np.repeat(statuses, len(ids)), np.concatenate(times), NEVER, tb,
     )
     if fault is not None:

@@ -13,20 +13,29 @@ again; views share columns, so a log is read-only once used in a forecast.
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
 observed status transition.  An empty retailer field means unknown.
+``from_csv`` reads a file in one array pass over its bytes unless it has a
+quote, a NUL byte, a carriage return outside a line end or a field over
+``WIDEST`` bytes; such a file goes through ``csv.reader``, the only reader of
+quoted fields.  Both readers give the same columns, codes into the distinct
+ids, routes and events, and one set of checks runs on them; a fault is named
+by ``path:line`` of the earliest faulty row.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-from array import array
+import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from datetime import datetime
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyLog, ValidationError
 from .timebase import Timebase
@@ -42,6 +51,11 @@ NEVER = np.iinfo(np.int64).max
 # The entries of a log read from CSV may span at most ten years: a timestamp
 # farther out is a typo, and would stretch the fitted volume history to match.
 MAX_SPAN_DAYS = 3653
+
+# The widest field the array pass reads: it copies each part of the rows
+# into a block of (rows x widest part) bytes, so one long field would make
+# every row that wide.  A file with a wider field goes through csv.reader.
+WIDEST = 64
 
 
 @dataclass
@@ -77,6 +91,168 @@ def _encode(values: Sequence) -> tuple[tuple, np.ndarray]:
     return tuple(index), np.array(list(map(index.__getitem__, values)), dtype=np.intp)
 
 
+def _first_used(labels: Sequence, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The distinct labels that ``codes`` point to, in order of first use, and
+    each code's place among them; ``labels`` may repeat."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    names, place = _encode([labels[c] for c in used.tolist()])
+    at = np.empty(len(labels), dtype=np.intp)
+    at[used] = place
+    return names, at[codes]
+
+
+def _convert(texts: Sequence[str], parse) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's value, and the message of its fault ("" where it parses,
+    and the value 0); each distinct text is parsed once."""
+    distinct = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    values, faults = [], np.full(len(distinct), "", dtype=object)
+    for text in distinct:
+        try:
+            values.append(parse(text))
+        except (ValueError, OverflowError, ValidationError) as exc:
+            faults[len(values)] = str(exc)
+            values.append(0)
+    at = np.fromiter(map(distinct.__getitem__, texts), np.intp, len(texts))
+    return np.array(values, dtype=np.int64)[at], faults[at]
+
+
+class _Rows(NamedTuple):
+    """A log file's rows before its first unreadable one, as codes into the
+    distinct texts: each row's id (the ids sorted), its route (retailer,
+    carrier, pup) and its event (status, timestamp); each row's last line;
+    and the message naming the unreadable row, if there is one."""
+
+    ids: list
+    row: np.ndarray
+    routes: Sequence  # (retailers, carriers, pups), one entry per distinct route
+    route: np.ndarray
+    events: Sequence  # (statuses, timestamps), one entry per distinct event
+    event: np.ndarray
+    line: np.ndarray
+    stop: str | None
+
+
+def _header_fault(header, path) -> None:
+    if header != CSV_HEADER:
+        raise ValidationError(f"bad or missing header in {path}: {header}")
+
+
+def _split(data: bytes, path) -> _Rows | None:
+    """The rows in one array pass, or None for a file with a quote, a NUL
+    byte, a carriage return outside a line end or a field over ``WIDEST``
+    bytes.  Without quotes a line is a row or blank, and a row's fields are
+    the text between its commas."""
+    if b'"' in data or b"\0" in data:
+        return None
+    d = np.zeros(len(data) + 3 * (WIDEST + 1), dtype=np.uint8)  # zeros past the end: a span's block reads over it
+    d[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    sep = d == ord(",")
+    sep |= d == ord("\n")
+    sep = np.flatnonzero(sep)  # the commas and line ends
+    if np.diff(sep, prepend=-1, append=len(data)).max() > WIDEST + 1:
+        return None
+    last = np.flatnonzero(d[sep] == ord("\n"))  # each line's end in sep: its commas come just before it
+    ends = sep[last]
+    cr = d[ends - 1] == ord("\r")  # d[-1], past the data, is 0
+    if np.count_nonzero(d == ord("\r")) != np.count_nonzero(cr):
+        return None
+    ends -= cr  # each line's text ends before its \r\n
+    if data and not data.endswith(b"\n"):
+        last, ends = np.append(last, len(sep)), np.append(ends, len(data))
+    starts = np.append(0, sep[last[:-1]] + 1)
+    if not len(ends):
+        _header_fault(None, path)
+    try:
+        header = data[: ends[0]].decode()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}:1: not UTF-8 text") from None
+    _header_fault(header.split(",") if header else [], path)
+    blank = ends == starts
+    short = np.flatnonzero(~blank & (np.diff(last, prepend=-1) != len(CSV_HEADER)))  # lines of other field counts
+    lines = np.flatnonzero(~blank[: short[0] if short.size else None])[1:]  # the rows after the header, before those
+    first, fourth = sep[last[lines] - 5], sep[last[lines] - 2]  # the commas that end a row's id and its route
+    del sep  # 8 bytes a field: freed before the blocks are built
+    (ids, row, bad_id), (routes, route, bad_route), (events, event, bad_event) = (
+        _distinct(d, begin, end)
+        for begin, end in [(starts[lines], first), (first + 1, fourth), (fourth + 1, ends[lines])]
+    )
+    stop = None
+    undecoded = np.flatnonzero(bad_id[row] | bad_route[route] | bad_event[event])
+    if undecoded.size:
+        r = int(undecoded[0])
+        stop = f"{path}:{lines[r] + 1}: not UTF-8 text"
+        row, route, event, lines = row[:r], route[:r], event[:r], lines[:r]
+    elif short.size:
+        i = int(short[0])
+        try:
+            data[starts[i] : ends[i]].decode()
+            stop = f"{path}:{i + 1}: expected {len(CSV_HEADER)} fields"
+        except UnicodeDecodeError:
+            stop = f"{path}:{i + 1}: not UTF-8 text"
+    routes, events = (routes[0::3], routes[1::3], routes[2::3]), (events[0::2], events[1::2])
+    return _Rows(ids, row, routes, route, events, event, lines + 1, stop)
+
+
+def _distinct(d: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct texts of the spans d[begin:end], sorted, as one list of
+    their comma-separated fields; each span's code; which texts are not UTF-8."""
+    width = max(int((end - begin).max(initial=0)), 1)
+    block = sliding_window_view(d, width)[begin]  # one row per span, zeros after its end
+    narrow = np.flatnonzero(end - begin < width)
+    block[narrow] *= np.arange(width) < (end - begin)[narrow, None]
+    keys, code = np.unique(block.view(f"S{width}").ravel(), return_inverse=True)  # bytes order: code-point order
+    texts = keys.tolist()  # no NUL in the data: one lost at the end is padding
+    if not texts:
+        return [], code, np.zeros(0, dtype=bool)
+    try:
+        return b",".join(texts).decode().split(","), code, np.zeros(len(texts), dtype=bool)
+    except UnicodeDecodeError:
+        bad = np.array([t.decode(errors="replace").encode() != t for t in texts], dtype=bool)
+        return b",".join(texts).decode(errors="replace").split(","), code, bad
+
+
+def _parse(data: bytes, path) -> _Rows:
+    """The rows of any file, read by csv.reader."""
+    ids, routes, events = (defaultdict(count().__next__) for _ in range(3))  # text -> code, by first appearance
+    rows = []  # each row's three codes and its line
+    add = rows.extend
+
+    def read(lines) -> str | None:  # the message naming the first unreadable row, if any
+        reader = csv.reader(lines)
+        try:
+            _header_fault(next(reader, None), path)
+            for fields in reader:  # reader.line_num: the row's last line, as an id may span lines
+                try:
+                    parcel_id, retailer, carrier, pup, status, stamp = fields
+                except ValueError:
+                    if fields:
+                        return f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} fields"
+                    continue
+                add((ids[parcel_id], routes[retailer, carrier, pup], events[status, stamp], reader.line_num))
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            return f"{path}:{reader.line_num}: {exc}"
+        return None
+
+    try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as text:
+            stop = read(text)
+    except UnicodeDecodeError:  # the first line whose bytes do not come back from a decode that replaces bad ones
+        ids, routes, events = (defaultdict(count().__next__) for _ in range(3))  # read again from the start
+        del rows[:]
+        lines = data.splitlines(keepends=True)  # split as the text reader splits
+        bad = next(i for i, raw in enumerate(lines, 1) if raw.decode(errors="replace").encode() != raw)
+        stop = None
+        with contextlib.suppress(UnicodeDecodeError):  # decoded line by line, the rows before line `bad` are
+            stop = read(raw.decode() for raw in lines)  # read in full, so a fault among them is named first
+        stop = stop or f"{path}:{bad}: not UTF-8 text"
+    order, rank = sorted(ids), np.empty(len(ids), dtype=np.intp)
+    rank[list(map(ids.__getitem__, order))] = np.arange(len(ids))
+    row, route, event, line = np.fromiter(rows, np.int64, len(rows)).reshape(-1, 4).T
+    columns = (tuple(zip(*routes)) or ((),) * 3), (tuple(zip(*events)) or ((),) * 2)
+    return _Rows(order, rank[row], columns[0], route, columns[1], event, line, stop)
+
+
 class EventLog:
     """The parcels of an event log as columns, visible up to an observation cutoff.
 
@@ -89,7 +265,7 @@ class EventLog:
         sizes = [len(rec.entry_times) for rec in records]
         fault = self._fill(
             [rec.id for rec in records],
-            ([rec.carrier for rec in records], [rec.pup for rec in records], [rec.retailer for rec in records]),
+            [_encode([getattr(rec, name) for rec in records]) for name in ("carrier", "pup", "retailer")],
             np.repeat(np.arange(len(records)), sizes),
             np.fromiter((n for rec in records for n in rec.entry_times), np.int64, sum(sizes)),
             np.fromiter((t for rec in records for t in rec.entry_times.values()), np.int64, sum(sizes)),
@@ -99,12 +275,15 @@ class EventLog:
             raise ValidationError(fault[2])
 
     def _fill(self, ids, routing, row, status, slot, cutoff: int, timebase: Timebase):
-        """Set the columns from the parcels' (carriers, pups, retailers) and one
-        (row, status, slot) per entry.  Returns the (row, column, message) of
-        the first parcel whose entries are out of order or beyond the cutoff
-        (order is checked first), or None."""
+        """Set the columns from the parcels' carriers, pups and retailers, each
+        as (labels, each parcel's code into them), and one (row, status, slot)
+        per entry.  Returns the (row, column, message) of the first parcel
+        whose entries are out of order or beyond the cutoff (order is checked
+        first), or None."""
         self.ids = np.array(ids, dtype=object)
-        (self.carriers, self.carrier), (self.pups, self.pup), (self.retailers, self.retailer) = map(_encode, routing)
+        (self.carriers, self.carrier), (self.pups, self.pup), (self.retailers, self.retailer) = (
+            _first_used(labels, codes) for labels, codes in routing
+        )
         self.statuses, self.entries = _columns(len(ids), row, status, slot)
         self.cutoff, self.timebase = cutoff, timebase
         seen = self.entries != NEVER
@@ -201,69 +380,39 @@ class EventLog:
 
     @classmethod
     def from_csv(cls, path, timebase: Timebase, cutoff: int | None = None) -> "EventLog":
-        routing: dict[str, tuple] = {}  # parcel id -> (row, carrier, pup, retailer) of its first event
-        row, status, slot, line = (array("q") for _ in range(4))  # one entry per event
-        status_of, slot_of = {}, {}  # status text -> status, timestamp text -> slot: each text converted once
-        add_row, add_status, add_slot, add_line = row.append, status.append, slot.append, line.append
-        def read(lines) -> None:  # the rows of text lines; a row read a second time agrees with its first reading
-            reader = csv.reader(lines)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise ValidationError(f"bad or missing header in {path}: {header}")
-            for fields in reader:  # reader.line_num: the row's last line, as an id may span lines
-                try:
-                    parcel_id, retailer, carrier, pup, status_text, entry = fields
-                except ValueError:
-                    if not fields:
-                        continue
-                    raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} fields") from None
-                try:
-                    n = status_of.get(status_text)
-                    if n is None:
-                        n = status_of[status_text] = int(np.int64(int(status_text)))  # OverflowError past int64
-                    t = slot_of.get(entry)
-                    if t is None:
-                        t = slot_of[entry] = timebase.index_of(datetime.fromisoformat(entry))
-                except (ValueError, OverflowError, ValidationError) as exc:
-                    raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
-                first = routing.get(parcel_id)
-                if first is None:
-                    first = routing[parcel_id] = (len(routing), carrier, pup, retailer or None)
-                elif first[1] != carrier or first[2] != pup:
-                    raise ValidationError(f"{path}:{reader.line_num}: parcel {parcel_id} changes carrier or pup")
-                add_row(first[0])
-                add_status(n)
-                add_slot(t)
-                add_line(reader.line_num)
-        try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
-            with open(path, newline="", encoding="utf-8") as fh:
-                read(fh)
-        except UnicodeDecodeError:  # the first line whose bytes do not come back from a decode that replaces bad ones
-            with open(path, "rb") as fh:
-                lines = fh.read().splitlines(keepends=True)  # split as the text reader splits
-            bad = next(i for i, raw in enumerate(lines, 1) if raw.decode(errors="replace").encode() != raw)
-            with contextlib.suppress(UnicodeDecodeError):  # decoded line by line, the rows before line `bad` are
-                read(raw.decode() for raw in lines)  # read in full, so a fault among them is named first
-            raise ValidationError(f"{path}:{bad}: not UTF-8 text") from None
-        if not routing:
-            raise EmptyLog(f"no event rows in {path}")
-        slot = np.frombuffer(slot, dtype=np.int64)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        ids, row, routes, route, events, event, line, stop = _split(data, path) or _parse(data, path)
+        if not len(line):
+            raise ValidationError(stop) if stop else EmptyLog(f"no event rows in {path}")
+        (texts, stamps), (retailers, carriers, pups) = events, routes
+        status, status_fault = _convert(texts, lambda text: int(np.int64(int(text))))  # OverflowError past int64
+        slot, slot_fault = _convert(stamps, lambda text: timebase.index_of(datetime.fromisoformat(text)))
+        first = np.full(len(ids), len(line))  # each parcel's first row
+        np.minimum.at(first, row, np.arange(len(line)))
+        place = _encode(list(zip(carriers, pups)))[1]
+        moved = place[route] != place[route[first[row]]]  # a carrier or pup other than at the parcel's first row
+        bad = np.flatnonzero((status_fault.astype(bool) | slot_fault.astype(bool))[event] | moved)
+        if bad.size:  # the earliest faulty row; in it, the status before the timestamp before a change
+            r, e = int(bad[0]), int(event[bad[0]])
+            fault = status_fault[e] or slot_fault[e] or f"parcel {ids[row[r]]} changes carrier or pup"
+            raise ValidationError(f"{path}:{line[r]}: {fault}")
+        if stop:
+            raise ValidationError(stop)
+        status, slot = status[event], slot[event]
         if slot.max() - slot.min() > MAX_SPAN_DAYS * timebase.slots_per_day:
             e = int(np.abs(slot - np.median(slot)).argmax())  # the entry farther from the median
             stamp = timebase.datetime_of(slot[e]).isoformat()
             raise ValidationError(f"{path}:{line[e]}: entry at {stamp} makes the log span over {MAX_SPAN_DAYS} days")
-        ids = sorted(routing)  # rows by parcel id
-        first_rows, *columns = zip(*map(routing.__getitem__, ids))  # columns: carriers, pups, retailers
-        rank = np.argsort(first_rows)  # file order -> id order
-        row, status = rank[np.frombuffer(row, dtype=np.int64)], np.frombuffer(status, dtype=np.int64)
         order = np.lexsort((status, row))  # stable: a parcel's repeats of one status in file order
         repeat = order[1:][(row[order][1:] == row[order][:-1]) & (status[order][1:] == status[order][:-1])]
         if repeat.size:
             e = repeat.min()
             raise ValidationError(f"{path}:{line[e]}: duplicate status {status[e]} for parcel {ids[row[e]]}")
+        routing = [(labels, route[first]) for labels in (carriers, pups, [r or None for r in retailers])]
         log = object.__new__(cls)
         fault = log._fill(
-            ids, columns, row, status, slot,
+            ids, routing, row, status, slot,  # each parcel's route is the one at its first row
             max(0, int(slot.max())) if cutoff is None else cutoff, timebase,
         )
         if fault is not None:

@@ -1,7 +1,10 @@
-"""Shared builders for the test suite: tiny kernels, random instances and a forecast digest."""
+"""Shared builders for the test suite: tiny kernels, random instances, a forecast digest and CSV rows."""
 
+import csv
 import hashlib
+import io
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 
@@ -63,3 +66,17 @@ def forecast_digest(cfg, days, horizons) -> str:
             h.update(result.pmf.probs.tobytes())
             h.update(repr(result.diagnostics).encode())
     return h.hexdigest()
+
+
+def write_rows(path, rows, quoting=csv.QUOTE_MINIMAL, lineterminator="\n") -> None:
+    """Write ``rows`` to ``path`` as csv.writer does with ``quoting`` and
+    ``lineterminator``.  ``rows`` is a list of field lists, or CSV text to
+    take them from: a str, or bytes that need not be UTF-8, whose every byte
+    is written back as it was."""
+    if isinstance(rows, bytes):
+        rows = rows.decode("utf-8", "surrogateescape")
+    if isinstance(rows, str):
+        rows = list(csv.reader(io.StringIO(rows, newline="")))
+    text = io.StringIO()
+    csv.writer(text, quoting=quoting, lineterminator=lineterminator).writerows(rows)
+    Path(path).write_bytes(text.getvalue().encode("utf-8", "surrogateescape"))

@@ -21,7 +21,7 @@ from pupcast.kernel import TransitionKernel
 from pupcast.records import EventLog
 from pupcast.scenario import ScenarioConfig
 
-from helpers import pooled_status
+from helpers import pooled_status, write_rows
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +408,23 @@ def test_non_utf8_log_exits_2_naming_its_line(workspace, tmp_path, capsys):
     assert fit(workspace, bad, tmp_path / "m") == 2
     err = capsys.readouterr().err
     assert "latin.csv:52: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "forecast"])
+def test_a_field_over_the_csv_field_limit_exits_2_naming_its_line(workspace, tmp_path, capsys, command):
+    with open(workspace["sim"] / "events.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][0] = "P" * 200_000
+    long = tmp_path / "long.csv"
+    write_rows(long, rows)
+    argv = {
+        "fit": ["--out", str(tmp_path / "m")],
+        "forecast": ["--models", str(workspace["models"]), "--k", "720", "--horizons", "13",
+                     "--out", str(tmp_path / "f.json")],
+    }[command]
+    assert main([command, "--config", str(workspace["config"]), "--log", str(long), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "long.csv:6: field larger than field limit" in err and "Traceback" not in err
 
 
 def test_fit_with_unknown_retailers(workspace, tmp_path):

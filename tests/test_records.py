@@ -1,7 +1,10 @@
 """Parcel records and event log CSV I/O."""
 
 import csv
+import functools
+import inspect
 import io
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -13,7 +16,7 @@ from pupcast import EventLog, ParcelRecord, Timebase
 from pupcast.records import CSV_HEADER, MAX_SPAN_DAYS, NEVER
 from pupcast.errors import EmptyLog, ValidationError
 
-from helpers import TB
+from helpers import TB, write_rows
 
 
 def rec(pid="P1", entries=None, carrier="c1", pup="shop", retailer="r1"):
@@ -65,7 +68,31 @@ def test_for_pup_and_truncated():
         log.truncated(50)
 
 
-def test_csv_round_trip(tmp_path):
+def in_both_forms(test):
+    """Runs a CSV test twice: ``write(path, text)`` writes the rows as they
+    are, then with every field quoted, which only csv.reader reads.  Each
+    form must give the same log, or the same message naming the same line."""
+    forms = {
+        "as written": lambda path, text: path.write_bytes(text if isinstance(text, bytes) else text.encode()),
+        "with every field quoted": lambda path, text: write_rows(path, text, csv.QUOTE_ALL),
+    }
+    signature = inspect.signature(test)
+
+    @functools.wraps(test)
+    def run(**fixtures):
+        for form, write in forms.items():
+            try:
+                test(write=write, **fixtures)
+            except Exception as exc:
+                exc.add_note(f"the rows {form}")
+                raise
+
+    run.__signature__ = signature.replace(parameters=[p for p in signature.parameters.values() if p.name != "write"])
+    return run
+
+
+@in_both_forms
+def test_csv_round_trip(tmp_path, write):
     log = EventLog(
         [rec("P1", {2: 10, 3: 20}), rec("P2", {2: 12, 3: 40}, retailer=None)],
         cutoff=40,
@@ -73,6 +100,8 @@ def test_csv_round_trip(tmp_path):
     )
     path = tmp_path / "events.csv"
     log.to_csv(path)
+    written = path.read_bytes()
+    write(path, written)
     back = EventLog.from_csv(path, TB)
     assert len(back.records) == 2
     assert back.records[0].entry_times == {2: 10, 3: 20}
@@ -82,12 +111,14 @@ def test_csv_round_trip(tmp_path):
     # deterministic output
     path2 = tmp_path / "events2.csv"
     back.to_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert written == path2.read_bytes()
 
 
-def test_malformed_row_names_line(tmp_path):
+@in_both_forms
+def test_malformed_row_names_line(tmp_path, write):
     path = tmp_path / "bad.csv"
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
         "P1,r1,c1,shop,three,2024-01-02T10:00:00\n"
@@ -96,9 +127,11 @@ def test_malformed_row_names_line(tmp_path):
         EventLog.from_csv(path, TB)
 
 
-def test_timezone_aware_timestamp_names_line(tmp_path):
+@in_both_forms
+def test_timezone_aware_timestamp_names_line(tmp_path, write):
     path = tmp_path / "bad.csv"
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
         "P1,r1,c1,shop,3,2024-01-03T08:00:00+02:00\n"
@@ -107,7 +140,8 @@ def test_timezone_aware_timestamp_names_line(tmp_path):
         EventLog.from_csv(path, TB)
 
 
-def test_undecodable_line_is_named(tmp_path):
+@in_both_forms
+def test_undecodable_line_is_named(tmp_path, write):
     # the reader decodes the file in blocks, so line 300 is past the first
     # block and the named line is not the csv reader's line at the error
     path = tmp_path / "latin.csv"
@@ -115,18 +149,20 @@ def test_undecodable_line_is_named(tmp_path):
     rows += [f"P{i},r1,c1,shop,2,2024-01-01T10:00:00\n".encode() for i in range(1, 400)]
     rows[299] = b"\xff" + rows[299]
     rows[349] = b"P349,r\xe9,c1,shop,2,2024-01-01T10:00:00\n"
-    path.write_bytes(b"".join(rows))
+    write(path, b"".join(rows))
     with pytest.raises(ValidationError, match=r"latin\.csv:300: not UTF-8"):
         EventLog.from_csv(path, TB)
-    path.write_bytes(b"\xef" + b"".join(rows[:2]))  # in the header
+    write(path, b"\xef" + b"".join(rows[:2]))  # in the header
     with pytest.raises(ValidationError, match=r"latin\.csv:1: not UTF-8"):
         EventLog.from_csv(path, TB)
 
 
-def test_a_faulty_row_before_an_undecodable_line_of_its_block_is_named(tmp_path):
+@in_both_forms
+def test_a_faulty_row_before_an_undecodable_line_of_its_block_is_named(tmp_path, write):
     # both lines fall in the first block the reader decodes, before the loop reaches line 3
     path = tmp_path / "two.csv"
-    path.write_bytes(
+    write(
+        path,
         b"parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         b"P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
         b"P1,r1,c1,shop,three,2024-01-01T10:00:00\n"
@@ -135,7 +171,8 @@ def test_a_faulty_row_before_an_undecodable_line_of_its_block_is_named(tmp_path)
     with pytest.raises(ValidationError, match=r"two\.csv:3: "):
         EventLog.from_csv(path, TB)
     # a bad byte inside a quoted id that spans two lines: the row is not UTF-8, not short of fields
-    path.write_bytes(
+    write(
+        path,
         b"parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         b"P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
         b'"P\n\xe92",r1,c1,shop,2,2024-01-01T10:00:00\n'
@@ -144,26 +181,30 @@ def test_a_faulty_row_before_an_undecodable_line_of_its_block_is_named(tmp_path)
         EventLog.from_csv(path, TB)
 
 
-def test_missing_header_and_empty_file(tmp_path):
+@in_both_forms
+def test_missing_header_and_empty_file(tmp_path, write):
     path = tmp_path / "events.csv"
-    path.write_text("P1,r1,c1,shop,2,2024-01-01T10:00:00\n")
+    write(path, "P1,r1,c1,shop,2,2024-01-01T10:00:00\n")
     with pytest.raises(ValidationError, match="header"):
         EventLog.from_csv(path, TB)
-    path.write_text("parcel_id,retailer,carrier,pup,status,entry_iso8601\n")
+    write(path, "parcel_id,retailer,carrier,pup,status,entry_iso8601\n")
     with pytest.raises(EmptyLog):
         EventLog.from_csv(path, TB)
 
 
-def test_duplicate_status_and_attribute_change(tmp_path):
+@in_both_forms
+def test_duplicate_status_and_attribute_change(tmp_path, write):
     path = tmp_path / "events.csv"
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
         "P1,r1,c1,shop,2,2024-01-02T10:00:00\n"
     )
     with pytest.raises(ValidationError, match="duplicate"):
         EventLog.from_csv(path, TB)
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,2,2024-01-01T10:00:00\n"
         "P1,r1,c2,shop,3,2024-01-02T10:00:00\n"
@@ -244,9 +285,11 @@ def test_views_take_their_ids_when_read():
     assert view.ids.tolist() == ["P1"] and [r.id for r in view] == ["P1"]
 
 
-def test_csv_order_error_names_line(tmp_path):
+@in_both_forms
+def test_csv_order_error_names_line(tmp_path, write):
     path = tmp_path / "bad.csv"
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,3,2024-01-01T09:00:00\n"
         "P2,r1,c1,shop,2,2024-01-01T08:00:00\n"
@@ -254,7 +297,8 @@ def test_csv_order_error_names_line(tmp_path):
     )
     with pytest.raises(ValidationError, match=r"bad\.csv:2: parcel P1: entry into status 3 at slot 9 does not follow"):
         EventLog.from_csv(path, TB)
-    path.write_text(
+    write(
+        path,
         "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
         "P1,r1,c1,shop,2,2024-01-01T01:00:00\n"
         "P2,r1,c1,shop,2,2024-01-01T02:00:00\n"
@@ -264,10 +308,12 @@ def test_csv_order_error_names_line(tmp_path):
         EventLog.from_csv(path, TB, cutoff=5)
 
 
-def test_duplicate_and_out_of_range_status_name_their_line(tmp_path):
+@in_both_forms
+def test_duplicate_and_out_of_range_status_name_their_line(tmp_path, write):
     path = tmp_path / "bad.csv"
     head = "parcel_id,retailer,carrier,pup,status,entry_iso8601\n"
-    path.write_text(
+    write(
+        path,
         head
         + "P2,r1,c1,shop,2,2024-01-01T08:00:00\n"
         + "P1,r1,c1,shop,2,2024-01-01T09:00:00\n"
@@ -278,7 +324,7 @@ def test_duplicate_and_out_of_range_status_name_their_line(tmp_path):
     )
     with pytest.raises(ValidationError, match=r"bad\.csv:6: duplicate status 2 for parcel P1"):
         EventLog.from_csv(path, TB)
-    path.write_text(head + "P1,r1,c1,shop,2,2024-01-01T08:00:00\nP1,r1,c1,shop,99999999999999999999,2024-01-01T09:00:00\n")
+    write(path, head + "P1,r1,c1,shop,2,2024-01-01T08:00:00\nP1,r1,c1,shop,99999999999999999999,2024-01-01T09:00:00\n")
     with pytest.raises(ValidationError, match=r"bad\.csv:3"):
         EventLog.from_csv(path, TB)
 
@@ -349,9 +395,11 @@ BAD_TIMESTAMP = "P2,r1,c1,shop,3,2024-01-01T25:00:00\n"
      (BAD_TIMESTAMP, CARRIER_CHANGE, r"bad\.csv:3: .*hour")],
     ids=["carrier change first", "bad timestamp first"],
 )
-def test_the_earlier_of_two_faults_is_named(tmp_path, third, fifth, named):
+@in_both_forms
+def test_the_earlier_of_two_faults_is_named(tmp_path, third, fifth, named, write):
     path = tmp_path / "bad.csv"
-    path.write_text(
+    write(
+        path,
         HEAD + "P1,r1,c1,shop,2,2024-01-01T09:00:00\n" + third
         + "P2,r1,c1,shop,2,2024-01-01T10:00:00\n" + fifth
     )
@@ -368,16 +416,19 @@ SPANNING_ID = '"P\n1",r1,c1,shop,2,2024-01-01T09:00:00\n'  # a quoted id over li
      ("P2,r1,c1,shop,2,2024-01-01T10:00:00\nP2,r1,c1,shop,2,2024-01-01T11:00:00\n", r"bad\.csv:5: duplicate")],
     ids=["bad status", "duplicate status"],
 )
-def test_rows_after_a_quoted_line_break_are_named_by_their_line(tmp_path, rows, named):
+@in_both_forms
+def test_rows_after_a_quoted_line_break_are_named_by_their_line(tmp_path, rows, named, write):
     path = tmp_path / "bad.csv"
-    path.write_text(HEAD + SPANNING_ID + rows)
+    write(path, HEAD + SPANNING_ID + rows)
     with pytest.raises(ValidationError, match=named):
         EventLog.from_csv(path, TB)
 
 
-def test_each_timestamp_text_is_converted_once(tmp_path, monkeypatch):
+@in_both_forms
+def test_each_timestamp_text_is_converted_once(tmp_path, monkeypatch, write):
     path = tmp_path / "events.csv"
-    path.write_text(
+    write(
+        path,
         HEAD
         + "P1,r1,c1,shop,2,2024-01-01T09:00:00\nP2,r1,c1,shop,2,2024-01-01T09:00:00\n"
         + "P1,r1,c1,shop,3,2024-01-01T12:00:00\nP2,r1,c1,shop,3,2024-01-01T12:00:00\n"
@@ -391,19 +442,133 @@ def test_each_timestamp_text_is_converted_once(tmp_path, monkeypatch):
     assert log.entries.tolist() == [[9, 12], [9, 12], [9, 10]]
 
 
-def test_entries_may_span_ten_years_and_no_more(tmp_path):
+@in_both_forms
+def test_entries_may_span_ten_years_and_no_more(tmp_path, write):
     path = tmp_path / "span.csv"
     last = TB.datetime_of(MAX_SPAN_DAYS * 24)
-    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
-                    + f"P1,r1,c1,shop,3,{last.isoformat()}\n")
+    write(path, HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
+          + f"P1,r1,c1,shop,3,{last.isoformat()}\n")
     assert EventLog.from_csv(path, TB).cutoff == MAX_SPAN_DAYS * 24
     later = last + timedelta(hours=1)
-    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
-                    + f"P1,r1,c1,shop,3,{later.isoformat()}\n")
+    write(path, HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP2,r1,c1,shop,2,2024-01-01T05:00:00\n"
+          + f"P1,r1,c1,shop,3,{later.isoformat()}\n")
     with pytest.raises(ValidationError, match=rf"span\.csv:4: entry at {later.isoformat()} .* {MAX_SPAN_DAYS} days"):
         EventLog.from_csv(path, TB)
     # the entry named is the one farther from the median, here the earliest
-    path.write_text(HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP0,r1,c1,shop,2,1900-01-01T00:00:00\n"
-                    + "P2,r1,c1,shop,2,2024-01-02T00:00:00\n")
+    write(path, HEAD + "P1,r1,c1,shop,2,2024-01-01T00:00:00\nP0,r1,c1,shop,2,1900-01-01T00:00:00\n"
+          + "P2,r1,c1,shop,2,2024-01-02T00:00:00\n")
     with pytest.raises(ValidationError, match=r"span\.csv:3: entry at 1900-01-01T00:00:00"):
         EventLog.from_csv(path, TB)
+
+
+def test_line_ends_blank_lines_and_a_last_row_without_one_read_alike(tmp_path):
+    rows = [CSV_HEADER, ["P1", "r1", "c1", "shop", "2", "2024-01-01T09:00:00"],
+            ["P2", "", "c1", "shop", "2", "2024-01-01T10:00:00"],
+            ["P1", "r1", "c1", "shop", "3", "2024-01-01T12:00:00"]]
+    logs = []
+    forms = [(q, e) for q in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL) for e in ("\n", "\r\n", "\r")]
+    for i, (quoting, end) in enumerate(forms):
+        path = tmp_path / f"events{i}.csv"
+        write_rows(path, rows[:2] + [[], []] + rows[2:], quoting, end)  # two blank lines
+        logs.append(EventLog.from_csv(path, TB))
+        path.write_bytes(path.read_bytes().removesuffix(end.encode()))  # no line end after the last row
+        logs.append(EventLog.from_csv(path, TB))
+    for log in logs:
+        assert log.ids.tolist() == ["P1", "P2"] and log.retailers == ("r1", None)
+        assert log.entries.tolist() == [[9, 12], [10, NEVER]] and log.cutoff == 12
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_fault_after_blank_lines_names_its_line_and_a_blank_first_line_is_no_header(tmp_path, end):
+    path = tmp_path / "events.csv"
+    rows = "P1,r1,c1,shop,2,2024-01-01T09:00:00\n\n\nP1,r1,c1,shop,x,2024-01-01T12:00:00\n"
+    write_rows(path, f"{HEAD}\n{rows}", lineterminator=end)
+    with pytest.raises(ValidationError, match=r"events\.csv:6: invalid literal"):
+        EventLog.from_csv(path, TB)
+    write_rows(path, f"\n{HEAD}P1,r1,c1,shop,2,2024-01-01T09:00:00\n", lineterminator=end)
+    with pytest.raises(ValidationError, match=r"bad or missing header in .*events\.csv: \[\]$"):
+        EventLog.from_csv(path, TB)
+
+
+def test_a_bare_carriage_return_ends_a_row_as_csv_reader_ends_it(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(f"{HEAD}P1,r1\r,c1,shop,2,2024-01-01T09:00:00\n".encode())
+    with pytest.raises(ValidationError, match=r"events\.csv:2: expected 6 fields"):
+        EventLog.from_csv(path, TB)
+
+
+@pytest.mark.parametrize("other", ["P1\0", "P1 "])
+def test_ids_apart_by_a_trailing_nul_or_space_are_two_parcels(tmp_path, other):
+    path = tmp_path / "events.csv"
+    write_rows(path, [CSV_HEADER, ["P1", "r1", "c1", "shop", "2", "2024-01-01T09:00:00"],
+                      [other, "r1", "c1", "shop", "2", "2024-01-01T10:00:00"]])
+    log = EventLog.from_csv(path, TB)
+    assert log.ids.tolist() == ["P1", other] and log.entries.tolist() == [[9], [10]]
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["as written", "quoted"])
+def test_non_ascii_ids_keep_code_point_order(tmp_path, quoting):
+    ids = ["z", "é", "€", "😀", "a", "Z", "ab", "aé", "É", "ё"]
+    ids += ["é" * 5, "€" * 4, "z" * 9]
+    path = tmp_path / "events.csv"
+    write_rows(path, [CSV_HEADER] + [[i, "r1", "c1", "shöp", "2", "2024-01-01T09:00:00"] for i in ids], quoting)
+    log = EventLog.from_csv(path, TB)
+    assert log.ids.tolist() == sorted(ids) and log.pups == ("shöp",)
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["as written", "quoted"])
+def test_a_field_over_the_csv_field_limit_names_its_line(tmp_path, quoting):
+    path = tmp_path / "long.csv"
+    write_rows(path, [CSV_HEADER, ["P1", "r1", "c1", "shop", "2", "2024-01-01T09:00:00"],
+                      ["P" * 200_000, "r1", "c1", "shop", "2", "2024-01-01T10:00:00"]], quoting)
+    limit = csv.field_size_limit()
+    with pytest.raises(ValidationError, match=rf"long\.csv:3: field larger than field limit \({limit}\)"):
+        EventLog.from_csv(path, TB)
+
+
+def test_reading_a_log_with_one_long_id_takes_memory_for_the_file_not_for_every_row_that_wide(tmp_path):
+    path = tmp_path / "events.csv"
+    rows = [[f"P{i}", "r1", "c1", "shop", "2", "2024-01-01T09:00:00"] for i in range(2_000)]
+    rows[1_000][0] = "P" * 100_000
+    write_rows(path, [CSV_HEADER] + rows)
+    tracemalloc.start()
+    try:
+        log = EventLog.from_csv(path, TB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 2_000
+    assert peak < 10 * path.stat().st_size  # a block of 2,000 rows x 100,000 bytes is 200 MB
+
+
+PLAIN_FIELDS = [
+    st.sampled_from(["P1", "P2", "P1 ", "é", "€", "", "P\x0c3"]),
+    st.sampled_from(["r1", "", "r\udce9"]),  # \udce9: the byte 0xe9, not UTF-8
+    st.sampled_from(["c1", "c2"]),
+    st.sampled_from(["shop", "shöp"]),
+    st.sampled_from(["2", "3", "4", "+3", "x", "99999999999999999999"]),
+    st.sampled_from(["2024-01-01T09:00:00", "2024-01-01T10:00:00", "2024-01-02T09:00:00", "2024-01-01T25:00:00",
+                     "2024-01-01T09:00:00+02:00", "2044-01-01T09:00:00"]),
+]
+PLAIN_ROWS = st.lists(
+    st.tuples(*PLAIN_FIELDS).map(list) | st.sampled_from([[], ["P9", "r1"], ["P9", "r1", "c1", "shop", "2", "x", "y"]]),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PLAIN_ROWS, st.sampled_from(["\n", "\r\n"]))
+def test_the_array_pass_reads_what_csv_reader_reads(tmp_path_factory, rows, end):
+    # rows of no quote are read in one array pass; quoted, the same rows go
+    # through csv.reader: both give the same log or the same message
+    outcomes = []
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path_factory.mktemp("csv") / "events.csv"
+        write_rows(path, [CSV_HEADER] + rows, quoting, end)
+        try:
+            log = EventLog.from_csv(path, TB)
+            outcomes.append((log.ids.tolist(), log.carriers, log.pups, log.retailers, log.carrier.tolist(),
+                             log.pup.tolist(), log.retailer.tolist(), log.statuses.tolist(), log.entries.tolist()))
+        except (ValidationError, EmptyLog) as exc:
+            outcomes.append((type(exc), str(exc).replace(str(path.parent), "")))
+    assert outcomes[0] == outcomes[1]
