@@ -13,26 +13,21 @@ again; views share columns, so a log is read-only once used in a forecast.
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
 observed status transition.  An empty retailer field means unknown.
-``from_csv`` reads a file in one array pass over its bytes unless it has a
-quote, a NUL byte, a carriage return outside a line end or a field over
-``WIDEST`` bytes; such a file goes through ``csv.reader``, the only reader of
-quoted fields.  Both readers give the same columns, codes into the distinct
-ids, routes and events, and one set of checks runs on them; a fault is named
-by ``path:line`` of the earliest faulty row.
+``from_csv`` reads it in one array pass over its bytes, quoted as RFC 4180
+has it: the commas and line ends outside quotes split it into fields and
+rows, and a quote out of place is a fault.  The checks run on the columns of
+codes into the distinct ids, routes and events; a fault is named by
+``path:line`` of the earliest faulty row.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 from datetime import datetime
 from types import SimpleNamespace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,9 +47,9 @@ NEVER = np.iinfo(np.int64).max
 # farther out is a typo, and would stretch the fitted volume history to match.
 MAX_SPAN_DAYS = 3653
 
-# The widest field the array pass reads: it copies each part of the rows
-# into a block of (rows x widest part) bytes, so one long field would make
-# every row that wide.  A file with a wider field goes through csv.reader.
+# The widest span of a row's fields that the array pass copies into a block
+# of (rows x widest span) bytes; a wider one, or one holding a NUL, is coded
+# apart, so that one long field does not make every row that wide.
 WIDEST = 64
 
 
@@ -117,140 +112,141 @@ def _convert(texts: Sequence[str], parse) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values, dtype=np.int64)[at], faults[at]
 
 
-class _Rows(NamedTuple):
-    """A log file's rows before its first unreadable one, as codes into the
-    distinct texts: each row's id (the ids sorted), its route (retailer,
-    carrier, pup) and its event (status, timestamp); each row's last line;
-    and the message naming the unreadable row, if there is one."""
-
-    ids: list
-    row: np.ndarray
-    routes: Sequence  # (retailers, carriers, pups), one entry per distinct route
-    route: np.ndarray
-    events: Sequence  # (statuses, timestamps), one entry per distinct event
-    event: np.ndarray
-    line: np.ndarray
-    stop: str | None
-
-
-def _header_fault(header, path) -> None:
-    if header != CSV_HEADER:
-        raise ValidationError(f"bad or missing header in {path}: {header}")
+def _unquote(text: str, k: int) -> list[str]:
+    """The k fields of a text whose quotes RFC 4180 allows (a blank text has
+    one, or none if k is 0): the commas outside quotes split it, and a quoted
+    field loses its outer quotes and reads each ``""`` as ``"``."""
+    if text.count(",") == k - 1 and text.count('"') == 2 * (text.count(',"') + text.startswith('"')):
+        return text.replace('"', "").split(",")  # no comma or "" inside quotes: each quote is an outer one
+    fields, part, quotes = [], [], 0
+    for piece in text.split(",") if text else ():
+        part.append(piece)
+        quotes += piece.count('"')
+        if quotes % 2 == 0:  # the comma after the piece is outside quotes
+            field = ",".join(part)
+            fields.append(field[1:-1].replace('""', '"') if field.startswith('"') else field)
+            part, quotes = [], 0
+    return fields
 
 
-def _split(data: bytes, path) -> _Rows | None:
-    """The rows in one array pass, or None for a file with a quote, a NUL
-    byte, a carriage return outside a line end or a field over ``WIDEST``
-    bytes.  Without quotes a line is a row or blank, and a row's fields are
-    the text between its commas."""
-    if b'"' in data or b"\0" in data:
-        return None
-    d = np.zeros(len(data) + 3 * (WIDEST + 1), dtype=np.uint8)  # zeros past the end: a span's block reads over it
-    d[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+def _split(data: bytes, path) -> tuple:
+    """The rows of a log file in one array pass, before the first one with a
+    quote RFC 4180 does not allow, a wrong field count, a byte that is not
+    UTF-8 or a field over ``csv.field_size_limit()``: the distinct ids
+    (sorted) and each row's code into them, the distinct routes (retailers,
+    carriers, pups) and each row's code, the distinct events (statuses,
+    timestamps) and each row's code, each row's last line, and the message
+    naming the unreadable row, if there is one.  Commas and line ends
+    (``\\n``, ``\\r\\n`` or a bare ``\\r``) outside quotes split the file into
+    rows and fields; a blank line is no row."""
+    n = len(data)
+    d = np.zeros(n + WIDEST + 1, dtype=np.uint8)  # zeros past the end: a span's block reads over it
+    d[:n] = np.frombuffer(data, dtype=np.uint8)
     sep = d == ord(",")
     sep |= d == ord("\n")
+    cr = np.flatnonzero(d == ord("\r"))
+    sep[cr[d[cr + 1] != ord("\n")]] = True  # a bare \r ends a line too
     sep = np.flatnonzero(sep)  # the commas and line ends
-    if np.diff(sep, prepend=-1, append=len(data)).max() > WIDEST + 1:
-        return None
-    last = np.flatnonzero(d[sep] == ord("\n"))  # each line's end in sep: its commas come just before it
+    last = d[sep] != ord(",")
+    breaks = sep[last]  # every line end, quoted or not: a row is named by the line it ends on
+    stray = n + 1  # the first quote out of place; past the end, none
+    if b'"' in data:
+        quotes = np.flatnonzero(d == ord('"'))
+        outside = ~np.logical_xor.accumulate(d == ord('"'))[sep]  # after an even number of quotes
+        sep, last = sep[outside], last[outside]
+        edge = np.zeros(256, dtype=bool)
+        edge[list(b',\r\n"')] = True  # a field's edge, or the other quote of a ""
+        opening, closing = quotes[0::2], quotes[1::2]
+        misplaced = np.concatenate([
+            opening[~edge[d[opening - 1]] & (opening > 0)],  # an opening quote starts a field
+            closing[~edge[d[closing + 1]] & (closing < n - 1)],  # a closing quote ends it
+            quotes[2 * len(closing) :],  # and follows every opening one
+        ])
+        stray = int(misplaced.min(initial=stray))
+    last = np.flatnonzero(last)  # each row's line end in sep: its commas come just before it
     ends = sep[last]
-    cr = d[ends - 1] == ord("\r")  # d[-1], past the data, is 0
-    if np.count_nonzero(d == ord("\r")) != np.count_nonzero(cr):
-        return None
-    ends -= cr  # each line's text ends before its \r\n
-    if data and not data.endswith(b"\n"):
-        last, ends = np.append(last, len(sep)), np.append(ends, len(data))
+    if n and not (ends.size and ends[-1] == n - 1):  # a last row without a line end
+        last, ends = np.append(last, len(sep)), np.append(ends, n)
+    line = np.searchsorted(breaks, ends) + 1
+    ends -= (d[ends] == ord("\n")) & (d[ends - 1] == ord("\r"))  # each row's text ends before its \r\n
     starts = np.append(0, sep[last[:-1]] + 1)
+
+    def named(begin: int, end: int, at: int, fault: str) -> str:
+        """``path:at: fault``, unless a byte of data[begin:end] is not UTF-8: then that byte's line."""
+        try:
+            data[begin:end].decode()
+        except UnicodeDecodeError as exc:
+            at, fault = np.searchsorted(breaks, begin + exc.start) + 1, "not UTF-8 text"
+        return f"{path}:{at}: {fault}"
+
     if not len(ends):
-        _header_fault(None, path)
+        raise ValidationError(f"bad or missing header in {path}: None")
     try:
-        header = data[: ends[0]].decode()
+        header = _unquote(data[: ends[0]].decode(), int(last[0]) + 1) if ends[0] else []  # a blank line: no field
     except UnicodeDecodeError:
         raise ValidationError(f"{path}:1: not UTF-8 text") from None
-    _header_fault(header.split(",") if header else [], path)
+    if header != CSV_HEADER:
+        raise ValidationError(f"bad or missing header in {path}: {header}")
     blank = ends == starts
-    short = np.flatnonzero(~blank & (np.diff(last, prepend=-1) != len(CSV_HEADER)))  # lines of other field counts
-    lines = np.flatnonzero(~blank[: short[0] if short.size else None])[1:]  # the rows after the header, before those
+    short = np.flatnonzero(~blank & (np.diff(last, prepend=-1) != len(CSV_HEADER)))  # rows of other field counts
+    misquoted = int(np.searchsorted(ends, stray))  # the row of the first quote out of place
+    cut = min(misquoted, int(short[0]) if short.size else len(ends))
+    lines = np.flatnonzero(~blank[:cut])[1:]  # the rows after the header, before those
     first, fourth = sep[last[lines] - 5], sep[last[lines] - 2]  # the commas that end a row's id and its route
     del sep  # 8 bytes a field: freed before the blocks are built
-    (ids, row, bad_id), (routes, route, bad_route), (events, event, bad_event) = (
-        _distinct(d, begin, end)
-        for begin, end in [(starts[lines], first), (first + 1, fourth), (fourth + 1, ends[lines])]
+    nul = np.flatnonzero(d[:n] == 0) if b"\0" in data else np.zeros(0, dtype=np.intp)
+    ((ids,), row, bad_id), (routes, route, bad_route), (events, event, bad_event) = (
+        _distinct(data, d, nul, begin, end, k)
+        for begin, end, k in [(starts[lines], first, 1), (first + 1, fourth, 3), (fourth + 1, ends[lines], 2)]
     )
     stop = None
-    undecoded = np.flatnonzero(bad_id[row] | bad_route[route] | bad_event[event])
-    if undecoded.size:
-        r = int(undecoded[0])
-        stop = f"{path}:{lines[r] + 1}: not UTF-8 text"
+    unread = np.flatnonzero(bad_id[row] | bad_route[route] | bad_event[event])
+    if unread.size:  # a byte that is not UTF-8, or else a field over the limit
+        r, i = int(unread[0]), int(lines[unread[0]])
+        stop = named(starts[i], ends[i], line[i], f"field larger than field limit ({csv.field_size_limit()})")
         row, route, event, lines = row[:r], route[:r], event[:r], lines[:r]
-    elif short.size:
-        i = int(short[0])
-        try:
-            data[starts[i] : ends[i]].decode()
-            stop = f"{path}:{i + 1}: expected {len(CSV_HEADER)} fields"
-        except UnicodeDecodeError:
-            stop = f"{path}:{i + 1}: not UTF-8 text"
-    routes, events = (routes[0::3], routes[1::3], routes[2::3]), (events[0::2], events[1::2])
-    return _Rows(ids, row, routes, route, events, event, lines + 1, stop)
+    elif cut == misquoted < len(ends):
+        stop = named(starts[cut], stray, np.searchsorted(breaks, stray) + 1, "quote out of place (RFC 4180)")
+    elif cut < len(ends):
+        stop = named(starts[cut], ends[cut], line[cut], f"expected {len(CSV_HEADER)} fields")
+    # ids unquoted or coded apart merged and sorted again; return_index makes
+    # the sort stable (timsort), which is quick on ids sorted but for those
+    ids, _, at = np.unique(np.array(ids, dtype=object), return_index=True, return_inverse=True)
+    return ids.tolist(), at[row], routes, route, events, event, line[lines], stop
 
 
-def _distinct(d: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct texts of the spans d[begin:end], sorted, as one list of
-    their comma-separated fields; each span's code; which texts are not UTF-8."""
-    width = max(int((end - begin).max(initial=0)), 1)
-    block = sliding_window_view(d, width)[begin]  # one row per span, zeros after its end
-    narrow = np.flatnonzero(end - begin < width)
-    block[narrow] *= np.arange(width) < (end - begin)[narrow, None]
+def _distinct(data: bytes, d: np.ndarray, nul: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int):
+    """The distinct texts of the spans data[begin:end] as k lists of their
+    fields, unquoted; each span's code; which texts cannot be read (not UTF-8,
+    or a field over ``csv.field_size_limit()``).  Spans of up to ``WIDEST``
+    bytes and no NUL are copied into one block and coded by ``np.unique`` on
+    its rows, in code-point order; the others, by a dict over only those."""
+    limit = csv.field_size_limit()
+    apart = end - begin > min(WIDEST, limit)
+    if nul.size:
+        apart |= np.searchsorted(nul, begin) < np.searchsorted(nul, end)
+    inside = ~apart if apart.any() else slice(None)  # a slice: no copies when no span is apart
+    size = (end - begin)[inside]
+    width = max(int(size.max(initial=0)), 1)
+    block = sliding_window_view(d, width)[begin[inside]]  # one row per span, zeros after its end
+    narrow = np.flatnonzero(size < width)
+    block[narrow] *= np.arange(width) < size[narrow, None]
     keys, code = np.unique(block.view(f"S{width}").ravel(), return_inverse=True)  # bytes order: code-point order
-    texts = keys.tolist()  # no NUL in the data: one lost at the end is padding
-    if not texts:
-        return [], code, np.zeros(0, dtype=bool)
+    texts, codes = keys.tolist(), np.empty(len(begin), dtype=np.intp)  # no NUL in the block: none is lost
+    codes[inside] = code
+    others = {}
+    for i, b, e in zip(np.flatnonzero(apart).tolist(), begin[apart].tolist(), end[apart].tolist()):
+        codes[i] = others.setdefault(data[b:e], len(texts) + len(others))
+    texts += others
+    joined, bad = b",".join(texts), np.zeros(len(texts), dtype=bool)
     try:
-        return b",".join(texts).decode().split(","), code, np.zeros(len(texts), dtype=bool)
-    except UnicodeDecodeError:
-        bad = np.array([t.decode(errors="replace").encode() != t for t in texts], dtype=bool)
-        return b",".join(texts).decode(errors="replace").split(","), code, bad
-
-
-def _parse(data: bytes, path) -> _Rows:
-    """The rows of any file, read by csv.reader."""
-    ids, routes, events = (defaultdict(count().__next__) for _ in range(3))  # text -> code, by first appearance
-    rows = []  # each row's three codes and its line
-    add = rows.extend
-
-    def read(lines) -> str | None:  # the message naming the first unreadable row, if any
-        reader = csv.reader(lines)
-        try:
-            _header_fault(next(reader, None), path)
-            for fields in reader:  # reader.line_num: the row's last line, as an id may span lines
-                try:
-                    parcel_id, retailer, carrier, pup, status, stamp = fields
-                except ValueError:
-                    if fields:
-                        return f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} fields"
-                    continue
-                add((ids[parcel_id], routes[retailer, carrier, pup], events[status, stamp], reader.line_num))
-        except csv.Error as exc:  # a field over csv.field_size_limit()
-            return f"{path}:{reader.line_num}: {exc}"
-        return None
-
-    try:  # text is decoded in blocks ahead of the rows, so a bad byte's line is found apart
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as text:
-            stop = read(text)
-    except UnicodeDecodeError:  # the first line whose bytes do not come back from a decode that replaces bad ones
-        ids, routes, events = (defaultdict(count().__next__) for _ in range(3))  # read again from the start
-        del rows[:]
-        lines = data.splitlines(keepends=True)  # split as the text reader splits
-        bad = next(i for i, raw in enumerate(lines, 1) if raw.decode(errors="replace").encode() != raw)
-        stop = None
-        with contextlib.suppress(UnicodeDecodeError):  # decoded line by line, the rows before line `bad` are
-            stop = read(raw.decode() for raw in lines)  # read in full, so a fault among them is named first
-        stop = stop or f"{path}:{bad}: not UTF-8 text"
-    order, rank = sorted(ids), np.empty(len(ids), dtype=np.intp)
-    rank[list(map(ids.__getitem__, order))] = np.arange(len(ids))
-    row, route, event, line = np.fromiter(rows, np.int64, len(rows)).reshape(-1, 4).T
-    columns = (tuple(zip(*routes)) or ((),) * 3), (tuple(zip(*events)) or ((),) * 2)
-    return _Rows(order, rank[row], columns[0], route, columns[1], event, line, stop)
+        fields = _unquote(joined.decode(), k * len(texts))
+    except UnicodeDecodeError:  # bad bytes read as U+FFFD
+        fields = _unquote(joined.decode(errors="replace"), k * len(texts))
+        bad[:] = [raw.decode(errors="replace").encode() != raw for raw in texts]
+    for i in range(len(keys), len(texts)):  # only a text coded apart may hold a field over the limit
+        bad[i] |= max(map(len, fields[k * i : k * i + k])) > limit
+    return [fields[j::k] for j in range(k)], codes, bad
 
 
 class EventLog:
@@ -379,10 +375,10 @@ class EventLog:
     # ---- CSV I/O ----
 
     @classmethod
-    def from_csv(cls, path, timebase: Timebase, cutoff: int | None = None) -> "EventLog":
+    def from_csv(cls, path, timebase: Timebase) -> "EventLog":
         with open(path, "rb") as fh:
             data = fh.read()
-        ids, row, routes, route, events, event, line, stop = _split(data, path) or _parse(data, path)
+        ids, row, routes, route, events, event, line, stop = _split(data, path)
         if not len(line):
             raise ValidationError(stop) if stop else EmptyLog(f"no event rows in {path}")
         (texts, stamps), (retailers, carriers, pups) = events, routes
@@ -409,12 +405,10 @@ class EventLog:
         if repeat.size:
             e = repeat.min()
             raise ValidationError(f"{path}:{line[e]}: duplicate status {status[e]} for parcel {ids[row[e]]}")
+        # each parcel's route is the one at its first row
         routing = [(labels, route[first]) for labels in (carriers, pups, [r or None for r in retailers])]
         log = object.__new__(cls)
-        fault = log._fill(
-            ids, routing, row, status, slot,  # each parcel's route is the one at its first row
-            max(0, int(slot.max())) if cutoff is None else cutoff, timebase,
-        )
+        fault = log._fill(ids, routing, row, status, slot, max(0, int(slot.max())), timebase)
         if fault is not None:
             i, c, message = fault
             raise ValidationError(f"{path}:{_columns(len(ids), row, status, line)[1][i, c]}: {message}")

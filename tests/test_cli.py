@@ -83,6 +83,18 @@ def test_fit_writes_the_golden_files(tmp_path):
         assert hashlib.sha256((tmp_path / "models" / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_fit_of_a_log_with_every_field_quoted_writes_the_golden_files(tmp_path):
+    config = tmp_path / "config.json"
+    default_scenario().save(config)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "sim" / "events.csv", newline="", encoding="utf-8") as fh:
+        write_rows(tmp_path / "quoted.csv", list(csv.reader(fh)), csv.QUOTE_ALL, "\r\n")
+    assert main(["fit", "--config", str(config), "--log", str(tmp_path / "quoted.csv"),
+                 "--out", str(tmp_path / "models")]) == 0
+    for name, digest in FITTED_FILES.items():
+        assert hashlib.sha256((tmp_path / "models" / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_fit_outputs(workspace):
     for name in ("kernel.json", "profile.json", "volumes.json", "selection.json"):
         assert (workspace["models"] / name).exists()
@@ -425,6 +437,17 @@ def test_a_field_over_the_csv_field_limit_exits_2_naming_its_line(workspace, tmp
     assert main([command, "--config", str(workspace["config"]), "--log", str(long), *argv]) == 2
     err = capsys.readouterr().err
     assert "long.csv:6: field larger than field limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ['P"1', '"P1"x'], ids=["in a bare field", "after a closing quote"])
+def test_a_quote_out_of_place_exits_2_naming_its_line(workspace, tmp_path, capsys, field):
+    lines = (workspace["sim"] / "events.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[9] = field + lines[9][lines[9].index(","):]
+    bad = tmp_path / "quote.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    assert fit(workspace, bad, tmp_path / "m") == 2
+    err = capsys.readouterr().err
+    assert "quote.csv:10: quote out of place" in err and "Traceback" not in err
 
 
 def test_fit_with_unknown_retailers(workspace, tmp_path):
