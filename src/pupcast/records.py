@@ -15,8 +15,9 @@ The on-disk event log format is CSV with a mandatory header
 observed status transition.  An empty retailer field means unknown.
 ``from_csv`` reads it in one array pass over its bytes, quoted as RFC 4180
 has it: the commas and line ends outside quotes split it into fields and
-rows, and a quote out of place is a fault.  The checks run on the columns of
-codes into the distinct ids, routes and events; a fault is named by
+rows, and a quote out of place is a fault.  The distinct ids, routes and
+events are found by sorting their bytes as 8-byte words, and the checks run
+on the columns of codes into them; a fault is named by
 ``path:line`` of the earliest faulty row.
 """
 
@@ -138,7 +139,8 @@ def _split(data: bytes, path) -> tuple:
     timestamps) and each row's code, each row's last line, and the message
     naming the unreadable row, if there is one.  Commas and line ends
     (``\\n``, ``\\r\\n`` or a bare ``\\r``) outside quotes split the file into
-    rows and fields; a blank line is no row."""
+    rows and fields; a blank line is no row.  The id, route and event spans
+    are each coded by ``_distinct``, which sorts them as 8-byte words."""
     n = len(data)
     d = np.zeros(n + WIDEST + 1, dtype=np.uint8)  # zeros past the end: a span's block reads over it
     d[:n] = np.frombuffer(data, dtype=np.uint8)
@@ -163,6 +165,7 @@ def _split(data: bytes, path) -> tuple:
             quotes[2 * len(closing) :],  # and follows every opening one
         ])
         stray = int(misplaced.min(initial=stray))
+        del quotes, opening, closing, misplaced  # 8 bytes a quote: freed before the blocks are built
     last = np.flatnonzero(last)  # each row's line end in sep: its commas come just before it
     ends = sep[last]
     if n and not (ends.size and ends[-1] == n - 1):  # a last row without a line end
@@ -215,25 +218,38 @@ def _split(data: bytes, path) -> tuple:
     return ids.tolist(), at[row], routes, route, events, event, line[lines], stop
 
 
+def _sorted_codes(d: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct texts of the spans of ``size`` bytes at ``begin`` in d (none
+    over ``WIDEST`` bytes or holding a NUL) in bytes order, and each span's code:
+    one ``np.lexsort`` of the spans' whole 8-byte words read big-endian, whose
+    order is the bytes' order and so, for UTF-8, the code-point order."""
+    width = -(-max(int(size.max(initial=0)), 1) // 8) * 8  # rounded up to whole words
+    block = sliding_window_view(d, width)[begin]  # one row per span, zeros after its end
+    block *= np.arange(width, dtype=np.uint8) < size.astype(np.uint8)[:, None]  # uint8 operands: quicker than int64
+    words = block.view(">u8")
+    order = np.lexsort(words.T[::-1])  # the last key sorts first: the first word
+    new = np.arange(len(order)) == 0  # each sorted row that starts a new text: the first, and where a word changes
+    for column in words.T:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    code = np.empty(len(order), dtype=np.intp)
+    code[order] = np.cumsum(new) - 1
+    return block[order[new]].view(f"S{width}").ravel().tolist(), code  # no NUL in the block: none is lost
+
+
 def _distinct(data: bytes, d: np.ndarray, nul: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int):
     """The distinct texts of the spans data[begin:end] as k lists of their
     fields, unquoted; each span's code; which texts cannot be read (not UTF-8,
     or a field over ``csv.field_size_limit()``).  Spans of up to ``WIDEST``
-    bytes and no NUL are copied into one block and coded by ``np.unique`` on
-    its rows, in code-point order; the others, by a dict over only those."""
+    bytes and no NUL are coded by ``_sorted_codes``, in code-point order; the
+    others, by a dict over only those."""
     limit = csv.field_size_limit()
     apart = end - begin > min(WIDEST, limit)
     if nul.size:
         apart |= np.searchsorted(nul, begin) < np.searchsorted(nul, end)
     inside = ~apart if apart.any() else slice(None)  # a slice: no copies when no span is apart
-    size = (end - begin)[inside]
-    width = max(int(size.max(initial=0)), 1)
-    block = sliding_window_view(d, width)[begin[inside]]  # one row per span, zeros after its end
-    narrow = np.flatnonzero(size < width)
-    block[narrow] *= np.arange(width) < size[narrow, None]
-    keys, code = np.unique(block.view(f"S{width}").ravel(), return_inverse=True)  # bytes order: code-point order
-    texts, codes = keys.tolist(), np.empty(len(begin), dtype=np.intp)  # no NUL in the block: none is lost
-    codes[inside] = code
+    codes = np.empty(len(begin), dtype=np.intp)
+    texts, codes[inside] = _sorted_codes(d, begin[inside], (end - begin)[inside])  # the block freed on return
     others = {}
     for i, b, e in zip(np.flatnonzero(apart).tolist(), begin[apart].tolist(), end[apart].tolist()):
         codes[i] = others.setdefault(data[b:e], len(texts) + len(others))
@@ -244,7 +260,7 @@ def _distinct(data: bytes, d: np.ndarray, nul: np.ndarray, begin: np.ndarray, en
     except UnicodeDecodeError:  # bad bytes read as U+FFFD
         fields = _unquote(joined.decode(errors="replace"), k * len(texts))
         bad[:] = [raw.decode(errors="replace").encode() != raw for raw in texts]
-    for i in range(len(keys), len(texts)):  # only a text coded apart may hold a field over the limit
+    for i in range(len(texts) - len(others), len(texts)):  # only a text coded apart may hold a field over the limit
         bad[i] |= max(map(len, fields[k * i : k * i + k])) > limit
     return [fields[j::k] for j in range(k)], codes, bad
 
