@@ -140,7 +140,7 @@ def cmd_oracle_check(args) -> int:
                 closed = prob_still_stored(pmf_at, n_statuses, t_n, k, j)
             else:
                 closed = prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
-        except PupcastError:  # impossible evidence or a window without a pmf: nothing to compare
+        except PupcastError:  # impossible evidence: nothing to compare
             continue
         exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         worst, compared = max(worst, abs(closed - exact)), compared + 1

@@ -31,10 +31,12 @@ only through k mod one week: the kernel keeps each window per weekly phase
 (its last ``_WINDOWS``, in ``_compiled``), and a repeat runs no backward
 pass; only repeated forecasts on one kernel gain.  The parcels in a
 status are one gather of their rows and tails and one product with
-V_{n+1}.  A parcel whose row is missing, whose evidence is impossible or
-whose window lacks a pmf is settled in the same arrays with a note; those
-with impossible evidence take one more product, with the coarsest pooled
-pmf, a row of the same table.  The ``prob_*`` functions read the same
+V_{n+1}.  Every status from the first fitted one up resolves on every
+route at every slot (the kernel checks this when it is built), so the
+backward pass stops at the first status never fitted, and only a parcel
+in such a status is skipped, with a note.  Those with impossible evidence
+take one more product, with the coarsest pooled pmf, a row of the same
+table, and a note.  The ``prob_*`` functions read the same
 window on a kernel bound by ``bind_kernel``.  The load pmf is the product
 of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
 future-order pmf (exactly, one ``poisson_rows`` row per horizon).
@@ -48,7 +50,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
-from .errors import ImpossibleEvidence, MissingKernel, ValidationError
+from .errors import ImpossibleEvidence, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, TransitionKernel
 from .pmf import HoldingTimePmf, LoadPmf
@@ -92,56 +94,46 @@ class _Window:
     """Backward value functions over the window (k, k + max j] on every route
     and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
     the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
-    | status m entered at k+1+i), and 0 for i >= j_h.  ``ok[m][r, h]`` is
-    False where that window has a slot without a pmf.  The kernel keeps both,
-    read-only, per ``key``; k, js and routes are set per call.
+    | status m entered at k+1+i), and 0 for i >= j_h; for every status m
+    from ``lowest`` up, or from the first fitted one.  The kernel keeps them,
+    read-only, per ``key``; k and js are set per call.
     """
 
     def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int], lowest: int):
         self.js = js = np.array(horizons, dtype=np.int64).reshape(-1)
         if (js < 0).any():
             raise ValidationError("horizon j must be >= 0")
-        self.kernel, self.pup, self.routes, self.k, self.last = kernel, pup, routes, k, kernel.n_statuses - 1
+        self.kernel, self.k, self.last = kernel, k, kernel.n_statuses - 1
         windows = kernel._compiled.setdefault("windows", {})
         key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(js.tolist()), max(lowest, 0))
         if key in windows:
-            self.values, self.ok = windows[key]
+            self.values = windows[key]
             return
         width = int(js.max(initial=0))
         ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
-        v, ok = np.zeros((len(routes), len(js), width)), np.ones((len(routes), len(js)), dtype=bool)
-        self.values, self.ok = {}, {}
+        self.values = {}
         for m in range(self.last, max(lowest, 0) - 1, -1):
-            try:
-                weeks, table = kernel.week_rows(m, routes, pup)
-            except MissingKernel:  # a status never fitted: no values from it down
-                v, ok = np.zeros_like(v), np.zeros_like(ok)
+            if m not in kernel.statuses:  # never fitted, and neither is any status below it
+                break
+            weeks, table = kernel.week_rows(m, routes, pup)
+            # up to k+j_h, or up to the slot before where an entry must still move on
+            rows = weeks.take(np.arange(k + 1, k + width + (m == self.last)), axis=1, mode="wrap")
+            if m == self.last:  # the pickup survival to k+j_h; past it, the zero tail past every support
+                v = table.tails[rows[:, None, :], np.where(ahead > 0, np.minimum(ahead, table.width), table.width)]
             else:
-                # up to k+j_h, or up to the slot before where an entry must still move on
-                rows = weeks.take(np.arange(k + 1, k + width + (m == self.last)), axis=1, mode="wrap")
-                if rows.min(initial=0) < 0:
-                    ok = ok & ((rows >= 0).cumprod(axis=1).sum(axis=1)[:, None] >= js - (m < self.last))
-                    rows = np.maximum(rows, 0)
-                if m == self.last:  # the pickup survival to k+j_h; past it, the zero tail past every support
-                    v = table.tails[rows[:, None, :], np.where(ahead > 0, np.minimum(ahead, table.width), table.width)]
-                else:
-                    v = _step(table.probs, rows, v)
-            v.flags.writeable = ok.flags.writeable = False
-            self.values[m], self.ok[m] = v, ok
+                v = _step(table.probs, rows, v)
+            v.flags.writeable = False
+            self.values[m] = v
         if len(windows) >= _WINDOWS:
             del windows[next(iter(windows))]  # the oldest
-        windows[key] = self.values, self.ok
+        windows[key] = self.values
 
-    def entering(self, m: int, routes: np.ndarray) -> np.ndarray:
-        """V_m, raising where it is undefined on one of ``routes`` (a mask)."""
-        if m not in self.values:
+    def entering(self, m: int) -> np.ndarray:
+        """V_m; a status never fitted raises MissingKernel."""
+        if not 0 <= m <= self.last:
             raise ValidationError(f"status {m} outside 0..{self.last}")
-        unset = ~self.ok[m] & routes[:, None]
-        if unset.any():  # the MissingKernel that leaves V_m undefined on that route at that horizon
-            route, h = np.argwhere(unset)[0].tolist()
-            for n in range(self.last, m - 1, -1):
-                slots = np.arange(self.k + 1, self.k + self.js[h] + (n == self.last))
-                self.kernel.rows_at(n, slots, *self.routes[route], self.pup)
+        if m not in self.values:
+            self.kernel.pooled_pmf_at(m)  # raises MissingKernel
         return self.values[m]
 
 
@@ -220,8 +212,6 @@ def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> 
     p, denom = _contributions(window, n, np.array([r]), table, np.array([t_n]), np.zeros(1, dtype=int))
     if denom[0] <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
-    if n < window.last:
-        window.entering(n + 1, np.ones(1, dtype=bool))  # raises where the window lacks a pmf
     return float(p[0, 0])
 
 
@@ -232,7 +222,7 @@ def prob_future_order_contributes(
     if not k < t_0 <= k + j:
         raise ValidationError("future order time must satisfy k < t_0 <= k+j")
     window = _route_window(route, n_statuses, k, j, entry_status)
-    return float(window.entering(entry_status, np.ones(1, dtype=bool))[0, 0, t_0 - k - 1])
+    return float(window.entering(entry_status)[0, 0, t_0 - k - 1])
 
 
 def _order_mix(intensity: OrderIntensity, selection: SelectionModel | None, routes: list) -> np.ndarray:
@@ -284,7 +274,7 @@ def _future_orders_pmfs(
     intensity: OrderIntensity, mix: np.ndarray, window: _Window, entry_status: int, coverage: float | None
 ) -> list[np.ndarray]:
     """``future_orders_pmf``'s probabilities at each horizon of the window."""
-    values, js = window.entering(entry_status, mix.any(axis=0)), window.js
+    values, js = window.entering(entry_status), window.js
     width = values.shape[-1]
     # Poisson rate of each entry slot k+1..k+width-1 and carrier (C-ordered: the einsum
     # below sums in memory order), and the probability that one such order contributes at each horizon
@@ -383,11 +373,12 @@ def predict_load_pmfs(
 
     The known parcels are those with an entry at or before k that are not
     yet picked up; each adds a Bernoulli factor, and the future-order pmf
-    is convolved in last.  A parcel with no pmf, or no pmf in its window, is
-    skipped; one with impossible evidence takes its status's pooled pmf, or
-    is dropped (none) or assumed departed (ruled out too).  Each adds 0 but
-    a rescued one, and a note; the notes name parcels in the log's row order.
-    A plain list of records is packed into a log first.
+    is convolved in last.  A parcel in a status never fitted is skipped;
+    one with impossible evidence takes its status's pooled pmf, or is
+    assumed departed where that rules it out too.  Each adds 0 but a rescued
+    one, and a note; the notes name parcels in the log's row order.  A parcel
+    in transit gets no note at j = 0, where it has no slot to be delivered
+    in.  A plain list of records is packed into a log first.
     """
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
     pups = log.pup_names()
@@ -409,35 +400,20 @@ def predict_load_pmfs(
     noted = {}  # a fallback parcel's note at each horizon ("" for none), by its index
     for n in sorted(set(status.tolist())):
         here = (status == n).nonzero()[0]
-        try:
-            weeks, table = kernel.week_rows(n, routes, pup)
-        except MissingKernel:
+        if n not in kernel.statuses:
             noted.update(dict.fromkeys(here.tolist(), [f"no kernel for status {n}; skipped"] * len(window.js)))
             continue
+        weeks, table = kernel.week_rows(n, routes, pup)
         r = weeks[route[here], slot[here] % weeks.shape[1]]
-        p[here], denom = _contributions(window, n, np.maximum(r, 0), table, slot[here], route[here])
-        odd = (r < 0) | (denom <= _EPS) | (n < last and ~window.ok[n + 1][route[here]].all(axis=1))
-        if odd.any():  # a row missing, impossible evidence or a window without a pmf
-            at, r, on = here[odd], r[odd], route[here[odd]]
-            skipped, rescued = f"no kernel for status {n}; skipped", "impossible evidence, used pooled fallback"
-            note = np.full((len(at), len(window.js)), "", dtype=object)  # "" and rescued keep p
-            bad = (r >= 0) & (denom[odd] <= _EPS)
-            if bad.any():  # retried with the coarsest pooled pmf, a row of the same table
-                try:
-                    pooled = table.row_of[id(kernel.pooled_pmf_at(n))]
-                except MissingKernel:
-                    note[bad] = "impossible evidence, no fallback; dropped"
-                else:
-                    r[bad] = pooled
-                    p[at[bad]], denom = _contributions(window, n, r[bad], table, slot[at[bad]], on[bad])
-                    departed = "holding time beyond all supports; assumed departed"
-                    note[bad] = np.where(denom <= _EPS, departed, rescued)[:, None]
-            if n < last:  # no slot to be delivered in at j = 0; skipped where the window lacks a pmf
-                note[:, window.js == 0] = ""
-                note[((note == "") | (note == rescued)) & ~window.ok[n + 1][on] & (window.js > 0)] = skipped
-            note[r < 0] = skipped
-            p[at] = np.where((note == "") | (note == rescued), p[at], 0.0)
-            noted.update(zip(at.tolist(), note.tolist()))
+        p[here], denom = _contributions(window, n, r, table, slot[here], route[here])
+        at = here[denom <= _EPS]
+        if len(at):  # impossible evidence: retried with the coarsest pooled pmf, a row of the same table
+            pooled = np.full(len(at), table.row_of[id(kernel.pooled_pmf_at(n))])
+            p[at], denom = _contributions(window, n, pooled, table, slot[at], route[at])
+            p[at[denom <= _EPS]] = 0.0
+            departed = "holding time beyond all supports; assumed departed"
+            note = np.where(denom <= _EPS, departed, "impossible evidence, used pooled fallback")[:, None]
+            noted.update(zip(at.tolist(), np.where((window.js == 0) & (n < last), "", note).tolist()))
     diagnostics: list[list[str]] = [[] for _ in window.js]
     for i in sorted(noted):  # in the log's row order
         for notes, note in zip(diagnostics, noted[i]):

@@ -14,7 +14,8 @@ class UnknownStatus(PupcastError):
 
 
 class MissingKernel(PupcastError):
-    """No holding-time pmf (and no fallback) is available for a key."""
+    """A status was never fitted: the kernel holds no pmf for it.  Every
+    fitted status resolves every context, through its pooled level."""
 
 
 class EmptyLog(PupcastError):

@@ -3,10 +3,14 @@
 A status kernel is an ordered list of levels.  Each level declares which
 context features condition the pmf (its schema) and maps feature-value
 tuples to pmfs.  Lookup walks the levels from most to least specific, so
-coarser levels act as declared fallbacks for sparse keys.  A final level
-with an empty schema is a global fallback.
+coarser levels act as declared fallbacks for sparse keys.  The last level
+has an empty schema and holds the global pooled pmf, so every context
+resolves.  The fitted statuses are one run ending at the last one, N-1:
+a status below the first fitted one was never fitted, and is the only
+status that raises MissingKernel.  Both rules are checked when a kernel is
+built.
 
-``pmf_at``, ``rows_at`` and ``week_rows`` read a status compiled on first
+``pmf_at``, ``row_at`` and ``week_rows`` read a status compiled on first
 use: a ``PmfTable`` of its levels' pmfs and, per route, the row that
 lookup resolves at each slot of a week (the context repeats weekly).  A
 week is built level by level, each resolving only the distinct keys it
@@ -90,32 +94,34 @@ class KernelLevel:
 
 @dataclass(frozen=True)
 class StatusKernel:
-    """Holding-time pmfs for one status, with hierarchical fallback levels."""
+    """Holding-time pmfs for one status, with hierarchical fallback levels
+    that end in the pooled level: schema ``()``, its pmf keyed ``()``."""
 
     levels: tuple[KernelLevel, ...]
 
+    def __post_init__(self) -> None:
+        if not self.levels or self.levels[-1].schema != () or () not in self.levels[-1].pmfs:
+            raise ValidationError("status kernel does not end in a pooled level: schema [] holding the pmf keyed []")
+
     def lookup(self, ctx: Mapping) -> HoldingTimePmf:
-        for level in self.levels:
+        for level in self.levels[:-1]:
             pmf = level.get(ctx)
             if pmf is not None:
                 return pmf
-        raise MissingKernel(f"no pmf for context {dict(ctx)!r} and no fallback")
+        return self.coarsest()
 
     def coarsest(self) -> HoldingTimePmf:
         """The pooled pmf of the least specific level (used as a last resort)."""
-        last = self.levels[-1]
-        if last.schema == () and last.pmfs:
-            return last.get({})  # type: ignore[return-value]
-        raise MissingKernel("status kernel has no global fallback level")
+        return self.levels[-1].pmfs[()]
 
 
 @dataclass(frozen=True)
 class TransitionKernel:
     """Family of conditional holding-time pmfs for statuses 0..N-1.
 
-    ``n_statuses`` is N: status N is absorbing and has no kernel.  Statuses
-    without estimable data (e.g. unobserved early statuses in an application
-    variant) may be absent from ``statuses``.
+    ``n_statuses`` is N: status N is absorbing and has no kernel.  The
+    fitted ``statuses`` are one run that ends at N-1: early statuses without
+    estimable data (e.g. unobserved in an application variant) may be absent.
     """
 
     n_statuses: int
@@ -130,27 +136,33 @@ class TransitionKernel:
         for n in self.statuses:
             if not 0 <= n < self.n_statuses:
                 raise ValidationError(f"status {n} outside 0..{self.n_statuses - 1}")
+        if sorted(self.statuses) != list(range(min(self.statuses, default=0), self.n_statuses)):
+            fitted = sorted(self.statuses)
+            raise ValidationError(f"fitted statuses {fitted} are not one run ending at status {self.n_statuses - 1}")
 
-    def lookup(self, n: int, ctx: Mapping) -> HoldingTimePmf:
+    def _status(self, n: int) -> StatusKernel:
         if n >= self.n_statuses or n < 0:
             raise UnknownStatus(f"status {n} has no transition kernel (N={self.n_statuses})")
         if n not in self.statuses:
             raise MissingKernel(f"no kernel fitted for status {n}")
-        return self.statuses[n].lookup(ctx)
+        return self.statuses[n]
+
+    def lookup(self, n: int, ctx: Mapping) -> HoldingTimePmf:
+        return self._status(n).lookup(ctx)
 
     def _table(self, n: int) -> PmfTable:
         """Status n's pmfs, compiled on first use."""
         if n not in self._compiled:
-            sk = self.statuses.get(n) or self.lookup(n, {})  # lookup raises UnknownStatus or MissingKernel
-            self._compiled[n] = PmfTable({id(f): f for level in sk.levels for f in level.pmfs.values()}.values())
+            levels = self._status(n).levels
+            self._compiled[n] = PmfTable({id(f): f for level in levels for f in level.pmfs.values()}.values())
         return self._compiled[n]
 
     def _week(self, n: int, route: tuple) -> tuple[np.ndarray, PmfTable]:
         """Status n's table, and the row that ``lookup`` resolves on route at
-        each slot of a week (-1 where it raises MissingKernel).  Each level,
-        most specific first, fills the slots no earlier level resolved from
-        its own week, which resolves each distinct key once and is kept for
-        all routes that agree on the route features the level names."""
+        each slot of a week.  Each level, most specific first, fills the
+        slots no earlier level resolved from its own week, which resolves
+        each distinct key once and is kept for all routes that agree on the
+        route features the level names; the pooled level fills the rest."""
         week = self._compiled.get((n, *route))
         if week is None:
             table, size = self._table(n), self.timebase.slots_per_week
@@ -176,27 +188,15 @@ class TransitionKernel:
 
     def row_at(self, n: int, t: int, carrier=None, retailer=None, pup=None) -> tuple[int, PmfTable]:
         """``pmf_at`` as a row of status n's table: the compiled row of t modulo
-        one week (the context repeats weekly, negative t included).  A slot
-        without a pmf raises MissingKernel on every call."""
+        one week (the context repeats weekly, negative t included)."""
         rows, table = self._week(n, (carrier, retailer, pup))
-        r = rows[t % len(rows)]
-        if r < 0:
-            self.lookup(n, context_of(self.timebase, t, carrier, retailer, pup))  # raises MissingKernel
-        return r, table
-
-    def rows_at(self, n: int, slots: np.ndarray, carrier=None, retailer=None, pup=None) -> tuple[np.ndarray, PmfTable]:
-        """``pmf_at(n, t)`` for each of the slots, as rows of status n's table."""
-        week, table = self._week(n, (carrier, retailer, pup))
-        rows = week.take(slots, mode="wrap")  # t modulo one week
-        if rows.size and rows.min() < 0:
-            self.row_at(n, int(slots[rows.argmin()]), carrier, retailer, pup)  # raises MissingKernel
-        return rows, table
+        return rows[t % len(rows)], table
 
     def week_rows(self, n: int, routes: Sequence[tuple], pup=None) -> tuple[np.ndarray, PmfTable]:
         """``_week`` stacked over the (carrier, retailer) pairs of ``routes``:
         row r, column s is the row of ``pmf_at`` at slot s of the week on
-        route r, -1 where it raises MissingKernel; and status n's table.  The
-        stack is read-only and kept until other routes are asked for n and pup."""
+        route r; and status n's table.  The stack is read-only and kept until
+        other routes are asked for n and pup."""
         last = self._compiled.get((n, pup))
         if last is None or last[0] != tuple(routes):
             weeks = [self._week(n, (carrier, retailer, pup))[0] for carrier, retailer in routes]
@@ -207,9 +207,7 @@ class TransitionKernel:
 
     def pooled_pmf_at(self, n: int) -> HoldingTimePmf:
         """Status n's least specific pmf: the fallback for impossible evidence."""
-        if n not in self.statuses:
-            raise MissingKernel(f"no kernel fitted for status {n}")
-        return self.statuses[n].coarsest()
+        return self._status(n).coarsest()
 
     # ---- serialization (bit-exact JSON round-trip) ----
 
@@ -243,7 +241,10 @@ class TransitionKernel:
                     for entry in level_doc["pmfs"]
                 }
                 levels.append(KernelLevel(tuple(level_doc["schema"]), pmfs))
-            statuses[int(n_str)] = StatusKernel(tuple(levels))
+            try:
+                statuses[int(n_str)] = StatusKernel(tuple(levels))
+            except ValidationError as exc:
+                raise ValidationError(f"status {n_str}: {exc}") from exc
         return cls(
             n_statuses=int(doc["n_statuses"]),
             statuses=statuses,

@@ -42,7 +42,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .arrivals import OrderIntensity
-from .errors import ConditioningTooRare, MissingKernel, TooLarge, ValidationError
+from .errors import ConditioningTooRare, TooLarge, ValidationError
 from .estimation import SelectionModel
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
@@ -328,7 +328,7 @@ def mc_load_at(
 
     for rec in parcels:
         n = rec.status_at(k)
-        if n is None or n >= n_statuses:
+        if n is None or n not in kernel.statuses:  # picked up, or in a status never fitted (the engine skips it)
             continue
         t_n = rec.entry_times[n]
         pmf = kernel.pmf_at(n, t_n, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
@@ -336,10 +336,7 @@ def mc_load_at(
         if probs is None:
             # evidence beyond the support: retry with the pooled pmf, and if
             # that fails too the parcel has departed (the engine's rule)
-            try:
-                probs = _after(kernel.pooled_pmf_at(n), k - t_n)
-            except MissingKernel:
-                pass
+            probs = _after(kernel.pooled_pmf_at(n), k - t_n)
         if probs is None:
             continue
         times = t_n + rng.choice(len(probs), size=n_replicates, p=probs)

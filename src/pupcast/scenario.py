@@ -48,6 +48,8 @@ class ScenarioConfig:
             raise ValidationError(f"kernel timebase {kernel_tb} differs from the config's {tb}")
         if not 0 <= self.entry_status < self.n_statuses:
             raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
+        if self.entry_status not in self.kernel.statuses:
+            raise ValidationError(f"entry status {self.entry_status} was never fitted: {sorted(self.kernel.statuses)}")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} is negative")
         if self.horizon_days < 1:

@@ -269,6 +269,47 @@ def test_models_with_another_status_count_exit_2_naming_the_kernel(workspace, tm
     assert str(models / "kernel.json") in err and "5 statuses" in err
 
 
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize("levels", [1, 2], ids=["a-level-without-pmfs", "no-pooled-level"])
+def test_a_kernel_status_without_its_pooled_level_exits_2_naming_the_kernel(
+    workspace, tmp_path, capsys, command, levels
+):
+    # the pickup status keeps its first levels only: the weekday x hour one,
+    # which holds no pmf after 35 days, or that and the weekday one
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "kernel.json").read_text())
+    assert [len(level["pmfs"]) for level in doc["statuses"]["3"]][:1] == [0]
+    doc["statuses"]["3"] = doc["statuses"]["3"][:levels]
+    (models / "kernel.json").write_text(json.dumps(doc))
+    args = {
+        "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", "696", "--horizons", "13,37"],
+        "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
+    }
+    assert main([command, "--config", str(workspace["config"]), "--models", str(models), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert f"{models / 'kernel.json'}: status 3: " in err and "pooled level" in err
+
+
+CONFIG_KERNELS = {
+    "a gap in the statuses": lambda doc: doc["kernel"]["statuses"].update({"0": doc["kernel"]["statuses"]["2"]}),
+    "the last status unfitted": lambda doc: doc["kernel"]["statuses"].pop("3"),
+    "the entry status unfitted": lambda doc: doc.update(entry_status=1),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+@pytest.mark.parametrize("edit", CONFIG_KERNELS.values(), ids=CONFIG_KERNELS.keys())
+def test_a_config_kernel_with_a_gap_or_an_unfitted_entry_exits_2_naming_the_config(
+    workspace, tmp_path, capsys, command, edit
+):
+    doc = json.loads(workspace["config"].read_text())  # the default kernel fits statuses 2 and 3 of 4
+    edit(doc)
+    config = run_with_config(workspace, tmp_path, command, doc)
+    err = capsys.readouterr().err
+    assert f"{config}: " in err and "status" in err
+
+
 def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, capsys):
     models = tmp_path / "models"
     shutil.copytree(workspace["models"], models)

@@ -53,9 +53,11 @@ def far_pickup(support_max=50):
 
 
 def no_sunday_kernel() -> TransitionKernel:
-    """``fallback_kernel``'s status 0; status 1 has no Sunday pmf and no global level; pickup uniform on 1-20."""
+    """``fallback_kernel``'s status 0; status 1 has no Sunday pmf, so Sunday takes its pooled level,
+    uniform on 2-7; pickup uniform on 1-20."""
     no_sunday = KernelLevel(("weekday",), {(w,): HoldingTimePmf.uniform(1, 4) for w in range(1, 7)})
-    statuses = {0: fallback_kernel().statuses[0], 1: StatusKernel((no_sunday,))}
+    pooled = KernelLevel((), {(): HoldingTimePmf.uniform(2, 7)})
+    statuses = {0: fallback_kernel().statuses[0], 1: StatusKernel((no_sunday, pooled))}
     return TransitionKernel(3, {**statuses, 2: pooled_status(HoldingTimePmf.uniform(1, 20))}, TB)
 
 
@@ -428,8 +430,10 @@ class TestPredictLoadPmf:
 
     def test_pup_without_parcels_keeps_its_name(self):
         # no parcel of the shop is seen by k: the forecast still names the
-        # shop, and the future orders resolve the kernel keyed on it
-        keyed = StatusKernel((KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 3)}),))
+        # shop, and the future orders resolve the kernel keyed on it (the
+        # pooled pmf moves no order within the horizon)
+        pooled = KernelLevel((), {(): HoldingTimePmf.point_mass(20)})
+        keyed = StatusKernel((KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 3)}), pooled))
         kernel = TransitionKernel(2, {0: keyed, 1: keyed}, TB)
         log = EventLog([ParcelRecord("P1", "c1", "shop", "r1", {0: 30, 1: 32})], cutoff=40, timebase=TB)
         res = predict_load_pmf(
@@ -471,20 +475,6 @@ class TestPredictLoadPmf:
         assert 0.0 < p < 1.0
         assert np.allclose(res.pmf.probs, [1.0 - p, p], rtol=0, atol=1e-12)
         assert res.diagnostics == ["parcel P1: impossible evidence, used pooled fallback"]
-
-    def test_rescued_parcel_in_a_window_without_a_pmf_is_skipped(self):
-        # status 1 has no Sunday pmf and no global level, so the window
-        # (140, 152], which reaches Sunday, lacks a pmf: the parcel with
-        # ordinary evidence and the one only status 0's pooled pmf allows
-        # (5 slots) are both skipped there, while prob_* still raises
-        kernel = no_sunday_kernel()
-        pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
-        for t_0, error in ((139, MissingKernel), (135, ImpossibleEvidence)):
-            res = predict_load_pmf([ParcelRecord("P1", "c1", "shop", "r1", {0: t_0})], kernel, None, None, k=140, j=12)
-            assert res.diagnostics == ["parcel P1: no kernel for status 0; skipped"]
-            assert np.array_equal(res.pmf.probs, [1.0])
-            with pytest.raises(error):
-                prob_delivered_and_stored_multi_hop(pmf_at, 3, 0, t_0, k=140, j=12)
 
     def test_in_transit_probability_never_exceeds_one(self):
         # rounding in the backward sum puts this parcel's probability at
@@ -691,22 +681,21 @@ def test_fallback_parcels_take_no_per_parcel_path(monkeypatch):
 
 
 def fallback_instance(rng):
-    """(kernel, parcels, k, horizons): 2-4 statuses, some never fitted, with
-    weekday levels that miss weekdays, retailer levels and optional global
-    levels; 1-7 parcels entered by k, a few picked up; 1-4 horizons in 0..29."""
+    """(kernel, parcels, k, horizons): 2-4 statuses, the first few never
+    fitted now and then, with weekday levels that miss weekdays, retailer
+    levels and a pooled level; 1-7 parcels entered by k, a few picked up;
+    1-4 horizons in 0..29."""
     n_statuses = int(rng.integers(2, 5))
+    first = int(rng.integers(1, n_statuses)) if rng.random() < 0.25 else 0
     statuses = {}
-    for n in range(n_statuses):
-        if rng.random() < 0.12:
-            continue
+    for n in range(first, n_statuses):
         support, levels = int(rng.integers(1, 9)), []
         if rng.random() < 0.75:
             days = [w for w in range(1, 8) if rng.random() < 0.7]
             levels.append(KernelLevel(("weekday",), {(w,): random_pmf(rng, support) for w in days}))
         if rng.random() < 0.25:
             levels.append(KernelLevel(("retailer",), {("r1",): random_pmf(rng, support + 2)}))
-        if rng.random() < 0.65 or not levels:
-            levels.append(KernelLevel((), {(): random_pmf(rng, int(rng.integers(support, 16)))}))
+        levels.append(KernelLevel((), {(): random_pmf(rng, int(rng.integers(support, 16)))}))
         statuses[n] = StatusKernel(tuple(levels))
     k = int(rng.integers(30, 200))
     parcels = []
@@ -724,8 +713,8 @@ def fallback_instance(rng):
 
 def single_parcel_contribution(kernel, parcel, k, j):
     """A known parcel's contribution at k+j and its note, from the public
-    prob_* functions: a missing kernel skips it; impossible evidence retries
-    on a kernel whose status n keeps only its last level, if that is global."""
+    prob_* functions: a status never fitted skips it; impossible evidence
+    retries on a kernel whose status n keeps only its pooled level."""
     n, t_n = max(parcel.entry_times.items())
     n_statuses = kernel.n_statuses
 
@@ -735,28 +724,22 @@ def single_parcel_contribution(kernel, parcel, k, j):
             return prob_still_stored(pmf_at, n_statuses, t_n, k, j)
         return prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
 
-    skipped = (0.0, f"no kernel for status {n}; skipped")
     try:
         return prob(kernel), ""
     except MissingKernel:
-        return skipped
+        return 0.0, f"no kernel for status {n}; skipped"
     except ImpossibleEvidence:
         pass
-    last = kernel.statuses[n].levels[-1]
-    if last.schema:
-        return 0.0, "impossible evidence, no fallback; dropped"
-    pooled = TransitionKernel(n_statuses, {**kernel.statuses, n: StatusKernel((last,))}, TB)
+    pooled = TransitionKernel(n_statuses, {**kernel.statuses, n: StatusKernel(kernel.statuses[n].levels[-1:])}, TB)
     try:
         return prob(pooled), "impossible evidence, used pooled fallback"
     except ImpossibleEvidence:
         return 0.0, "holding time beyond all supports; assumed departed"
-    except MissingKernel:
-        return skipped
 
 
 def test_fallback_rules_match_the_single_parcel_api():
     # every known parcel's factor and note, on random instances full of
-    # missing rows, impossible evidence and windows without a pmf
+    # statuses never fitted and impossible evidence
     rng = np.random.default_rng(14)
     seen = Counter()
     for _ in range(300):
@@ -773,7 +756,7 @@ def test_fallback_rules_match_the_single_parcel_api():
             want = LoadPmf(expected).trimmed().probs
             assert len(res.pmf.probs) == len(want)
             assert np.abs(res.pmf.probs - want).max() <= 1e-12
-    assert len(seen) == 5 and min(seen.values()) >= 50  # ordinary parcels and each note, often
+    assert len(seen) == 4 and min(seen.values()) >= 50  # ordinary parcels and each note, often
 
 
 def test_warm_forecast_reads_only_compiled_tables(default_log, table_calls):
@@ -905,28 +888,10 @@ def test_models_warmed_by_a_sweep_forecast_as_fresh_ones(seed):
         assert forecasts(warm, k) == forecasts((fresh.kernel, fresh.intensity, fresh.selection), k)
 
 
-def test_a_window_without_a_pmf_raises_on_a_hit_as_on_a_miss():
-    # status 1 has no Sunday pmf and no global level: every window that
-    # reaches Sunday skips its parcel and raises MissingKernel, whether it is
-    # computed or read from an anchor a week or two earlier
-    kernel = no_sunday_kernel()
-    pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
-    for k in (140, 140 + 168, 140 + 336, 140 - 168):
-        res = predict_load_pmf([ParcelRecord("P1", "c1", "shop", "r1", {0: k - 1})], kernel, None, None, k=k, j=12)
-        assert res.diagnostics == ["parcel P1: no kernel for status 0; skipped"]
-        assert np.array_equal(res.pmf.probs, [1.0])
-        with pytest.raises(MissingKernel):
-            prob_delivered_and_stored_multi_hop(pmf_at, 3, 0, k - 1, k=k, j=12)
-        with pytest.raises(MissingKernel):
-            prob_future_order_contributes(pmf_at, 3, k + 1, k=k, j=12)
-    # two windows, from status 1 down for the parcel in status 0 and from 0 for an order entering it,
-    # computed at k = 140 and read at the other anchors
-    assert len(kernel._compiled["windows"]) == 2
-
-
 def test_the_windows_of_two_pups_are_kept_apart():
     level = KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 4), ("kiosk",): HoldingTimePmf.uniform(3, 9)})
-    statuses = {0: StatusKernel((level,)), 1: pooled_status(HoldingTimePmf.uniform(1, 20))}
+    pooled = KernelLevel((), {(): HoldingTimePmf.uniform(2, 6)})
+    statuses = {0: StatusKernel((level, pooled)), 1: pooled_status(HoldingTimePmf.uniform(1, 20))}
     warm = TransitionKernel(2, statuses, TB)
     probs = []
     for pup in ("shop", "kiosk"):
@@ -950,7 +915,7 @@ def test_the_windows_stay_under_the_cap_and_keep_the_tables():
     compiled = {key: value for key, value in kernel._compiled.items() if key != "windows"}
     windows = kernel._compiled["windows"]
     assert len(windows) == _WINDOWS
-    assert not any(a.flags.writeable for pair in windows.values() for part in pair for a in part.values())
+    assert not any(v.flags.writeable for values in windows.values() for v in values.values())
     assert probs() == first  # == on floats: bit for bit
     assert len(kernel._compiled["windows"]) == _WINDOWS
     assert {key: value for key, value in kernel._compiled.items() if key != "windows"} == compiled
@@ -960,7 +925,7 @@ def test_the_windows_stay_under_the_cap_and_keep_the_tables():
 @pytest.mark.parametrize("slot_hours", [1, 2])
 def test_a_window_repeats_weekly(slot_hours):
     # the windows are kept by k modulo one week: on fresh kernels, k and
-    # k plus or minus whole weeks give equal values and ok
+    # k plus or minus whole weeks give equal values
     default = default_scenario().kernel
     cases = [
         (default.statuses, default.n_statuses, TestCompiledWindow.DEFAULT_ROUTES, 2),
@@ -968,19 +933,17 @@ def test_a_window_repeats_weekly(slot_hours):
         (no_sunday_kernel().statuses, 3, [("c1", "r1")], 0),
     ]
     timebase = Timebase(TB.epoch, slot_hours)
-    week, unset = timebase.slots_per_week, False
+    week = timebase.slots_per_week
     for statuses, n_statuses, routes, lowest in cases:
         for k in (5, 70, 140 // slot_hours):
             windows = [
                 _Window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1), lowest)
                 for shift in (0, week, -week, -3 * week)
             ]
-            unset |= any(not ok.all() for ok in windows[0].ok.values())
             for window in windows[1:]:
                 assert window.values.keys() == windows[0].values.keys()
                 for m, v in windows[0].values.items():
-                    assert np.array_equal(window.values[m], v) and np.array_equal(window.ok[m], windows[0].ok[m])
-    assert unset  # the window without a Sunday pmf
+                    assert np.array_equal(window.values[m], v)
 
 
 def test_all_outputs_normalized():

@@ -43,3 +43,22 @@ def test_no_unused_imports():
     ]
     assert unused == []
     assert unused_imports("import json\nfrom math import exp, log\nprint(exp(1))\n") == ["1: json", "2: log"]
+
+
+def test_only_the_kernel_raises_missing_kernel():
+    # a status never fitted is the kernel's one missing-pmf case: no other
+    # module raises MissingKernel, and the oracle, which skips a parcel in
+    # such a status as the engine does, does not name it
+    package = Path(pupcast.__file__).parent
+    raising = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None and "MissingKernel" in ast.unparse(node.exc)
+    }
+    assert raising == {"kernel.py"}
+    oracle = ast.parse((package / "oracle.py").read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    named |= {alias.name for node in ast.walk(oracle) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "ValidationError" in named  # the scan sees the errors the oracle imports
+    assert "MissingKernel" not in named

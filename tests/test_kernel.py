@@ -46,14 +46,36 @@ def test_absorbing_status_has_no_kernel():
 
 
 def test_missing_status_and_no_fallback():
-    status = StatusKernel((KernelLevel(("carrier",), {("c1",): HoldingTimePmf.point_mass(1)}),))
-    kernel = TransitionKernel(3, {0: status}, TB)
-    with pytest.raises(MissingKernel):
-        kernel.lookup(1, {})  # status never fitted
-    with pytest.raises(MissingKernel):
-        kernel.lookup(0, {"carrier": "c9"})  # no pooled level
-    with pytest.raises(MissingKernel):
-        status.coarsest()
+    by_carrier = KernelLevel(("carrier",), {("c1",): HoldingTimePmf.point_mass(1)})
+    later = {1: pooled_status(HoldingTimePmf.point_mass(2)), 2: pooled_status(HoldingTimePmf.point_mass(3))}
+    kernel = TransitionKernel(3, later, TB)
+    with pytest.raises(MissingKernel, match="no kernel fitted for status 0"):
+        kernel.lookup(0, {})  # status never fitted
+    with pytest.raises(MissingKernel, match="no kernel fitted for status 0"):
+        kernel.pooled_pmf_at(0)
+    with pytest.raises(ValidationError, match="pooled level"):
+        StatusKernel((by_carrier,))  # no pooled level: rejected when built, before any lookup
+
+
+POOLED = KernelLevel((), {(): HoldingTimePmf.point_mass(2)})
+BY_DAY = KernelLevel(("weekday",), {(1,): HoldingTimePmf.point_mass(1)})
+INVALID_KERNELS = {
+    "no level": lambda: StatusKernel(()),
+    "last level not pooled": lambda: StatusKernel((POOLED, BY_DAY)),
+    "pooled level without its pmf": lambda: StatusKernel((BY_DAY, KernelLevel((), {}))),
+    "pooled level with another key": lambda: StatusKernel((KernelLevel((), {(1,): HoldingTimePmf.point_mass(1)}),)),
+    "statuses 0 and 3 of 4": lambda: TransitionKernel(4, {0: StatusKernel((POOLED,)), 3: StatusKernel((POOLED,))}, TB),
+    "statuses 0 and 1 of 3": lambda: TransitionKernel(3, {0: StatusKernel((POOLED,)), 1: StatusKernel((POOLED,))}, TB),
+    "no status of 2": lambda: TransitionKernel(2, {}, TB),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_KERNELS.values(), ids=INVALID_KERNELS.keys())
+def test_a_kernel_without_a_pooled_level_or_with_a_gap_in_its_statuses_is_rejected(build):
+    # every status ends in its pooled level, and the fitted statuses run up to
+    # the last one, so every route resolves at every slot of a fitted status
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_unknown_feature_rejected():
@@ -82,7 +104,8 @@ def test_pmf_at_repeats_weekly(timebase):
         for h in range(24)
         for c in ("c1", "c2")
     }
-    status = StatusKernel((KernelLevel(("weekday", "hour", "carrier"), keyed),))
+    pooled = KernelLevel((), {(): HoldingTimePmf.uniform(1, 9)})
+    status = StatusKernel((KernelLevel(("weekday", "hour", "carrier"), keyed), pooled))
     kernel = TransitionKernel(1, {0: status}, timebase)
     week = timebase.slots_per_week
     for t in range(-2 * week - 3, 2 * week, 5):
@@ -96,27 +119,13 @@ def test_pmf_at_repeats_weekly(timebase):
 
 def test_pmf_at_raises_missing_kernel_on_every_call():
     found = HoldingTimePmf.point_mass(1)
-    status = StatusKernel((KernelLevel(("carrier",), {("c1",): found}),))
-    kernel = TransitionKernel(3, {0: status}, TB)
+    kernel = TransitionKernel(3, {1: pooled_status(found), 2: pooled_status(found)}, TB)
     for t in (5, 5, 5 + TB.slots_per_week, -5):
-        with pytest.raises(MissingKernel):
-            kernel.pmf_at(0, t, carrier="c9")  # no pooled level
-        with pytest.raises(MissingKernel):
-            kernel.pmf_at(1, t, carrier="c1")  # status never fitted
-        assert kernel.pmf_at(0, t, carrier="c1") is found
-    assert (kernel._week(0, ("c9", None, None))[0] == -1).all()  # c9 has no pmf at any slot of the week
-    # Monday and Tuesday have a pmf, the other days none
-    by_day = {(1,): HoldingTimePmf.uniform(1, 3), (2,): HoldingTimePmf.point_mass(2)}
-    kernel = TransitionKernel(1, {0: StatusKernel((KernelLevel(("weekday",), by_day),))}, TB)
-    wednesday = 2 * 24 + 7
-    for t in (wednesday, wednesday, wednesday + TB.slots_per_week, wednesday - 3 * TB.slots_per_week):
-        with pytest.raises(MissingKernel, match="no pmf for context"):
-            kernel.pmf_at(0, t)
-        with pytest.raises(MissingKernel, match="no pmf for context"):
-            kernel.rows_at(0, np.arange(min(t, 40), max(t, 40) + 1))
-        assert kernel.pmf_at(0, 30) is by_day[(2,)]
-    rows, table = kernel.rows_at(0, np.arange(48))  # Monday and Tuesday only
-    assert all(table.pmfs[r] is by_day[(1 + s // 24,)] for s, r in enumerate(rows.tolist()))
+        with pytest.raises(MissingKernel, match="no kernel fitted for status 0"):
+            kernel.pmf_at(0, t, carrier="c1")  # status never fitted
+        with pytest.raises(MissingKernel, match="no kernel fitted for status 0"):
+            kernel.row_at(0, t, carrier="c1")
+        assert kernel.pmf_at(1, t, carrier="c1") is found
 
 
 def test_context_of():
@@ -168,16 +177,18 @@ ROUTES = [(c, r, p) for c in ("c1", "c2", "c3") for r in ("r1", "r2", "r3", None
 
 def holed_kernel() -> TransitionKernel:
     """2-hour slots from a Wednesday 06:00.  A weekday x hour x carrier level
-    with holes lies over a weekday-only level without weekends, and there is no
-    pooled level: some slots resolve at each level and some at none.  A day's
-    slots before 06:00 belong to another weekday than the epoch's day offset."""
+    with holes lies over a weekday-only level without weekends, over the
+    pooled level: some slots resolve at each level.  A day's slots before
+    06:00 belong to another weekday than the epoch's day offset."""
     rng = np.random.default_rng(13)
     by_hour = KernelLevel(
         ("weekday", "hour", "carrier"),
         {(w, h, c): random_pmf(rng, 4) for w in range(1, 8) for h in range(0, 24, 2) for c in ("c1", "c2") if (w + h // 2) % 3},
     )
     by_day = KernelLevel(("weekday",), {(w,): random_pmf(rng, 5) for w in range(1, 6)})
-    return TransitionKernel(1, {0: StatusKernel((by_hour, by_day))}, Timebase(datetime(2024, 1, 3, 6), slot_hours=2))
+    pooled = KernelLevel((), {(): random_pmf(rng, 6)})
+    timebase = Timebase(datetime(2024, 1, 3, 6), slot_hours=2)
+    return TransitionKernel(1, {0: StatusKernel((by_hour, by_day, pooled))}, timebase)
 
 
 @pytest.mark.parametrize(
@@ -191,20 +202,15 @@ def test_week_rows_name_the_pmf_lookup_returns(kernel):
             (rows,), table = kernel.week_rows(n, [(carrier, retailer)], pup)
             for s in week.tolist():
                 ctx = context_of(tb, s, carrier, retailer, pup)
-                if rows[s] < 0:
-                    with pytest.raises(MissingKernel):
-                        kernel.lookup(n, ctx)
-                else:
-                    assert table.pmfs[rows[s]] is kernel.lookup(n, ctx), (n, ctx)
-            found = week[rows >= 0]
-            for shift in (-3, 1, 5):  # any week, negative slots included
-                assert np.array_equal(kernel.rows_at(n, found + shift * len(week), carrier, retailer, pup)[0], rows[found])
+                assert table.pmfs[rows[s]] is kernel.lookup(n, ctx), (n, ctx)
+                shift = (-3, 1, 5)[s % 3]  # any week, negative slots included
+                assert kernel.row_at(n, s + shift * len(week), carrier, retailer, pup) == (rows[s], table)
 
 
 @pytest.mark.parametrize("kernel", [default_scenario().kernel, retailer_keyed_kernel()], ids=["default", "retailer-keyed"])
 def test_table_tails_are_the_survival_bit_for_bit(kernel):
     for n in kernel.statuses:
-        table = kernel.rows_at(n, np.arange(1))[1]
+        table = kernel.row_at(n, 0)[1]
         support = table.probs.shape[1] - 1  # the longest support of the status
         for r, f in enumerate(table.pmfs):
             assert np.array_equal(table.probs[r], np.pad(f.probs, (0, support + 1 - len(f.probs))))
@@ -228,6 +234,6 @@ def test_week_rows_keep_only_the_last_routes_per_status_and_pup():
             stack, table = kernel.week_rows(2, routes, pup)
             assert not stack.flags.writeable and stack.shape == (len(routes), kernel.timebase.slots_per_week)
             for row, (c, r) in zip(stack, routes):
-                assert np.array_equal(row, kernel.rows_at(2, np.arange(stack.shape[1]), c, r, pup)[0])
+                assert np.array_equal(row, kernel._week(2, (c, r, pup))[0])
             assert table is kernel._compiled[2]  # status 2's table
     assert len(kernel._compiled) == size

