@@ -41,7 +41,7 @@ from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .oracle import SimulatedTrace, enumerate_contribution_prob, mc_contribution_prob, mc_load_at, simulate
 from .pmf import HoldingTimePmf, LoadPmf, convolve, tv_distance
 from .records import EventLog, ParcelRecord
-from .scenario import ScenarioConfig, default_scenario
+from .scenario import ScenarioConfig, Site, default_scenario
 from .timebase import Timebase
 
 __version__ = "0.1.0"

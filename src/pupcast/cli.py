@@ -24,7 +24,7 @@ from .evaluate import DEFAULT_HORIZONS, METHODS, rolling_origin_evaluate
 from .kernel import TransitionKernel, read_model, write_model
 from .oracle import enumerate_contribution_prob, random_instance, simulate
 from .records import EventLog
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, Site
 
 
 def _horizons(arg: str) -> tuple[int, ...]:
@@ -36,9 +36,9 @@ MODELS = {"kernel.json": TransitionKernel, "profile.json": HourlyProfile, "volum
 
 
 def cmd_fit(args) -> int:
-    config = read_model(args.config, ScenarioConfig)
-    log = EventLog.from_csv(args.log, config.timebase)
-    models = fit_models(log, config)
+    site = read_model(args.config, Site)
+    log = EventLog.from_csv(args.log, site.timebase)
+    models = fit_models(log, site)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, model in zip(MODELS, models):
@@ -49,34 +49,32 @@ def cmd_fit(args) -> int:
 
 def _scenario(args) -> ScenarioConfig:
     """The config file's scenario, with ``--seed`` for its seed where given."""
-    config = read_model(args.config, ScenarioConfig)
+    config = ScenarioConfig.load(args.config)
     try:
         return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
     except ValidationError as exc:
         raise ValidationError(f"{args.config} with --seed {args.seed}: {exc}") from exc
 
 
-def _load_models(config: ScenarioConfig, models_dir: Path):
-    """The (kernel, intensity, selection) of the models ``pupcast fit`` wrote; their kernel must share
-    the config's calendar, which reads the log, and its status count, which says which status is stored."""
+def _load_models(site: Site, models_dir: Path):
+    """The (kernel, intensity, selection) of the models ``pupcast fit`` wrote; their kernel must fit
+    the site (``Site.check_kernel``)."""
     kernel, profile, volume, selection = (read_model(models_dir / name, cls) for name, cls in MODELS.items())
-    path = models_dir / "kernel.json"
-    if kernel.timebase != config.timebase:
-        kernel_tb, tb = kernel.timebase.to_json_dict(), config.timebase.to_json_dict()
-        raise ValidationError(f"{path}: kernel timebase {kernel_tb} differs from the config's {tb}")
-    if kernel.n_statuses != config.n_statuses:
-        raise ValidationError(f"{path}: kernel has {kernel.n_statuses} statuses, the config {config.n_statuses}")
+    try:
+        site.check_kernel(kernel)
+    except ValidationError as exc:
+        raise ValidationError(f"{models_dir / 'kernel.json'}: {exc}") from exc
     return kernel, OrderIntensity.from_models(profile, volume), selection
 
 
 def cmd_forecast(args) -> int:
-    config = read_model(args.config, ScenarioConfig)
-    kernel, intensity, selection = _load_models(config, Path(args.models))
-    log = EventLog.from_csv(args.log, config.timebase)
-    parcels = log.truncated(min(args.k, log.cutoff)).for_pup(config.pup)
-    forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, config.entry_status)
+    site = read_model(args.config, Site)
+    kernel, intensity, selection = _load_models(site, Path(args.models))
+    log = EventLog.from_csv(args.log, site.timebase)
+    parcels = log.truncated(min(args.k, log.cutoff)).for_pup(site.pup)
+    forecasts = predict_load_pmfs(parcels, kernel, intensity, selection, args.k, args.horizons, site.entry_status)
     results = [result.to_json_dict() for result in forecasts]
-    doc = {"pup": config.pup, "k": args.k, "forecasts": results}
+    doc = {"pup": site.pup, "k": args.k, "forecasts": results}
     text = json.dumps(doc, indent=1, sort_keys=True)  # indented for people to read
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -102,7 +100,7 @@ def cmd_evaluate(args) -> int:
     config = _scenario(args)
     trace = simulate(config)
     if args.models:
-        kernel, intensity, selection = _load_models(config, Path(args.models))
+        kernel, intensity, selection = _load_models(config.site, Path(args.models))
     else:
         kernel, intensity, selection = config.kernel, config.intensity, config.selection
     spd = config.timebase.slots_per_day

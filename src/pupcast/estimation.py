@@ -269,14 +269,14 @@ def estimate_selection(log_: EventLog) -> SelectionModel:
     return SelectionModel(p_retailer, p_cgr)
 
 
-def fit_models(log_: EventLog, config) -> tuple[TransitionKernel, HourlyProfile, DailyVolumeModel, SelectionModel]:
-    """The models ``pupcast fit`` writes, fitted on the parcels bound for ``config.pup`` alone: a transit kernel
+def fit_models(log_: EventLog, site) -> tuple[TransitionKernel, HourlyProfile, DailyVolumeModel, SelectionModel]:
+    """The models ``pupcast fit`` writes, fitted on the parcels bound for ``site.pup`` alone: a transit kernel
     for each status from the entry status to the one before the last, a pickup kernel for the last, and the
-    profile and volumes of the entries into the entry status.  Of ``config`` only its pup, opening hours,
-    status count, entry status and timebase are read."""
-    parcels, pup = log_.for_pup(config.pup), config.pup
-    entry, last = config.entry_status, config.n_statuses - 1
+    profile and volumes of the entries into the entry status.  ``site`` is a ``Site`` or a scenario; only its
+    pup, opening hours, status count, entry status and timebase are read."""
+    parcels, pup = log_.for_pup(site.pup), site.pup
+    entry, last = site.entry_status, site.n_statuses - 1
     statuses = {n: estimate_transit_kernel(parcels, pup, status_from=n) for n in range(entry, last)}
-    statuses[last] = estimate_pickup_kernel(parcels, pup, config.opening, status_from=last)
-    kernel = TransitionKernel(config.n_statuses, statuses, config.timebase)
+    statuses[last] = estimate_pickup_kernel(parcels, pup, site.opening, status_from=last)
+    kernel = TransitionKernel(site.n_statuses, statuses, site.timebase)
     return kernel, fit_hourly_profile(parcels, entry), fit_daily_volume(parcels, entry), estimate_selection(parcels)

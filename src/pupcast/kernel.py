@@ -259,12 +259,12 @@ class TransitionKernel:
         return read_model(path, cls)
 
 
-def read_model(path, cls):
-    """``cls`` from a JSON file.  A file that is missing, is not JSON or does
-    not hold a valid model raises ValidationError naming the file."""
+def read_model(path, cls, *args):
+    """``cls.from_json_dict`` of a JSON file's document and ``args``.  A file that is missing, is not
+    JSON or does not hold a valid model raises ValidationError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh), *args)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON errors are ValueErrors

@@ -1,35 +1,96 @@
-"""Synthetic scenario configuration: ground-truth models for simulation.
+"""Sites, and synthetic scenarios: a site plus the ground-truth models a simulation draws from.
 
-A scenario bundles everything a simulation run needs: the time axis, the
-status flowchart, ground-truth transition kernels, ground-truth order
-intensity (hourly profile plus explicit daily volumes), retailer/carrier
-selection probabilities, opening hours, and a seed.  The default scenario
-mirrors a small shop PUP: three carriers, hourly slots, pickup delays with
-roughly 60% of parcels collected within 24 hours and 75% within 48 hours,
-and weekly-seasonal order volumes with an optional ramp (non-stationary
-activity).
+A site is what a fit or forecast of one PUP reads beside its event log: the
+calendar, the pup, its opening hours and capacity, and the status chain.  A
+scenario adds ground-truth kernels, order intensity (hourly profile plus
+explicit daily volumes), retailer/carrier selection probabilities, a horizon
+and a seed, saved in a file of their own beside the site's.  The default
+scenario mirrors a small shop PUP: three carriers, hourly slots, pickup
+delays with roughly 60% of parcels collected within 24 hours and 75% within
+48 hours, and weekly-seasonal order volumes with an optional ramp
+(non-stationary activity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
 from .arrivals import HourlyProfile, OrderIntensity
 from .errors import ValidationError
 from .estimation import OpeningHours, SelectionModel
-from .kernel import KernelLevel, StatusKernel, TransitionKernel, write_model
+from .kernel import KernelLevel, StatusKernel, TransitionKernel, read_model, write_model
 from .pmf import HoldingTimePmf
 from .timebase import Timebase
 
-__all__ = ["ScenarioConfig", "default_scenario"]
+__all__ = ["ScenarioConfig", "Site", "default_scenario"]
+
+
+@dataclass(frozen=True)
+class Site:
+    """One PUP as a forecast sees it.  Status ``n_statuses - 1`` is the stored one and orders enter at
+    ``entry_status``; ``capacity`` is None or a count of parcels.  ``ground_truth`` names the file beside
+    the site's that holds a scenario's ground-truth models, None for a site without one."""
+
+    timebase: Timebase
+    pup: str
+    opening: OpeningHours
+    n_statuses: int
+    entry_status: int
+    capacity: int | None = None
+    ground_truth: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pup, str) or not self.pup:
+            raise ValidationError(f"pup {self.pup!r} is not a non-empty string")
+        if self.capacity is not None and (type(self.capacity) is not int or self.capacity < 0):
+            raise ValidationError(f"capacity {self.capacity!r} is neither null nor a whole number >= 0")
+        if type(self.n_statuses) is not int or type(self.entry_status) is not int:
+            raise ValidationError(f"n_statuses {self.n_statuses!r}, entry_status {self.entry_status!r}: not integers")
+        if not 0 <= self.entry_status < self.n_statuses:
+            raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
+
+    def check_kernel(self, kernel: TransitionKernel) -> None:
+        """Raise ValidationError unless ``kernel`` shares the site's calendar, which reads the log, and its
+        status count, which says which status is stored, and fits every status from the entry status on."""
+        if kernel.timebase != self.timebase:
+            kernel_tb, tb = kernel.timebase.to_json_dict(), self.timebase.to_json_dict()
+            raise ValidationError(f"kernel timebase {kernel_tb} differs from the site's {tb}")
+        if kernel.n_statuses != self.n_statuses:
+            raise ValidationError(f"kernel has {kernel.n_statuses} statuses, the site {self.n_statuses}")
+        if self.entry_status not in kernel.statuses:  # the fitted statuses run to the last one
+            raise ValidationError(f"entry status {self.entry_status} was never fitted: {sorted(kernel.statuses)}")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "timebase": self.timebase.to_json_dict(),
+            "pup": self.pup,
+            "opening": self.opening.to_json_dict(),
+            "n_statuses": self.n_statuses,
+            "entry_status": self.entry_status,
+            "capacity": self.capacity,
+            "ground_truth": self.ground_truth,
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "Site":
+        return cls(
+            timebase=Timebase.from_json_dict(doc["timebase"]),
+            pup=doc["pup"],
+            opening=OpeningHours.from_json_dict(doc["opening"]),
+            n_statuses=doc["n_statuses"],
+            entry_status=doc["entry_status"],
+            capacity=doc.get("capacity"),
+            ground_truth=doc.get("ground_truth"),
+        )
 
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to simulate parcel life cycles for one PUP."""
+    """A site, in its fields, and the ground-truth models that simulate parcel life cycles there."""
 
     timebase: Timebase
     kernel: TransitionKernel
@@ -43,17 +104,15 @@ class ScenarioConfig:
     capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel.timebase != self.timebase:  # volumes and kernel context must share one calendar
-            kernel_tb, tb = self.kernel.timebase.to_json_dict(), self.timebase.to_json_dict()
-            raise ValidationError(f"kernel timebase {kernel_tb} differs from the config's {tb}")
-        if not 0 <= self.entry_status < self.n_statuses:
-            raise ValidationError(f"entry status {self.entry_status} outside 0..{self.n_statuses - 1}")
-        if self.entry_status not in self.kernel.statuses:
-            raise ValidationError(f"entry status {self.entry_status} was never fitted: {sorted(self.kernel.statuses)}")
+        self.site.check_kernel(self.kernel)  # volumes and kernel context must share one calendar
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} is negative")
         if self.horizon_days < 1:
             raise ValidationError(f"horizon_days {self.horizon_days} is below 1")
+
+    @property
+    def site(self) -> Site:
+        return Site(self.timebase, self.pup, self.opening, self.n_statuses, self.entry_status, self.capacity)
 
     @property
     def n_statuses(self) -> int:
@@ -63,47 +122,57 @@ class ScenarioConfig:
     def horizon_slots(self) -> int:
         return self.horizon_days * self.timebase.slots_per_day
 
-    # ---- JSON round trip ----
+    # ---- JSON round trip: the ground truth; the site is saved apart ----
 
     def to_json_dict(self) -> dict:
         intensity = self.intensity  # its volumes are written every day of their span
         days = [(intensity.start + timedelta(days=d)).isoformat() for d in range(intensity.volumes.shape[1])]
         return {
-            "timebase": self.timebase.to_json_dict(),
             "kernel": self.kernel.to_json_dict(),
             "profile": intensity.profile.to_json_dict(),
             "daily_volumes": {c: dict(zip(days, row.tolist())) for c, row in zip(intensity.carriers, intensity.volumes)},
             "selection": self.selection.to_json_dict(),
-            "opening": self.opening.to_json_dict(),
-            "pup": self.pup,
-            "entry_status": self.entry_status,
             "horizon_days": self.horizon_days,
             "seed": self.seed,
-            "capacity": self.capacity,
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
+    def from_json_dict(cls, doc: dict, site: Site) -> "ScenarioConfig":
+        """The ground-truth models of ``doc`` at ``site``, whose status count must be their kernel's."""
+        kernel = TransitionKernel.from_json_dict(doc["kernel"])
+        site.check_kernel(kernel)
         volumes = {
             c: {date.fromisoformat(d): float(v) for d, v in vols.items()}
             for c, vols in doc["daily_volumes"].items()
         }
         profile = HourlyProfile.from_json_dict(doc["profile"])
         return cls(
-            timebase=Timebase.from_json_dict(doc["timebase"]),
-            kernel=TransitionKernel.from_json_dict(doc["kernel"]),
+            timebase=site.timebase,
+            kernel=kernel,
             intensity=OrderIntensity.from_schedule(profile, volumes),
             selection=SelectionModel.from_json_dict(doc["selection"]),
-            opening=OpeningHours.from_json_dict(doc["opening"]),
-            pup=doc["pup"],
-            entry_status=int(doc["entry_status"]),
+            opening=site.opening,
+            pup=site.pup,
+            entry_status=site.entry_status,
             horizon_days=int(doc["horizon_days"]),
             seed=int(doc["seed"]),
-            capacity=doc.get("capacity"),
+            capacity=site.capacity,
         )
 
     def save(self, path) -> None:
-        write_model(path, self)
+        """The site at ``path``, and the ground truth in the file beside it that the site names."""
+        path = Path(path)
+        site = replace(self.site, ground_truth=f"{path.stem}.truth.json")
+        write_model(path, site)
+        write_model(path.with_name(site.ground_truth), self)
+
+    @classmethod
+    def load(cls, path) -> "ScenarioConfig":
+        """The scenario ``save`` wrote at ``path``; a site that names no ground-truth file raises ValidationError."""
+        site = read_model(path, Site)
+        if not isinstance(site.ground_truth, str) or not site.ground_truth:
+            raise ValidationError(f"{path}: ground_truth {site.ground_truth!r} names no file to simulate from")
+        return read_model(Path(path).parent / site.ground_truth, cls, site)
 
 
 def _gamma_like_pmf(mean: float, support_max: int, shape: float = 4.0) -> HoldingTimePmf:

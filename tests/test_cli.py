@@ -199,13 +199,25 @@ def test_bad_profile_exits_2_naming_the_file(workspace, tmp_path, capsys, text):
 
 
 CONFIG_COMMANDS = ["fit", "forecast", "simulate", "evaluate"]
+SCENARIO_COMMANDS = ["simulate", "evaluate"]  # the two that read the ground truth as well as the site
 
 
-def run_with_config(workspace, tmp_path, command, doc) -> Path:
-    """Run ``command`` on the workspace with the config ``doc``, expecting exit 2; return the config's path."""
+def copy_config(workspace, tmp_path, site=None, truth=None) -> tuple[Path, Path]:
+    """The workspace's site and ground-truth files copied to ``tmp_path``, their documents passed
+    through the edits ``site`` and ``truth`` where given; return the two paths."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    args = {
+    ground_truth = tmp_path / json.loads(workspace["config"].read_text())["ground_truth"]
+    for path, edit in ((config, site), (ground_truth, truth)):
+        doc = json.loads((workspace["config"].parent / path.name).read_text())
+        if edit is not None:
+            edit(doc)
+        path.write_text(json.dumps(doc))
+    return config, ground_truth
+
+
+def command_args(workspace, tmp_path, command) -> list[str]:
+    """``command``'s arguments on the workspace, but for ``--config``."""
+    return {
         "fit": ["--log", str(workspace["sim"] / "events.csv"), "--out", str(tmp_path / "m")],
         "forecast": [
             "--models", str(workspace["models"]), "--log", str(workspace["sim"] / "events.csv"),
@@ -213,36 +225,73 @@ def run_with_config(workspace, tmp_path, command, doc) -> Path:
         ],
         "simulate": ["--out", str(tmp_path / "sim")],
         "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
-    }
-    assert main([command, "--config", str(config), *args[command]]) == 2
-    return config
+    }[command]
+
+
+def at_epoch(epoch: str, key: str):
+    """An edit of a config document: the epoch of its ``key`` (a timebase or a kernel) set to ``epoch``."""
+    return lambda doc: doc[key].update(epoch=epoch)
+
+
+def run_with_config(workspace, tmp_path, command, site=None, truth=None) -> tuple[Path, Path]:
+    """Run ``command`` on the workspace with its config edited as by ``copy_config``, expecting exit 2;
+    return the site's and the ground truth's paths."""
+    config, ground_truth = copy_config(workspace, tmp_path, site, truth)
+    assert main([command, "--config", str(config), *command_args(workspace, tmp_path, command)]) == 2
+    return config, ground_truth
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
 def test_entry_status_outside_the_chain_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
-    doc = json.loads(workspace["config"].read_text())
-    doc["entry_status"] = 4  # the default chain has statuses 0..3
-    config = run_with_config(workspace, tmp_path, command, doc)
-    assert str(config) in capsys.readouterr().err
+    # the default chain has statuses 0..3
+    config, _ = run_with_config(workspace, tmp_path, command, site=lambda doc: doc.update(entry_status=4))
+    assert f"{config}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_kernel_timebase_apart_from_the_site_exits_2_naming_the_ground_truth(workspace, tmp_path, capsys, command):
+    # the kernel keeps 2017-07-03
+    _, truth = run_with_config(workspace, tmp_path, command, site=at_epoch("2017-07-05T00:00:00", "timebase"))
+    err = capsys.readouterr().err
+    assert f"{truth}: " in err and "2017-07-05" in err and "2017-07-03" in err
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+@pytest.mark.parametrize("named", [True, False], ids=["file-deleted", "none-named"])
+def test_a_scenario_command_without_its_ground_truth_exits_2_naming_the_file(
+    workspace, tmp_path, capsys, command, named
+):
+    config, truth = copy_config(workspace, tmp_path, site=None if named else lambda doc: doc.update(ground_truth=None))
+    truth.unlink()
+    assert main([command, "--config", str(config), *command_args(workspace, tmp_path, command)]) == 2
+    assert f"{truth if named else config}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
-def test_kernel_timebase_apart_from_the_config_exits_2_naming_the_config(workspace, tmp_path, capsys, command):
-    doc = json.loads(workspace["config"].read_text())
-    doc["timebase"]["epoch"] = "2017-07-05T00:00:00"  # the kernel keeps 2017-07-03
-    config = run_with_config(workspace, tmp_path, command, doc)
+def test_a_config_in_the_one_file_layout_exits_2_naming_the_file_and_a_site_key(workspace, tmp_path, capsys, command):
+    # the layout before the site had a file of its own: the ground truth's
+    # keys and the site's in one document, without n_statuses or ground_truth
+    config, truth = copy_config(workspace, tmp_path)
+    site = json.loads(config.read_text())
+    doc = {**json.loads(truth.read_text()), **site}
+    del doc["n_statuses"], doc["ground_truth"]
+    assert sorted(doc) == [
+        "capacity", "daily_volumes", "entry_status", "horizon_days", "kernel", "opening", "profile", "pup",
+        "seed", "selection", "timebase",
+    ]
+    config.write_text(json.dumps(doc))
+    truth.unlink()
+    assert main([command, "--config", str(config), *command_args(workspace, tmp_path, command)]) == 2
     err = capsys.readouterr().err
-    assert str(config) in err and "2017-07-05" in err and "2017-07-03" in err
+    assert f"{config}: " in err and "n_statuses" in err
 
 
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
 def test_models_fitted_under_another_calendar_exit_2_naming_the_kernel(workspace, tmp_path, capsys, command):
     # a consistent config a day later than the one the models were fitted under:
     # the log would be read on one calendar and the kernel keyed on the other
-    doc = json.loads(workspace["config"].read_text())
-    doc["timebase"]["epoch"] = doc["kernel"]["epoch"] = "2017-07-04T00:00:00"  # the models keep 2017-07-03
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    later = "2017-07-04T00:00:00"  # the models keep 2017-07-03
+    config, _ = copy_config(workspace, tmp_path, site=at_epoch(later, "timebase"), truth=at_epoch(later, "kernel"))
     args = {
         "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", "1200", "--horizons", "13,37"],
         "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
@@ -252,21 +301,31 @@ def test_models_fitted_under_another_calendar_exit_2_naming_the_kernel(workspace
     assert str(workspace["models"] / "kernel.json") in err and "2017-07-04" in err and "2017-07-03" in err
 
 
-@pytest.mark.parametrize("command", ["forecast", "evaluate"])
-def test_models_with_another_status_count_exit_2_naming_the_kernel(workspace, tmp_path, capsys, command):
+MODEL_CHAINS = {  # edits of kernel.json, and what the error says
     # a fifth status would make picked-up parcels count as stored
+    "a fifth status": (lambda doc: doc.update(n_statuses=5, statuses={**doc["statuses"], "4": doc["statuses"]["3"]}),
+                       "5 statuses"),
+    # the pickup status alone is a valid kernel, but a forecast runs every
+    # status from the entry status, 2, to the last
+    "no entry status": (lambda doc: doc["statuses"].pop("2"), "entry status 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize("edit, message", MODEL_CHAINS.values(), ids=MODEL_CHAINS.keys())
+def test_models_with_another_status_chain_exit_2_naming_the_kernel(workspace, tmp_path, capsys, command, edit, message):
     models = tmp_path / "models"
     shutil.copytree(workspace["models"], models)
     doc = json.loads((models / "kernel.json").read_text())
-    doc["n_statuses"], doc["statuses"]["4"] = 5, doc["statuses"]["3"]
+    edit(doc)
     (models / "kernel.json").write_text(json.dumps(doc))
     args = {
-        "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", str(30 * 24), "--horizons", "13"],
+        "forecast": ["--log", str(workspace["sim"] / "events.csv"), "--k", "696", "--horizons", "13"],
         "evaluate": ["--horizons", "13", "--out", str(tmp_path / "report.csv")],
     }
     assert main([command, "--config", str(workspace["config"]), "--models", str(models), *args[command]]) == 2
     err = capsys.readouterr().err
-    assert str(models / "kernel.json") in err and "5 statuses" in err
+    assert f"{models / 'kernel.json'}: " in err and message in err
 
 
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
@@ -291,23 +350,24 @@ def test_a_kernel_status_without_its_pooled_level_exits_2_naming_the_kernel(
     assert f"{models / 'kernel.json'}: status 3: " in err and "pooled level" in err
 
 
-CONFIG_KERNELS = {
-    "a gap in the statuses": lambda doc: doc["kernel"]["statuses"].update({"0": doc["kernel"]["statuses"]["2"]}),
-    "the last status unfitted": lambda doc: doc["kernel"]["statuses"].pop("3"),
-    "the entry status unfitted": lambda doc: doc.update(entry_status=1),
+CONFIG_KERNELS = {  # edits of the site and of the ground truth
+    "a gap in the statuses": {"truth": lambda doc: doc["kernel"]["statuses"].update(
+        {"0": doc["kernel"]["statuses"]["2"]}
+    )},
+    "the last status unfitted": {"truth": lambda doc: doc["kernel"]["statuses"].pop("3")},
+    "the entry status unfitted": {"site": lambda doc: doc.update(entry_status=1)},
 }
 
 
-@pytest.mark.parametrize("command", ["fit", "simulate"])
-@pytest.mark.parametrize("edit", CONFIG_KERNELS.values(), ids=CONFIG_KERNELS.keys())
-def test_a_config_kernel_with_a_gap_or_an_unfitted_entry_exits_2_naming_the_config(
-    workspace, tmp_path, capsys, command, edit
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+@pytest.mark.parametrize("edits", CONFIG_KERNELS.values(), ids=CONFIG_KERNELS.keys())
+def test_a_ground_truth_kernel_with_a_gap_or_an_unfitted_entry_exits_2_naming_it(
+    workspace, tmp_path, capsys, command, edits
 ):
-    doc = json.loads(workspace["config"].read_text())  # the default kernel fits statuses 2 and 3 of 4
-    edit(doc)
-    config = run_with_config(workspace, tmp_path, command, doc)
+    # the default kernel fits statuses 2 and 3 of 4
+    _, truth = run_with_config(workspace, tmp_path, command, **edits)
     err = capsys.readouterr().err
-    assert f"{config}: " in err and "status" in err
+    assert f"{truth}: " in err and "status" in err
 
 
 def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, capsys):
@@ -324,14 +384,30 @@ def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, c
     assert f"{models / 'volumes.json'}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
 @pytest.mark.parametrize("field, value", [("seed", -1), ("horizon_days", -3), ("horizon_days", 0)])
-def test_negative_seed_or_short_horizon_exits_2_naming_the_config(workspace, tmp_path, capsys, command, field, value):
-    doc = json.loads(workspace["config"].read_text())
-    doc[field] = value
-    config = run_with_config(workspace, tmp_path, command, doc)
+def test_negative_seed_or_short_horizon_exits_2_naming_the_ground_truth(
+    workspace, tmp_path, capsys, command, field, value
+):
+    _, truth = run_with_config(workspace, tmp_path, command, truth=lambda doc: doc.update({field: value}))
     err = capsys.readouterr().err
-    assert str(config) in err and field in err
+    assert f"{truth}: " in err and field in err
+
+
+SITE_VALUES = [
+    ("capacity", "forty"), ("capacity", -3), ("capacity", 4.5), ("capacity", True), ("pup", 7), ("pup", ""),
+    ("entry_status", 2.7), ("n_statuses", "4"),
+]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("field, value", SITE_VALUES)
+def test_a_site_field_of_the_wrong_kind_exits_2_naming_the_config(workspace, tmp_path, capsys, command, field, value):
+    # a pup is a non-empty string, a capacity null or a whole number of parcels,
+    # and the status count and entry status integers, never rounded down
+    config, _ = run_with_config(workspace, tmp_path, command, site=lambda doc: doc.update({field: value}))
+    err = capsys.readouterr().err
+    assert f"{config}: " in err and field in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
@@ -365,10 +441,8 @@ def test_evaluate_without_anchors_exits_2(workspace, tmp_path, capsys):
 
 def test_evaluate_with_an_epoch_off_midnight_anchors_at_midnight(workspace, tmp_path):
     # days count from the epoch's date: day 28's midnight is slot 28 * 24 - 5
-    doc = json.loads(workspace["config"].read_text())
-    doc["timebase"]["epoch"] = doc["kernel"]["epoch"] = "2017-07-03T05:00:00"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    five_am = "2017-07-03T05:00:00"
+    config, _ = copy_config(workspace, tmp_path, site=at_epoch(five_am, "timebase"), truth=at_epoch(five_am, "kernel"))
     out = tmp_path / "report.csv"
     assert main(["evaluate", "--config", str(config), "--horizons", "13,37", "--out", str(out)]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
@@ -550,9 +624,11 @@ def test_fit_writes_the_same_bytes_twice(workspace, tmp_path):
 
 
 def fitted_files(config: ScenarioConfig, log: Path, out: Path) -> dict[str, bytes]:
-    """``pupcast fit``'s model files for ``log`` under ``config``."""
-    config.save(out.with_suffix(".json"))
-    assert main(["fit", "--config", str(out.with_suffix(".json")), "--log", str(log), "--out", str(out)]) == 0
+    """``pupcast fit``'s model files for ``log`` under ``config``, its ground-truth file deleted before the fit."""
+    site = out.with_suffix(".json")
+    config.save(site)
+    site.with_name(json.loads(site.read_text())["ground_truth"]).unlink()
+    assert main(["fit", "--config", str(site), "--log", str(log), "--out", str(out)]) == 0
     return {name: (out / name).read_bytes() for name in MODEL_FILES}
 
 
@@ -568,6 +644,13 @@ def test_fit_reads_no_pmf_of_the_config(tmp_path):
     files = fitted_files(cfg, tmp_path / "events.csv", tmp_path / "a")
     assert files == fitted_files(other_cfg, tmp_path / "events.csv", tmp_path / "b")
     assert sorted(json.loads(files["kernel.json"])["statuses"]) == ["1", "2", "3"]
+    # nor any byte of the ground-truth file: without it, the default config fits
+    # the golden files, and a forecast reads the site and those files alone
+    simulate(default_scenario()).event_log().to_csv(tmp_path / "default.csv")
+    files = fitted_files(default_scenario(), tmp_path / "default.csv", tmp_path / "c")
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == FITTED_FILES
+    assert main(["forecast", "--config", str(tmp_path / "c.json"), "--models", str(tmp_path / "c"),
+                 "--log", str(tmp_path / "default.csv"), "--k", "2400", "--out", str(tmp_path / "f.json")]) == 0
 
 
 def test_fit_counts_only_the_config_pups_parcels(workspace, tmp_path):
@@ -582,14 +665,14 @@ def test_fit_counts_only_the_config_pups_parcels(workspace, tmp_path):
     last = max(row[5] for row in rows[1:])
     with open(tmp_path / "both.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows + [["Q" + row[0], *row[1:]] for row in extra if row[5] <= last])
-    config = ScenarioConfig.from_json_dict(json.loads(workspace["config"].read_text()))
+    config = ScenarioConfig.load(workspace["config"])
     assert fitted_files(config, tmp_path / "both.csv", tmp_path / "both") == {
         name: (workspace["models"] / name).read_bytes() for name in MODEL_FILES
     }
 
 
 def test_model_files_load_back_bit_for_bit(workspace):
-    config = ScenarioConfig.from_json_dict(json.loads(workspace["config"].read_text()))
+    config = ScenarioConfig.load(workspace["config"])
     log = EventLog.from_csv(workspace["sim"] / "events.csv", config.timebase)
     models = workspace["models"]
     entry, last = config.entry_status, config.n_statuses - 1
