@@ -3,9 +3,11 @@
 Builds a tiny four-status chain by hand and walks through the probability
 that a single parcel occupies the shop at slot k+j, for every kind of
 evidence: already delivered, one transition away, several transitions
-away, and a future order that has not been placed yet.  Every closed-form
-value is verified against exhaustive path enumeration and a conditional
-Monte Carlo estimate.
+away, and a future order that has not been placed yet.  One closed form,
+``contribution_prob``, takes the parcel's latest status n and the slot t_n
+it entered it (t_n > k for an order not placed yet), as the oracles do.
+Every value is verified against exhaustive path enumeration and a
+conditional Monte Carlo estimate.
 
 Run:  python3 demos/single_parcel_probabilities.py
 """
@@ -21,12 +23,9 @@ from pupcast import (
     Timebase,
     TransitionKernel,
     bind_kernel,
+    contribution_prob,
     enumerate_contribution_prob,
     mc_contribution_prob,
-    prob_delivered_and_stored_last_hop,
-    prob_delivered_and_stored_multi_hop,
-    prob_future_order_contributes,
-    prob_still_stored,
 )
 
 
@@ -34,7 +33,8 @@ def pooled(pmf: HoldingTimePmf) -> StatusKernel:
     return StatusKernel((KernelLevel((), {(): pmf}),))
 
 
-def show(label: str, closed: float, pmf_at, n_statuses: int, n: int, t_n: int, k: int, j: int):
+def show(label: str, pmf_at, n_statuses: int, n: int, t_n: int, k: int, j: int):
+    closed = contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
     exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
     mc, se = mc_contribution_prob(
         pmf_at, n_statuses, n, t_n, k, j, n_samples=200_000, rng=np.random.default_rng(5)
@@ -59,22 +59,15 @@ def main() -> None:
     k, j = 10, 6
     print(f"one parcel, anchor k={k}, horizon j={j} (does it occupy the shop at slot {k + j}?)\n")
 
-    p = prob_still_stored(pmf_at, 4, t_delivered=8, k=k, j=j)
-    show("delivered at 8, not picked up yet", p, pmf_at, 4, 3, 8, k, j)
-
-    p = prob_delivered_and_stored_last_hop(pmf_at, 4, t_prev=9, k=k, j=j)
-    show("taken over at 9, in transit", p, pmf_at, 4, 2, 9, k, j)
-
-    p = prob_delivered_and_stored_multi_hop(pmf_at, 4, n=0, t_n=8, k=k, j=j)
-    show("ordered at 8, three hops to go", p, pmf_at, 4, 0, 8, k, j)
-
-    p = prob_future_order_contributes(pmf_at, 4, t_0=12, k=k, j=j, entry_status=0)
-    show("order will be placed at 12", p, pmf_at, 4, 0, 12, k, j)
+    show("delivered at 8, not picked up yet", pmf_at, 4, 3, 8, k, j)
+    show("taken over at 9, in transit", pmf_at, 4, 2, 9, k, j)
+    show("ordered at 8, three hops to go", pmf_at, 4, 0, 8, k, j)
+    show("order will be placed at 12", pmf_at, 4, 0, 12, k, j)
 
     print("\nconditioning matters: a parcel that has already sat in the shop for")
     print("a long time has little pickup pmf mass left beyond the horizon:")
     for t_del in (5, 7, 9):
-        p = prob_still_stored(pmf_at, 4, t_delivered=t_del, k=k, j=j)
+        p = contribution_prob(pmf_at, 4, 3, t_del, k, j)
         print(f"  delivered at {t_del}: still stored at {k + j} with probability {p:.4f}")
 
 

@@ -20,13 +20,10 @@ from .baselines import baseline_holt_winters, baseline_seasonal_naive
 from .engine import (
     ForecastResult,
     bind_kernel,
+    contribution_prob,
     future_orders_pmf,
     predict_load_pmf,
     predict_load_pmfs,
-    prob_delivered_and_stored_last_hop,
-    prob_delivered_and_stored_multi_hop,
-    prob_future_order_contributes,
-    prob_still_stored,
 )
 from .estimation import (
     OpeningHours,

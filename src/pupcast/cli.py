@@ -16,9 +16,8 @@ import numpy as np
 
 from . import __version__
 from .arrivals import DailyVolumeModel, HourlyProfile, OrderIntensity
-from .engine import bind_kernel, predict_load_pmfs, prob_still_stored
-from .engine import prob_delivered_and_stored_multi_hop, prob_future_order_contributes
-from .errors import PupcastError, ValidationError
+from .engine import bind_kernel, contribution_prob, predict_load_pmfs
+from .errors import EmptyLog, NoCompletedTransitions, PupcastError, ValidationError
 from .estimation import SelectionModel, fit_models
 from .evaluate import DEFAULT_HORIZONS, METHODS, rolling_origin_evaluate
 from .kernel import TransitionKernel, read_model, write_model
@@ -38,7 +37,10 @@ MODELS = {"kernel.json": TransitionKernel, "profile.json": HourlyProfile, "volum
 def cmd_fit(args) -> int:
     site = read_model(args.config, Site)
     log = EventLog.from_csv(args.log, site.timebase)
-    models = fit_models(log, site)
+    try:
+        models = fit_models(log, site)
+    except (EmptyLog, NoCompletedTransitions) as exc:  # the site asks for a pup or status the log lacks
+        raise type(exc)(f"{args.config}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, model in zip(MODELS, models):
@@ -132,12 +134,7 @@ def cmd_oracle_check(args) -> int:
         future = n < n_statuses - 1 and rng.random() < 0.3
         t_n = k + 1 + int(rng.integers(0, max(1, j - 1))) if future else int(rng.integers(0, k + 1))
         try:
-            if future:
-                closed = prob_future_order_contributes(pmf_at, n_statuses, t_n, k, j, entry_status=n)
-            elif n == n_statuses - 1:
-                closed = prob_still_stored(pmf_at, n_statuses, t_n, k, j)
-            else:
-                closed = prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
+            closed = contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         except PupcastError:  # impossible evidence: nothing to compare
             continue
         exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)

@@ -1,7 +1,8 @@
 """Per-parcel contribution probabilities and the load prediction algorithm.
 
 Each parcel's contribution to the load at slot k+j is a Bernoulli variable
-whose parameter depends on the parcel's latest known status:
+whose parameter is one function of the parcel's latest known status and
+the slot it entered it, ``contribution_prob`` for a single parcel:
 
 * already delivered: ratio of pickup survival probabilities;
 * in transit (any earlier status): probability of being delivered within
@@ -36,8 +37,9 @@ route at every slot (the kernel checks this when it is built), so the
 backward pass stops at the first status never fitted, and only a parcel
 in such a status is skipped, with a note.  Those with impossible evidence
 take one more product, with the coarsest pooled pmf, a row of the same
-table, and a note.  The ``prob_*`` functions read the same
-window on a kernel bound by ``bind_kernel``.  The load pmf is the product
+table, and a note.  ``contribution_prob`` reads the same window for one
+parcel or order on a kernel bound by ``bind_kernel``, with the arguments of
+``oracle.enumerate_contribution_prob``.  The load pmf is the product
 of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
 future-order pmf (exactly, one ``poisson_rows`` row per horizon).
 """
@@ -58,10 +60,7 @@ from .records import NEVER, EventLog, ParcelRecord
 
 __all__ = [
     "bind_kernel",
-    "prob_still_stored",
-    "prob_delivered_and_stored_last_hop",
-    "prob_delivered_and_stored_multi_hop",
-    "prob_future_order_contributes",
+    "contribution_prob",
     "future_orders_pmf",
     "predict_load_pmf",
     "predict_load_pmfs",
@@ -173,39 +172,19 @@ def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t
     return np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0), denom
 
 
-def prob_still_stored(route: _Route, n_statuses: int, t_delivered: int, k: int, j: int) -> float:
-    """P(parcel still stored at k+j | delivered at t_delivered, not picked up by k).
-
-    Ratio of the pickup-time survival at k+j to the survival at k.
-    """
-    return _bound(route, n_statuses, n_statuses - 1, t_delivered, k, j)
-
-
-def prob_delivered_and_stored_last_hop(route: _Route, n_statuses: int, t_prev: int, k: int, j: int) -> float:
-    """Contribution probability for a parcel one transition away from delivery."""
-    return prob_delivered_and_stored_multi_hop(route, n_statuses, n_statuses - 2, t_prev, k, j)
-
-
-def prob_delivered_and_stored_multi_hop(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
-    """P(delivered in (k, k+j] and not picked up by k+j | status n since t_n, T_{n+1} > k).
-
-    Degenerates to the last-hop case when n = N-2.
-    """
-    if not 0 <= n <= n_statuses - 2:
-        raise ValidationError(f"status {n} is not an in-transit status for N={n_statuses}")
-    return _bound(route, n_statuses, n, t_n, k, j)
-
-
-def _route_window(route: _Route, n_statuses: int, k: int, j: int, lowest: int) -> _Window:
-    """The route's value functions on (k, k+j], read from its kernel's compiled tables."""
+def contribution_prob(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
+    """``oracle.enumerate_contribution_prob`` in closed form, on a kernel bound by ``bind_kernel``: for t_n <= k,
+    a parcel in status n since t_n that has not left n by k (in the last status: not picked up by k); for
+    t_n > k, an order entering status n at t_n, with no condition, which contributes 0 past k+j."""
     if n_statuses != route.kernel.n_statuses:
         raise ValidationError(f"n_statuses={n_statuses}, but the kernel has {route.kernel.n_statuses} statuses")
-    return _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,), lowest)
-
-
-def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
-    """Contribution probability at k+j of one parcel in status n since t_n, on a bound kernel."""
-    window = _route_window(route, n_statuses, k, j, min(n + 1, n_statuses - 1))
+    if not 0 <= n < n_statuses:
+        raise ValidationError(f"status {n} outside 0..{n_statuses - 1}")
+    lowest = n if t_n > k else min(n + 1, n_statuses - 1)
+    window = _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,), lowest)
+    if t_n > k:
+        values = window.entering(n)
+        return 0.0 if t_n > k + j else float(values[0, 0, t_n - k - 1])
     r, table = route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup)
     if n < window.last and j == 0:
         return 0.0  # no slot to be delivered in
@@ -213,16 +192,6 @@ def _bound(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> 
     if denom[0] <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
     return float(p[0, 0])
-
-
-def prob_future_order_contributes(
-    route: _Route, n_statuses: int, t_0: int, k: int, j: int, entry_status: int = 0
-) -> float:
-    """P(delivered in (k, k+j] and not picked up by k+j | enters chain at t_0 > k)."""
-    if not k < t_0 <= k + j:
-        raise ValidationError("future order time must satisfy k < t_0 <= k+j")
-    window = _route_window(route, n_statuses, k, j, entry_status)
-    return float(window.entering(entry_status)[0, 0, t_0 - k - 1])
 
 
 def _order_mix(intensity: OrderIntensity, selection: SelectionModel | None, routes: list) -> np.ndarray:

@@ -191,11 +191,11 @@ def _completed(log_: EventLog, pup: str, status_from: int, what: str) -> tuple[n
     completed by the cutoff, for the parcels bound for ``pup``."""
     parcels = log_.for_pup(pup)
     if not len(parcels):
-        raise EmptyLog(f"no records for pup {pup!r}")
+        raise EmptyLog(f"no records for pup {pup!r}: no {what} transitions out of status {status_from}")
     t_from, t_to = parcels.entries_of(status_from), parcels.entries_of(status_from + 1)
     rows = np.flatnonzero((t_from != NEVER) & (t_to <= log_.cutoff))
     if not rows.size:
-        raise NoCompletedTransitions(f"no completed {what} transitions for pup {pup!r}")
+        raise NoCompletedTransitions(f"no completed {what} transitions out of status {status_from} for pup {pup!r}")
     return parcels.carrier[rows], t_from[rows], t_to[rows] - t_from[rows]
 
 

@@ -105,6 +105,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         self.site.check_kernel(self.kernel)  # volumes and kernel context must share one calendar
+        if type(self.seed) is not int or type(self.horizon_days) is not int:
+            raise ValidationError(f"seed {self.seed!r}, horizon_days {self.horizon_days!r}: not integers")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} is negative")
         if self.horizon_days < 1:
@@ -154,8 +156,8 @@ class ScenarioConfig:
             opening=site.opening,
             pup=site.pup,
             entry_status=site.entry_status,
-            horizon_days=int(doc["horizon_days"]),
-            seed=int(doc["seed"]),
+            horizon_days=doc["horizon_days"],
+            seed=doc["seed"],
             capacity=site.capacity,
         )
 

@@ -29,14 +29,7 @@ from pupcast.arrivals import (
     seasonal_mean_forecaster,
 )
 from pupcast.cli import main
-from pupcast.engine import (
-    bind_kernel,
-    predict_load_pmf,
-    prob_delivered_and_stored_last_hop,
-    prob_delivered_and_stored_multi_hop,
-    prob_future_order_contributes,
-    prob_still_stored,
-)
+from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf
 from pupcast.errors import ConditioningTooRare
 from pupcast.estimation import (
     OpeningHours,
@@ -174,14 +167,14 @@ def test_1_closed_forms_match_enumeration():
 
         # survival-ratio form for an already delivered parcel
         t_del = constrained_entry(rng, kernel, n_statuses - 1, k)
-        closed = prob_still_stored(pmf_at, n_statuses, t_del, k, j)
+        closed = contribution_prob(pmf_at, n_statuses, n_statuses - 1, t_del, k, j)
         exact = enumerate_contribution_prob(pmf_at, n_statuses, n_statuses - 1, t_del, k, j)
         worst = max(worst, abs(closed - exact))
 
         # one transition away from delivery
         if n_statuses >= 2:
             t_prev = constrained_entry(rng, kernel, n_statuses - 2, k)
-            closed = prob_delivered_and_stored_last_hop(pmf_at, n_statuses, t_prev, k, j)
+            closed = contribution_prob(pmf_at, n_statuses, n_statuses - 2, t_prev, k, j)
             exact = enumerate_contribution_prob(
                 pmf_at, n_statuses, n_statuses - 2, t_prev, k, j
             )
@@ -190,14 +183,14 @@ def test_1_closed_forms_match_enumeration():
         # several transitions away from delivery
         n = int(rng.integers(0, n_statuses - 1))
         t_n = constrained_entry(rng, kernel, n, k)
-        closed = prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
+        closed = contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         worst = max(worst, abs(closed - exact))
 
         # order placed in the future, no conditioning event
         entry = int(rng.integers(0, n_statuses))
         t_0 = int(rng.integers(k + 1, k + j + 1))
-        closed = prob_future_order_contributes(pmf_at, n_statuses, t_0, k, j, entry)
+        closed = contribution_prob(pmf_at, n_statuses, entry, t_0, k, j)
         exact = enumerate_contribution_prob(pmf_at, n_statuses, entry, t_0, k, j)
         worst = max(worst, abs(closed - exact))
 
@@ -222,10 +215,7 @@ def test_2_closed_forms_match_monte_carlo():
         pmf_at = bind_kernel(kernel)
         n = int(rng.integers(0, n_statuses))
         t_n = constrained_entry(rng, kernel, n, k)
-        if n == n_statuses - 1:
-            closed = prob_still_stored(pmf_at, n_statuses, t_n, k, j)
-        else:
-            closed = prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
+        closed = contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
         try:
             mc, se = mc_contribution_prob(
                 pmf_at, n_statuses, n, t_n, k, j, n_samples=100_000, rng=rng

@@ -385,13 +385,29 @@ def test_volumes_without_a_carrier_exit_2_naming_the_file(workspace, tmp_path, c
 
 
 @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
-@pytest.mark.parametrize("field, value", [("seed", -1), ("horizon_days", -3), ("horizon_days", 0)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("horizon_days", -3), ("horizon_days", 0), ("seed", 1.9), ("horizon_days", 7.8), ("seed", True)],
+)
 def test_negative_seed_or_short_horizon_exits_2_naming_the_ground_truth(
     workspace, tmp_path, capsys, command, field, value
 ):
     _, truth = run_with_config(workspace, tmp_path, command, truth=lambda doc: doc.update({field: value}))
     err = capsys.readouterr().err
     assert f"{truth}: " in err and field in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"entry_status": 1}, "no completed transit transitions out of status 1 for pup 'corner-shop'"),
+        ({"pup": "nowhere"}, "no records for pup 'nowhere': no transit transitions out of status 2"),
+    ],
+)
+def test_a_site_its_log_cannot_fit_exits_2_naming_the_status_and_the_config(workspace, tmp_path, capsys, edit, message):
+    # the default log enters at status 2, and all its parcels are bound for corner-shop
+    config, _ = run_with_config(workspace, tmp_path, "fit", site=lambda doc: doc.update(edit))
+    assert f"error: {config}: {message}\n" == capsys.readouterr().err
 
 
 SITE_VALUES = [

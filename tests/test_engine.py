@@ -15,13 +15,10 @@ from pupcast.engine import (
     _WINDOWS,
     _Window,
     bind_kernel,
+    contribution_prob,
     future_orders_pmf,
     predict_load_pmf,
     predict_load_pmfs,
-    prob_delivered_and_stored_last_hop,
-    prob_delivered_and_stored_multi_hop,
-    prob_future_order_contributes,
-    prob_still_stored,
 )
 from pupcast.errors import ImpossibleEvidence, MissingKernel, ValidationError
 from pupcast.estimation import SelectionModel
@@ -64,35 +61,35 @@ def no_sunday_kernel() -> TransitionKernel:
 class TestProbStillStored:
     def test_hand_case(self):
         pmf_at = stationary([HoldingTimePmf.uniform(1, 4)])
-        p = prob_still_stored(pmf_at, 1, t_delivered=0, k=1, j=1)
+        p = contribution_prob(pmf_at, 1, 0, t_n=0, k=1, j=1)
         assert p == pytest.approx((1 - 0.5) / (1 - 0.25), abs=1e-15)
 
     def test_no_pickup_opportunity(self):
         probs = np.zeros(11)
         probs[10] = 1.0
         pmf_at = stationary([HoldingTimePmf(probs)])
-        assert prob_still_stored(pmf_at, 1, 0, k=2, j=3) == 1.0
+        assert contribution_prob(pmf_at, 1, 0, 0, k=2, j=3) == 1.0
 
     def test_monotone_in_horizon(self):
         pmf_at = stationary([random_pmf(np.random.default_rng(5), 12)])
-        values = [prob_still_stored(pmf_at, 1, 0, k=2, j=j) for j in range(0, 12)]
+        values = [contribution_prob(pmf_at, 1, 0, 0, k=2, j=j) for j in range(0, 12)]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_impossible_evidence(self):
         pmf_at = stationary([HoldingTimePmf.uniform(1, 3)])
         with pytest.raises(ImpossibleEvidence):
-            prob_still_stored(pmf_at, 1, t_delivered=0, k=5, j=1)
+            contribution_prob(pmf_at, 1, 0, t_n=0, k=5, j=1)
 
 
 class TestLastHop:
     def test_certain_delivery_impossible_pickup(self):
         pmf_at = stationary([HoldingTimePmf.point_mass(1, support_max=4), far_pickup()])
-        assert prob_delivered_and_stored_last_hop(pmf_at, 2, t_prev=3, k=3, j=2) == pytest.approx(1.0)
+        assert contribution_prob(pmf_at, 2, 0, t_n=3, k=3, j=2) == pytest.approx(1.0)
 
     def test_matches_enumeration(self):
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u, u])
-        closed = prob_delivered_and_stored_last_hop(pmf_at, 2, t_prev=3, k=3, j=2)
+        closed = contribution_prob(pmf_at, 2, 0, t_n=3, k=3, j=2)
         exact = enumerate_contribution_prob(pmf_at, 2, 0, 3, 3, 2)
         assert closed == pytest.approx(exact, abs=1e-12)
 
@@ -100,82 +97,80 @@ class TestLastHop:
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u, u])
         with pytest.raises(ImpossibleEvidence):
-            prob_delivered_and_stored_last_hop(pmf_at, 2, t_prev=0, k=5, j=2)
+            contribution_prob(pmf_at, 2, 0, t_n=0, k=5, j=2)
 
 
 class TestMultiHop:
     def test_deterministic_chain(self):
         one = HoldingTimePmf.point_mass(1, support_max=4)
         pmf_at = stationary([one, one, one, one, far_pickup()])
-        p = prob_delivered_and_stored_multi_hop(pmf_at, 5, n=1, t_n=4, k=4, j=4)
+        p = contribution_prob(pmf_at, 5, 1, t_n=4, k=4, j=4)
         assert p == pytest.approx(1.0)
 
     def test_matches_enumeration(self):
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u] * 5)
-        closed = prob_delivered_and_stored_multi_hop(pmf_at, 5, n=1, t_n=2, k=2, j=6)
+        closed = contribution_prob(pmf_at, 5, 1, t_n=2, k=2, j=6)
         exact = enumerate_contribution_prob(pmf_at, 5, 1, 2, 2, 6)
         assert closed == pytest.approx(exact, abs=1e-12)
-
-    def test_degenerates_to_last_hop(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            kernel, k, j = random_instance(rng)
-            if kernel.n_statuses < 2:
-                continue
-            pmf_at = bind_kernel(kernel)
-            t_n = int(rng.integers(0, k + 1))
-            n = kernel.n_statuses - 2
-            try:
-                multi = prob_delivered_and_stored_multi_hop(pmf_at, kernel.n_statuses, n, t_n, k, j)
-                last = prob_delivered_and_stored_last_hop(pmf_at, kernel.n_statuses, t_n, k, j)
-            except ImpossibleEvidence:
-                continue
-            assert abs(multi - last) <= 1e-12
 
 
 class TestFutureOrders:
     def test_no_time_to_traverse(self):
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u, u, u, u])
-        assert prob_future_order_contributes(pmf_at, 4, t_0=14, k=10, j=4) == 0.0
+        assert contribution_prob(pmf_at, 4, 0, t_n=14, k=10, j=4) == 0.0
+        assert contribution_prob(pmf_at, 4, 0, t_n=11, k=10, j=0) == 0.0
 
     def test_deterministic_chain(self):
         one = HoldingTimePmf.point_mass(1, support_max=4)
         pmf_at = stationary([one, one, one, far_pickup()])
-        assert prob_future_order_contributes(pmf_at, 4, t_0=11, k=10, j=4) == pytest.approx(1.0)
+        assert contribution_prob(pmf_at, 4, 0, t_n=11, k=10, j=4) == pytest.approx(1.0)
 
     def test_matches_enumeration(self):
         u = HoldingTimePmf.uniform(1, 2)
         pmf_at = stationary([u, u, u, u])
-        closed = prob_future_order_contributes(pmf_at, 4, t_0=11, k=10, j=8)
+        closed = contribution_prob(pmf_at, 4, 0, t_n=11, k=10, j=8)
         exact = enumerate_contribution_prob(pmf_at, 4, 0, 11, 10, 8)
         assert closed == pytest.approx(exact, abs=1e-12)
-
-    def test_order_time_validated(self):
-        u = HoldingTimePmf.uniform(1, 2)
-        pmf_at = stationary([u, u])
-        with pytest.raises(ValidationError):
-            prob_future_order_contributes(pmf_at, 2, t_0=5, k=5, j=3)
 
     def test_entry_status_outside_the_chain_rejected(self):
         pmf_at = stationary([HoldingTimePmf.uniform(1, 2)] * 4)
         for entry in (4, 5, -1):
             with pytest.raises(ValidationError, match=f"status {entry} outside 0..3"):
-                prob_future_order_contributes(pmf_at, 4, t_0=11, k=10, j=4, entry_status=entry)
+                contribution_prob(pmf_at, 4, entry, t_n=11, k=10, j=4)
 
 
-def test_n_statuses_must_match_the_kernel():
+@pytest.mark.parametrize("n_statuses, n, t_n, k, j", [(2, 1, 0, 1, 1), (4, 2, 0, 1, 1), (2, 0, 0, 1, 1), (4, 0, 2, 1, 3)])
+def test_n_statuses_must_match_the_kernel(n_statuses, n, t_n, k, j):
     u = HoldingTimePmf.uniform(1, 2)
-    pmf_at = stationary([u, u, u])
-    with pytest.raises(ValidationError):
-        prob_still_stored(pmf_at, 2, 0, k=1, j=1)
-    with pytest.raises(ValidationError):
-        prob_delivered_and_stored_last_hop(pmf_at, 4, 0, k=1, j=1)
-    with pytest.raises(ValidationError):
-        prob_delivered_and_stored_multi_hop(pmf_at, 2, 0, 0, k=1, j=1)
-    with pytest.raises(ValidationError):
-        prob_future_order_contributes(pmf_at, 4, t_0=2, k=1, j=3)
+    with pytest.raises(ValidationError, match="but the kernel has 3 statuses"):
+        contribution_prob(stationary([u, u, u]), n_statuses, n, t_n, k, j)
+
+
+def test_contribution_prob_matches_enumeration_on_every_status_and_entry_slot():
+    # every status n and entry slot t_n in [max(0, k-8), k+j+3]: known parcels
+    # (t_n <= k, t_n = k among them) and orders (t_n > k, past k+j among them,
+    # entering straight into the last status); both raise on the same inputs
+    rng = np.random.default_rng(7)
+    compared = raised = 0
+    worst = 0.0
+    for _ in range(100):
+        kernel, k, j = random_instance(rng)
+        pmf_at, n_statuses = bind_kernel(kernel), kernel.n_statuses
+        for n in range(n_statuses):
+            for t_n in range(max(0, k - 8), k + j + 4):
+                try:
+                    exact = enumerate_contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
+                except ValidationError:  # a zero-probability condition: the closed form calls the evidence impossible
+                    with pytest.raises(ImpossibleEvidence):
+                        contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
+                    raised += 1
+                    continue
+                worst = max(worst, abs(contribution_prob(pmf_at, n_statuses, n, t_n, k, j) - exact))
+                compared += 1
+    assert worst <= 1e-12
+    assert compared > 4000 and raised > 500
 
 
 def slot_by_slot_values(pmf_at, n_statuses, first_status, k, j):
@@ -265,7 +260,7 @@ class TestFutureOrdersPmf:
         )
         pmf_at = bind_kernel(kernel, carrier="c1", retailer="r1", pup="shop")
         expected = sum(
-            0.7 * prob_future_order_contributes(pmf_at, 2, k + i, k, j)
+            0.7 * contribution_prob(pmf_at, 2, 0, k + i, k, j)
             for i in range(1, j)
         )
         assert pmf.mean() == pytest.approx(expected, abs=1e-6)
@@ -295,7 +290,7 @@ class TestFutureOrdersPmf:
                     for c in intensity.carriers:
                         lam = intensity.lambda_at(TB, k + i, c)
                         p = sum(
-                            w * prob_future_order_contributes(bind_kernel(kernel, c, r, "shop"), 3, k + i, k, j)
+                            w * contribution_prob(bind_kernel(kernel, c, r, "shop"), 3, 0, k + i, k, j)
                             for r, w in selection.p_retailer_given_carrier(c).items()
                         )
                         top = poisson_truncation(lam, coverage)
@@ -324,8 +319,8 @@ class TestFutureOrdersPmf:
                 if lam == 0.0:
                     continue
                 p = sum(
-                    w * prob_future_order_contributes(
-                        bind_kernel(cfg.kernel, c, r, cfg.pup), cfg.n_statuses, k + i, k, j, cfg.entry_status
+                    w * contribution_prob(
+                        bind_kernel(cfg.kernel, c, r, cfg.pup), cfg.n_statuses, cfg.entry_status, k + i, k, j
                     )
                     for r, w in cfg.selection.p_retailer_given_carrier(c).items()
                 )
@@ -350,7 +345,7 @@ class TestFutureOrdersPmf:
             total = sum(
                 intensity.lambda_at(TB, k + i, c)
                 * sum(
-                    w * prob_future_order_contributes(bind_kernel(kernel, c, r, "shop"), 3, k + i, k, j)
+                    w * contribution_prob(bind_kernel(kernel, c, r, "shop"), 3, 0, k + i, k, j)
                     for r, w in selection.p_retailer_given_carrier(c).items()
                 )
                 for i in range(1, j)
@@ -408,7 +403,7 @@ class TestPredictLoadPmf:
         k, j = 24, 6
         res = predict_load_pmf(parcels, kernel, intensity, SELECTION, k, j, coverage=1 - 1e-12)
         pmf_at = bind_kernel(kernel, carrier="c1", retailer="r1", pup="shop")
-        per_parcel = sum(prob_still_stored(pmf_at, 2, t, k, j) for t in (23, 20))
+        per_parcel = sum(contribution_prob(pmf_at, 2, 1, t, k, j) for t in (23, 20))
         future = future_orders_pmf(intensity, kernel, SELECTION, "shop", k, j, coverage=1 - 1e-12)
         assert res.mean == pytest.approx(per_parcel + future.mean(), abs=1e-9)
 
@@ -484,7 +479,7 @@ class TestPredictLoadPmf:
         kernel = chain_kernel([random_pmf(rng, 4), random_pmf(rng, 6)])
         parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 21})
         pmf_at = bind_kernel(kernel, carrier="c1", retailer="r1", pup="shop")
-        p = prob_delivered_and_stored_multi_hop(pmf_at, kernel.n_statuses, 0, 21, k=24, j=1)
+        p = contribution_prob(pmf_at, kernel.n_statuses, 0, 21, k=24, j=1)
         assert 0.0 <= p <= 1.0
         res = predict_load_pmf([parcel], kernel, None, None, k=24, j=1)
         assert res.pmf.probs.min() >= 0.0
@@ -648,12 +643,12 @@ def test_fallback_notes_keep_the_row_order():
     for j in (12, 3, 0):
         expected = np.array([1.0])
         for p in (
-            prob_delivered_and_stored_multi_hop(pmf_at, 4, 2, 28, k, j),
+            contribution_prob(pmf_at, 4, 2, 28, k, j),
             enumerate_contribution_prob(pooled_at, 4, 1, 25, k, j),
-            prob_still_stored(pmf_at, 4, 27, k, j),
-            prob_delivered_and_stored_multi_hop(pmf_at, 4, 1, 29, k, j),
-            prob_still_stored(pmf_at, 4, 29, k, j),
-            prob_delivered_and_stored_multi_hop(pmf_at, 4, 2, 27, k, j),
+            contribution_prob(pmf_at, 4, 3, 27, k, j),
+            contribution_prob(pmf_at, 4, 1, 29, k, j),
+            contribution_prob(pmf_at, 4, 3, 29, k, j),
+            contribution_prob(pmf_at, 4, 2, 27, k, j),
         ):
             expected = np.convolve(expected, [1.0 - p, p])
         res = predict_load_pmf(parcels, kernel, None, None, k, j)
@@ -713,16 +708,14 @@ def fallback_instance(rng):
 
 def single_parcel_contribution(kernel, parcel, k, j):
     """A known parcel's contribution at k+j and its note, from the public
-    prob_* functions: a status never fitted skips it; impossible evidence
+    ``contribution_prob``: a status never fitted skips it; impossible evidence
     retries on a kernel whose status n keeps only its pooled level."""
     n, t_n = max(parcel.entry_times.items())
     n_statuses = kernel.n_statuses
 
     def prob(kernel):
         pmf_at = bind_kernel(kernel, parcel.carrier, parcel.retailer, parcel.pup)
-        if n == n_statuses - 1:
-            return prob_still_stored(pmf_at, n_statuses, t_n, k, j)
-        return prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, n, t_n, k, j)
+        return contribution_prob(pmf_at, n_statuses, n, t_n, k, j)
 
     try:
         return prob(kernel), ""
@@ -796,10 +789,10 @@ def test_single_parcel_api_reads_only_compiled_tables(table_calls):
     kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)  # nothing compiled yet
     pmf_at, n_statuses = bind_kernel(kernel, "c2", "r1", cfg.pup), cfg.n_statuses
     single_parcel = [
-        lambda k: prob_still_stored(pmf_at, n_statuses, k - 5, k, 37),
-        lambda k: prob_delivered_and_stored_last_hop(pmf_at, n_statuses, k - 3, k, 37),
-        lambda k: prob_delivered_and_stored_multi_hop(pmf_at, n_statuses, 2, k - 9, k, 61),
-        lambda k: prob_future_order_contributes(pmf_at, n_statuses, k + 4, k, 13, entry_status=cfg.entry_status),
+        lambda k: contribution_prob(pmf_at, n_statuses, n_statuses - 1, k - 5, k, 37),
+        lambda k: contribution_prob(pmf_at, n_statuses, n_statuses - 2, k - 3, k, 37),
+        lambda k: contribution_prob(pmf_at, n_statuses, 2, k - 9, k, 61),
+        lambda k: contribution_prob(pmf_at, n_statuses, cfg.entry_status, k + 4, k, 13),
     ]
     for prob in single_parcel:
         prob(2400)
@@ -822,8 +815,8 @@ def same_phase_calls(cfg, log, kernel, k):
     ]
     pmf_at = bind_kernel(kernel, "c2", "r1", cfg.pup)
     probs = [
-        prob_delivered_and_stored_multi_hop(pmf_at, cfg.n_statuses, cfg.entry_status, k - 9, k, 61),
-        prob_future_order_contributes(pmf_at, cfg.n_statuses, k + 4, k, 13, entry_status=cfg.entry_status),
+        contribution_prob(pmf_at, cfg.n_statuses, cfg.entry_status, k - 9, k, 61),
+        contribution_prob(pmf_at, cfg.n_statuses, cfg.entry_status, k + 4, k, 13),
     ]
     return [(r.probs, []) if isinstance(r, LoadPmf) else (r.pmf.probs, r.diagnostics) for r in results], probs
 
@@ -856,7 +849,7 @@ def test_a_warm_kernel_gives_a_fresh_kernels_bytes(seed):
         predict_load_pmfs(c3, warm, cfg.intensity, cfg.selection, anchor, (13, 37, 61, 85), cfg.entry_status)
         predict_load_pmfs(parcels, warm, cfg.intensity, cfg.selection, anchor, (61, 1), cfg.entry_status)
         pmf_at = bind_kernel(warm, "c1", "r2", cfg.pup)
-        prob_delivered_and_stored_multi_hop(pmf_at, cfg.n_statuses, cfg.entry_status, anchor - 9, anchor, 61)
+        contribution_prob(pmf_at, cfg.n_statuses, cfg.entry_status, anchor - 9, anchor, 61)
         same_phase_calls(cfg, log, warm, anchor)
     windows = list(warm._compiled["windows"])
     assert_same_bytes(same_phase_calls(cfg, log, warm, k), same_phase_calls(cfg, log, fresh(), k))
@@ -896,8 +889,8 @@ def test_the_windows_of_two_pups_are_kept_apart():
     probs = []
     for pup in ("shop", "kiosk"):
         fresh = TransitionKernel(2, statuses, TB)
-        probs.append(prob_future_order_contributes(bind_kernel(fresh, "c1", "r1", pup), 2, 31, 30, 6))
-        assert prob_future_order_contributes(bind_kernel(warm, "c1", "r1", pup), 2, 31, 30, 6) == probs[-1]
+        probs.append(contribution_prob(bind_kernel(fresh, "c1", "r1", pup), 2, 0, 31, 30, 6))
+        assert contribution_prob(bind_kernel(warm, "c1", "r1", pup), 2, 0, 31, 30, 6) == probs[-1]
     assert probs[0] != probs[1]
 
 
@@ -909,7 +902,7 @@ def test_the_windows_stay_under_the_cap_and_keep_the_tables():
     pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
 
     def probs():
-        return [prob_still_stored(pmf_at, 3, 20, 24, j) for j in range(_WINDOWS + 20)]
+        return [contribution_prob(pmf_at, 3, 2, 20, 24, j) for j in range(_WINDOWS + 20)]
 
     first = probs()
     compiled = {key: value for key, value in kernel._compiled.items() if key != "windows"}

@@ -87,10 +87,12 @@ class TestTransitKernel:
 
     def test_errors(self):
         log = EventLog([parcel("P1", "c1", 8)], cutoff=50, timebase=TB)
-        with pytest.raises(EmptyLog):
+        with pytest.raises(EmptyLog, match="pup 'nowhere': no transit transitions out of status 2"):
             estimate_transit_kernel(log, "nowhere", status_from=2)
-        with pytest.raises(NoCompletedTransitions):
+        with pytest.raises(NoCompletedTransitions, match="transit transitions out of status 2 for pup 'shop'"):
             estimate_transit_kernel(log, "shop", status_from=2)
+        with pytest.raises(NoCompletedTransitions, match="pickup transitions out of status 3 for pup 'shop'"):
+            estimate_pickup_kernel(log, "shop", SHOP_HOURS, status_from=3)
 
     def test_sparse_cells_defer_to_coarser_level(self):
         # 25 Monday observations, 1 Tuesday observation, min_count 20:

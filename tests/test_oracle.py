@@ -11,12 +11,7 @@ import pytest
 import pupcast
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, default_scenario, simulate
 from pupcast.arrivals import HourlyProfile, OrderIntensity
-from pupcast.engine import (
-    bind_kernel,
-    predict_load_pmf,
-    prob_delivered_and_stored_multi_hop,
-    prob_still_stored,
-)
+from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf
 from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
@@ -212,7 +207,7 @@ class TestEnumeration:
         route, n_statuses = bind_kernel(kernel), kernel.n_statuses
         assert (k, j) == (7, 10)
         with pytest.raises(ImpossibleEvidence):
-            prob_still_stored(route, n_statuses, 0, k, j)
+            contribution_prob(route, n_statuses, n_statuses - 1, 0, k, j)
         with pytest.raises(ValidationError, match="zero probability"):
             enumerate_contribution_prob(route, n_statuses, n_statuses - 1, 0, k, j)
 
@@ -275,8 +270,8 @@ class TestWholeSystemSampler:
             ParcelRecord("P2", "c1", "shop", "r1", {0: 20, 1: 22}),
         ]
         pmf_at = bind_kernel(kernel, carrier="c1", retailer="r1", pup="shop")
-        expected = prob_delivered_and_stored_multi_hop(pmf_at, 2, 0, 23, k, j)
-        expected += prob_still_stored(pmf_at, 2, 22, k, j)
+        expected = contribution_prob(pmf_at, 2, 0, 23, k, j)
+        expected += contribution_prob(pmf_at, 2, 1, 22, k, j)
         rng = np.random.default_rng(3)
         loads = mc_load_at(parcels, kernel, None, None, k, j, n_replicates=50_000, rng=rng)
         se = loads.std(ddof=1) / np.sqrt(len(loads))
