@@ -200,7 +200,7 @@ def forecast_daily_volume(model: DailyVolumeModel, days_ahead: int) -> dict[str,
     return {c: model.forecaster(h, days_ahead) for c, h in model.history.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderIntensity:
     """lambda(k, carrier): expected take-overs per slot.
 
@@ -217,14 +217,16 @@ class OrderIntensity:
     volumes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.volumes = np.asarray(self.volumes, dtype=float)
-        if self.volumes.ndim != 2 or len(self.volumes) != len(self.carriers):
-            raise ValidationError(f"volumes of shape {self.volumes.shape} for {len(self.carriers)} carriers")
+        volumes = np.array(self.volumes, dtype=float)  # a copy: the caller's array stays writable
+        if volumes.ndim != 2 or len(volumes) != len(self.carriers):
+            raise ValidationError(f"volumes of shape {volumes.shape} for {len(self.carriers)} carriers")
         rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in self.carriers for w in range(1, 8)]
-        # the two tables rates gathers from, each with a zero last row for a carrier the intensity
-        # lacks, and the volumes with a zero last column for the days before ``start``
-        self._rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0)))
-        self._volumes = np.pad(self.volumes, ((0, 1), (0, 1)))
+        # the two tables rates gathers from, each with a zero last row for a carrier the intensity lacks,
+        # and the volumes with a zero last column for the days before ``start``: read-only, as the volumes
+        rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0)))
+        for name, table in [("volumes", volumes), ("_rho", rho), ("_volumes", np.pad(volumes, ((0, 1), (0, 1))))]:
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def lambda_at(self, timebase, k: int, carrier: str) -> float:
         return float(self.rates(timebase, [k], (carrier,))[0, 0])

@@ -110,11 +110,11 @@ class LoadPmf:
         return float(np.arange(len(self.probs)) @ self.probs)
 
     def quantile(self, q: float) -> int:
-        """Inverse CDF: smallest count with CDF >= q."""
+        """Inverse CDF: smallest count with CDF >= q, else (a CDF short of 1) the last."""
         if not 0.0 < q < 1.0:
             raise InvalidQuantile(f"quantile level must be in (0, 1), got {q}")
         cdf = np.cumsum(self.probs)
-        return int(np.searchsorted(cdf, q - 1e-12))
+        return min(int(np.searchsorted(cdf, q - 1e-12)), len(cdf) - 1)
 
     def trimmed(self, eps: float = 1e-12) -> "LoadPmf":
         """Drop trailing mass below eps and renormalize."""

@@ -16,8 +16,8 @@ observed status transition.  An empty retailer field means unknown.
 ``from_csv`` reads it in one array pass over its bytes, quoted as RFC 4180
 has it: the commas and line ends outside quotes split it into fields and
 rows, and a quote out of place is a fault.  The distinct ids, routes and
-events are found by sorting their bytes as 8-byte words, and the checks run
-on the columns of codes into them; a fault is named by
+events are found by sorting their bytes as 8-byte words, however wide, and
+the checks run on the columns of codes into them; a fault is named by
 ``path:line`` of the earliest faulty row.
 """
 
@@ -47,11 +47,6 @@ NEVER = np.iinfo(np.int64).max
 # The entries of a log read from CSV may span at most ten years: a timestamp
 # farther out is a typo, and would stretch the fitted volume history to match.
 MAX_SPAN_DAYS = 3653
-
-# The widest span of a row's fields that the array pass copies into a block
-# of (rows x widest span) bytes; a wider one, or one holding a NUL, is coded
-# apart, so that one long field does not make every row that wide.
-WIDEST = 64
 
 
 @dataclass
@@ -140,10 +135,9 @@ def _split(data: bytes, path) -> tuple:
     naming the unreadable row, if there is one.  Commas and line ends
     (``\\n``, ``\\r\\n`` or a bare ``\\r``) outside quotes split the file into
     rows and fields; a blank line is no row.  The id, route and event spans
-    are each coded by ``_distinct``, which sorts them as 8-byte words."""
+    are each coded by ``_distinct``."""
     n = len(data)
-    d = np.zeros(n + WIDEST + 1, dtype=np.uint8)  # zeros past the end: a span's block reads over it
-    d[:n] = np.frombuffer(data, dtype=np.uint8)
+    d = np.frombuffer(data + b"\0", dtype=np.uint8)  # a zero past the end: the byte after a last \r is read
     sep = d == ord(",")
     sep |= d == ord("\n")
     cr = np.flatnonzero(d == ord("\r"))
@@ -197,9 +191,8 @@ def _split(data: bytes, path) -> tuple:
     lines = np.flatnonzero(~blank[:cut])[1:]  # the rows after the header, before those
     first, fourth = sep[last[lines] - 5], sep[last[lines] - 2]  # the commas that end a row's id and its route
     del sep  # 8 bytes a field: freed before the blocks are built
-    nul = np.flatnonzero(d[:n] == 0) if b"\0" in data else np.zeros(0, dtype=np.intp)
     ((ids,), row, bad_id), (routes, route, bad_route), (events, event, bad_event) = (
-        _distinct(data, d, nul, begin, end, k)
+        _distinct(data, d, begin, end, k)
         for begin, end, k in [(starts[lines], first, 1), (first + 1, fourth, 3), (fourth + 1, ends[lines], 2)]
     )
     stop = None
@@ -212,56 +205,60 @@ def _split(data: bytes, path) -> tuple:
         stop = named(starts[cut], stray, np.searchsorted(breaks, stray) + 1, "quote out of place (RFC 4180)")
     elif cut < len(ends):
         stop = named(starts[cut], ends[cut], line[cut], f"expected {len(CSV_HEADER)} fields")
-    # ids unquoted or coded apart merged and sorted again; return_index makes
-    # the sort stable (timsort), which is quick on ids sorted but for those
+    # ids sorted again: unquoting and the passes of the sort leave some out of order; timsort (stable) is quick on them
     ids, _, at = np.unique(np.array(ids, dtype=object), return_index=True, return_inverse=True)
     return ids.tolist(), at[row], routes, route, events, event, line[lines], stop
 
 
-def _sorted_codes(d: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct texts of the spans of ``size`` bytes at ``begin`` in d (none
-    over ``WIDEST`` bytes or holding a NUL) in bytes order, and each span's code:
-    one ``np.lexsort`` of the spans' whole 8-byte words read big-endian, whose
-    order is the bytes' order and so, for UTF-8, the code-point order."""
-    width = -(-max(int(size.max(initial=0)), 1) // 8) * 8  # rounded up to whole words
-    block = sliding_window_view(d, width)[begin]  # one row per span, zeros after its end
-    block *= np.arange(width, dtype=np.uint8) < size.astype(np.uint8)[:, None]  # uint8 operands: quicker than int64
-    words = block.view(">u8")
-    order = np.lexsort(words.T[::-1])  # the last key sorts first: the first word
-    new = np.arange(len(order)) == 0  # each sorted row that starts a new text: the first, and where a word changes
-    for column in words.T:
-        column = column[order]
-        new[1:] |= column[1:] != column[:-1]
-    code = np.empty(len(order), dtype=np.intp)
-    code[order] = np.cumsum(new) - 1
-    return block[order[new]].view(f"S{width}").ravel().tolist(), code  # no NUL in the block: none is lost
+def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct texts of the spans data[begin:end], whose bytes d holds, and
+    each span's code: the spans sorted as big-endian 8-byte words in passes, each
+    one after the first over the spans longer than the last, led by their codes
+    so far.  A pass is no wider than its widest span, nor than the file over its
+    spans, and joins its words into no more keys than spans."""
+    code, texts, later = np.empty(len(begin), dtype=np.intp), [], False
+    rows, start, size, nul = np.arange(len(begin)), begin, end - begin, d[end - 1] == 0
+    while rows.size:  # rows: the spans still sorted; size: their bytes left; nul: those with a NUL just before the end
+        words = max(1, min(-(-int(size.max()) // 8), len(data) // (8 * len(rows))))
+        join = -(-words // len(rows))  # words a key
+        width = 8 * join * -(-words // join)
+        left = np.minimum(size, width + 1).astype(np.min_scalar_type(width + 1))  # small operands: quicker
+        edge = len(d) - width  # a row from past here reads a copy of d's tail, with zeros after it
+        block = sliding_window_view(d, width)[np.minimum(start, edge)]
+        late = np.flatnonzero(start > edge)
+        block[late] = sliding_window_view(np.append(d[edge:], np.zeros(width, np.uint8)), width)[start[late] - edge]
+        block *= np.arange(width, dtype=left.dtype) < left[:, None]  # zeros after each span's end
+        keys = list(block.view(">u8" if join == 1 else f"V{8 * join}").T[::-1]) + ([code[rows]] if later else [])
+        keys += [left] if left.max() > width or nul.any() else []  # tells a NUL at the end from the zeros after it
+        order = np.lexsort(keys)  # the last key sorts first: the spans that end in this pass come first
+        new = np.arange(len(order)) == 0  # each sorted row that starts a new group: the first, and where a key changes
+        for column in keys:
+            column = column[order]
+            new[1:] |= column[1:] != column[:-1]
+        code[rows[order]] = np.cumsum(new) + (len(texts) - 1)  # past the new texts: the groups that lead the next pass
+        first = order[new]  # a row of each group
+        del order, new  # freed before the texts are made
+        first = first[left[first] <= width]  # the groups whose texts end in this pass
+        found = block[first].view(f"S{width}").ravel().tolist()  # the zeros at the end dropped
+        apart = np.flatnonzero(nul[first] | later)  # texts the block cannot give back
+        for i, r in zip(apart.tolist(), rows[first[apart]].tolist()):
+            found[i] = data[begin[r] : end[r]]
+        texts += found
+        keep = left > width
+        rows, start, size, nul, later = rows[keep], start[keep] + width, size[keep] - width, nul[keep], True
+    return texts, code
 
 
-def _distinct(data: bytes, d: np.ndarray, nul: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int):
-    """The distinct texts of the spans data[begin:end] as k lists of their
-    fields, unquoted; each span's code; which texts cannot be read (not UTF-8,
-    or a field over ``csv.field_size_limit()``).  Spans of up to ``WIDEST``
-    bytes and no NUL are coded by ``_sorted_codes``, in code-point order; the
-    others, by a dict over only those."""
-    limit = csv.field_size_limit()
-    apart = end - begin > min(WIDEST, limit)
-    if nul.size:
-        apart |= np.searchsorted(nul, begin) < np.searchsorted(nul, end)
-    inside = ~apart if apart.any() else slice(None)  # a slice: no copies when no span is apart
-    codes = np.empty(len(begin), dtype=np.intp)
-    texts, codes[inside] = _sorted_codes(d, begin[inside], (end - begin)[inside])  # the block freed on return
-    others = {}
-    for i, b, e in zip(np.flatnonzero(apart).tolist(), begin[apart].tolist(), end[apart].tolist()):
-        codes[i] = others.setdefault(data[b:e], len(texts) + len(others))
-    texts += others
-    joined, bad = b",".join(texts), np.zeros(len(texts), dtype=bool)
-    try:
-        fields = _unquote(joined.decode(), k * len(texts))
-    except UnicodeDecodeError:  # bad bytes read as U+FFFD
-        fields = _unquote(joined.decode(errors="replace"), k * len(texts))
+def _distinct(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int):
+    """The distinct texts of the spans data[begin:end] as k lists of their fields, unquoted; each
+    span's code; which texts cannot be read (not UTF-8, or a field over ``csv.field_size_limit()``)."""
+    texts, codes = _sorted_codes(data, d, begin, end)  # the blocks freed on return
+    joined, bad = b",".join(texts).decode(errors="replace"), np.zeros(len(texts), dtype=bool)  # bad bytes: U+FFFD
+    if "\ufffd" in joined:
         bad[:] = [raw.decode(errors="replace").encode() != raw for raw in texts]
-    for i in range(len(texts) - len(others), len(texts)):  # only a text coded apart may hold a field over the limit
-        bad[i] |= max(map(len, fields[k * i : k * i + k])) > limit
+    fields = _unquote(joined, k * len(texts))
+    for i in set(codes[end - begin > csv.field_size_limit()].tolist()):  # only a text over it has a field over it
+        bad[i] |= max(map(len, fields[k * i : k * i + k])) > csv.field_size_limit()
     return [fields[j::k] for j in range(k)], codes, bad
 
 

@@ -261,6 +261,22 @@ class TestIntensity:
             intensity.lambda_at(TB, 9, "c1")
         assert intensity.lambda_at(TB, 2, "c1") == 0.0  # no orders at 02:00, whatever the volume
 
+    def test_volumes_are_read_only_and_rates_follow_them(self):
+        # the padded tables rates reads are made once: the volumes cannot change under them
+        profile, volume = self.make_models()
+        volumes = np.full((1, 28), 8.0)
+        intensity = OrderIntensity(profile, ("c1",), volume.start, volumes)
+        volumes[:, :] = 0.0  # the caller's array is copied, and stays writable
+        assert intensity.lambda_at(TB, 9, "c1") == pytest.approx(2.0)
+        with pytest.raises(AttributeError):
+            intensity.volumes = 2 * intensity.volumes
+        with pytest.raises(ValueError, match="read-only"):
+            intensity.volumes[:, :] = 0.0
+        for table in (intensity._rho, intensity._volumes):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+        assert intensity.lambda_at(TB, 9, "c1") == pytest.approx(2.0)
+
     def test_fitted_table_edges(self):
         # 28 days of history and 32 forecast days: none before the history,
         # the last forecast day is read, the day after it raises

@@ -71,6 +71,11 @@ class TestLoadPmf:
         with pytest.raises(InvalidQuantile):
             p.quantile(1.5)
 
+    def test_quantile_stays_on_the_support_of_a_pmf_short_of_one(self):
+        # a pmf may sum to 1 - LOAD_SUM_TOL: a level above its total mass is its last count
+        p = LoadPmf(np.array([0.5, 0.4999995]))
+        assert p.quantile(0.9999999) == 1 and p.quantile(0.9999994) == 1 and p.quantile(0.4) == 0
+
     def test_trimmed(self):
         probs = np.array([0.5, 0.5, 1e-15, 1e-16])
         t = LoadPmf(probs / probs.sum()).trimmed()

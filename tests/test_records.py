@@ -1,9 +1,11 @@
 """Parcel records and event log CSV I/O."""
 
+import cProfile
 import csv
 import functools
 import inspect
 import io
+import pstats
 import tracemalloc
 from datetime import datetime, timedelta
 
@@ -537,7 +539,7 @@ def test_reading_a_log_with_one_long_id_takes_memory_for_the_file_not_for_every_
         assert peak < 10 * path.stat().st_size  # a block of 2,000 rows x 100,000 bytes is 200 MB
 
 
-# fields QUOTE_MINIMAL must quote, a NUL, and fields over WIDEST bytes
+# fields QUOTE_MINIMAL must quote, a NUL, and fields over 64 bytes
 IDS = ["P1", "P2", "P1 ", "é", "€", "", "P\x0c3", "P,1", 'P"1', "P\n1", "P\r1", "P1\0", "Q" * 70]
 RETAILERS, CARRIERS, PUPS = ["r1", "", "r,1", 'r "1"', "R" * 70], ["c1", "c2", "c\r\n2"], ["shop", "shöp", 'sh"op']
 FIELDS = [
@@ -668,30 +670,38 @@ def test_a_quoted_log_reads_in_no_more_memory_per_byte_than_a_plain_one(tmp_path
     assert peak_of_reading(quoted) / quoted.stat().st_size < peak_of_reading(plain) / plain.stat().st_size
 
 
-# Characters of 1-4 UTF-8 bytes; prefixes that fill the first one or two
-# 8-byte words with ASCII or multi-byte letters; pairs apart only in the
-# last byte of their first or second word
-WORD_CHARS = st.sampled_from(["a", "b", "P", "~", "é", "ê", "€", "😀"])
-PREFIXES = ["", "PARCEL-0", "PARCEL-0PARCEL-1", "éééé", "€€€€éé"]
+# Characters of 1-4 UTF-8 bytes and a NUL; prefixes that fill the first
+# one, two or eight 8-byte words with ASCII or multi-byte letters; pairs
+# apart only in the last byte of a word, past 64 bytes, past the first pass
+# of the sort (no wider than the file's size over its rows) or by a NUL
+# inside them or at their end
+WORD_CHARS = st.sampled_from(["a", "b", "P", "~", "é", "ê", "€", "😀", "\0"])
+PREFIXES = ["", "PARCEL-0", "PARCEL-0PARCEL-1", "éééé", "€€€€éé", "PARCEL-0" * 8, "€€€€éé" * 6]
 LAST_BYTE_PAIRS = ["P" * 7 + "a", "P" * 7 + "b", "Q" * 15 + "a", "Q" * 15 + "b", "ééé" + "Pa", "ééé" + "Pb",
-                   "éééé", "éééê", "PARCEL-0éééé", "PARCEL-0éééê"]
+                   "éééé", "éééê", "PARCEL-0éééé", "PARCEL-0éééê", "Q" * 64 + "a", "Q" * 64 + "b",
+                   "R" * 71 + "a", "R" * 71 + "b", "S" * 300 + "a", "S" * 300 + "b", "S" * 300, "S" * 300 + "\0",
+                   "P\0a", "P\0b", "P\0", "P", "T" * 64 + "\0" * 8, "T" * 64 + "\0" * 7]
 
 
 @st.composite
 def word_ids(draw):
-    """An id of 1-64 UTF-8 bytes, its length often next to a word's end,
-    often starting with one of ``PREFIXES``."""
-    size = draw(st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64]) | st.integers(1, 64))
+    """An id of 1-200 UTF-8 bytes, its length often next to a word's end
+    or past 64 bytes, often starting with one of ``PREFIXES``, sometimes
+    ending in NULs."""
+    size = draw(st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 73, 129, 200]) | st.integers(1, 200))
+    end = draw(st.sampled_from(["", "\0", "\0\0"]))[:size]
     text = draw(st.sampled_from(PREFIXES)) + "".join(draw(st.lists(WORD_CHARS, max_size=size)))
-    while len(text.encode()) > size:
+    while len(text.encode()) > size - len(end):
         text = text[:-1]
-    return text + "a" * (size - len(text.encode()))
+    return text + "a" * (size - len(end) - len(text.encode())) + end
 
 
 @st.composite
 def word_rows(draw):
-    """The rows of a valid log of ``word_ids``, shuffled, with routes 4-56 bytes wide and events 12-37."""
-    labels = st.text(alphabet="ab€", min_size=1, max_size=6)
+    """The rows of a valid log of ``word_ids``, shuffled, with routes 4-202
+    bytes wide, NULs in some, and events 12-37."""
+    labels = st.text(alphabet="ab€\0", min_size=1, max_size=6)
+    labels |= st.sampled_from(["r" * 64, "c" * 65, "p" * 70 + "\0"])
     stamps = {  # each entry time in forms 10-26 bytes long
         2: ["2024-01-01T09", "2024-01-01T09:00", "2024-01-01T09:00:00", "2024-01-01 09:00:00.000000"],
         3: ["2024-01-01T10", "2024-01-01T10:00:00.000", "2024-01-01T10:00:00"],
@@ -724,7 +734,7 @@ def test_spans_sorted_by_their_words_keep_code_point_order_and_their_parcels(tmp
      ["P2", "r" * 31, "c" * 30, "shop", "2", "2024-01-01T10:00:00"],
      ["P1", "r" * 30, "c" * 30, "shop", "3", "2024-01-01T10:00:00"]],
     [["P1", "r1", "c1", "shop", "2", "2024-01-01T09:00:00"]],
-], ids=["every route over WIDEST", "one row"])
+], ids=["every route over 64 bytes", "one row"])
 def test_a_block_of_no_span_or_one_reads_as_csv_reader_reads(tmp_path, rows):
     path = tmp_path / "events.csv"
     write_rows(path, [CSV_HEADER] + rows)
@@ -732,3 +742,17 @@ def test_a_block_of_no_span_or_one_reads_as_csv_reader_reads(tmp_path, rows):
     for column in ("ids", "carriers", "pups", "retailers", "carrier", "pup", "retailer", "statuses", "entries"):
         assert np.array_equal(getattr(log, column), getattr(expected, column)), column
     assert log.cutoff == expected.cutoff
+
+
+def test_a_log_of_65_byte_routes_reads_in_the_python_calls_of_one_of_64_byte_routes(tmp_path):
+    # the spans are coded by array passes, however wide: a loop over the rows
+    # of the wider routes would show as thousands more calls
+    calls = []
+    for width in (64, 65):
+        rows = [[i, r, c, p + "x" * (width - len(f"{r},{c},{p}")), n, t] for i, r, c, p, n, t in generated_rows(20_000)]
+        path = tmp_path / f"routes{width}.csv"
+        write_rows(path, [CSV_HEADER] + rows)
+        profile = cProfile.Profile()
+        profile.runcall(EventLog.from_csv, path, TB)
+        calls.append(pstats.Stats(profile).total_calls)
+    assert calls[1] <= calls[0] + 50
