@@ -338,6 +338,51 @@ class TestWholeSystemSampler:
         assert abs(loads.mean() - engine_mean) <= 4 * se
 
 
+class TestMonteCarloStreams:
+    """sha256 pins of the Monte Carlo oracles' outputs under fixed seeds: a change to
+    how they group or draw must keep every replicate's bytes."""
+
+    def test_whole_system_loads_on_the_default_scenario(self):
+        # two anchors with future orders and retailer draws, plus a parcel
+        # in status 1, which the default kernel never fitted
+        cfg = default_scenario(horizon_days=84, seed=3)
+        trace, rng, h = simulate(cfg), np.random.default_rng(2024), hashlib.sha256()
+        for day, j in ((50, 13), (70, 61)):
+            k = day * 24
+            log = trace.event_log(cutoff=k).for_pup(cfg.pup)
+            active = [r for r in log if cfg.n_statuses not in r.entry_times]
+            active.append(ParcelRecord("early", "c1", cfg.pup, "r1", {1: k - 5}))
+            models = (cfg.kernel, cfg.intensity, cfg.selection, k, j, 2_000, rng, cfg.entry_status, cfg.pup)
+            h.update(mc_load_at(active, *models).tobytes())
+        assert h.hexdigest() == "9ad5677d540dbf3fe0dea619aef1878552bcca25bda50acccc64e862c496b54e"
+
+    def test_whole_system_loads_with_the_pooled_rescue_and_a_departed_parcel(self):
+        kernel = fallback_kernel(HoldingTimePmf.uniform(2, 5), HoldingTimePmf.uniform(6, 12))
+        parcels = [
+            ParcelRecord("rescued", "c1", "shop", "r1", {0: 8}),  # 4 slots in status 0: the pooled pmf
+            ParcelRecord("departed", "c1", "shop", "r1", {0: 0}),  # 12 slots: beyond the pooled pmf too
+            ParcelRecord("fresh", "c1", "shop", "r1", {0: 11}),
+            ParcelRecord("moving", "c1", "shop", "r1", {0: 2, 1: 5}),
+            ParcelRecord("delivered", "c1", "shop", "r1", {0: 1, 1: 3, 2: 9}),
+        ]
+        loads = mc_load_at(parcels, kernel, None, None, 12, 8, 2_000, np.random.default_rng(7))
+        assert hashlib.sha256(loads.tobytes()).hexdigest() == (
+            "464842924c3263fc1a3457b8e6275fbaf79c687059cc89f8af8f314c66d83e88"
+        )
+
+    def test_contribution_estimates_on_random_instances(self):
+        rng, h = np.random.default_rng(2025), hashlib.sha256()
+        for _ in range(20):
+            kernel, k, j = random_instance(rng)
+            n, t_n = int(rng.integers(0, kernel.n_statuses)), int(rng.integers(0, k + 1))
+            try:  # a short window, so that few estimates are 0 or 1
+                out = mc_contribution_prob(kernel.pmf_at, kernel.n_statuses, n, t_n, k, 1 + j % 3, 10_000, rng)
+            except ConditioningTooRare:
+                out = "rare"
+            h.update(repr(out).encode())
+        assert h.hexdigest() == "a97b41132e3cffe46a5e43bf4c47f51402706f43a3020fe067159dc438e0c80d"
+
+
 def _imported(path: Path) -> set[str]:
     """The pupcast modules that a module of the package imports, by name."""
     found = set()
