@@ -15,20 +15,19 @@ probabilities and loads:
 ``random_instance`` draws the small random kernels that the enumeration
 comparisons run on.
 
-``simulate`` draws the Poisson count of each (slot, carrier) in turn, then
-the block's uniforms in one ``random`` call: per parcel one for its retailer
-(if its carrier has shares), then one per status.  ``Generator.choice(n,
-p=p)`` spends one uniform u on ``_cdf(p).searchsorted(u, side="right")``, so
-this is the trace of one ``choice`` per draw.  Delays are mapped with one
-``pmf_at`` per status, route and slot of the week, as the kernel repeats weekly.
-
-Both Monte Carlo oracles draw a parcel's onward path with one sampler,
-``_still_stored``: status by status it draws the holding times of the
-parcels not yet past k+j in groups of equal (route, entry slot), routes
-first and slots ascending, then draws Bernoulli(pickup survival to k+j)
-at the pickup status.  A route is one (carrier, retailer, pup) binding of
-the kernel.  Every draw comes from the caller's generator in that order,
-so a seeded generator gives byte-identical loads.
+``simulate`` and the Monte Carlo oracles group and draw alike.  ``_groups``
+sorts parcels into runs of equal (route, slot), routes first and slots
+ascending; a route is one (carrier, retailer, pup) binding of the kernel.  A
+uniform u becomes ``_cdf(p).searchsorted(u, side="right")``, the index that
+``Generator.choice`` with probs p spends it on.  ``simulate`` draws the Poisson
+count of each (slot, carrier) in turn, then the block's uniforms in one
+``random`` call: per parcel one for its retailer (if its carrier has shares),
+then one per status, mapped in runs over the slot of the week, as the kernel
+repeats weekly.  The oracles' ``_still_stored`` draws, status by status, one
+``random`` block for the parcels not yet past k+j, in runs over the entry
+slot: holding times at a transit status, and at the pickup status a
+comparison with the survival to k+j.  Every draw comes from the caller's
+generator in that order, so a seeded generator gives byte-identical loads.
 """
 
 from __future__ import annotations
@@ -95,10 +94,6 @@ class SimulatedTrace:
             fh.write("".join(["k,load\n", *(f"{k},{int(value)}\n" for k, value in enumerate(self.load.tolist()))]))
 
 
-def _draw_delay(rng: np.random.Generator, pmf, size: int = 1) -> np.ndarray:
-    return rng.choice(len(pmf.probs), size=size, p=pmf.probs)
-
-
 def _retailer_shares(selection: SelectionModel | None, carrier) -> tuple[list, np.ndarray | None]:
     """A carrier's retailers, sorted, and their normalised shares; ([None], None) if it has none."""
     p_r = selection.p_retailer_given_carrier(carrier) if selection else {}
@@ -110,9 +105,24 @@ def _retailer_shares(selection: SelectionModel | None, carrier) -> tuple[list, n
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The cdf that ``Generator.choice(len(probs), p=probs)`` searches, from its float operations."""
+    """The cdf that ``Generator.choice`` searches for ``p=probs``, from its float operations."""
     cdf = probs.cumsum()
     return cdf / cdf[-1]
+
+
+def _cdf_of(pmf: HoldingTimePmf, cdfs: dict) -> np.ndarray:
+    """``_cdf(pmf.probs)``, cached in ``cdfs`` under the pmf's id beside the pmf, which keeps the id unique."""
+    if id(pmf) not in cdfs:
+        cdfs[id(pmf)] = pmf, _cdf(pmf.probs)
+    return cdfs[id(pmf)][1]
+
+
+def _groups(route: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, list]:
+    """Indices in runs of equal (route, slot), routes first, then slots, then index; and the runs' bounds."""
+    order = np.lexsort((slot, route))
+    new = np.diff(route[order], prepend=-1) != 0  # routes are indices, so a run starts at 0
+    new[1:] |= np.diff(slot[order]) != 0
+    return order, [*new.nonzero()[0].tolist(), len(order)]
 
 
 def simulate(config: ScenarioConfig) -> SimulatedTrace:
@@ -151,15 +161,12 @@ def _log(config: ScenarioConfig) -> EventLog:
     route = carrier * max((len(retailers) for retailers, _ in shares), default=1) + retailer
     times, cdfs, week = [np.array(entered, dtype=np.intp)], {}, tb.slots_per_week
     for col, n in enumerate(range(first, last)):
-        t = times[-1].copy()  # becomes the entry into status n + 1, group by group
-        key = route * week + t % week
-        order = np.argsort(key, kind="stable")
-        cuts = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist() + [len(order)]
+        t = times[-1].copy()  # becomes the entry into status n + 1, run by run
+        order, cuts = _groups(route, t % week)
         for lo, hi in zip(cuts, cuts[1:]):
             i, members = order[lo], order[lo:hi]
             pmf = kernel.pmf_at(n, int(t[i]), carriers[carrier[i]], shares[carrier[i]][0][retailer[i]], pup)
-            cdf = cdfs[id(pmf)] if id(pmf) in cdfs else cdfs.setdefault(id(pmf), _cdf(pmf.probs))
-            t[members] += cdf.searchsorted(u[hops[members] + col], side="right")
+            t[members] += _cdf_of(pmf, cdfs).searchsorted(u[hops[members] + col], side="right")
         times.append(t)
     ids, statuses = [f"P{i:06d}" for i in range(1, len(carrier) + 1)], np.arange(first, last + 1)
     retailers = [shares[c][0][r] for c, r in zip(carrier.tolist(), retailer.tolist())]
@@ -181,16 +188,6 @@ def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
     return probs / total if total > 0.0 else None
 
 
-def _groups(route: np.ndarray, times: np.ndarray, horizon: int):
-    """(route, slot, members) for the parcels at or before ``horizon``: routes first, slots ascending."""
-    idx = np.flatnonzero(times <= horizon)
-    route, times = route[idx], times[idx]
-    for r in np.unique(route):
-        on_route = route == r
-        for t in np.unique(times[on_route]):
-            yield r, t, idx[on_route & (times == t)]
-
-
 def _still_stored(
     rng: np.random.Generator,
     routes: list,
@@ -205,15 +202,18 @@ def _still_stored(
     Parcel i moves by ``routes[route[i]](n, t)``.  A parcel whose next entry
     lies beyond ``horizon`` stops moving and is not stored.
     """
-    for n in range(status, n_statuses - 1):
-        # draw into a buffer, so that grouping never sees a slot already moved on
-        nxt = times.copy()
-        for r, t, members in _groups(route, times, horizon):
-            nxt[members] = t + _draw_delay(rng, routes[r](n, t), size=len(members))
-        times = nxt
-    stored = np.zeros(len(times), dtype=bool)
-    for r, t, members in _groups(route, times, horizon):
-        stored[members] = rng.random(len(members)) < routes[r](n_statuses - 1, t).survival(horizon - t)
+    times, stored, cdfs = times.copy(), np.zeros(len(times), dtype=bool), {}
+    for n in range(status, n_statuses):
+        live = (times <= horizon).nonzero()[0]
+        order, cuts = _groups(route[live], times[live])
+        order, u = live[order], rng.random(len(live))
+        for lo, hi in zip(cuts, cuts[1:]):
+            i, members = order[lo], order[lo:hi]
+            t, pmf = times[i], routes[route[i]](n, times[i])
+            if n < n_statuses - 1:
+                times[members] += _cdf_of(pmf, cdfs).searchsorted(u[lo:hi], side="right")
+            else:
+                stored[members] = u[lo:hi] < pmf.survival(horizon - t)
     return stored
 
 
@@ -244,7 +244,7 @@ def mc_contribution_prob(
     while accepted < n_samples:
         attempted += batch
         # holding times are at least one slot, so a parcel entered after k always passes
-        times = t_n + _draw_delay(rng, pmf_at(n, t_n), size=batch)
+        times = t_n + _cdf(pmf_at(n, t_n).probs).searchsorted(rng.random(batch), side="right")
         times = times[times > k]
         accepted += len(times)
         if n == n_statuses - 1:
@@ -315,15 +315,19 @@ def mc_load_at(
     n_replicates: int,
     rng: np.random.Generator,
     entry_status: int = 0,
-    pup: str = "",
+    pup: str | None = None,
 ) -> np.ndarray:
     """Sample whole-system loads at k+j, one value per replicate future.
 
     Known parcels draw their remaining path conditionally on their evidence
     (exact truncated-tail sampling, no rejection); future orders arrive per
-    slot and carrier with Poisson counts from the ground-truth intensity.
+    slot and carrier with Poisson counts from the ground-truth intensity and
+    go to ``pup``: by default the one pup the parcels name, as in the engine.
     """
-    n_statuses = kernel.n_statuses
+    pups = sorted({rec.pup for rec in parcels}) if pup is None else [pup]
+    if len(pups) > 1:
+        raise ValidationError(f"parcels target multiple pups: {pups}")
+    pup, n_statuses = pups[0] if pups else "", kernel.n_statuses
     loads = np.zeros(n_replicates, dtype=int)
 
     for rec in parcels:
@@ -339,7 +343,7 @@ def mc_load_at(
             probs = _after(kernel.pooled_pmf_at(n), k - t_n)
         if probs is None:
             continue
-        times = t_n + rng.choice(len(probs), size=n_replicates, p=probs)
+        times = t_n + _cdf(probs).searchsorted(rng.random(n_replicates), side="right")
         if n == n_statuses - 1:
             loads += times > k + j
             continue
@@ -369,7 +373,7 @@ def mc_load_at(
             if shares is None:
                 route = np.zeros(total, dtype=int)
             else:
-                route = rng.choice(len(routes), size=total, p=shares)
+                route = _cdf(shares).searchsorted(rng.random(total), side="right")
             times = np.full(total, t_0)
             stored = _still_stored(rng, routes, route, entry_status, times, n_statuses, k + j)
             np.add.at(loads, owner[stored], 1)

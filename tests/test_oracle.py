@@ -15,6 +15,7 @@ from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf
 from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
+    _cdf,
     enumerate_contribution_prob,
     mc_contribution_prob,
     mc_load_at,
@@ -337,10 +338,52 @@ class TestWholeSystemSampler:
         se = loads.std(ddof=1) / np.sqrt(len(loads))
         assert abs(loads.mean() - engine_mean) <= 4 * se
 
+    def test_future_orders_take_the_pup_the_parcels_name(self):
+        # orders for "shop" are delivered in 1-2 slots, the pooled pmf takes
+        # 20-30, and pickup 40-50: with the pooled pmf no order is stored by k+j
+        by_pup = KernelLevel(("pup",), {("shop",): HoldingTimePmf.uniform(1, 2)})
+        kernel = TransitionKernel(2, {
+            0: StatusKernel((by_pup, KernelLevel((), {(): HoldingTimePmf.uniform(20, 30)}))),
+            1: pooled_status(HoldingTimePmf.uniform(40, 50)),
+        }, TB)
+        rho = {(w, "c1"): np.full(24, 1 / 24) for w in range(1, 8)}
+        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), {"c1": {date(2024, 1, d): 24.0 for d in range(1, 5)}})
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 47})
+        k, j = 48, 12
+        engine_mean = predict_load_pmf([parcel], kernel, intensity, None, k, j).mean
+        assert engine_mean == pytest.approx(11.5)  # the parcel, ten orders and half of the last one
+        loads = mc_load_at([parcel], kernel, intensity, None, k, j, n_replicates=20_000, rng=np.random.default_rng(1))
+        se = loads.std(ddof=1) / np.sqrt(len(loads))
+        assert abs(loads.mean() - engine_mean) <= 4 * se
+        # with no parcel the orders take the pooled pmf, as the engine's do
+        assert predict_load_pmf([], kernel, intensity, None, k, j).mean == 0.0
+        assert not mc_load_at([], kernel, intensity, None, k, j, 1_000, np.random.default_rng(1)).any()
+        other = ParcelRecord("P2", "c1", "kiosk", "r1", {0: 47})
+        for sample in (predict_load_pmf, lambda *args: mc_load_at(*args, 1_000, np.random.default_rng(1))):
+            with pytest.raises(ValidationError, match=r"parcels target multiple pups: \['kiosk', 'shop'\]"):
+                sample([parcel, other], kernel, intensity, None, k, j)
+
 
 class TestMonteCarloStreams:
     """sha256 pins of the Monte Carlo oracles' outputs under fixed seeds: a change to
     how they group or draw must keep every replicate's bytes."""
+
+    def test_a_cdf_search_draws_what_generator_choice_draws(self):
+        # the oracles map uniforms through _cdf as Generator.choice does with
+        # p=; the pins rest on this, so a numpy whose choice differs fails here
+        rng = np.random.default_rng(12)
+        dirichlet = []
+        for size in (2, 3, 7, 40):
+            p = rng.dirichlet(np.ones(size))
+            p[rng.random(size) < 0.4] = 0.0  # zeros anywhere, the first and the last entry too
+            p[rng.integers(size)] += 0.5
+            dirichlet.append(p / p.sum())
+        kernel = default_scenario(horizon_days=7).kernel
+        rows = [pmf.probs for n in (2, 3) for level in kernel.statuses[n].levels for pmf in level.pmfs.values()]
+        assert len(rows) == 93  # transit: 21 by (weekday, carrier) and the pooled; pickup: 70 and the pooled
+        for s, p in enumerate(dirichlet + rows):
+            drawn = _cdf(p).searchsorted(np.random.default_rng(s).random(500), side="right")
+            assert np.array_equal(drawn, np.random.default_rng(s).choice(len(p), 500, p=p))
 
     def test_whole_system_loads_on_the_default_scenario(self):
         # two anchors with future orders and retailer draws, plus a parcel
