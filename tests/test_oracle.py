@@ -347,7 +347,8 @@ class TestWholeSystemSampler:
             1: pooled_status(HoldingTimePmf.uniform(40, 50)),
         }, TB)
         rho = {(w, "c1"): np.full(24, 1 / 24) for w in range(1, 8)}
-        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), {"c1": {date(2024, 1, d): 24.0 for d in range(1, 5)}})
+        volumes = {"c1": {date(2024, 1, d): 24.0 for d in range(1, 5)}}
+        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
         parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 47})
         k, j = 48, 12
         engine_mean = predict_load_pmf([parcel], kernel, intensity, None, k, j).mean
