@@ -53,16 +53,17 @@ def retailer_keyed_kernel() -> TransitionKernel:
     return TransitionKernel(3, statuses, TB)
 
 
-def forecast_digest(cfg, days, horizons) -> str:
-    """sha256 of every pmf and note of ``predict_load_pmfs`` at ``horizons`` on ``cfg``'s simulated
-    log, cut by ``truncated(k).for_pup(pup)`` at the midnight starting each of ``days``, with the
-    config's own models."""
+def forecast_digest(cfg, days, horizons, coverage=None) -> str:
+    """sha256 of every pmf and note of ``predict_load_pmfs`` at ``horizons`` and ``coverage`` on
+    ``cfg``'s simulated log, cut by ``truncated(k).for_pup(pup)`` at the midnight starting each of
+    ``days``, with the config's own models."""
     log, tb = simulate(cfg).event_log(), cfg.timebase
     h = hashlib.sha256()
     for day in days:
         k = day * tb.slots_per_day - tb.hour_of(0) // tb.slot_hours
         parcels = log.truncated(k).for_pup(cfg.pup)
-        for result in predict_load_pmfs(parcels, cfg.kernel, cfg.intensity, cfg.selection, k, horizons, cfg.entry_status):
+        models = cfg.kernel, cfg.intensity, cfg.selection
+        for result in predict_load_pmfs(parcels, *models, k, horizons, cfg.entry_status, coverage):
             h.update(result.pmf.probs.tobytes())
             h.update(repr(result.diagnostics).encode())
     return h.hexdigest()

@@ -589,6 +589,24 @@ def test_forecasts_match_their_golden_digests(seed):
     assert forecast_digest(default_scenario(seed=seed), range(28, 178), (13, 37, 61, 85)) == GOLDEN_FORECASTS[seed]
 
 
+# the same digests on the paper's truncated path, at its 0.99 coverage and at the 0.999999 of
+# acceptance 3, as the per-pair truncation loop gave them
+GOLDEN_TRUNCATED_FORECASTS = {
+    (0.99, 1): "846905be8ea54ff2fbfb4aebf1032ffc7ffe9e2eb8a084af11ae9f4d105e28de",
+    (0.99, 2): "1abfd29b19a57de5c63e2f4221ffbef32174dec2beea45b1fa80d3e29674efaf",
+    (0.99, 3): "a76f5f9e1dc8a9cb034eeba7c7d2f6a0ec325fac96284fe6ab4e7a505e3e770e",
+    (0.999999, 1): "068fe35a9ecdcf72601df2daba95223820ee60b70b940ce19dfada4843026c8b",
+    (0.999999, 2): "3a64a2d758cad2b8090d53d6f98e98e35bcab461fb6e0617f41ce3999e44f361",
+    (0.999999, 3): "66ef857744abfaae568657989b414ed5fa8c5a547c0a394ffbc447a33b5acc48",
+}
+
+
+@pytest.mark.parametrize("coverage, seed", GOLDEN_TRUNCATED_FORECASTS)
+def test_truncated_forecasts_match_their_golden_digests(coverage, seed):
+    digest = forecast_digest(default_scenario(seed=seed), range(28, 178), (13, 37, 61, 85), coverage)
+    assert digest == GOLDEN_TRUNCATED_FORECASTS[coverage, seed]
+
+
 @pytest.mark.parametrize("coverage", [None, 0.99])
 def test_horizons_do_not_leak_into_each_other(default_log, coverage):
     cfg, log = default_log
