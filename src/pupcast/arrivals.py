@@ -297,23 +297,17 @@ def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndar
     return pmf if pmf.ndim else float(pmf)
 
 
-def poisson_truncation(lam: float, coverage: float = 0.99) -> int:
-    """Smallest m with Poisson CDF(m) >= coverage."""
-    if not 0.0 <= lam < math.inf:
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int | np.ndarray:
+    """Smallest m with Poisson CDF(m) >= coverage, for each rate: the first count where the cumulative sum of
+    its ``poisson_rows`` row reaches ``coverage``; an int for a scalar rate, an array for an array."""
+    lam = np.asarray(lam, dtype=float)
+    bad = ~((lam >= 0.0) & (lam < math.inf))  # NaN is bad too
+    if bad.any():
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam[bad].flat[0]}")
     if not 0.0 < coverage < 1.0:
         raise ValidationError("coverage must be in (0, 1)")
-    if lam == 0.0:  # most (slot, carrier) pairs of a forecast
-        return 0
-    if lam > 700.0:  # exp(-lam) underflows past 708: start 12 sd below the mean, skipping mass under 1e-30
-        start = int(lam - 12.0 * math.sqrt(lam))
-        term = math.exp(start * math.log(lam) - lam - math.lgamma(start + 1))
-    else:
-        start, term = 0, math.exp(-lam)
-    cdf = 0.0
-    for m in range(start, int(lam + 12.0 * math.sqrt(lam)) + 41):  # poisson_rows' end: the pmf past it sums below 1e-32
-        cdf += term
-        if cdf >= coverage:
-            return m
-        term *= lam / (m + 1)
-    raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam}")
+    reached = np.cumsum(poisson_rows(lam), axis=-1) >= coverage
+    if not reached[..., -1].all():  # the row's float sum stops short of coverage
+        raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam[~reached[..., -1]].flat[0]}")
+    top = reached.argmax(axis=-1)
+    return int(top) if top.ndim == 0 else top

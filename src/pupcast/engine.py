@@ -12,7 +12,8 @@ the slot it entered it, ``contribution_prob`` for a single parcel:
   chain at a future slot, mixed over retailers.  Orders are Poisson per
   slot and carrier, so by thinning and superposition the contributing ones
   are exactly Poisson with rate sum(lam p); a float ``coverage`` keeps the
-  paper's per-pair truncation instead, in closed form.
+  paper's per-pair truncation instead, in closed form, its cut points
+  read from the pairs' ``poisson_rows`` rows in one call.
 
 The last two read from one backward value function
 V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from the
@@ -27,8 +28,9 @@ routes (rows of a ``PmfTable``: a kernel's pmfs, compiled once as
 zero-padded probabilities and tail sums), and one ``take`` cuts them to the
 window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
 column h has the terminal of k+j_h and is zero past it, so one einsum with
-a strided view of V_{m+1} serves every route and horizon.  V depends on k
-only through k mod one week: the kernel keeps each window per weekly phase
+a strided view of V_{m+1} serves every route and horizon, and every
+fitted status.  V depends on k only through k mod one week: the kernel
+keeps one window per (PUP, routes, weekly phase, horizons), whoever asks
 (its last ``_WINDOWS``, in ``_compiled``), and a repeat runs no backward
 pass; only repeated forecasts on one kernel gain.  The parcels in a
 status are one gather of their rows and tails and one product with
@@ -37,11 +39,12 @@ route at every slot (the kernel checks this when it is built), so the
 backward pass stops at the first status never fitted, and only a parcel
 in such a status is skipped, with a note.  Those with impossible evidence
 take one more product, with the coarsest pooled pmf, a row of the same
-table, and a note.  ``contribution_prob`` reads the same window for one
-parcel or order on a kernel bound by ``bind_kernel``, with the arguments of
-``oracle.enumerate_contribution_prob``.  The load pmf is the product
-of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with the
-future-order pmf (exactly, one ``poisson_rows`` row per horizon).
+table, and a note; each note is made once per parcel and shown at the
+horizons where it applies.  ``contribution_prob`` reads the same window
+for one parcel or order on a kernel bound by ``bind_kernel``, with the
+arguments of ``oracle.enumerate_contribution_prob``.  The load pmf is the
+product of the parcels' Bernoulli pmfs, multiplied in pairs, convolved
+with the future-order pmf (exactly, one ``poisson_rows`` row per horizon).
 """
 
 from __future__ import annotations
@@ -93,25 +96,25 @@ class _Window:
     """Backward value functions over the window (k, k + max j] on every route
     and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
     the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
-    | status m entered at k+1+i), and 0 for i >= j_h; for every status m
-    from ``lowest`` up, or from the first fitted one.  The kernel keeps them,
-    read-only, per ``key``; k and js are set per call.
+    | status m entered at k+1+i), and 0 for i >= j_h; for every fitted
+    status m.  The kernel keeps them, read-only, per ``key``, whoever asks;
+    k and js are set per call.
     """
 
-    def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int], lowest: int):
+    def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int]):
         self.js = js = np.array(horizons, dtype=np.int64).reshape(-1)
         if (js < 0).any():
             raise ValidationError("horizon j must be >= 0")
         self.kernel, self.k, self.last = kernel, k, kernel.n_statuses - 1
         windows = kernel._compiled.setdefault("windows", {})
-        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(js.tolist()), max(lowest, 0))
+        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(js.tolist()))
         if key in windows:
             self.values = windows[key]
             return
         width = int(js.max(initial=0))
         ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
         self.values = {}
-        for m in range(self.last, max(lowest, 0) - 1, -1):
+        for m in range(self.last, -1, -1):
             if m not in kernel.statuses:  # never fitted, and neither is any status below it
                 break
             weeks, table = kernel.week_rows(m, routes, pup)
@@ -180,8 +183,7 @@ def contribution_prob(route: _Route, n_statuses: int, n: int, t_n: int, k: int, 
         raise ValidationError(f"n_statuses={n_statuses}, but the kernel has {route.kernel.n_statuses} statuses")
     if not 0 <= n < n_statuses:
         raise ValidationError(f"status {n} outside 0..{n_statuses - 1}")
-    lowest = n if t_n > k else min(n + 1, n_statuses - 1)
-    window = _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,), lowest)
+    window = _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,))
     if t_n > k:
         values = window.entering(n)
         return 0.0 if t_n > k + j else float(values[0, 0, t_n - k - 1])
@@ -235,7 +237,7 @@ def future_orders_pmf(
     """
     routes: list = []
     mix = _order_mix(intensity, selection, routes)
-    window = _Window(kernel, pup, routes, k, (j,), entry_status)
+    window = _Window(kernel, pup, routes, k, (j,))
     return LoadPmf(_future_orders_pmfs(intensity, mix, window, entry_status, coverage)[0])
 
 
@@ -251,9 +253,10 @@ def _future_orders_pmfs(
     p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
     p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
-        top = np.array([poisson_truncation(rate, coverage) for rate in lam.ravel().tolist()], dtype=int)
-        cut = (np.maximum(js - 1, 0) * lam.shape[1]).tolist()
-        return [_truncated_orders(lam.ravel()[:s], p[h].ravel()[:s], top[:s]) for h, s in enumerate(cut)]
+        live = lam.ravel() > 0.0
+        lam = lam.ravel()[live]
+        top = poisson_truncation(lam, coverage)
+        return [_truncated_orders(lam, q.ravel()[live], top) for q in p]
     pmfs = []
     for total in np.einsum("ic,hic->h", lam, p).tolist():
         probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
@@ -264,8 +267,10 @@ def _future_orders_pmfs(
 
 def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> np.ndarray:
     """The paper's future-order pmf: per (slot, carrier) pair with rate lam
-    and contribution probability p, the count cut at ``top``."""
-    live = lam > 0.0
+    and contribution probability p, the count cut at ``top`` and thinned by
+    p.  Only the live pairs, lam p > 0, are multiplied: any other is the
+    factor 1."""
+    live = lam * p > 0.0
     lam, p, top = lam[live], p[live], top[live]
     x = np.arange(top.max(initial=0) + 1)
     # sum_{m <= top} Pois(m; lam) Binom(x; m, p) = Pois(x; lam p) P(Pois(lam (1 - p)) <= top - x)
@@ -359,18 +364,15 @@ def predict_load_pmfs(
     pairs = np.bincount(code).nonzero()[0]
     route = np.searchsorted(pairs, code)  # each parcel's index into routes
     routes = [(log.carriers[c], log.retailers[r]) for c, r in (divmod(x, len(log.retailers)) for x in pairs.tolist())]
-    last = kernel.n_statuses - 1
-    lowest = int(status[status < last].min(initial=last - 1)) + 1
     if intensity is not None:
         mix = _order_mix(intensity, selection, routes)
-        lowest = min(lowest, entry_status)
-    window = _Window(kernel, pup, routes, k, horizons, lowest)
+    window = _Window(kernel, pup, routes, k, horizons)
     p = np.zeros((len(rows), len(window.js)))
-    noted = {}  # a fallback parcel's note at each horizon ("" for none), by its index
+    noted = []  # (index, shown at j = 0, note) of each parcel skipped or rescued
     for n in sorted(set(status.tolist())):
         here = (status == n).nonzero()[0]
         if n not in kernel.statuses:
-            noted.update(dict.fromkeys(here.tolist(), [f"no kernel for status {n}; skipped"] * len(window.js)))
+            noted += [(i, True, f"no kernel for status {n}; skipped") for i in here.tolist()]
             continue
         weeks, table = kernel.week_rows(n, routes, pup)
         r = weeks[route[here], slot[here] % weeks.shape[1]]
@@ -380,14 +382,10 @@ def predict_load_pmfs(
             pooled = np.full(len(at), table.row_of[id(kernel.pooled_pmf_at(n))])
             p[at], denom = _contributions(window, n, pooled, table, slot[at], route[at])
             p[at[denom <= _EPS]] = 0.0
-            departed = "holding time beyond all supports; assumed departed"
-            note = np.where(denom <= _EPS, departed, "impossible evidence, used pooled fallback")[:, None]
-            noted.update(zip(at.tolist(), np.where((window.js == 0) & (n < last), "", note).tolist()))
-    diagnostics: list[list[str]] = [[] for _ in window.js]
-    for i in sorted(noted):  # in the log's row order
-        for notes, note in zip(diagnostics, noted[i]):
-            if note:
-                notes.append(f"parcel {log.ids[rows[i]]}: {note}")
+            reasons = "impossible evidence, used pooled fallback", "holding time beyond all supports; assumed departed"
+            noted += [(i, n == window.last, reasons[d <= _EPS]) for i, d in zip(at.tolist(), denom.tolist())]
+    noted = [(shown, f"parcel {log.ids[rows[i]]}: {note}") for i, shown, note in sorted(noted)]  # in row order
+    diagnostics = [[note for shown, note in noted if j or shown] for j in window.js.tolist()]
     future = [np.ones(1)] * len(window.js)
     if intensity is not None:
         future = _future_orders_pmfs(intensity, mix, window, entry_status, coverage)

@@ -347,6 +347,27 @@ class TestPoisson:
             for coverage in (0.5, 0.99, 0.999999):
                 assert poisson_truncation(lam, coverage) == stats.poisson.ppf(coverage, lam), (lam, coverage)
 
+    def test_truncation_of_an_array_is_the_scalar_calls(self):
+        # every row is as wide as the largest rate's: the rates past 700 go in a short array
+        small = np.concatenate([[0.0, 1e-6], np.random.default_rng(5).uniform(0.0, 50.0, 200), [50.0]])
+        for rates in (small, np.array([0.0, 1e-6, 3.5, 700.0, 708.5, 740.0, 745.0, 746.0, 2500.0, 1e5])):
+            for coverage in (0.5, 0.99, 0.999999):
+                tops = poisson_truncation(rates, coverage)
+                assert isinstance(tops, np.ndarray) and tops.shape == rates.shape
+                scalar = [poisson_truncation(float(lam), coverage) for lam in rates]
+                assert all(type(m) is int for m in scalar)
+                assert tops.tolist() == scalar, coverage
+        square = poisson_truncation(small[:4].reshape(2, 2))
+        assert square.tolist() == poisson_truncation(small[:4]).reshape(2, 2).tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_truncation_of_an_array_with_a_bad_rate_raises(self, bad):
+        for at in (0, 3, -1):
+            rates = np.linspace(0.0, 5.0, 8)
+            rates[at] = bad
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                poisson_truncation(rates)
+
     def test_truncation_beyond_float_reach_raises(self):
         # the float sum of the pmf stops short of the largest float below 1
         with pytest.raises(ValidationError, match="out of float reach"):

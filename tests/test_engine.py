@@ -191,7 +191,7 @@ class TestCompiledWindow:
     DEFAULT_ROUTES = [("c1", "r1"), ("c2", "r1"), ("c2", "r2"), ("c3", "r2"), ("c1", "r3"), ("c3", "r3")]
 
     def check(self, kernel, routes, first_status, k, horizons):
-        window = _Window(kernel, "shop", routes, k, np.array(horizons), first_status)
+        window = _Window(kernel, "shop", routes, k, np.array(horizons))
         for r, route in enumerate(routes):
             pmf_at = bind_kernel(kernel, carrier=route[0], retailer=route[1], pup="shop")
             for h, j in enumerate(horizons):
@@ -930,7 +930,18 @@ def test_the_windows_stay_under_the_cap_and_keep_the_tables():
     assert probs() == first  # == on floats: bit for bit
     assert len(kernel._compiled["windows"]) == _WINDOWS
     assert {key: value for key, value in kernel._compiled.items() if key != "windows"} == compiled
-    assert {n for n in compiled if isinstance(n, int)} == {2}  # the pickup table
+    assert {n for n in compiled if isinstance(n, int)} == {0, 1, 2}  # every fitted status's table
+
+
+def test_a_parcel_and_an_order_share_one_window():
+    # a delivered parcel, a parcel in transit and an order on one route, anchor
+    # and horizon read one kept window, whatever status each asks for
+    cfg = default_scenario()
+    kernel = TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)
+    route, k, last = bind_kernel(kernel, "c1", "r1", cfg.pup), 2400, cfg.n_statuses - 1
+    for n, t_n in [(last, k - 5), (cfg.entry_status, k - 2), (cfg.entry_status, k + 3)]:
+        contribution_prob(route, cfg.n_statuses, n, t_n, k, 37)
+    assert len(kernel._compiled["windows"]) == 1
 
 
 @pytest.mark.parametrize("slot_hours", [1, 2])
@@ -939,16 +950,16 @@ def test_a_window_repeats_weekly(slot_hours):
     # k plus or minus whole weeks give equal values
     default = default_scenario().kernel
     cases = [
-        (default.statuses, default.n_statuses, TestCompiledWindow.DEFAULT_ROUTES, 2),
-        (retailer_keyed_kernel().statuses, 3, [("c1", "r1"), ("c1", "r2"), ("c2", "r1")], 0),
-        (no_sunday_kernel().statuses, 3, [("c1", "r1")], 0),
+        (default.statuses, default.n_statuses, TestCompiledWindow.DEFAULT_ROUTES),
+        (retailer_keyed_kernel().statuses, 3, [("c1", "r1"), ("c1", "r2"), ("c2", "r1")]),
+        (no_sunday_kernel().statuses, 3, [("c1", "r1")]),
     ]
     timebase = Timebase(TB.epoch, slot_hours)
     week = timebase.slots_per_week
-    for statuses, n_statuses, routes, lowest in cases:
+    for statuses, n_statuses, routes in cases:
         for k in (5, 70, 140 // slot_hours):
             windows = [
-                _Window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1), lowest)
+                _Window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1))
                 for shift in (0, week, -week, -3 * week)
             ]
             for window in windows[1:]:
