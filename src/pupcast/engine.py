@@ -254,9 +254,9 @@ def _future_orders_pmfs(
     p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
         live = lam.ravel() > 0.0
-        lam = lam.ravel()[live]
-        top = poisson_truncation(lam, coverage)
-        return [_truncated_orders(lam, q.ravel()[live], top) for q in p]
+        rates = lam.ravel()[live]
+        top = poisson_truncation(rates, coverage)
+        return [_truncated_orders(rates, q.ravel()[live], top) for q in p]
     pmfs = []
     for total in np.einsum("ic,hic->h", lam, p).tolist():
         probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
