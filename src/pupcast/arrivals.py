@@ -221,10 +221,12 @@ class OrderIntensity:
         if volumes.ndim != 2 or len(volumes) != len(self.carriers):
             raise ValidationError(f"volumes of shape {volumes.shape} for {len(self.carriers)} carriers")
         rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in self.carriers for w in range(1, 8)]
-        # the two tables rates gathers from, each with a zero last row for a carrier the intensity lacks,
-        # and the volumes with a zero last column for the days before ``start``: read-only, as the volumes
-        rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0)))
-        for name, table in [("volumes", volumes), ("_rho", rho), ("_volumes", np.pad(volumes, ((0, 1), (0, 1))))]:
+        # the two tables rates takes from, by (week hour, carrier) and (day, carrier), each with a zero last
+        # column for a carrier the intensity lacks, the volumes with a zero last row for the days before
+        # ``start``; and the default carriers' columns: read-only, as the volumes
+        rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0))).T.copy()
+        tables = [volumes, rho, np.pad(volumes, ((0, 1), (0, 1))).T.copy(), np.arange(len(self.carriers))]
+        for name, table in zip(("volumes", "_rho", "_volumes", "_columns"), tables):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -233,15 +235,16 @@ class OrderIntensity:
 
     def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
         """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default)."""
-        carriers = self.carriers if carriers is None else tuple(carriers)
-        rows = np.array([self.carriers.index(c) if c in self.carriers else -1 for c in carriers], dtype=np.int64)
+        columns = self._columns
+        if carriers is not None:
+            columns = np.array([self.carriers.index(c) if c in self.carriers else -1 for c in carriers], dtype=np.intp)
         slots = np.asarray(slots, dtype=np.int64)
         day = timebase.day_of(slots) + (timebase.epoch.date() - self.start).days  # days from ``start``
-        if rows.size and day.max(initial=-1) >= self.volumes.shape[1]:
+        if columns.size and day.max(initial=-1) >= self.volumes.shape[1]:
             asked, last = (self.start + timedelta(days=int(d)) for d in (day.max(), self.volumes.shape[1] - 1))
             raise InsufficientHistory(f"no order volume for {asked}: the volumes end on {last}")
-        wh, day = timebase.week_hour_of(slots)[:, None], np.where(day < 0, -1, day)[:, None]
-        lam = self._rho[rows, wh] * self._volumes[rows, day]
+        rho = self._rho.take(timebase.week_hour_of(slots), axis=0).take(columns, axis=1)
+        lam = rho * self._volumes.take(np.maximum(day, -1), axis=0).take(columns, axis=1)
         if not lam.min(initial=0.0) >= 0:  # NaN fails it too
             raise ValidationError(f"{'negative' if (lam < 0).any() else 'NaN'} order intensity")
         return lam
@@ -299,15 +302,20 @@ def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndar
 
 def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int | np.ndarray:
     """Smallest m with Poisson CDF(m) >= coverage, for each rate: the first count where the cumulative sum of
-    its ``poisson_rows`` row reaches ``coverage``; an int for a scalar rate, an array for an array."""
+    its ``poisson_rows`` row reaches ``coverage``; an int for a scalar rate, an array for an array.  The rows
+    come in one call per group of rates whose own row widths share a power of two, so that no row is over
+    twice as wide as its rate needs."""
     lam = np.asarray(lam, dtype=float)
     bad = ~((lam >= 0.0) & (lam < math.inf))  # NaN is bad too
     if bad.any():
         raise ValidationError(f"lambda must be finite and >= 0, got {lam[bad].flat[0]}")
     if not 0.0 < coverage < 1.0:
         raise ValidationError("coverage must be in (0, 1)")
-    reached = np.cumsum(poisson_rows(lam), axis=-1) >= coverage
-    if not reached[..., -1].all():  # the row's float sum stops short of coverage
-        raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam[~reached[..., -1]].flat[0]}")
-    top = reached.argmax(axis=-1)
+    power = np.frexp((lam + 12.0 * np.sqrt(lam)).astype(np.int64) + 41)[1]  # of each rate's own row width
+    top = np.empty(lam.shape, dtype=np.intp)
+    for group in (power == p for p in np.unique(power).tolist()):
+        reached = np.cumsum(poisson_rows(lam[group]), axis=-1) >= coverage
+        if not reached[:, -1].all():  # the row's float sum stops short of coverage
+            raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam[group][~reached[:, -1]][0]}")
+        top[group] = reached.argmax(axis=-1)
     return int(top) if top.ndim == 0 else top

@@ -58,7 +58,7 @@ from .arrivals import OrderIntensity, poisson_rows, poisson_truncation
 from .errors import ImpossibleEvidence, ValidationError
 from .estimation import SelectionModel
 from .kernel import PmfTable, TransitionKernel
-from .pmf import HoldingTimePmf, LoadPmf
+from .pmf import HoldingTimePmf, LoadPmf, trim
 from .records import NEVER, EventLog, ParcelRecord
 
 __all__ = [
@@ -102,15 +102,15 @@ class _Window:
     """
 
     def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int]):
-        self.js = js = np.array(horizons, dtype=np.int64).reshape(-1)
-        if (js < 0).any():
-            raise ValidationError("horizon j must be >= 0")
         self.kernel, self.k, self.last = kernel, k, kernel.n_statuses - 1
         windows = kernel._compiled.setdefault("windows", {})
-        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(js.tolist()))
-        if key in windows:
-            self.values = windows[key]
+        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(map(int, horizons)))
+        self.js = js = np.array(key[-1], dtype=np.int64)
+        self.values = windows.get(key)
+        if self.values is not None:
             return
+        if min(key[-1], default=0) < 0:  # never kept
+            raise ValidationError("horizon j must be >= 0")
         width = int(js.max(initial=0))
         ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
         self.values = {}
@@ -168,9 +168,11 @@ def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t
         num = table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)]
     else:
         values = window.values[n + 1]
-        delays = since[:, None] + np.arange(values.shape[-1])  # to each slot of the window
-        f = np.where(delays < table.width, table.probs[rows[:, None], np.minimum(delays, table.width - 1)], 0.0)
-        num = np.einsum("iw,ihw->ih", f, values[route])
+        # the pmf at the delay from entry to each slot of the window; past the support, the zero column
+        at = np.minimum(since[:, None] + np.arange(values.shape[-1]), table.width)
+        at += (rows * table.probs.shape[1])[:, None]
+        f = table.probs.take(at)
+        num = np.einsum("iw,ihw->ih", f, values.take(route, axis=0))
     # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
     return np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0), denom
 
@@ -259,9 +261,8 @@ def _future_orders_pmfs(
         return [_truncated_orders(rates, q.ravel()[live], top) for q in p]
     pmfs = []
     for total in np.einsum("ic,hic->h", lam, p).tolist():
-        probs = poisson_rows(total)  # it ends below float noise, 12 standard deviations and 40 counts past the mean
-        probs = probs[: (probs >= _NOISE).nonzero()[0][-1] + 1]
-        pmfs.append(probs / probs.sum())
+        # the row ends below float noise, 12 standard deviations and 40 counts past the mean
+        pmfs.append(trim(poisson_rows(total), _NOISE))
     return pmfs
 
 
@@ -281,27 +282,29 @@ def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> np.nda
     result = np.array([1.0])
     for row, cut in zip(q, top):
         result = np.convolve(result, row[: cut + 1])
-    return LoadPmf(result).trimmed().probs
+    return trim(result)
 
 
 def _bernoulli_sums(p: np.ndarray) -> np.ndarray:
     """Pmf of the number of successes among independent trials i with
     success probabilities p[i, h], one row per column h.  The factors
-    (1 - p) + p z are multiplied in pairs, level by level."""
-    n = len(p)
-    polys = np.zeros((1 << max(n - 1, 0).bit_length(), p.shape[1], 2))  # padded to a power of two with factors 1
-    polys[..., 0], polys[:n, :, 1] = 1.0, p
-    polys[:n, :, 0] -= p
+    (1 - p) + p z are multiplied in pairs, level by level.  Each level's
+    polynomials of ``size`` coefficients sit at [size - 1, 2 size - 1) of
+    rows zero outside, and the products are written into the next level's."""
+    n, size = len(p), 2
+    polys = np.zeros((1 << max(n - 1, 0).bit_length(), p.shape[1], 4))  # padded to a power of two with factors 1
+    polys[..., 1], polys[:n, :, 2] = 1.0, p
+    polys[:n, :, 1] -= p
     while len(polys) > 1:
-        size = polys.shape[-1]
-        padded = np.zeros((len(polys) // 2, polys.shape[1], 3 * size - 2))
-        padded[..., size - 1 : 2 * size - 1] = polys[1::2]
+        out = 2 * size - 1
+        products = np.zeros((len(polys) // 2, p.shape[1], 3 * out - 2))
         # [pair, h, s, u]: the second factor's coefficient s + u - (size - 1), zero outside;
         # against the first factor's coefficients reversed, it sums to the product's coefficient s
-        shape, strides = padded.shape[:-1] + (2 * size - 1, size), padded.strides + padded.strides[-1:]
-        hankel = np.ndarray(shape, buffer=padded, strides=strides)
-        polys = np.matmul(hankel, polys[0::2, :, ::-1, None])[..., 0]
-    return polys[0, :, : n + 1]
+        pair, h, step = polys.strides
+        hankel = np.ndarray(products.shape[:2] + (out, size), buffer=polys, offset=pair, strides=(2 * pair, h, step, step))
+        np.matmul(hankel, polys[0::2, :, 2 * size - 2 : size - 2 : -1, None], out=products[:, :, out - 1 : 2 * out - 1, None])
+        polys, size = products, out
+    return polys[0, :, size - 1 : size + n]
 
 
 @dataclass
@@ -375,8 +378,8 @@ def predict_load_pmfs(
             noted += [(i, True, f"no kernel for status {n}; skipped") for i in here.tolist()]
             continue
         weeks, table = kernel.week_rows(n, routes, pup)
-        r = weeks[route[here], slot[here] % weeks.shape[1]]
-        p[here], denom = _contributions(window, n, r, table, slot[here], route[here])
+        t_n, on = slot[here], route[here]
+        p[here], denom = _contributions(window, n, weeks[on, t_n % weeks.shape[1]], table, t_n, on)
         at = here[denom <= _EPS]
         if len(at):  # impossible evidence: retried with the coarsest pooled pmf, a row of the same table
             pooled = np.full(len(at), table.row_of[id(kernel.pooled_pmf_at(n))])
@@ -392,7 +395,7 @@ def predict_load_pmfs(
     results = []
     for j, known, orders, notes in zip(window.js.tolist(), _bernoulli_sums(p), future, diagnostics):
         probs = np.convolve(known, orders)
-        results.append(ForecastResult(pup, k, j, LoadPmf(probs / probs.sum()).trimmed(), notes))
+        results.append(ForecastResult(pup, k, j, LoadPmf(trim(probs / probs.sum())), notes))
     return results
 
 

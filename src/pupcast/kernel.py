@@ -56,7 +56,8 @@ def context_of(timebase: Timebase, t, carrier=None, retailer=None, pup=None) -> 
 
 class PmfTable:
     """Pmfs as zero-padded rows, each matrix built on first use: ``probs[r]``
-    is ``pmfs[r].probs`` and ``tails`` is ``tail_sums(probs)``, so ``tails[r]``
+    is ``pmfs[r].probs`` padded to ``width + 1``, so a delay capped at
+    ``width`` reads 0, and ``tails`` is ``tail_sums(probs)``, so ``tails[r]``
     is ``pmfs[r].tails`` padded with zeros, bit for bit, and ``tails[r, d]`` is
     ``pmfs[r].survival(d - 1)``.  ``row_of`` maps a pmf's ``id`` to its row."""
 
@@ -67,7 +68,7 @@ class PmfTable:
 
     @cached_property
     def probs(self) -> np.ndarray:
-        probs = np.zeros((len(self.pmfs), self.width))
+        probs = np.zeros((len(self.pmfs), self.width + 1))
         for r, f in enumerate(self.pmfs):
             probs[r, : len(f.probs)] = f.probs
         return probs

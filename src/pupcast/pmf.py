@@ -19,6 +19,7 @@ __all__ = [
     "LoadPmf",
     "convolve",
     "tail_sums",
+    "trim",
     "tv_distance",
 ]
 
@@ -117,10 +118,15 @@ class LoadPmf:
         return min(int(np.searchsorted(cdf, q - 1e-12)), len(cdf) - 1)
 
     def trimmed(self, eps: float = 1e-12) -> "LoadPmf":
-        """Drop trailing mass below eps and renormalize."""
-        kept = (self.probs[1:] >= eps).nonzero()[0]  # the first entry always stays
-        trimmed = self.probs[: kept[-1] + 2 if kept.size else 1]
-        return LoadPmf(trimmed / trimmed.sum())
+        """Drop trailing mass below eps and renormalize (``trim``)."""
+        return LoadPmf(trim(self.probs, eps))
+
+
+def trim(probs: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """``probs`` without its trailing entries below eps, the first always kept, renormalized."""
+    kept = (probs[1:] >= eps).nonzero()[0]
+    trimmed = probs[: kept[-1] + 2 if kept.size else 1]
+    return trimmed / trimmed.sum()
 
 
 def tail_sums(probs: np.ndarray) -> np.ndarray:

@@ -211,22 +211,24 @@ def _split(data: bytes, path) -> tuple:
 
 
 def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct texts of the spans data[begin:end], whose bytes d holds, and
-    each span's code: the spans sorted as big-endian 8-byte words in passes, each
-    one after the first over the spans longer than the last, led by their codes
-    so far.  A pass is no wider than its widest span, nor than the file over its
-    spans, and joins its words into no more keys than spans."""
+    """The distinct texts of the spans data[begin:end], in file order, whose bytes
+    d holds, and each span's code: the spans sorted as big-endian 8-byte words in
+    passes, each one after the first over the spans longer than the last, led by
+    their codes so far.  A pass is no wider than its widest span, nor than the
+    file over its spans, and joins its words into no more keys than spans."""
     code, texts, later = np.empty(len(begin), dtype=np.intp), [], False
-    rows, start, size, nul = np.arange(len(begin)), begin, end - begin, d[end - 1] == 0
+    rows, start, size = np.arange(len(begin)), begin, end - begin
+    nul = d[end - 1] == 0 if b"\0" in data else np.zeros(len(begin), dtype=bool)
     while rows.size:  # rows: the spans still sorted; size: their bytes left; nul: those with a NUL just before the end
         words = max(1, min(-(-int(size.max()) // 8), len(data) // (8 * len(rows))))
         join = -(-words // len(rows))  # words a key
         width = 8 * join * -(-words // join)
         left = np.minimum(size, width + 1).astype(np.min_scalar_type(width + 1))  # small operands: quicker
         edge = len(d) - width  # a row from past here reads a copy of d's tail, with zeros after it
-        block = sliding_window_view(d, width)[np.minimum(start, edge)]
-        late = np.flatnonzero(start > edge)
-        block[late] = sliding_window_view(np.append(d[edge:], np.zeros(width, np.uint8)), width)[start[late] - edge]
+        late = int(np.searchsorted(start, edge, side="right"))  # start ascends: only the last rows can
+        block = sliding_window_view(d, width)[np.minimum(start, edge) if late < len(start) else start]
+        if late < len(start):
+            block[late:] = sliding_window_view(np.append(d[edge:], np.zeros(width, np.uint8)), width)[start[late:] - edge]
         block *= np.arange(width, dtype=left.dtype) < left[:, None]  # zeros after each span's end
         keys = list(block.view(">u8" if join == 1 else f"V{8 * join}").T[::-1]) + ([code[rows]] if later else [])
         keys += [left] if left.max() > width or nul.any() else []  # tells a NUL at the end from the zeros after it
@@ -353,12 +355,18 @@ class EventLog:
         """The log as it would have been observed at an earlier cutoff."""
         if cutoff > self.cutoff:
             raise ValidationError("cannot extend a log beyond its cutoff")
-        seen = np.zeros(len(self), dtype=bool)
-        for column in self.entries.T:  # column by column: a reduction over the short axis is slow
-            seen |= column <= cutoff
-        rows = seen.nonzero()[0]
+        rows = (self._first() <= cutoff).nonzero()[0]
         entries = self.entries.take(rows, axis=0)  # several times faster than indexing a matrix by rows
-        return self._view(rows, np.where(entries <= cutoff, entries, NEVER), cutoff)
+        entries[entries > cutoff] = NEVER
+        return self._view(rows, entries, cutoff)
+
+    def _first(self, low: int = 0) -> np.ndarray:
+        """Each parcel's earliest entry into the statuses of columns ``low`` on, NEVER if none; column
+        by column, as a reduction over the short axis is slow."""
+        first = np.full(len(self), NEVER)
+        for column in self.entries.T[low:]:
+            np.minimum(first, column, out=first)
+        return first
 
     def pup_names(self) -> list[str]:
         """The pups its parcels are bound for; a log with one pup label (a
@@ -376,14 +384,15 @@ class EventLog:
         """(rows, status, slot): the parcels with an entry at or before k whose
         highest status entered by k is below ``below``, that status, and the
         slot it entered it."""
-        low = int((self.statuses < below).sum())  # statuses ascend: the columns below ``below`` come first
-        rows = (self.entries[:, low:].min(axis=1, initial=NEVER) > k).nonzero()[0]  # none of the others by k
+        low = int(self.statuses.searchsorted(below))  # statuses ascend: the columns below ``below`` come first
+        rows = (self._first(low) > k).nonzero()[0]  # none of the others by k
         entries = self.entries.take(rows, axis=0)
         last = np.full(len(rows), -1)
         for c, column in enumerate(entries.T[:low]):  # the last column seen wins
             last[column <= k] = c
         seen = (last >= 0).nonzero()[0]
-        return rows[seen], self.statuses[last[seen]], entries[seen, last[seen]]
+        last = last[seen]
+        return rows[seen], self.statuses[last], entries[seen, last]
 
     # ---- CSV I/O ----
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import mpmath
@@ -359,6 +360,18 @@ class TestPoisson:
                 assert tops.tolist() == scalar, coverage
         square = poisson_truncation(small[:4].reshape(2, 2))
         assert square.tolist() == poisson_truncation(small[:4]).reshape(2, 2).tolist()
+
+    def test_one_large_rate_does_not_widen_the_rows_of_the_small_ones(self):
+        # rows of 1e5's width for all 50 rates took 172 MB
+        rates = np.array([2.0] * 49 + [1e5])
+        tracemalloc.start()
+        try:
+            tops = poisson_truncation(rates, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert tops.tolist() == [poisson_truncation(float(lam), 0.99) for lam in rates]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     def test_truncation_of_an_array_with_a_bad_rate_raises(self, bad):

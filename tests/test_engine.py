@@ -530,8 +530,9 @@ def table_calls(monkeypatch):
 
 @pytest.fixture
 def pass_calls(monkeypatch):
-    """Counts of the calls that scan the log, resolve order rates or read one parcel's kernel row."""
-    return counting(monkeypatch, ((EventLog, "latest"), (OrderIntensity, "rates"), (TransitionKernel, "row_at")))
+    """Counts of the calls that scan the log, resolve order rates, read one parcel's kernel row or validate a load pmf."""
+    owners = ((EventLog, "latest"), (OrderIntensity, "rates"), (TransitionKernel, "row_at"), (LoadPmf, "__post_init__"))
+    return counting(monkeypatch, owners)
 
 
 @pytest.fixture(scope="module")
@@ -541,8 +542,8 @@ def default_log():
 
 
 def test_all_horizons_make_one_pass(default_log, pass_calls):
-    # four horizons scan the log once and resolve the order rates once; no
-    # parcel reads its own kernel row
+    # four horizons scan the log once, resolve the order rates once and
+    # validate one load pmf each; no parcel reads its own kernel row
     cfg, log = default_log
 
     def forecast(day):
@@ -554,7 +555,7 @@ def test_all_horizons_make_one_pass(default_log, pass_calls):
     forecast(100)
     pass_calls.clear()
     assert len(forecast(130)) == 4
-    assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1})
+    assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1, "LoadPmf.__post_init__": 4})
 
 
 def test_forecast_bytes_do_not_depend_on_the_memory_order_of_the_rates(default_log, monkeypatch):
