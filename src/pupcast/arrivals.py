@@ -221,12 +221,10 @@ class OrderIntensity:
         if volumes.ndim != 2 or len(volumes) != len(self.carriers):
             raise ValidationError(f"volumes of shape {volumes.shape} for {len(self.carriers)} carriers")
         rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in self.carriers for w in range(1, 8)]
-        # the two tables rates takes from, by (week hour, carrier) and (day, carrier), each with a zero last
-        # column for a carrier the intensity lacks, the volumes with a zero last row for the days before
-        # ``start``; and the default carriers' columns: read-only, as the volumes
+        # the two tables rates takes from, by (week hour, carrier) and (day, carrier), each with a zero last column for
+        # a carrier the intensity lacks, the volumes with a zero last row for the days before ``start``: read-only
         rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0))).T.copy()
-        tables = [volumes, rho, np.pad(volumes, ((0, 1), (0, 1))).T.copy(), np.arange(len(self.carriers))]
-        for name, table in zip(("volumes", "_rho", "_volumes", "_columns"), tables):
+        for name, table in [("volumes", volumes), ("_rho", rho), ("_volumes", np.pad(volumes, (0, 1)).T.copy())]:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -235,12 +233,10 @@ class OrderIntensity:
 
     def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
         """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default)."""
-        columns = self._columns
-        if carriers is not None:
-            columns = np.array([self.carriers.index(c) if c in self.carriers else -1 for c in carriers], dtype=np.intp)
+        columns = np.arange(len(self.carriers)) if carriers is None else [(*self.carriers, c).index(c) for c in carriers]
         slots = np.asarray(slots, dtype=np.int64)
         day = timebase.day_of(slots) + (timebase.epoch.date() - self.start).days  # days from ``start``
-        if columns.size and day.max(initial=-1) >= self.volumes.shape[1]:
+        if len(columns) and day.max(initial=-1) >= self.volumes.shape[1]:
             asked, last = (self.start + timedelta(days=int(d)) for d in (day.max(), self.volumes.shape[1] - 1))
             raise InsufficientHistory(f"no order volume for {asked}: the volumes end on {last}")
         rho = self._rho.take(timebase.week_hour_of(slots), axis=0).take(columns, axis=1)
@@ -282,11 +278,9 @@ def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     x = np.arange(max(size, int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 41))
     rate, mode = lam[..., None], np.floor(lam)[..., None]
-    pmf = np.cumprod(np.where(x > mode, rate / np.maximum(x, 1), 1.0), axis=-1)  # from the mode up
-    below = x < mode
-    if below.any():  # and from the mode down; lam = 0 has no count below its mode
-        ratio = np.divide(x + 1.0, rate, out=np.ones(below.shape), where=below)
-        pmf = np.where(below, np.cumprod(ratio[..., ::-1], axis=-1)[..., ::-1], pmf)
+    pmf = np.where(x > mode, rate / np.maximum(x, 1), 1.0).cumprod(axis=-1)  # from the mode up
+    x = x + 1.0  # and down, by (x + 1) / lam below the mode and 1 from it on, where x + 1 > lam
+    pmf *= (x / np.maximum(rate, x))[..., ::-1].cumprod(axis=-1)[..., ::-1]
     return pmf / pmf.sum(axis=-1, keepdims=True)
 
 
@@ -301,10 +295,8 @@ def poisson_pmf(lam: float | np.ndarray, m: int | np.ndarray) -> float | np.ndar
 
 
 def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int | np.ndarray:
-    """Smallest m with Poisson CDF(m) >= coverage, for each rate: the first count where the cumulative sum of
-    its ``poisson_rows`` row reaches ``coverage``; an int for a scalar rate, an array for an array.  The rows
-    come in one call per group of rates whose own row widths share a power of two, so that no row is over
-    twice as wide as its rate needs."""
+    """Smallest m with Poisson CDF(m) >= coverage, for each rate (an int for a scalar): the first count where the
+    cumulative sum of its ``poisson_rows`` row reaches it, the rows made per power of two of their own widths."""
     lam = np.asarray(lam, dtype=float)
     bad = ~((lam >= 0.0) & (lam < math.inf))  # NaN is bad too
     if bad.any():
@@ -313,9 +305,10 @@ def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int |
         raise ValidationError("coverage must be in (0, 1)")
     power = np.frexp((lam + 12.0 * np.sqrt(lam)).astype(np.int64) + 41)[1]  # of each rate's own row width
     top = np.empty(lam.shape, dtype=np.intp)
-    for group in (power == p for p in np.unique(power).tolist()):
-        reached = np.cumsum(poisson_rows(lam[group]), axis=-1) >= coverage
+    for p in np.unique(power).tolist():
+        rates = lam[power == p]
+        reached = np.cumsum(poisson_rows(rates), axis=-1) >= coverage
         if not reached[:, -1].all():  # the row's float sum stops short of coverage
-            raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam[group][~reached[:, -1]][0]}")
-        top[group] = reached.argmax(axis=-1)
+            raise ValidationError(f"coverage {coverage} is out of float reach for lam={rates[~reached[:, -1]][0]}")
+        top[power == p] = reached.argmax(axis=-1)
     return int(top) if top.ndim == 0 else top

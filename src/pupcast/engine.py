@@ -168,11 +168,9 @@ def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t
         num = table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)]
     else:
         values = window.values[n + 1]
-        # the pmf at the delay from entry to each slot of the window; past the support, the zero column
-        at = np.minimum(since[:, None] + np.arange(values.shape[-1]), table.width)
-        at += (rows * table.probs.shape[1])[:, None]
-        f = table.probs.take(at)
-        num = np.einsum("iw,ihw->ih", f, values.take(route, axis=0))
+        # the pmf at the delay from entry to each slot of the window, past its support from the zero column
+        at = np.minimum(since[:, None] + np.arange(values.shape[-1]), table.width) + (rows * (table.width + 1))[:, None]
+        num = np.einsum("iw,ihw->ih", table.probs.take(at), values.take(route, axis=0))
     # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
     return np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0), denom
 
@@ -261,8 +259,7 @@ def _future_orders_pmfs(
         return [_truncated_orders(rates, q.ravel()[live], top) for q in p]
     pmfs = []
     for total in np.einsum("ic,hic->h", lam, p).tolist():
-        # the row ends below float noise, 12 standard deviations and 40 counts past the mean
-        pmfs.append(trim(poisson_rows(total), _NOISE))
+        pmfs.append(trim(poisson_rows(total), _NOISE))  # the row ends below noise, 12 sd and 40 counts past the mean
     return pmfs
 
 
@@ -288,22 +285,21 @@ def _truncated_orders(lam: np.ndarray, p: np.ndarray, top: np.ndarray) -> np.nda
 def _bernoulli_sums(p: np.ndarray) -> np.ndarray:
     """Pmf of the number of successes among independent trials i with
     success probabilities p[i, h], one row per column h.  The factors
-    (1 - p) + p z are multiplied in pairs, level by level.  Each level's
-    polynomials of ``size`` coefficients sit at [size - 1, 2 size - 1) of
-    rows zero outside, and the products are written into the next level's."""
+    (1 - p) + p z are multiplied in pairs, level by level, each product written
+    into the next level's rows, at [size - 1, 2 size - 1) of zeros for its size."""
     n, size = len(p), 2
     polys = np.zeros((1 << max(n - 1, 0).bit_length(), p.shape[1], 4))  # padded to a power of two with factors 1
     polys[..., 1], polys[:n, :, 2] = 1.0, p
     polys[:n, :, 1] -= p
     while len(polys) > 1:
-        out = 2 * size - 1
-        products = np.zeros((len(polys) // 2, p.shape[1], 3 * out - 2))
+        new = 2 * size - 1
+        nxt = np.zeros((len(polys) // 2, p.shape[1], 3 * new - 2))
         # [pair, h, s, u]: the second factor's coefficient s + u - (size - 1), zero outside;
         # against the first factor's coefficients reversed, it sums to the product's coefficient s
         pair, h, step = polys.strides
-        hankel = np.ndarray(products.shape[:2] + (out, size), buffer=polys, offset=pair, strides=(2 * pair, h, step, step))
-        np.matmul(hankel, polys[0::2, :, 2 * size - 2 : size - 2 : -1, None], out=products[:, :, out - 1 : 2 * out - 1, None])
-        polys, size = products, out
+        hankel = np.ndarray(nxt.shape[:2] + (new, size), buffer=polys, offset=pair, strides=(2 * pair, h, step, step))
+        np.matmul(hankel, polys[0::2, :, 2 * size - 2 : size - 2 : -1, None], out=nxt[..., new - 1 : 2 * new - 1, None])
+        polys, size = nxt, new
     return polys[0, :, size - 1 : size + n]
 
 
@@ -365,7 +361,7 @@ def predict_load_pmfs(
     rows, status, slot = log.latest(k, kernel.n_statuses)  # not picked up by k
     code = log.carrier[rows] * len(log.retailers) + log.retailer[rows]  # each parcel's (carrier, retailer)
     pairs = np.bincount(code).nonzero()[0]
-    route = np.searchsorted(pairs, code)  # each parcel's index into routes
+    route = pairs.searchsorted(code)  # each parcel's index into routes
     routes = [(log.carriers[c], log.retailers[r]) for c, r in (divmod(x, len(log.retailers)) for x in pairs.tolist())]
     if intensity is not None:
         mix = _order_mix(intensity, selection, routes)

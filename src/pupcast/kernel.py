@@ -55,9 +55,8 @@ def context_of(timebase: Timebase, t, carrier=None, retailer=None, pup=None) -> 
 
 
 class PmfTable:
-    """Pmfs as zero-padded rows, each matrix built on first use: ``probs[r]``
-    is ``pmfs[r].probs`` padded to ``width + 1``, so a delay capped at
-    ``width`` reads 0, and ``tails`` is ``tail_sums(probs)``, so ``tails[r]``
+    """Pmfs as zero-padded rows, each matrix built on first use: ``probs[r]`` is ``pmfs[r].probs`` with zeros to
+    ``width + 1`` (a delay capped at ``width`` reads 0), and ``tails`` is ``tail_sums(probs)``, so ``tails[r]``
     is ``pmfs[r].tails`` padded with zeros, bit for bit, and ``tails[r, d]`` is
     ``pmfs[r].survival(d - 1)``.  ``row_of`` maps a pmf's ``id`` to its row."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from datetime import datetime
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -225,10 +225,9 @@ def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray
         width = 8 * join * -(-words // join)
         left = np.minimum(size, width + 1).astype(np.min_scalar_type(width + 1))  # small operands: quicker
         edge = len(d) - width  # a row from past here reads a copy of d's tail, with zeros after it
-        late = int(np.searchsorted(start, edge, side="right"))  # start ascends: only the last rows can
+        late = int(np.searchsorted(start, edge, side="right"))  # start ascends: only the last rows reach past edge
         block = sliding_window_view(d, width)[np.minimum(start, edge) if late < len(start) else start]
-        if late < len(start):
-            block[late:] = sliding_window_view(np.append(d[edge:], np.zeros(width, np.uint8)), width)[start[late:] - edge]
+        block[late:] = sliding_window_view(np.append(d[edge:], np.zeros(width, np.uint8)), width)[start[late:] - edge]
         block *= np.arange(width, dtype=left.dtype) < left[:, None]  # zeros after each span's end
         keys = list(block.view(">u8" if join == 1 else f"V{8 * join}").T[::-1]) + ([code[rows]] if later else [])
         keys += [left] if left.max() > width or nul.any() else []  # tells a NUL at the end from the zeros after it
@@ -361,12 +360,9 @@ class EventLog:
         return self._view(rows, entries, cutoff)
 
     def _first(self, low: int = 0) -> np.ndarray:
-        """Each parcel's earliest entry into the statuses of columns ``low`` on, NEVER if none; column
-        by column, as a reduction over the short axis is slow."""
-        first = np.full(len(self), NEVER)
-        for column in self.entries.T[low:]:
-            np.minimum(first, column, out=first)
-        return first
+        """Each parcel's earliest entry in columns ``low`` on, or NEVER; by column, as a short-axis reduction is slow."""
+        columns = self.entries.T[low:]
+        return reduce(np.minimum, columns[1:], columns[0]) if len(columns) else np.full(len(self), NEVER)
 
     def pup_names(self) -> list[str]:
         """The pups its parcels are bound for; a log with one pup label (a
@@ -391,8 +387,7 @@ class EventLog:
         for c, column in enumerate(entries.T[:low]):  # the last column seen wins
             last[column <= k] = c
         seen = (last >= 0).nonzero()[0]
-        last = last[seen]
-        return rows[seen], self.statuses[last], entries[seen, last]
+        return rows[seen], self.statuses[last[seen]], entries[seen, last[seen]]
 
     # ---- CSV I/O ----
 
