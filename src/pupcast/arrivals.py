@@ -305,10 +305,9 @@ def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int |
         raise ValidationError("coverage must be in (0, 1)")
     power = np.frexp((lam + 12.0 * np.sqrt(lam)).astype(np.int64) + 41)[1]  # of each rate's own row width
     top = np.empty(lam.shape, dtype=np.intp)
-    for p in np.unique(power).tolist():
-        rates = lam[power == p]
-        reached = np.cumsum(poisson_rows(rates), axis=-1) >= coverage
+    for group in [power == p for p in np.unique(power).tolist()]:
+        reached = np.cumsum(poisson_rows(lam[group]), axis=-1) >= coverage
         if not reached[:, -1].all():  # the row's float sum stops short of coverage
-            raise ValidationError(f"coverage {coverage} is out of float reach for lam={rates[~reached[:, -1]][0]}")
-        top[power == p] = reached.argmax(axis=-1)
+            raise ValidationError(f"coverage {coverage} is out of float reach for lam={lam[group][~reached[:, -1]][0]}")
+        top[group] = reached.argmax(axis=-1)
     return int(top) if top.ndim == 0 else top

@@ -13,7 +13,7 @@ the slot it entered it, ``contribution_prob`` for a single parcel:
   slot and carrier, so by thinning and superposition the contributing ones
   are exactly Poisson with rate sum(lam p); a float ``coverage`` keeps the
   paper's per-pair truncation instead, in closed form, its cut points
-  read from the pairs' ``poisson_rows`` rows in one call.
+  from one ``poisson_truncation`` call on the pairs' rates.
 
 The last two read from one backward value function
 V_m(t) = sum_d f_{m,t}(d) V_{m+1}(t+d) over the slots of a window, from the
@@ -22,11 +22,11 @@ scores 0.  A parcel in status n is a dot product of its holding-time row
 with V_{n+1}; an order entering status e at t_0 adds V_e(t_0).
 
 A forecast is one array pass over its routes (the known parcels' and the
-future orders' (carrier, retailer) pairs), its known parcels and all its
-horizons.  ``kernel.week_rows`` stacks a status's compiled rows over the
-routes (rows of a ``PmfTable``: a kernel's pmfs, compiled once as
-zero-padded probabilities and tail sums), and one ``take`` cuts them to the
-window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
+future orders' (carrier, retailer) pairs), its known parcels (one
+``EventLog.latest`` scan) and all its horizons.  ``kernel.week_rows`` stacks
+a status's compiled rows over the routes (rows of a ``PmfTable``: a kernel's
+pmfs, compiled once as zero-padded probabilities and tail sums), and one
+``take`` cuts them to the window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
 column h has the terminal of k+j_h and is zero past it, so one einsum with
 a strided view of V_{m+1} serves every route and horizon, and every
 fitted status.  V depends on k only through k mod one week: the kernel
@@ -43,8 +43,9 @@ table, and a note; each note is made once per parcel and shown at the
 horizons where it applies.  ``contribution_prob`` reads the same window
 for one parcel or order on a kernel bound by ``bind_kernel``, with the
 arguments of ``oracle.enumerate_contribution_prob``.  The load pmf is the
-product of the parcels' Bernoulli pmfs, multiplied in pairs, convolved
-with the future-order pmf (exactly, one ``poisson_rows`` row per horizon).
+product of the parcels' Bernoulli pmfs, multiplied in pairs, convolved with
+the future-order pmf (exactly, one ``poisson_rows`` row per horizon), cut by
+``pmf.trim`` and validated once, as the result's ``LoadPmf``.
 """
 
 from __future__ import annotations
