@@ -221,8 +221,8 @@ class OrderIntensity:
         if volumes.ndim != 2 or len(volumes) != len(self.carriers):
             raise ValidationError(f"volumes of shape {volumes.shape} for {len(self.carriers)} carriers")
         rows = [self.profile.rho.get((w, c), np.zeros(24)) for c in self.carriers for w in range(1, 8)]
-        # the two tables rates takes from, by (week hour, carrier) and (day, carrier), each with a zero last column for
-        # a carrier the intensity lacks, the volumes with a zero last row for the days before ``start``: read-only
+        # the two tables rates takes from, by (week hour, carrier) and (day, carrier), each with a zero last column,
+        # where a carrier the intensity lacks falls, the volumes with a zero last row for the days before ``start``
         rho = np.pad(np.array(rows, dtype=float).reshape(-1, 7 * 24), ((0, 1), (0, 0))).T.copy()
         for name, table in [("volumes", volumes), ("_rho", rho), ("_volumes", np.pad(volumes, (0, 1)).T.copy())]:
             table.flags.writeable = False
@@ -303,7 +303,7 @@ def poisson_truncation(lam: float | np.ndarray, coverage: float = 0.99) -> int |
         raise ValidationError(f"lambda must be finite and >= 0, got {lam[bad].flat[0]}")
     if not 0.0 < coverage < 1.0:
         raise ValidationError("coverage must be in (0, 1)")
-    power = np.frexp((lam + 12.0 * np.sqrt(lam)).astype(np.int64) + 41)[1]  # of each rate's own row width
+    power = np.frexp((lam + 12.0 * np.sqrt(lam)).astype(np.int64) + 41)[1]  # of each rate's own poisson_rows width
     top = np.empty(lam.shape, dtype=np.intp)
     for group in [power == p for p in np.unique(power).tolist()]:
         reached = np.cumsum(poisson_rows(lam[group]), axis=-1) >= coverage

@@ -191,8 +191,9 @@ def _split(data: bytes, path) -> tuple:
     lines = np.flatnonzero(~blank[:cut])[1:]  # the rows after the header, before those
     first, fourth = sep[last[lines] - 5], sep[last[lines] - 2]  # the commas that end a row's id and its route
     del sep  # 8 bytes a field: freed before the blocks are built
+    nuls = b"\0" in data  # only then can a span end in a NUL
     ((ids,), row, bad_id), (routes, route, bad_route), (events, event, bad_event) = (
-        _distinct(data, d, begin, end, k)
+        _distinct(data, d, begin, end, k, nuls)
         for begin, end, k in [(starts[lines], first, 1), (first + 1, fourth, 3), (fourth + 1, ends[lines], 2)]
     )
     stop = None
@@ -210,15 +211,14 @@ def _split(data: bytes, path) -> tuple:
     return ids.tolist(), at[row], routes, route, events, event, line[lines], stop
 
 
-def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct texts of the spans data[begin:end], in file order, whose bytes
-    d holds, and each span's code: the spans sorted as big-endian 8-byte words in
-    passes, each one after the first over the spans longer than the last, led by
-    their codes so far.  A pass is no wider than its widest span, nor than the
-    file over its spans, and joins its words into no more keys than spans."""
+def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray, nuls: bool) -> tuple:
+    """The distinct texts of the spans data[begin:end], in file order, whose bytes d holds (a NUL among them
+    if ``nuls``), and each span's code: the spans sorted as big-endian 8-byte words in passes, each one after
+    the first over the spans longer than the last, led by their codes so far.  A pass is no wider than its
+    widest span, nor than the file over its spans, and joins its words into no more keys than spans."""
     code, texts, later = np.empty(len(begin), dtype=np.intp), [], False
     rows, start, size = np.arange(len(begin)), begin, end - begin
-    nul = d[end - 1] == 0 if b"\0" in data else np.zeros(len(begin), dtype=bool)
+    nul = d[end - 1] == 0 if nuls else np.zeros(len(begin), dtype=bool)
     while rows.size:  # rows: the spans still sorted; size: their bytes left; nul: those with a NUL just before the end
         words = max(1, min(-(-int(size.max()) // 8), len(data) // (8 * len(rows))))
         join = -(-words // len(rows))  # words a key
@@ -250,10 +250,10 @@ def _sorted_codes(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray
     return texts, code
 
 
-def _distinct(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int):
+def _distinct(data: bytes, d: np.ndarray, begin: np.ndarray, end: np.ndarray, k: int, nuls: bool):
     """The distinct texts of the spans data[begin:end] as k lists of their fields, unquoted; each
     span's code; which texts cannot be read (not UTF-8, or a field over ``csv.field_size_limit()``)."""
-    texts, codes = _sorted_codes(data, d, begin, end)  # the blocks freed on return
+    texts, codes = _sorted_codes(data, d, begin, end, nuls)  # the blocks freed on return
     joined, bad = b",".join(texts).decode(errors="replace"), np.zeros(len(texts), dtype=bool)  # bad bytes: U+FFFD
     if "\ufffd" in joined:
         bad[:] = [raw.decode(errors="replace").encode() != raw for raw in texts]
@@ -356,11 +356,10 @@ class EventLog:
             raise ValidationError("cannot extend a log beyond its cutoff")
         rows = (self._first() <= cutoff).nonzero()[0]
         entries = self.entries.take(rows, axis=0)  # several times faster than indexing a matrix by rows
-        entries[entries > cutoff] = NEVER
-        return self._view(rows, entries, cutoff)
+        return self._view(rows, np.where(entries <= cutoff, entries, NEVER), cutoff)
 
     def _first(self, low: int = 0) -> np.ndarray:
-        """Each parcel's earliest entry in columns ``low`` on, or NEVER; by column, as a short-axis reduction is slow."""
+        """Each parcel's earliest entry in columns ``low`` on, or NEVER; by column: a short-axis reduction is slow."""
         columns = self.entries.T[low:]
         return reduce(np.minimum, columns[1:], columns[0]) if len(columns) else np.full(len(self), NEVER)
 

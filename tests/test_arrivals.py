@@ -362,7 +362,7 @@ class TestPoisson:
         assert square.tolist() == poisson_truncation(small[:4]).reshape(2, 2).tolist()
 
     def test_one_large_rate_does_not_widen_the_rows_of_the_small_ones(self):
-        # rows of 1e5's width for all 50 rates took 172 MB
+        # rows as wide as 1e5 needs, for all fifty rates, would take about 172 MB
         rates = np.array([2.0] * 49 + [1e5])
         tracemalloc.start()
         try:
