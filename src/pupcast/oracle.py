@@ -25,9 +25,10 @@ count of each (slot, carrier) in turn, then the block's uniforms in one
 then one per status, mapped in runs over the slot of the week, as the kernel
 repeats weekly.  The oracles' ``_still_stored`` draws, status by status, one
 ``random`` block for the parcels not yet past k+j, in runs over the entry
-slot: holding times at a transit status, and at the pickup status a
-comparison with the survival to k+j.  Every draw comes from the caller's
-generator in that order, so a seeded generator gives byte-identical loads.
+slot: holding times at a transit status, and at the last status no draw but
+one comparison with each run's survival to k+j, or with ``cdf[k + j - t_n]``
+for a parcel delivered at t_n (``_beyond``).  Every draw comes from the
+caller's generator in that order: a seeded generator gives the same loads.
 """
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
     return probs / total if total > 0.0 else None
 
 
+def _beyond(cdf: np.ndarray, u: np.ndarray, delay: int) -> np.ndarray:
+    """Whether ``cdf.searchsorted(u, side="right")`` exceeds ``delay``; a holding-time cdf runs from 0 to 1."""
+    return u >= cdf[min(max(delay, 0), len(cdf) - 1)]
+
+
 def _still_stored(
     rng: np.random.Generator,
     routes: list,
@@ -200,20 +206,23 @@ def _still_stored(
     """Whether each parcel that entered ``status`` at ``times`` is still stored at ``horizon``.
 
     Parcel i moves by ``routes[route[i]](n, t)``.  A parcel whose next entry
-    lies beyond ``horizon`` stops moving and is not stored.
+    lies beyond ``horizon`` stops moving and is not stored.  The last status
+    draws none: ``u < survival`` to ``horizon``, looked up once per run.
     """
     times, stored, cdfs = times.copy(), np.zeros(len(times), dtype=bool), {}
     for n in range(status, n_statuses):
         live = (times <= horizon).nonzero()[0]
         order, cuts = _groups(route[live], times[live])
         order, u = live[order], rng.random(len(live))
-        for lo, hi in zip(cuts, cuts[1:]):
-            i, members = order[lo], order[lo:hi]
-            t, pmf = times[i], routes[route[i]](n, times[i])
-            if n < n_statuses - 1:
-                times[members] += _cdf_of(pmf, cdfs).searchsorted(u[lo:hi], side="right")
-            else:
-                stored[members] = u[lo:hi] < pmf.survival(horizon - t)
+        first = order[cuts[:-1]]
+        starts = times[first].tolist()
+        pmfs = [routes[r](n, t) for r, t in zip(route[first].tolist(), starts)]
+        if n == n_statuses - 1:
+            survival = [pmf.survival(horizon - t) for pmf, t in zip(pmfs, starts)]
+            stored[order] = u < np.repeat(survival, np.diff(cuts))
+        else:
+            for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
+                times[order[lo:hi]] += _cdf_of(pmf, cdfs).searchsorted(u[lo:hi], side="right")
     return stored
 
 
@@ -231,28 +240,29 @@ def mc_contribution_prob(
 
     Samples full onward paths; conditioning events (transition out of the
     current status after k, or pickup after k for delivered parcels) are
-    enforced by rejection.  Returns the conditional estimate with its
-    binomial standard error.
+    enforced by rejection, in the last status by ``u >= cdf[k - t_n]`` on
+    the uniforms, no pickup time drawn.  Returns the conditional estimate
+    with its binomial standard error.
     """
     if n_samples < 10_000:
         raise ValidationError("need at least 10^4 samples for a useful oracle")
     rng = rng or np.random.default_rng(0)
-    accepted = 0
-    hits = 0
-    attempted = 0
-    batch = max(n_samples, 10_000)
+    accepted = hits = attempted = 0
+    cdf = _cdf(pmf_at(n, t_n).probs)
     while accepted < n_samples:
-        attempted += batch
+        attempted, u = attempted + n_samples, rng.random(n_samples)
         # holding times are at least one slot, so a parcel entered after k always passes
-        times = t_n + _cdf(pmf_at(n, t_n).probs).searchsorted(rng.random(batch), side="right")
-        times = times[times > k]
-        accepted += len(times)
         if n == n_statuses - 1:
-            hits += int((times > k + j).sum())
+            u = u[_beyond(cdf, u, k - t_n)]
+            accepted += len(u)
+            hits += int(_beyond(cdf, u, k + j - t_n).sum())
         else:
+            times = t_n + cdf.searchsorted(u, side="right")
+            times = times[times > k]
+            accepted += len(times)
             route = np.zeros(len(times), dtype=int)
             hits += int(_still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j).sum())
-        if attempted >= 10 * batch and accepted / attempted < MIN_ACCEPTANCE:
+        if attempted >= 10 * n_samples and accepted / attempted < MIN_ACCEPTANCE:
             raise ConditioningTooRare(
                 f"acceptance rate {accepted / attempted:.2e} below {MIN_ACCEPTANCE:.0e}"
             )
@@ -320,9 +330,10 @@ def mc_load_at(
     """Sample whole-system loads at k+j, one value per replicate future.
 
     Known parcels draw their remaining path conditionally on their evidence
-    (exact truncated-tail sampling, no rejection); future orders arrive per
-    slot and carrier with Poisson counts from the ground-truth intensity and
-    go to ``pup``: by default the one pup the parcels name, as in the engine.
+    (exact truncated-tail sampling, no rejection; a delivered one only tests
+    u >= cdf[k + j - t_n]); future orders arrive per slot and carrier with
+    Poisson counts from the ground-truth intensity and go to ``pup``: by
+    default the one pup the parcels name, as in the engine.
     """
     pups = sorted({rec.pup for rec in parcels}) if pup is None else [pup]
     if len(pups) > 1:
@@ -343,10 +354,11 @@ def mc_load_at(
             probs = _after(kernel.pooled_pmf_at(n), k - t_n)
         if probs is None:
             continue
-        times = t_n + _cdf(probs).searchsorted(rng.random(n_replicates), side="right")
+        cdf, u = _cdf(probs), rng.random(n_replicates)
         if n == n_statuses - 1:
-            loads += times > k + j
+            loads += _beyond(cdf, u, k + j - t_n)
             continue
+        times = t_n + cdf.searchsorted(u, side="right")
         routes = [partial(kernel.pmf_at, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)]
         route = np.zeros(n_replicates, dtype=int)
         loads += _still_stored(rng, routes, route, n + 1, times, n_statuses, k + j)
@@ -354,13 +366,12 @@ def mc_load_at(
     if intensity is None:
         return loads
 
-    tb = kernel.timebase
     by_carrier = {}
     for carrier in intensity.carriers:
         retailers, shares = _retailer_shares(selection, carrier)
         routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
         by_carrier[carrier] = routes, shares
-    rates = intensity.rates(tb, range(k + 1, k + j)).tolist()
+    rates = intensity.rates(kernel.timebase, range(k + 1, k + j)).tolist()
     for t_0, lams in zip(range(k + 1, k + j), rates):
         for (routes, shares), lam in zip(by_carrier.values(), lams):
             if lam <= 0.0:
@@ -374,9 +385,8 @@ def mc_load_at(
                 route = np.zeros(total, dtype=int)
             else:
                 route = _cdf(shares).searchsorted(rng.random(total), side="right")
-            times = np.full(total, t_0)
-            stored = _still_stored(rng, routes, route, entry_status, times, n_statuses, k + j)
-            np.add.at(loads, owner[stored], 1)
+            stored = _still_stored(rng, routes, route, entry_status, np.full(total, t_0), n_statuses, k + j)
+            loads += np.bincount(owner[stored], minlength=n_replicates)
     return loads
 
 

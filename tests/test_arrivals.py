@@ -349,7 +349,8 @@ class TestPoisson:
                 assert poisson_truncation(lam, coverage) == stats.poisson.ppf(coverage, lam), (lam, coverage)
 
     def test_truncation_of_an_array_is_the_scalar_calls(self):
-        # every row is as wide as the largest rate's: the rates past 700 go in a short array
+        # rows are made per power of two of their own widths: a mixed array of
+        # small rates, and one that spans several width groups up to 1e5
         small = np.concatenate([[0.0, 1e-6], np.random.default_rng(5).uniform(0.0, 50.0, 200), [50.0]])
         for rates in (small, np.array([0.0, 1e-6, 3.5, 700.0, 708.5, 740.0, 745.0, 746.0, 2500.0, 1e5])):
             for coverage in (0.5, 0.99, 0.999999):

@@ -11,7 +11,7 @@ import pytest
 import pupcast
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, default_scenario, simulate
 from pupcast.arrivals import HourlyProfile, OrderIntensity
-from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf
+from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf, predict_load_pmfs
 from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
@@ -414,6 +414,40 @@ class TestMonteCarloStreams:
             "464842924c3263fc1a3457b8e6275fbaf79c687059cc89f8af8f314c66d83e88"
         )
 
+    # a pickup pmf with zeros inside, so that cdf entries repeat
+    PICKUP = HoldingTimePmf(np.array([0.0, 0.05, 0.2, 0.0, 0.25, 0.1, 0.3, 0.0, 0.1]))
+
+    @pytest.mark.parametrize(
+        "behind, j, every",
+        [(0, 0, 1), (1, 3, None), (1, 6, None), (1, 7, 0), (2, 9, 0)],
+        ids=["at 0", "inside", "before the last index", "last index", "past it"],
+    )
+    def test_a_delivered_parcel_decides_as_a_search_for_its_pickup_time(self, behind, j, every):
+        # the parcel is delivered at t_n = k - behind, and stored at k + j when its
+        # pickup time exceeds k + j - t_n = 0, 4, 7, 8 (the cdf's last index) or 11
+        k, t_n, n = 30, 30 - behind, 2_000
+        kernel = chain_kernel([HoldingTimePmf.uniform(1, 4), self.PICKUP])
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: t_n - 3, 1: t_n})
+        loads = mc_load_at([parcel], kernel, None, None, k, j, n, np.random.default_rng(behind + j))
+        probs = self.PICKUP.probs.copy()
+        probs[: k - t_n + 1] = 0.0  # not picked up by k
+        drawn = t_n + _cdf(probs / probs.sum()).searchsorted(np.random.default_rng(behind + j).random(n), side="right")
+        assert np.array_equal(loads, (drawn > k + j).astype(int))
+        assert set(loads.tolist()) == ({0, 1} if every is None else {every})
+
+    @pytest.mark.parametrize("t_n, j", [(29, 2), (27, 5), (29, 9), (30, 0), (32, 4), (35, 3)])
+    def test_a_last_status_estimate_decides_as_a_search_for_its_pickup_time(self, t_n, j):
+        # k = 30: accepted at k - t_n = 1, 3, 1, 0, -2, -5 and a hit at k + j - t_n = 3, 8, 10, 0, 2, -2
+        k, pmf_at = 30, stationary([HoldingTimePmf.uniform(1, 4), self.PICKUP])
+        out = mc_contribution_prob(pmf_at, 2, 1, t_n, k, j, 10_000, np.random.default_rng(t_n + j))
+        rng, cdf, accepted, hits = np.random.default_rng(t_n + j), _cdf(self.PICKUP.probs), 0, 0
+        while accepted < 10_000:
+            times = t_n + cdf.searchsorted(rng.random(10_000), side="right")
+            times = times[times > k]
+            accepted, hits = accepted + len(times), hits + int((times > k + j).sum())
+        p = hits / accepted
+        assert out == (p, float(np.sqrt(max(p * (1.0 - p), 1e-12) / accepted)))
+
     def test_contribution_estimates_on_random_instances(self):
         rng, h = np.random.default_rng(2025), hashlib.sha256()
         for _ in range(20):
@@ -425,6 +459,22 @@ class TestMonteCarloStreams:
                 out = "rare"
             h.update(repr(out).encode())
         assert h.hexdigest() == "a97b41132e3cffe46a5e43bf4c47f51402706f43a3020fe067159dc438e0c80d"
+
+
+@pytest.mark.parametrize("day", [40, 100])
+def test_orders_that_enter_the_last_status_match_the_whole_system_sampler(day):
+    # future orders go straight to pickup: the engine's cut of the future path
+    # binds, and the sampler decides every order of a slot in one run
+    cfg = default_scenario(seed=3)
+    cfg.entry_status = cfg.n_statuses - 1
+    models, k, horizons = (cfg.kernel, cfg.intensity, cfg.selection), day * 24, (13, 37, 61, 85)
+    results = predict_load_pmfs([], *models, k, horizons, cfg.entry_status)
+    for j, res in zip(horizons, results):
+        alone = predict_load_pmf([], *models, k, j, cfg.entry_status)
+        assert res.pmf.probs.tobytes() == alone.pmf.probs.tobytes()
+        loads = mc_load_at([], *models, k, j, 5_000, np.random.default_rng(day + j), cfg.entry_status, cfg.pup)
+        se = loads.std(ddof=1) / np.sqrt(len(loads))
+        assert abs(loads.mean() - res.mean) <= 3 * se
 
 
 def _imported(path: Path) -> set[str]:
