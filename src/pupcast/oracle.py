@@ -190,7 +190,7 @@ def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
 
 
 def _beyond(cdf: np.ndarray, u: np.ndarray, delay: int) -> np.ndarray:
-    """Whether ``cdf.searchsorted(u, side="right")`` exceeds ``delay``; a holding-time cdf runs from 0 to 1."""
+    """Whether ``cdf.searchsorted(u, side="right")`` exceeds ``delay``: ``u >= cdf[delay]``, clamped to the cdf's ends."""
     return u >= cdf[min(max(delay, 0), len(cdf) - 1)]
 
 
@@ -207,7 +207,7 @@ def _still_stored(
 
     Parcel i moves by ``routes[route[i]](n, t)``.  A parcel whose next entry
     lies beyond ``horizon`` stops moving and is not stored.  The last status
-    draws none: ``u < survival`` to ``horizon``, looked up once per run.
+    draws no time: ``u < survival`` to ``horizon``, looked up once per run.
     """
     times, stored, cdfs = times.copy(), np.zeros(len(times), dtype=bool), {}
     for n in range(status, n_statuses):
