@@ -355,10 +355,7 @@ def predict_load_pmfs(
     in.  A plain list of records is packed into a log first.
     """
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
-    pups = log.pup_names()
-    if len(pups) > 1:
-        raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
-    pup = pups[0] if pups else ""
+    pup = log.pup_name()
     rows, status, slot = log.latest(k, kernel.n_statuses)  # not picked up by k
     code = log.carrier[rows] * len(log.retailers) + log.retailer[rows]  # each parcel's (carrier, retailer)
     pairs = np.bincount(code).nonzero()[0]

@@ -10,7 +10,7 @@ probabilities and loads:
   supports only);
 * ``mc_contribution_prob`` / ``mc_load_at``: conditional Monte Carlo with
   rejection on the conditioning event, or exact-conditional sampling of
-  whole-system futures.
+  whole-system futures from the live parcels that ``EventLog.latest`` finds.
 
 ``random_instance`` draws the small random kernels that the enumeration
 comparisons run on.
@@ -38,6 +38,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -316,7 +317,7 @@ def enumerate_contribution_prob(
 
 
 def mc_load_at(
-    parcels: list[ParcelRecord],
+    parcels: EventLog | Sequence[ParcelRecord],
     kernel,
     intensity: OrderIntensity | None,
     selection: SelectionModel | None,
@@ -329,25 +330,25 @@ def mc_load_at(
 ) -> np.ndarray:
     """Sample whole-system loads at k+j, one value per replicate future.
 
-    Known parcels draw their remaining path conditionally on their evidence
-    (exact truncated-tail sampling, no rejection; a delivered one only tests
+    The known parcels are the ``latest`` of the log at k, in row order; a
+    list of records is packed into a log and validated first, as in the engine.
+    Each draws its remaining path conditionally on its evidence (exact
+    truncated-tail sampling, no rejection; a delivered one only tests
     u >= cdf[k + j - t_n]); future orders arrive per slot and carrier with
     Poisson counts from the ground-truth intensity and go to ``pup``: by
-    default the one pup the parcels name, as in the engine.
+    default the log's ``pup_name``, as in the engine.
     """
-    pups = sorted({rec.pup for rec in parcels}) if pup is None else [pup]
-    if len(pups) > 1:
-        raise ValidationError(f"parcels target multiple pups: {pups}")
-    pup, n_statuses = pups[0] if pups else "", kernel.n_statuses
+    log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
+    pup, n_statuses = log.pup_name() if pup is None else pup, kernel.n_statuses
     loads = np.zeros(n_replicates, dtype=int)
 
-    for rec in parcels:
-        n = rec.status_at(k)
-        if n is None or n not in kernel.statuses:  # picked up, or in a status never fitted (the engine skips it)
+    rows, status, slot = log.latest(k, n_statuses)  # not picked up by k
+    labels = zip(log.carrier[rows].tolist(), log.retailer[rows].tolist(), log.pup[rows].tolist())
+    for n, t_n, (c, r, p) in zip(status.tolist(), slot.tolist(), labels):
+        if n not in kernel.statuses:  # a status never fitted: the engine skips it
             continue
-        t_n = rec.entry_times[n]
-        pmf = kernel.pmf_at(n, t_n, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)
-        probs = _after(pmf, k - t_n)  # the transition happens after k
+        pmf_at = partial(kernel.pmf_at, carrier=log.carriers[c], retailer=log.retailers[r], pup=log.pups[p])
+        probs = _after(pmf_at(n, t_n), k - t_n)  # the transition happens after k
         if probs is None:
             # evidence beyond the support: retry with the pooled pmf, and if
             # that fails too the parcel has departed (the engine's rule)
@@ -359,9 +360,8 @@ def mc_load_at(
             loads += _beyond(cdf, u, k + j - t_n)
             continue
         times = t_n + cdf.searchsorted(u, side="right")
-        routes = [partial(kernel.pmf_at, carrier=rec.carrier, retailer=rec.retailer, pup=rec.pup)]
         route = np.zeros(n_replicates, dtype=int)
-        loads += _still_stored(rng, routes, route, n + 1, times, n_statuses, k + j)
+        loads += _still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j)
 
     if intensity is None:
         return loads

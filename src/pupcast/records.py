@@ -8,7 +8,9 @@ integer codes into the label tuples ``carriers``, ``retailers`` and
 CSV or filled from ``simulate``'s draws.  ``truncated`` and ``for_pup`` select
 rows and mask entries, which keeps a valid log valid, so they do not validate
 again; views share columns, so a log is read-only once used in a forecast.
-``ParcelRecord`` is the row type at the edge: a log iterates as records.
+``ParcelRecord`` is the row type at the edge, with no behaviour: a log
+iterates as records.  ``latest`` and ``pup_name`` say, for the engine and the
+Monte Carlo oracle alike, which parcels are live at k and for which pup.
 
 The on-disk event log format is CSV with a mandatory header
 ``parcel_id,retailer,carrier,pup,status,entry_iso8601`` and one row per
@@ -58,14 +60,6 @@ class ParcelRecord:
     pup: str
     retailer: str | None = None
     entry_times: dict[int, int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        EventLog([self], NEVER, None)
-
-    def status_at(self, k: int) -> int | None:
-        """Highest status entered at or before slot k, or None if unknown."""
-        reached = [n for n, t in self.entry_times.items() if t <= k]
-        return max(reached) if reached else None
 
 
 def _columns(n_rows: int, row, status, slot) -> tuple[np.ndarray, np.ndarray]:
@@ -363,12 +357,14 @@ class EventLog:
         columns = self.entries.T[low:]
         return reduce(np.minimum, columns[1:], columns[0]) if len(columns) else np.full(len(self), NEVER)
 
-    def pup_names(self) -> list[str]:
-        """The pups its parcels are bound for; a log with one pup label (a
-        ``for_pup`` view, say) names that pup even when it holds no parcel."""
-        if len(self.pups) == 1:
-            return list(self.pups)
-        return [self.pups[c] for c in np.unique(self.pup).tolist()]
+    def pup_name(self) -> str:
+        """The one pup its parcels are bound for, or "" if none; a log with one
+        pup label (a ``for_pup`` view, say) names that pup even when it holds
+        no parcel.  Parcels bound for several pups raise ValidationError."""
+        pups = self.pups if len(self.pups) == 1 else [self.pups[c] for c in np.unique(self.pup).tolist()]
+        if len(pups) > 1:
+            raise ValidationError(f"parcels target multiple pups: {sorted(pups)}")
+        return pups[0] if pups else ""
 
     def entries_of(self, n: int) -> np.ndarray:
         """Each parcel's entry slot into status n, NEVER where not seen."""

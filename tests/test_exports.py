@@ -62,3 +62,15 @@ def test_only_the_kernel_raises_missing_kernel():
     named |= {alias.name for node in ast.walk(oracle) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "ValidationError" in named  # the scan sees the errors the oracle imports
     assert "MissingKernel" not in named
+
+
+def test_only_the_event_log_raises_multiple_pups():
+    # the one-pup rule is EventLog.pup_name's: the engine and the oracle call it
+    package = Path(pupcast.__file__).parent
+    raising = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None and "parcels target multiple pups" in ast.unparse(node.exc)
+    }
+    assert raising == {"records.py"}

@@ -21,7 +21,7 @@ from pupcast.oracle import (
     mc_load_at,
 )
 from pupcast.cli import main
-from pupcast.records import ParcelRecord
+from pupcast.records import NEVER, EventLog, ParcelRecord
 
 from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance
 
@@ -361,8 +361,31 @@ class TestWholeSystemSampler:
         assert not mc_load_at([], kernel, intensity, None, k, j, 1_000, np.random.default_rng(1)).any()
         other = ParcelRecord("P2", "c1", "kiosk", "r1", {0: 47})
         for sample in (predict_load_pmf, lambda *args: mc_load_at(*args, 1_000, np.random.default_rng(1))):
-            with pytest.raises(ValidationError, match=r"parcels target multiple pups: \['kiosk', 'shop'\]"):
-                sample([parcel, other], kernel, intensity, None, k, j)
+            for parcels in ([parcel, other], EventLog([parcel, other], NEVER, TB)):
+                with pytest.raises(ValidationError, match=r"parcels target multiple pups: \['kiosk', 'shop'\]"):
+                    sample(parcels, kernel, intensity, None, k, j)
+
+    def test_a_record_list_is_validated_as_the_engine_validates_it(self):
+        cfg = default_scenario(horizon_days=14)
+        parcel = ParcelRecord("P1", "c1", cfg.pup, "r1", {2: 10, 3: 5})
+        models = (cfg.kernel, cfg.intensity, cfg.selection, 20, 5)
+        message = "parcel P1: entry into status 3 at slot 5 does not follow status 2 at slot 10"
+        with pytest.raises(ValidationError, match=message):
+            predict_load_pmf([parcel], *models, cfg.entry_status)
+        with pytest.raises(ValidationError, match=message):
+            mc_load_at([parcel], *models, 1_000, np.random.default_rng(0), cfg.entry_status)
+
+    @pytest.mark.parametrize("day", [50, 70])
+    def test_a_log_draws_what_its_records_not_picked_up_draw(self, day):
+        # the view still holds the parcels picked up by k, which the oracle drops
+        cfg = default_scenario(seed=3)
+        k = day * 24
+        log = simulate(cfg).log.truncated(k).for_pup(cfg.pup)
+        active = [r for r in log if cfg.n_statuses not in r.entry_times]
+        assert len(active) < len(log)
+        models = (cfg.kernel, cfg.intensity, cfg.selection, k, 13, 2_000)
+        loads = [mc_load_at(parcels, *models, np.random.default_rng(day), cfg.entry_status) for parcels in (log, active)]
+        assert loads[0].tobytes() == loads[1].tobytes()
 
 
 class TestMonteCarloStreams:

@@ -26,20 +26,11 @@ def rec(pid="P1", entries=None, carrier="c1", pup="shop", retailer="r1"):
 
 
 def test_entry_times_strictly_increasing():
-    rec(entries={2: 10, 3: 20}).validate()
+    EventLog([rec(entries={2: 10, 3: 20})], NEVER, TB)
     with pytest.raises(ValidationError):
-        rec(entries={2: 10, 3: 10}).validate()
+        EventLog([rec(entries={2: 10, 3: 10})], NEVER, TB)
     with pytest.raises(ValidationError):
-        rec(entries={2: 10, 3: 5}).validate()
-
-
-def test_status_at():
-    r = rec(entries={2: 10, 3: 20, 4: 50})
-    assert r.status_at(5) is None
-    assert r.status_at(10) == 2
-    assert r.status_at(20) == 3
-    assert r.status_at(49) == 3
-    assert r.status_at(1000) == 4
+        EventLog([rec(entries={2: 10, 3: 5})], NEVER, TB)
 
 
 def test_log_rejects_events_beyond_cutoff():
@@ -61,7 +52,7 @@ def test_for_pup_and_truncated():
     assert [r.id for r in log.for_pup("other")] == ["P2"] and log.for_pup("other").pups == ("other",)
     shop = log.for_pup("shop")
     assert shop.for_pup("shop") is shop  # a log of one pup label is its own view of it
-    assert len(shop.for_pup("other")) == 0 and shop.for_pup("other").pup_names() == ["other"]
+    assert len(shop.for_pup("other")) == 0 and shop.for_pup("other").pup_name() == "other"
     early = log.truncated(15)
     assert early.cutoff == 15
     assert [r.id for r in early.records] == ["P1", "P2"]
@@ -236,9 +227,11 @@ def test_columns_latest_status_and_row_order():
     assert len(log.truncated(9)) == 0
     assert [r.entry_times for r in log.truncated(26)] == [{2: 10, 3: 20}, {2: 12}, {3: 25}]
     empty = log.for_pup("elsewhere")
-    assert len(empty) == 0 and empty.pup_names() == ["elsewhere"]
-    assert log.pup_names() == ["shop", "other"]
-    assert log.truncated(12).pup_names() == ["shop"]
+    assert len(empty) == 0 and empty.pup_name() == "elsewhere"
+    with pytest.raises(ValidationError, match=r"parcels target multiple pups: \['other', 'shop'\]"):
+        log.pup_name()
+    assert log.truncated(12).pup_name() == "shop"
+    assert log.truncated(9).pup_name() == "" and EventLog([], NEVER, TB).pup_name() == ""
 
 
 @st.composite
@@ -265,10 +258,12 @@ def test_latest_and_truncated_match_each_record(records, data, pup):
     near = [t + d for r in records for t in r.entry_times.values() for d in (-1, 0, 1)]
     k = data.draw(st.integers(-70, 60) | st.sampled_from(near or [0]))
     early = log.truncated(min(k, 60))
+    # the reference: each record's highest status entered by k
+    reached = [max((n for n, t in r.entry_times.items() if t <= k), default=None) for r in records]
     for below in range(-1, 7):
         for on in (log, early):
             rows, status, slot = on.latest(k, below)
-            expected = [(i, r.status_at(k)) for i, r in enumerate(records) if r.status_at(k) is not None]
+            expected = [(i, n) for i, n in enumerate(reached) if n is not None]
             if on is early:  # its rows are the parcels with an entry by k
                 expected = list(enumerate(n for _, n in expected))
             got = list(zip(rows.tolist(), status.tolist(), slot.tolist()))
