@@ -17,9 +17,10 @@ comparisons run on.
 
 ``simulate`` and the Monte Carlo oracles group and draw alike.  ``_groups``
 sorts parcels into runs of equal (route, slot), routes first and slots
-ascending; a route is one (carrier, retailer, pup) binding of the kernel.  A
-uniform u becomes ``_cdf(p).searchsorted(u, side="right")``, the index that
-``Generator.choice`` with probs p spends it on.  ``simulate`` draws the Poisson
+ascending, by one radix-sorted key; a route is one (carrier, retailer, pup)
+binding of the kernel.  A uniform u becomes ``_Draw(p)(u)``, the index that
+``Generator.choice`` with probs p spends it on, read from a guide table for
+a large draw and exact for every u.  ``simulate`` draws the Poisson
 count of each (slot, carrier) in turn, then the block's uniforms in one
 ``random`` call: per parcel one for its retailer (if its carrier has shares),
 then one per status, mapped in runs over the slot of the week, as the kernel
@@ -112,19 +113,61 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _cdf_of(pmf: HoldingTimePmf, cdfs: dict) -> np.ndarray:
-    """``_cdf(pmf.probs)``, cached in ``cdfs`` under the pmf's id beside the pmf, which keeps the id unique."""
-    if id(pmf) not in cdfs:
-        cdfs[id(pmf)] = pmf, _cdf(pmf.probs)
-    return cdfs[id(pmf)][1]
+class _Draw:
+    """The index ``Generator.choice`` spends each uniform u in [0, 1) on for ``p=probs``.
+
+    That is ``cdf.searchsorted(u, side="right")`` with ``cdf = _cdf(probs)``.
+    A draw of at least ``cells`` uniforms reads a guide table (Chen & Asau
+    1974): [0, 1) is cut into ``cells`` equal cells, a power of two so that
+    ``u * cells`` is exact, and ``guide[c]`` is the answer at the cell's left
+    edge.  In a cell that holds at most one cdf entry the answer is
+    ``guide[c] + (u >= cdf[guide[c]])``; the u of the other cells are searched.
+    Smaller draws search directly, and build no table.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        self.cdf = _cdf(probs)
+        self.cells = 1 << (2 * len(self.cdf) - 1).bit_length()  # the least power of two >= 2 len(cdf)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell: the answer at its left edge, the cdf entry that decides the next one, and whether it holds more."""
+        guide = self.cdf.searchsorted(np.arange(self.cells + 1) / self.cells, side="right")
+        return guide[:-1], self.cdf[guide[:-1]], np.diff(guide) > 1  # cdf[-1] is 1, so guide[c] < len(cdf)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(u) < self.cells:
+            return self.cdf.searchsorted(u, side="right")
+        guide, edge, crowded = self._table
+        cell = (u * self.cells).astype(np.intp)
+        out = guide[cell] + (u >= edge[cell])
+        far = crowded[cell].nonzero()[0]
+        out[far] = self.cdf.searchsorted(u[far], side="right")
+        return out
+
+
+def _draw_of(pmf: HoldingTimePmf, draws: dict) -> _Draw:
+    """``_Draw(pmf.probs)``, cached in ``draws`` under the pmf's id beside the pmf, which keeps the id unique."""
+    if id(pmf) not in draws:
+        draws[id(pmf)] = pmf, _Draw(pmf.probs)
+    return draws[id(pmf)][1]
 
 
 def _groups(route: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, list]:
-    """Indices in runs of equal (route, slot), routes first, then slots, then index; and the runs' bounds."""
-    order = np.lexsort((slot, route))
-    new = np.diff(route[order], prepend=-1) != 0  # routes are indices, so a run starts at 0
-    new[1:] |= np.diff(slot[order]) != 0
-    return order, [*new.nonzero()[0].tolist(), len(order)]
+    """Indices in runs of equal (route, slot), routes first, then slots, then index; and the runs' bounds.
+
+    Routes are indices, so one key ``route * span + slot - slot.min()`` orders
+    as (route, slot).  Cast to its narrowest unsigned type, a key of at most
+    16 bits takes numpy's stable radix sort.
+    """
+    if len(slot) == 0:
+        return np.zeros(0, dtype=np.intp), [0]
+    low = slot.min()
+    key = route * (slot.max() - low + 1) + (slot - low)
+    key = key.astype(np.min_scalar_type(key.max()))
+    order = key.argsort(kind="stable")
+    key = key[order]
+    return order, [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(order)]
 
 
 def simulate(config: ScenarioConfig) -> SimulatedTrace:
@@ -159,16 +202,16 @@ def _log(config: ScenarioConfig) -> EventLog:
     hops = np.cumsum(width[carrier]) - (last - first)  # each parcel's first uniform for a status
     retailer = np.zeros(len(carrier), dtype=np.intp)
     for c in np.flatnonzero(has_shares):  # the retailer's uniform comes just before
-        retailer[carrier == c] = _cdf(shares[c][1]).searchsorted(u[hops[carrier == c] - 1], side="right")
+        retailer[carrier == c] = _Draw(shares[c][1])(u[hops[carrier == c] - 1])
     route = carrier * max((len(retailers) for retailers, _ in shares), default=1) + retailer
-    times, cdfs, week = [np.array(entered, dtype=np.intp)], {}, tb.slots_per_week
+    times, draws, week = [np.array(entered, dtype=np.intp)], {}, tb.slots_per_week
     for col, n in enumerate(range(first, last)):
         t = times[-1].copy()  # becomes the entry into status n + 1, run by run
         order, cuts = _groups(route, t % week)
         for lo, hi in zip(cuts, cuts[1:]):
             i, members = order[lo], order[lo:hi]
             pmf = kernel.pmf_at(n, int(t[i]), carriers[carrier[i]], shares[carrier[i]][0][retailer[i]], pup)
-            t[members] += _cdf_of(pmf, cdfs).searchsorted(u[hops[members] + col], side="right")
+            t[members] += _draw_of(pmf, draws)(u[hops[members] + col])
         times.append(t)
     ids, statuses = [f"P{i:06d}" for i in range(1, len(carrier) + 1)], np.arange(first, last + 1)
     retailers = [shares[c][0][r] for c, r in zip(carrier.tolist(), retailer.tolist())]
@@ -210,7 +253,7 @@ def _still_stored(
     lies beyond ``horizon`` stops moving and is not stored.  The last status
     draws no time: ``u < survival`` to ``horizon``, looked up once per run.
     """
-    times, stored, cdfs = times.copy(), np.zeros(len(times), dtype=bool), {}
+    times, stored, draws = times.copy(), np.zeros(len(times), dtype=bool), {}
     for n in range(status, n_statuses):
         live = (times <= horizon).nonzero()[0]
         order, cuts = _groups(route[live], times[live])
@@ -223,7 +266,7 @@ def _still_stored(
             stored[order] = u < np.repeat(survival, np.diff(cuts))
         else:
             for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
-                times[order[lo:hi]] += _cdf_of(pmf, cdfs).searchsorted(u[lo:hi], side="right")
+                times[order[lo:hi]] += _draw_of(pmf, draws)(u[lo:hi])
     return stored
 
 
@@ -249,16 +292,16 @@ def mc_contribution_prob(
         raise ValidationError("need at least 10^4 samples for a useful oracle")
     rng = rng or np.random.default_rng(0)
     accepted = hits = attempted = 0
-    cdf = _cdf(pmf_at(n, t_n).probs)
+    draw = _Draw(pmf_at(n, t_n).probs)
     while accepted < n_samples:
         attempted, u = attempted + n_samples, rng.random(n_samples)
         # holding times are at least one slot, so a parcel entered after k always passes
         if n == n_statuses - 1:
-            u = u[_beyond(cdf, u, k - t_n)]
+            u = u[_beyond(draw.cdf, u, k - t_n)]
             accepted += len(u)
-            hits += int(_beyond(cdf, u, k + j - t_n).sum())
+            hits += int(_beyond(draw.cdf, u, k + j - t_n).sum())
         else:
-            times = t_n + cdf.searchsorted(u, side="right")
+            times = t_n + draw(u)
             times = times[times > k]
             accepted += len(times)
             route = np.zeros(len(times), dtype=int)
@@ -328,7 +371,7 @@ def mc_load_at(
     entry_status: int = 0,
     pup: str | None = None,
 ) -> np.ndarray:
-    """Sample whole-system loads at k+j, one value per replicate future.
+    """Sample whole-system loads at k+j, one int32 count per replicate future.
 
     The known parcels are the ``latest`` of the log at k, in row order; a
     list of records is packed into a log and validated first, as in the engine.
@@ -340,7 +383,7 @@ def mc_load_at(
     """
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
     pup, n_statuses = log.pup_name() if pup is None else pup, kernel.n_statuses
-    loads = np.zeros(n_replicates, dtype=int)
+    loads = np.zeros(n_replicates, dtype=np.int32)
 
     rows, status, slot = log.latest(k, n_statuses)  # not picked up by k
     labels = zip(log.carrier[rows].tolist(), log.retailer[rows].tolist(), log.pup[rows].tolist())
@@ -355,11 +398,11 @@ def mc_load_at(
             probs = _after(kernel.pooled_pmf_at(n), k - t_n)
         if probs is None:
             continue
-        cdf, u = _cdf(probs), rng.random(n_replicates)
+        draw, u = _Draw(probs), rng.random(n_replicates)
         if n == n_statuses - 1:
-            loads += _beyond(cdf, u, k + j - t_n)
+            loads += _beyond(draw.cdf, u, k + j - t_n)
             continue
-        times = t_n + cdf.searchsorted(u, side="right")
+        times = t_n + draw(u)
         route = np.zeros(n_replicates, dtype=int)
         loads += _still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j)
 
@@ -370,10 +413,10 @@ def mc_load_at(
     for carrier in intensity.carriers:
         retailers, shares = _retailer_shares(selection, carrier)
         routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
-        by_carrier[carrier] = routes, shares
+        by_carrier[carrier] = routes, None if shares is None else _Draw(shares)
     rates = intensity.rates(kernel.timebase, range(k + 1, k + j)).tolist()
     for t_0, lams in zip(range(k + 1, k + j), rates):
-        for (routes, shares), lam in zip(by_carrier.values(), lams):
+        for (routes, retailer), lam in zip(by_carrier.values(), lams):
             if lam <= 0.0:
                 continue
             counts = rng.poisson(lam, size=n_replicates)
@@ -381,10 +424,7 @@ def mc_load_at(
             if total == 0:
                 continue
             owner = np.repeat(np.arange(n_replicates), counts)
-            if shares is None:
-                route = np.zeros(total, dtype=int)
-            else:
-                route = _cdf(shares).searchsorted(rng.random(total), side="right")
+            route = np.zeros(total, dtype=int) if retailer is None else retailer(rng.random(total))
             stored = _still_stored(rng, routes, route, entry_status, np.full(total, t_0), n_statuses, k + j)
             loads += np.bincount(owner[stored], minlength=n_replicates)
     return loads

@@ -74,3 +74,16 @@ def test_only_the_event_log_raises_multiple_pups():
         if isinstance(node, ast.Raise) and node.exc is not None and "parcels target multiple pups" in ast.unparse(node.exc)
     }
     assert raising == {"records.py"}
+
+
+def test_only_the_draw_searches_a_cdf():
+    # every uniform -> index mapping of the oracles goes through _Draw, which
+    # answers most of them from its guide table
+    tree = ast.parse((Path(pupcast.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    searching = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "searchsorted"
+    }
+    assert searching == {"_Draw"}

@@ -16,6 +16,8 @@ from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKerne
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
     _cdf,
+    _Draw,
+    _groups,
     enumerate_contribution_prob,
     mc_contribution_prob,
     mc_load_at,
@@ -387,14 +389,21 @@ class TestWholeSystemSampler:
         loads = [mc_load_at(parcels, *models, np.random.default_rng(day), cfg.entry_status) for parcels in (log, active)]
         assert loads[0].tobytes() == loads[1].tobytes()
 
+    def test_loads_are_int32(self):
+        # a count of one pup's parcels: from a record list and from a log alike
+        kernel = chain_kernel([HoldingTimePmf.uniform(1, 4), HoldingTimePmf.uniform(2, 6)])
+        parcels = [ParcelRecord("P1", "c1", "shop", "r1", {0: 8}), ParcelRecord("P2", "c1", "shop", "r1", {0: 2, 1: 5})]
+        for given in (parcels, EventLog(parcels, NEVER, kernel.timebase)):
+            assert mc_load_at(given, kernel, None, None, 9, 2, 100, np.random.default_rng(0)).dtype == np.int32
+
 
 class TestMonteCarloStreams:
     """sha256 pins of the Monte Carlo oracles' outputs under fixed seeds: a change to
     how they group or draw must keep every replicate's bytes."""
 
-    def test_a_cdf_search_draws_what_generator_choice_draws(self):
-        # the oracles map uniforms through _cdf as Generator.choice does with
-        # p=; the pins rest on this, so a numpy whose choice differs fails here
+    @staticmethod
+    def choice_pmfs() -> list[np.ndarray]:
+        """Dirichlet pmfs with zeros, then the default kernel's 93 rows."""
         rng = np.random.default_rng(12)
         dirichlet = []
         for size in (2, 3, 7, 40):
@@ -405,9 +414,33 @@ class TestMonteCarloStreams:
         kernel = default_scenario(horizon_days=7).kernel
         rows = [pmf.probs for n in (2, 3) for level in kernel.statuses[n].levels for pmf in level.pmfs.values()]
         assert len(rows) == 93  # transit: 21 by (weekday, carrier) and the pooled; pickup: 70 and the pooled
-        for s, p in enumerate(dirichlet + rows):
-            drawn = _cdf(p).searchsorted(np.random.default_rng(s).random(500), side="right")
-            assert np.array_equal(drawn, np.random.default_rng(s).choice(len(p), 500, p=p))
+        return dirichlet + rows
+
+    def test_a_cdf_search_draws_what_generator_choice_draws(self):
+        # the oracles map uniforms through _cdf as Generator.choice does with
+        # p=; the pins rest on this, so a numpy whose choice differs fails here.
+        # 5,000 draws is more than any row's guide cells, so _Draw reads its table
+        for s, p in enumerate(self.choice_pmfs()):
+            drawn = _Draw(p)(np.random.default_rng(s).random(5_000))
+            assert np.array_equal(drawn, np.random.default_rng(s).choice(len(p), 5_000, p=p))
+
+    def test_a_guide_table_draws_what_a_cdf_search_draws(self):
+        thin = np.append(0.5, np.full(30, 1e-6))
+        thin = np.append(thin, 1.0 - thin.sum())  # a long, thin tail: 30 cdf entries in one cell
+        cases = [*self.choice_pmfs(), thin, np.array([0.3, 0.7]), np.array([0.0, 1.0]), np.array([0.6, 0.3, 0.1])]
+        rng = np.random.default_rng(8)
+        for p in cases:
+            draw, cdf = _Draw(p), _cdf(p)
+            cells = draw.cells
+            assert cells & (cells - 1) == 0 and 2 * len(cdf) <= cells < 4 * len(cdf)
+            edges = np.arange(cells) / cells
+            inner = cdf[cdf < 1.0]
+            u = np.concatenate([inner, np.nextafter(inner, 0), edges, np.nextafter(edges, 0), [np.nextafter(1.0, 0)]])
+            u = np.concatenate([u, rng.random(cells)])
+            for part in (u, u[: cells - 1], rng.random(cells - 1)):  # the guide, then a direct search
+                assert np.array_equal(draw(part), cdf.searchsorted(part, side="right"))
+        # the thin tail's cell holds more than one cdf entry, so its u are searched
+        assert np.bincount((_cdf(thin) * _Draw(thin).cells).astype(int)).max() >= 10
 
     def test_whole_system_loads_on_the_default_scenario(self):
         # two anchors with future orders and retailer draws, plus a parcel
@@ -420,7 +453,7 @@ class TestMonteCarloStreams:
             active = [r for r in log if cfg.n_statuses not in r.entry_times]
             active.append(ParcelRecord("early", "c1", cfg.pup, "r1", {1: k - 5}))
             models = (cfg.kernel, cfg.intensity, cfg.selection, k, j, 2_000, rng, cfg.entry_status, cfg.pup)
-            h.update(mc_load_at(active, *models).tobytes())
+            h.update(mc_load_at(active, *models).astype(np.int64).tobytes())
         assert h.hexdigest() == "9ad5677d540dbf3fe0dea619aef1878552bcca25bda50acccc64e862c496b54e"
 
     def test_whole_system_loads_with_the_pooled_rescue_and_a_departed_parcel(self):
@@ -433,7 +466,7 @@ class TestMonteCarloStreams:
             ParcelRecord("delivered", "c1", "shop", "r1", {0: 1, 1: 3, 2: 9}),
         ]
         loads = mc_load_at(parcels, kernel, None, None, 12, 8, 2_000, np.random.default_rng(7))
-        assert hashlib.sha256(loads.tobytes()).hexdigest() == (
+        assert hashlib.sha256(loads.astype(np.int64).tobytes()).hexdigest() == (
             "464842924c3263fc1a3457b8e6275fbaf79c687059cc89f8af8f314c66d83e88"
         )
 
@@ -482,6 +515,24 @@ class TestMonteCarloStreams:
                 out = "rare"
             h.update(repr(out).encode())
         assert h.hexdigest() == "a97b41132e3cffe46a5e43bf4c47f51402706f43a3020fe067159dc438e0c80d"
+
+
+def test_groups_sort_as_a_lexsort_by_route_then_slot():
+    rng = np.random.default_rng(4)
+    cases = [
+        (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)),
+        (np.array([2]), np.array([7])),
+        (rng.integers(0, 3, 500), rng.integers(0, 85, 500)),
+        (rng.integers(0, 9, 2_000), rng.integers(0, 168, 2_000)),
+        (rng.integers(0, 4, 300), rng.integers(-40, 10, 300)),  # negative slots
+        (rng.integers(0, 70, 1_000), rng.integers(0, 1_000, 1_000)),  # route x span >= 65,536: wider than 16 bits
+    ]
+    for route, slot in cases:
+        order, cuts = _groups(route, slot)
+        expected = np.lexsort((slot, route))
+        assert np.array_equal(order, expected)
+        pairs = list(zip(route[expected].tolist(), slot[expected].tolist()))
+        assert cuts == [i for i in range(len(pairs)) if i == 0 or pairs[i] != pairs[i - 1]] + [len(pairs)]
 
 
 @pytest.mark.parametrize("day", [40, 100])
