@@ -252,7 +252,8 @@ def _future_orders_pmfs(
     # below sums in memory order), and the probability that one such order contributes at each horizon
     lam = np.ascontiguousarray(intensity.rates(window.kernel.timebase, np.arange(window.k + 1, window.k + width)))
     p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
-    p[np.arange(width - 1) >= js[:, None] - 1] = 0.0  # an order at k+j_h is not stored by k+j_h
+    if entry_status == window.last:  # an order at k+j_h is not stored by k+j_h; below the last status V is 0 there
+        p[np.arange(width - 1) >= js[:, None] - 1] = 0.0
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
         live = lam.ravel() > 0.0
         rates = lam.ravel()[live]

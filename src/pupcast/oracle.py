@@ -19,17 +19,22 @@ comparisons run on.
 sorts parcels into runs of equal (route, slot), routes first and slots
 ascending, by one radix-sorted key; a route is one (carrier, retailer, pup)
 binding of the kernel.  A uniform u becomes ``_Draw(p)(u)``, the index that
-``Generator.choice`` with probs p spends it on, read from a guide table for
-a large draw and exact for every u.  ``simulate`` draws the Poisson
-count of each (slot, carrier) in turn, then the block's uniforms in one
-``random`` call: per parcel one for its retailer (if its carrier has shares),
-then one per status, mapped in runs over the slot of the week, as the kernel
-repeats weekly.  The oracles' ``_still_stored`` draws, status by status, one
-``random`` block for the parcels not yet past k+j, in runs over the entry
-slot: holding times at a transit status, and at the last status no draw but
-one comparison with each run's survival to k+j, or with ``cdf[k + j - t_n]``
-for a parcel delivered at t_n (``_beyond``).  Every draw comes from the
-caller's generator in that order: a seeded generator gives the same loads.
+``Generator.choice`` with probs p spends it on, exact for every u: counted
+by comparisons for a cdf of at most four entries (the retailer shares), and
+read from a guide table for a large draw from a longer one.  ``simulate``
+draws the Poisson count of each (slot, carrier) in turn, then the block's
+uniforms in one ``random`` call: per parcel one for its retailer (if its
+carrier has shares), then one per status, mapped in runs over the slot of
+the week, as the kernel repeats weekly.  The oracles' ``_still_stored``
+draws, status by status, one ``random`` block for the parcels not yet past
+k+j, in runs over the entry slot: holding times at a transit status, and at
+the last status no draw but one comparison of each uniform with the survival
+to k+j of its route and entry slot, from a table (``_survivals``) that a call
+builds once per route; a parcel delivered at t_n compares with
+``cdf[k + j - t_n]`` (``_beyond``).  ``mc_load_at`` lays a block of future
+orders out in replicate order, so each replicate's stored count is a
+difference of one cumulative sum.  Every draw comes from the caller's
+generator in that order: a seeded generator gives the same loads.
 """
 
 from __future__ import annotations
@@ -117,13 +122,17 @@ class _Draw:
     """The index ``Generator.choice`` spends each uniform u in [0, 1) on for ``p=probs``.
 
     That is ``cdf.searchsorted(u, side="right")`` with ``cdf = _cdf(probs)``.
-    A draw of at least ``cells`` uniforms reads a guide table (Chen & Asau
-    1974): [0, 1) is cut into ``cells`` equal cells, a power of two so that
-    ``u * cells`` is exact, and ``guide[c]`` is the answer at the cell's left
-    edge.  In a cell that holds at most one cdf entry the answer is
-    ``guide[c] + (u >= cdf[guide[c]])``; the u of the other cells are searched.
-    Smaller draws search directly, and build no table.
+    A cdf of at most ``SHORT`` entries counts the entries at or below u, one
+    comparison each; ``cdf[-1]`` is exactly 1 and u < 1, so the last is never
+    counted.  A longer cdf's draw of at least ``cells`` uniforms reads a guide
+    table (Chen & Asau 1974): [0, 1) is cut into ``cells`` equal cells, a
+    power of two so that ``u * cells`` is exact, and ``guide[c]`` is the
+    answer at the cell's left edge.  In a cell that holds at most one cdf
+    entry the answer is ``guide[c] + (u >= cdf[guide[c]])``; the u of the
+    other cells are searched.  Smaller draws search directly, and build no table.
     """
+
+    SHORT = 4
 
     def __init__(self, probs: np.ndarray):
         self.cdf = _cdf(probs)
@@ -136,6 +145,11 @@ class _Draw:
         return guide[:-1], self.cdf[guide[:-1]], np.diff(guide) > 1  # cdf[-1] is 1, so guide[c] < len(cdf)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(self.cdf) <= self.SHORT:
+            out = np.zeros(len(u), dtype=np.intp)
+            for entry in self.cdf[:-1]:
+                out += u >= entry
+            return out
         if len(u) < self.cells:
             return self.cdf.searchsorted(u, side="right")
         guide, edge, crowded = self._table
@@ -157,14 +171,19 @@ def _groups(route: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, list]:
     """Indices in runs of equal (route, slot), routes first, then slots, then index; and the runs' bounds.
 
     Routes are indices, so one key ``route * span + slot - slot.min()`` orders
-    as (route, slot).  Cast to its narrowest unsigned type, a key of at most
-    16 bits takes numpy's stable radix sort.
+    as (route, slot).  It is built in the narrowest unsigned type that holds
+    its bound, modulo that type's range, which is exact as the key fits; a key
+    of at most 16 bits takes numpy's stable radix sort.
     """
     if len(slot) == 0:
         return np.zeros(0, dtype=np.intp), [0]
-    low = slot.min()
-    key = route * (slot.max() - low + 1) + (slot - low)
-    key = key.astype(np.min_scalar_type(key.max()))
+    low = int(slot.min())
+    span = int(slot.max()) - low + 1
+    dtype = np.min_scalar_type((int(route.max()) + 1) * span - 1)
+    key = route.astype(dtype)
+    key *= span
+    key += slot.astype(dtype)  # a slot outside the type's range wraps, and the next line wraps it back
+    key -= low % (1 << 8 * dtype.itemsize)
     order = key.argsort(kind="stable")
     key = key[order]
     return order, [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(order)]
@@ -238,35 +257,46 @@ def _beyond(cdf: np.ndarray, u: np.ndarray, delay: int) -> np.ndarray:
     return u >= cdf[min(max(delay, 0), len(cdf) - 1)]
 
 
+def _survivals(pmf_at, last: int, horizon: int, width: int) -> np.ndarray:
+    """Entry d: the survival to ``horizon`` of an entry into status ``last`` d slots before it, for d < width."""
+    return np.array([pmf_at(last, horizon - d).survival(d) for d in range(width)])
+
+
 def _still_stored(
     rng: np.random.Generator,
     routes: list,
+    stay: np.ndarray,
     route: np.ndarray,
     status: int,
     times: np.ndarray,
     n_statuses: int,
     horizon: int,
+    draws: dict,
 ) -> np.ndarray:
     """Whether each parcel that entered ``status`` at ``times`` is still stored at ``horizon``.
 
-    Parcel i moves by ``routes[route[i]](n, t)``.  A parcel whose next entry
-    lies beyond ``horizon`` stops moving and is not stored.  The last status
-    draws no time: ``u < survival`` to ``horizon``, looked up once per run.
+    Parcel i moves by ``routes[route[i]](n, t)``, drawn through the caller's
+    ``draws``.  A parcel whose next entry lies beyond ``horizon`` stops
+    moving and is not stored.  The last status draws no time: a parcel that
+    entered it d slots before ``horizon`` is stored when u < ``stay[route[i], d]``,
+    ``_survivals`` of its route.
     """
-    times, stored, draws = times.copy(), np.zeros(len(times), dtype=bool), {}
+    times, stored = times.copy(), np.zeros(len(times), dtype=bool)
     for n in range(status, n_statuses):
         live = (times <= horizon).nonzero()[0]
+        if len(live) == 0:  # none is left to draw for, here or later
+            break
         order, cuts = _groups(route[live], times[live])
         order, u = live[order], rng.random(len(live))
-        first = order[cuts[:-1]]
-        starts = times[first].tolist()
-        pmfs = [routes[r](n, t) for r, t in zip(route[first].tolist(), starts)]
         if n == n_statuses - 1:
-            survival = [pmf.survival(horizon - t) for pmf, t in zip(pmfs, starts)]
-            stored[order] = u < np.repeat(survival, np.diff(cuts))
-        else:
-            for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
-                times[order[lo:hi]] += _draw_of(pmf, draws)(u[lo:hi])
+            stored[order] = u < stay[route[order], horizon - times[order]]
+            break
+        first = order[cuts[:-1]]
+        pmfs = [routes[r](n, t) for r, t in zip(route[first].tolist(), times[first].tolist())]
+        delay = np.empty(len(order), dtype=np.intp)
+        for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
+            delay[lo:hi] = _draw_of(pmf, draws)(u[lo:hi])
+        times[order] += delay
     return stored
 
 
@@ -292,11 +322,13 @@ def mc_contribution_prob(
         raise ValidationError("need at least 10^4 samples for a useful oracle")
     rng = rng or np.random.default_rng(0)
     accepted = hits = attempted = 0
-    draw = _Draw(pmf_at(n, t_n).probs)
+    draws, last = {}, n_statuses - 1
+    draw = _draw_of(pmf_at(n, t_n), draws)
+    stay = None if n == last else _survivals(pmf_at, last, k + j, j)[None]
     while accepted < n_samples:
         attempted, u = attempted + n_samples, rng.random(n_samples)
         # holding times are at least one slot, so a parcel entered after k always passes
-        if n == n_statuses - 1:
+        if n == last:
             u = u[_beyond(draw.cdf, u, k - t_n)]
             accepted += len(u)
             hits += int(_beyond(draw.cdf, u, k + j - t_n).sum())
@@ -305,7 +337,7 @@ def mc_contribution_prob(
             times = times[times > k]
             accepted += len(times)
             route = np.zeros(len(times), dtype=int)
-            hits += int(_still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j).sum())
+            hits += int(_still_stored(rng, [pmf_at], stay, route, n + 1, times, n_statuses, k + j, draws).sum())
         if attempted >= 10 * n_samples and accepted / attempted < MIN_ACCEPTANCE:
             raise ConditioningTooRare(
                 f"acceptance rate {accepted / attempted:.2e} below {MIN_ACCEPTANCE:.0e}"
@@ -383,7 +415,14 @@ def mc_load_at(
     """
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
     pup, n_statuses = log.pup_name() if pup is None else pup, kernel.n_statuses
-    loads = np.zeros(n_replicates, dtype=np.int32)
+    loads, horizon = np.zeros(n_replicates, dtype=np.int32), k + j
+    draws, stays = {}, {}  # per call: each pmf's _Draw, and each route's _survivals to the horizon
+
+    def stay(pmf_at: partial) -> np.ndarray:
+        route = tuple(pmf_at.keywords.values())  # (carrier, retailer, pup)
+        if route not in stays:
+            stays[route] = _survivals(pmf_at, n_statuses - 1, horizon, j)
+        return stays[route]
 
     rows, status, slot = log.latest(k, n_statuses)  # not picked up by k
     labels = zip(log.carrier[rows].tolist(), log.retailer[rows].tolist(), log.pup[rows].tolist())
@@ -400,33 +439,35 @@ def mc_load_at(
             continue
         draw, u = _Draw(probs), rng.random(n_replicates)
         if n == n_statuses - 1:
-            loads += _beyond(draw.cdf, u, k + j - t_n)
+            loads += _beyond(draw.cdf, u, horizon - t_n)
             continue
         times = t_n + draw(u)
         route = np.zeros(n_replicates, dtype=int)
-        loads += _still_stored(rng, [pmf_at], route, n + 1, times, n_statuses, k + j)
+        loads += _still_stored(rng, [pmf_at], stay(pmf_at)[None], route, n + 1, times, n_statuses, horizon, draws)
 
-    if intensity is None:
+    if intensity is None or n_replicates == 0:  # no order, or no replicate to count one in
         return loads
 
     by_carrier = {}
     for carrier in intensity.carriers:
         retailers, shares = _retailer_shares(selection, carrier)
         routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
-        by_carrier[carrier] = routes, None if shares is None else _Draw(shares)
+        table = np.array([stay(route) for route in routes])
+        by_carrier[carrier] = routes, table, None if shares is None else _Draw(shares)
     rates = intensity.rates(kernel.timebase, range(k + 1, k + j)).tolist()
     for t_0, lams in zip(range(k + 1, k + j), rates):
-        for (routes, retailer), lam in zip(by_carrier.values(), lams):
+        for (routes, table, retailer), lam in zip(by_carrier.values(), lams):
             if lam <= 0.0:
                 continue
-            counts = rng.poisson(lam, size=n_replicates)
-            total = int(counts.sum())
+            ends = np.cumsum(rng.poisson(lam, size=n_replicates))  # the orders of replicate i end at ends[i]
+            total = int(ends[-1])
             if total == 0:
                 continue
-            owner = np.repeat(np.arange(n_replicates), counts)
             route = np.zeros(total, dtype=int) if retailer is None else retailer(rng.random(total))
-            stored = _still_stored(rng, routes, route, entry_status, np.full(total, t_0), n_statuses, k + j)
-            loads += np.bincount(owner[stored], minlength=n_replicates)
+            times = np.full(total, t_0)
+            stored = _still_stored(rng, routes, table, route, entry_status, times, n_statuses, horizon, draws)
+            kept = np.concatenate(([0], np.cumsum(stored)))[ends]  # stored among the orders of replicates 0..i
+            loads += np.diff(kept, prepend=0)
     return loads
 
 

@@ -25,7 +25,7 @@ from pupcast.oracle import (
 from pupcast.cli import main
 from pupcast.records import NEVER, EventLog, ParcelRecord
 
-from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance
+from helpers import TB, chain_kernel, fallback_kernel, pooled_status, random_instance, random_pmf
 
 
 def stationary(pmfs):
@@ -361,6 +361,7 @@ class TestWholeSystemSampler:
         # with no parcel the orders take the pooled pmf, as the engine's do
         assert predict_load_pmf([], kernel, intensity, None, k, j).mean == 0.0
         assert not mc_load_at([], kernel, intensity, None, k, j, 1_000, np.random.default_rng(1)).any()
+        assert mc_load_at([parcel], kernel, intensity, None, k, j, 0, np.random.default_rng(1)).shape == (0,)
         other = ParcelRecord("P2", "c1", "kiosk", "r1", {0: 47})
         for sample in (predict_load_pmf, lambda *args: mc_load_at(*args, 1_000, np.random.default_rng(1))):
             for parcels in ([parcel, other], EventLog([parcel, other], NEVER, TB)):
@@ -427,7 +428,11 @@ class TestMonteCarloStreams:
     def test_a_guide_table_draws_what_a_cdf_search_draws(self):
         thin = np.append(0.5, np.full(30, 1e-6))
         thin = np.append(thin, 1.0 - thin.sum())  # a long, thin tail: 30 cdf entries in one cell
-        cases = [*self.choice_pmfs(), thin, np.array([0.3, 0.7]), np.array([0.0, 1.0]), np.array([0.6, 0.3, 0.1])]
+        # 1 to 6 entries, zeros first, last and inside: a cdf of up to 4 entries draws by comparisons
+        short = [[1.0], [0.3, 0.7], [0.0, 1.0], [1.0, 0.0], [0.6, 0.3, 0.1], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5, 0.0],
+                 [0.1, 0.0, 0.3, 0.6], [0.0, 0.25, 0.0, 0.25, 0.5], [0.3, 0.2, 0.0, 0.1, 0.4, 0.0]]
+        assert {len(p) for p in short} == {1, 2, 3, 4, 5, 6} and _Draw.SHORT == 4
+        cases = [*self.choice_pmfs(), thin, *(np.array(p) for p in short)]
         rng = np.random.default_rng(8)
         for p in cases:
             draw, cdf = _Draw(p), _cdf(p)
@@ -469,6 +474,51 @@ class TestMonteCarloStreams:
         assert hashlib.sha256(loads.astype(np.int64).tobytes()).hexdigest() == (
             "464842924c3263fc1a3457b8e6275fbaf79c687059cc89f8af8f314c66d83e88"
         )
+
+    def test_whole_system_loads_with_a_last_status_keyed_on_the_route(self):
+        # pickup keyed on carrier and retailer: a survival read from another
+        # route's row changes the loads.  Two carriers share two retailers, known
+        # parcels sit in transit and delivered on all four routes, and orders
+        # arrive over 40 slots
+        rng = np.random.default_rng(17)
+        routes = [(c, r) for c in ("c1", "c2") for r in ("r1", "r2")]
+        pickup = {route: random_pmf(rng, 20 + 8 * i) for i, route in enumerate(routes)}
+        by_route = KernelLevel(("carrier", "retailer"), pickup)
+        transit = {("c1",): HoldingTimePmf.uniform(1, 3), ("c2",): HoldingTimePmf.uniform(2, 6)}
+        by_carrier = KernelLevel(("carrier",), transit)
+        kernel = TransitionKernel(3, {
+            0: StatusKernel((by_carrier, KernelLevel((), {(): HoldingTimePmf.uniform(1, 6)}))),
+            1: pooled_status(HoldingTimePmf.uniform(1, 4)),
+            2: StatusKernel((by_route, KernelLevel((), {(): random_pmf(rng, 30)}))),
+        }, TB)
+        rho = {(w, c): np.full(24, 1 / 24) for w in range(1, 8) for c in ("c1", "c2")}
+        volumes = {c: {date(2024, 1, d): volume for d in range(1, 5)} for c, volume in (("c1", 24.0), ("c2", 36.0))}
+        intensity = OrderIntensity.from_schedule(HourlyProfile(rho), volumes)
+        shares = {"r1": {"c1": 0.7, "c2": 0.3}, "r2": {"c1": 0.2, "c2": 0.8}}
+        selection = SelectionModel({"r1": 0.5, "r2": 0.5}, shares)
+        k, j = 30, 41
+        parcels = []
+        for i, (c, r) in enumerate(routes):
+            parcels += [
+                ParcelRecord(f"A{i}", c, "shop", r, {0: k - 1 - i}),
+                ParcelRecord(f"B{i}", c, "shop", r, {0: k - 6, 1: k - 2 + i // 2}),
+                ParcelRecord(f"C{i}", c, "shop", r, {0: k - 20, 1: k - 16, 2: k - 5 - 2 * i}),
+            ]
+        loads = mc_load_at(parcels, kernel, intensity, selection, k, j, 2_000, np.random.default_rng(19))
+        assert hashlib.sha256(loads.astype(np.int64).tobytes()).hexdigest() == (
+            "6726d66876bad465933b187f74bc578056981e19461f047034f21429a806420e"
+        )
+
+    def test_survivals_are_looked_up_once_per_route_and_slot(self, monkeypatch):
+        # the last status reads one survival table per call: at most one lookup
+        # per (route, entry slot), not one per run of parcels in every block
+        cfg, calls, k, j = default_scenario(seed=3), [], 100 * 24, 85
+        log = simulate(cfg).log.truncated(k).for_pup(cfg.pup)
+        survival = HoldingTimePmf.survival
+        monkeypatch.setattr(HoldingTimePmf, "survival", lambda pmf, delta: calls.append(delta) or survival(pmf, delta))
+        models = (cfg.kernel, cfg.intensity, cfg.selection, k, j, 2_000, np.random.default_rng(0), cfg.entry_status)
+        mc_load_at(log, *models)
+        assert 0 < len(calls) <= 9 * j  # 3 carriers x 3 retailers
 
     # a pickup pmf with zeros inside, so that cdf entries repeat
     PICKUP = HoldingTimePmf(np.array([0.0, 0.05, 0.2, 0.0, 0.25, 0.1, 0.3, 0.0, 0.1]))
