@@ -38,10 +38,6 @@ class ImpossibleEvidence(PupcastError):
     """
 
 
-class ConditioningTooRare(PupcastError):
-    """Rejection sampling accepted too small a fraction of draws."""
-
-
 class TooLarge(PupcastError):
     """Exhaustive enumeration would exceed the configured path budget."""
 

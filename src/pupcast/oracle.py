@@ -8,9 +8,9 @@ probabilities and loads:
 * ``enumerate_contribution_prob``: exact conditional probabilities by
   literal summation over all transition-time paths (feasible for small
   supports only);
-* ``mc_contribution_prob`` / ``mc_load_at``: conditional Monte Carlo with
-  rejection on the conditioning event, or exact-conditional sampling of
-  whole-system futures from the live parcels that ``EventLog.latest`` finds.
+* ``mc_contribution_prob`` / ``mc_load_at``: exact-conditional Monte Carlo
+  futures of one parcel, or of the whole system from the live parcels that
+  ``EventLog.latest`` finds; both sample a known parcel with ``_known``.
 
 ``random_instance`` draws the small random kernels that the enumeration
 comparisons run on.
@@ -27,10 +27,11 @@ uniforms in one ``random`` call: per parcel one for its retailer (if its
 carrier has shares), then one per status, mapped in runs over the slot of
 the week, as the kernel repeats weekly.  The oracles' ``_still_stored``
 draws, status by status, one ``random`` block for the parcels not yet past
-k+j, in runs over the entry slot: holding times at a transit status, and at
-the last status no draw but one comparison of each uniform with the survival
-to k+j of its route and entry slot, from a table (``_survivals``) that a call
-builds once per route; a parcel delivered at t_n compares with
+k+j, in runs over the entry slot, through ``_delays`` as ``simulate`` does:
+holding times at a transit status, and at the last status no draw but one
+comparison of each uniform with the survival to k+j of its route and entry
+slot, from a table (``_survivals``) that a call builds once per route; a
+known parcel delivered at t_n compares with its conditioned
 ``cdf[k + j - t_n]`` (``_beyond``).  ``mc_load_at`` lays a block of future
 orders out in replicate order, so each replicate's stored count is a
 difference of one cumulative sum.  Every draw comes from the caller's
@@ -49,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrivals import OrderIntensity
-from .errors import ConditioningTooRare, TooLarge, ValidationError
+from .errors import TooLarge, ValidationError
 from .estimation import SelectionModel
 from .kernel import KernelLevel, StatusKernel, TransitionKernel
 from .pmf import HoldingTimePmf
@@ -67,8 +68,6 @@ __all__ = [
     "random_instance",
 ]
 
-# mc_contribution_prob gives up when fewer draws than this pass its conditioning event
-MIN_ACCEPTANCE = 1e-4
 _EPS = 1e-15  # enumerate_contribution_prob's zero: a conditioning probability this small is rounding
 
 
@@ -189,6 +188,14 @@ def _groups(route: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, list]:
     return order, [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(order)]
 
 
+def _delays(pmfs: list, cuts: list, u: np.ndarray, draws: dict) -> np.ndarray:
+    """Holding times of parcels in ``_groups``' order: run i spends ``u[cuts[i]:cuts[i + 1]]`` on ``pmfs[i]``."""
+    delay = np.empty(len(u), dtype=np.intp)
+    for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
+        delay[lo:hi] = _draw_of(pmf, draws)(u[lo:hi])
+    return delay
+
+
 def simulate(config: ScenarioConfig) -> SimulatedTrace:
     """Draw a full synthetic history from the ground-truth models.
 
@@ -225,12 +232,11 @@ def _log(config: ScenarioConfig) -> EventLog:
     route = carrier * max((len(retailers) for retailers, _ in shares), default=1) + retailer
     times, draws, week = [np.array(entered, dtype=np.intp)], {}, tb.slots_per_week
     for col, n in enumerate(range(first, last)):
-        t = times[-1].copy()  # becomes the entry into status n + 1, run by run
+        t = times[-1].copy()  # becomes the entry into status n + 1
         order, cuts = _groups(route, t % week)
-        for lo, hi in zip(cuts, cuts[1:]):
-            i, members = order[lo], order[lo:hi]
-            pmf = kernel.pmf_at(n, int(t[i]), carriers[carrier[i]], shares[carrier[i]][0][retailer[i]], pup)
-            t[members] += _draw_of(pmf, draws)(u[hops[members] + col])
+        heads = order[cuts[:-1]].tolist()
+        pmfs = [kernel.pmf_at(n, int(t[i]), carriers[carrier[i]], shares[carrier[i]][0][retailer[i]], pup) for i in heads]
+        t[order] += _delays(pmfs, cuts, u[hops[order] + col], draws)
         times.append(t)
     ids, statuses = [f"P{i:06d}" for i in range(1, len(carrier) + 1)], np.arange(first, last + 1)
     retailers = [shares[c][0][r] for c, r in zip(carrier.tolist(), retailer.tolist())]
@@ -293,11 +299,26 @@ def _still_stored(
             break
         first = order[cuts[:-1]]
         pmfs = [routes[r](n, t) for r, t in zip(route[first].tolist(), times[first].tolist())]
-        delay = np.empty(len(order), dtype=np.intp)
-        for lo, hi, pmf in zip(cuts, cuts[1:], pmfs):
-            delay[lo:hi] = _draw_of(pmf, draws)(u[lo:hi])
-        times[order] += delay
+        times[order] += _delays(pmfs, cuts, u, draws)
     return stored
+
+
+def _known(
+    rng: np.random.Generator, pmf_at, probs: np.ndarray, n: int, t_n: int, horizon: int, stay: np.ndarray,
+    n_statuses: int, draws: dict, size: int,
+) -> np.ndarray:
+    """Whether each of ``size`` futures of a parcel in status n since t_n is stored at ``horizon``.
+
+    ``probs`` is its pmf in status n conditioned on its evidence (``_after``).
+    The last status compares u with its cdf (``_beyond``), and stores no
+    parcel entered after ``horizon``; a transit status draws the next entry
+    and moves on by ``_still_stored``, with ``stay`` the route's ``_survivals``.
+    """
+    draw, u = _Draw(probs), rng.random(size)
+    if n == n_statuses - 1:
+        return _beyond(draw.cdf, u, horizon - t_n) if t_n <= horizon else np.zeros(size, dtype=bool)
+    route = np.zeros(size, dtype=int)
+    return _still_stored(rng, [pmf_at], stay[None], route, n + 1, t_n + draw(u), n_statuses, horizon, draws)
 
 
 def mc_contribution_prob(
@@ -312,39 +333,21 @@ def mc_contribution_prob(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (value, stderr) of a contribution probability.
 
-    Samples full onward paths; conditioning events (transition out of the
-    current status after k, or pickup after k for delivered parcels) are
-    enforced by rejection, in the last status by ``u >= cdf[k - t_n]`` on
-    the uniforms, no pickup time drawn.  Returns the conditional estimate
-    with its binomial standard error.
+    Samples ``n_samples`` futures as ``mc_load_at`` samples a known parcel
+    (``_known``), from the pmf of status n conditioned on leaving it after k
+    (for the last status: not picked up by k); an order placed at t_n > k
+    meets that condition.  Returns the estimate with its binomial standard
+    error; an impossible condition raises ValidationError, as in enumeration.
     """
     if n_samples < 10_000:
         raise ValidationError("need at least 10^4 samples for a useful oracle")
-    rng = rng or np.random.default_rng(0)
-    accepted = hits = attempted = 0
-    draws, last = {}, n_statuses - 1
-    draw = _draw_of(pmf_at(n, t_n), draws)
-    stay = None if n == last else _survivals(pmf_at, last, k + j, j)[None]
-    while accepted < n_samples:
-        attempted, u = attempted + n_samples, rng.random(n_samples)
-        # holding times are at least one slot, so a parcel entered after k always passes
-        if n == last:
-            u = u[_beyond(draw.cdf, u, k - t_n)]
-            accepted += len(u)
-            hits += int(_beyond(draw.cdf, u, k + j - t_n).sum())
-        else:
-            times = t_n + draw(u)
-            times = times[times > k]
-            accepted += len(times)
-            route = np.zeros(len(times), dtype=int)
-            hits += int(_still_stored(rng, [pmf_at], stay, route, n + 1, times, n_statuses, k + j, draws).sum())
-        if attempted >= 10 * n_samples and accepted / attempted < MIN_ACCEPTANCE:
-            raise ConditioningTooRare(
-                f"acceptance rate {accepted / attempted:.2e} below {MIN_ACCEPTANCE:.0e}"
-            )
-    p = hits / accepted
-    stderr = float(np.sqrt(max(p * (1.0 - p), 1e-12) / accepted))
-    return p, stderr
+    probs = _after(pmf_at(n, t_n), k - t_n)
+    if probs is None:
+        raise ValidationError("conditioning event has zero probability")
+    stay = _survivals(pmf_at, n_statuses - 1, k + j, j)
+    stored = _known(rng or np.random.default_rng(0), pmf_at, probs, n, t_n, k + j, stay, n_statuses, {}, n_samples)
+    p = int(stored.sum()) / n_samples
+    return p, float(np.sqrt(max(p * (1.0 - p), 1e-12) / n_samples))
 
 
 def enumerate_contribution_prob(
@@ -407,8 +410,8 @@ def mc_load_at(
 
     The known parcels are the ``latest`` of the log at k, in row order; a
     list of records is packed into a log and validated first, as in the engine.
-    Each draws its remaining path conditionally on its evidence (exact
-    truncated-tail sampling, no rejection; a delivered one only tests
+    Each draws its remaining path conditionally on its evidence (``_known``:
+    exact truncated-tail sampling; a delivered one only tests
     u >= cdf[k + j - t_n]); future orders arrive per slot and carrier with
     Poisson counts from the ground-truth intensity and go to ``pup``: by
     default the log's ``pup_name``, as in the engine.
@@ -416,20 +419,20 @@ def mc_load_at(
     log = parcels if isinstance(parcels, EventLog) else EventLog(parcels, NEVER, kernel.timebase)
     pup, n_statuses = log.pup_name() if pup is None else pup, kernel.n_statuses
     loads, horizon = np.zeros(n_replicates, dtype=np.int32), k + j
-    draws, stays = {}, {}  # per call: each pmf's _Draw, and each route's _survivals to the horizon
+    draws, routes = {}, {}  # per call: each pmf's _Draw, and each route's pmf_at and _survivals to the horizon
 
-    def stay(pmf_at: partial) -> np.ndarray:
-        route = tuple(pmf_at.keywords.values())  # (carrier, retailer, pup)
-        if route not in stays:
-            stays[route] = _survivals(pmf_at, n_statuses - 1, horizon, j)
-        return stays[route]
+    def route_of(carrier, retailer, pup) -> tuple:
+        if (carrier, retailer, pup) not in routes:
+            pmf_at = partial(kernel.pmf_at, carrier=carrier, retailer=retailer, pup=pup)
+            routes[carrier, retailer, pup] = pmf_at, _survivals(pmf_at, n_statuses - 1, horizon, j)
+        return routes[carrier, retailer, pup]
 
     rows, status, slot = log.latest(k, n_statuses)  # not picked up by k
     labels = zip(log.carrier[rows].tolist(), log.retailer[rows].tolist(), log.pup[rows].tolist())
     for n, t_n, (c, r, p) in zip(status.tolist(), slot.tolist(), labels):
         if n not in kernel.statuses:  # a status never fitted: the engine skips it
             continue
-        pmf_at = partial(kernel.pmf_at, carrier=log.carriers[c], retailer=log.retailers[r], pup=log.pups[p])
+        pmf_at, stay = route_of(log.carriers[c], log.retailers[r], log.pups[p])
         probs = _after(pmf_at(n, t_n), k - t_n)  # the transition happens after k
         if probs is None:
             # evidence beyond the support: retry with the pooled pmf, and if
@@ -437,13 +440,7 @@ def mc_load_at(
             probs = _after(kernel.pooled_pmf_at(n), k - t_n)
         if probs is None:
             continue
-        draw, u = _Draw(probs), rng.random(n_replicates)
-        if n == n_statuses - 1:
-            loads += _beyond(draw.cdf, u, horizon - t_n)
-            continue
-        times = t_n + draw(u)
-        route = np.zeros(n_replicates, dtype=int)
-        loads += _still_stored(rng, [pmf_at], stay(pmf_at)[None], route, n + 1, times, n_statuses, horizon, draws)
+        loads += _known(rng, pmf_at, probs, n, t_n, horizon, stay, n_statuses, draws, n_replicates)
 
     if intensity is None or n_replicates == 0:  # no order, or no replicate to count one in
         return loads
@@ -451,12 +448,11 @@ def mc_load_at(
     by_carrier = {}
     for carrier in intensity.carriers:
         retailers, shares = _retailer_shares(selection, carrier)
-        routes = [partial(kernel.pmf_at, carrier=carrier, retailer=r, pup=pup) for r in retailers]
-        table = np.array([stay(route) for route in routes])
-        by_carrier[carrier] = routes, table, None if shares is None else _Draw(shares)
+        pmf_ats, tables = zip(*(route_of(carrier, r, pup) for r in retailers))
+        by_carrier[carrier] = pmf_ats, np.array(tables), None if shares is None else _Draw(shares)
     rates = intensity.rates(kernel.timebase, range(k + 1, k + j)).tolist()
     for t_0, lams in zip(range(k + 1, k + j), rates):
-        for (routes, table, retailer), lam in zip(by_carrier.values(), lams):
+        for (pmf_ats, table, retailer), lam in zip(by_carrier.values(), lams):
             if lam <= 0.0:
                 continue
             ends = np.cumsum(rng.poisson(lam, size=n_replicates))  # the orders of replicate i end at ends[i]
@@ -465,7 +461,7 @@ def mc_load_at(
                 continue
             route = np.zeros(total, dtype=int) if retailer is None else retailer(rng.random(total))
             times = np.full(total, t_0)
-            stored = _still_stored(rng, routes, table, route, entry_status, times, n_statuses, horizon, draws)
+            stored = _still_stored(rng, pmf_ats, table, route, entry_status, times, n_statuses, horizon, draws)
             kept = np.concatenate(([0], np.cumsum(stored)))[ends]  # stored among the orders of replicates 0..i
             loads += np.diff(kept, prepend=0)
     return loads

@@ -87,3 +87,20 @@ def test_only_the_draw_searches_a_cdf():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "searchsorted"
     }
     assert searching == {"_Draw"}
+
+
+def test_every_error_is_raised_somewhere():
+    # an error type outlives its last raise only as dead code: delete the two together
+    package = Path(pupcast.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"PupcastError"}
+    raised = {
+        name.id
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name)
+    }
+    assert len(declared) >= 8
+    assert sorted(declared - raised) == []

@@ -12,7 +12,7 @@ import pupcast
 from pupcast import HoldingTimePmf, KernelLevel, StatusKernel, TransitionKernel, default_scenario, simulate
 from pupcast.arrivals import HourlyProfile, OrderIntensity
 from pupcast.engine import bind_kernel, contribution_prob, predict_load_pmf, predict_load_pmfs
-from pupcast.errors import ConditioningTooRare, ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
+from pupcast.errors import ImpossibleEvidence, MissingKernel, TooLarge, ValidationError
 from pupcast.estimation import SelectionModel
 from pupcast.oracle import (
     _cdf,
@@ -248,18 +248,45 @@ class TestMonteCarlo:
                 mc, se = mc_contribution_prob(
                     pmf_at, kernel.n_statuses, n, t_n, k, j, n_samples=100_000, rng=rng
                 )
-            except (ConditioningTooRare, ValidationError):
-                continue  # the conditioning event is (nearly) impossible
+            except ValidationError:
+                continue  # the conditioning event is impossible
             assert abs(mc - exact) <= 3 * max(se, 1e-6)
             done += 1
 
-    def test_conditioning_too_rare(self):
-        probs = np.zeros(41)
-        probs[1] = 1.0 - 1e-5
-        probs[40] = 1e-5
-        pmf_at = stationary([HoldingTimePmf(probs)])
-        with pytest.raises(ConditioningTooRare):
-            mc_contribution_prob(pmf_at, 1, 0, t_n=0, k=30, j=5, n_samples=10_000)
+    @pytest.mark.parametrize("n_statuses, expected", [(1, 0.5), (2, 0.375)], ids=["last status", "in transit"])
+    def test_rare_conditioning_is_sampled_exactly(self, n_statuses, expected):
+        # leaving after k = 30 has probability 2e-5: the delay is then 40 or 45,
+        # each with probability 1/2; in the last status 45 is stored at k + j = 42,
+        # in transit 40 enters a uniform(1, 8) pickup and is stored with probability 6/8
+        probs = np.zeros(46)
+        probs[[1, 40, 45]] = 1.0 - 2e-5, 1e-5, 1e-5
+        pmf_at = stationary([HoldingTimePmf(probs), HoldingTimePmf.uniform(1, 8)][:n_statuses])
+        exact = enumerate_contribution_prob(pmf_at, n_statuses, 0, 0, 30, 12)
+        mc, se = mc_contribution_prob(pmf_at, n_statuses, 0, 0, 30, 12, 10_000, np.random.default_rng(9))
+        assert abs(exact - expected) <= 1e-9  # enumeration keeps the pmf's rounding residual, 1e-16 against 2e-5
+        assert abs(mc - exact) <= 3 * se
+
+    def test_impossible_conditioning_raises_as_enumeration_does(self):
+        # both statuses' holding times end by slot 4 or 8, so neither is left after k = 30
+        pmf_at = stationary([HoldingTimePmf.uniform(1, 4), HoldingTimePmf.uniform(1, 8)])
+        for n in (0, 1):
+            with pytest.raises(ValidationError) as exact:
+                enumerate_contribution_prob(pmf_at, 2, n, 0, 30, 5)
+            with pytest.raises(ValidationError) as mc:
+                mc_contribution_prob(pmf_at, 2, n, 0, 30, 5, 10_000)
+            assert str(mc.value) == str(exact.value) == "conditioning event has zero probability"
+
+    def test_an_entry_into_the_last_status_after_k_is_stored_only_by_k_plus_j(self):
+        # uniform(1, 8) pickup, k = 30, j = 3: an entry at 31, 32, 33 is stored at 33
+        # with probability 6/8, 7/8, 1, and one at 34, 35, 36, after k + j, never
+        k, j, pmf_at = 30, 3, stationary([HoldingTimePmf.uniform(1, 4), HoldingTimePmf.uniform(1, 8)])
+        for t_n in range(k + 1, k + j + 4):
+            exact = enumerate_contribution_prob(pmf_at, 2, 1, t_n, k, j)
+            mc, se = mc_contribution_prob(pmf_at, 2, 1, t_n, k, j, 10_000, np.random.default_rng(t_n))
+            if exact in (0.0, 1.0):
+                assert mc == exact, t_n
+            else:
+                assert abs(mc - exact) <= 3 * se, t_n
 
 
 class TestWholeSystemSampler:
@@ -543,16 +570,15 @@ class TestMonteCarloStreams:
 
     @pytest.mark.parametrize("t_n, j", [(29, 2), (27, 5), (29, 9), (30, 0), (32, 4), (35, 3)])
     def test_a_last_status_estimate_decides_as_a_search_for_its_pickup_time(self, t_n, j):
-        # k = 30: accepted at k - t_n = 1, 3, 1, 0, -2, -5 and a hit at k + j - t_n = 3, 8, 10, 0, 2, -2
+        # k = 30: not picked up by k - t_n = 1, 3, 1, 0, -2, -5 and stored when the pickup
+        # time exceeds k + j - t_n = 3, 8, 10, 0, 2; delivered after k + j at 35, never
         k, pmf_at = 30, stationary([HoldingTimePmf.uniform(1, 4), self.PICKUP])
         out = mc_contribution_prob(pmf_at, 2, 1, t_n, k, j, 10_000, np.random.default_rng(t_n + j))
-        rng, cdf, accepted, hits = np.random.default_rng(t_n + j), _cdf(self.PICKUP.probs), 0, 0
-        while accepted < 10_000:
-            times = t_n + cdf.searchsorted(rng.random(10_000), side="right")
-            times = times[times > k]
-            accepted, hits = accepted + len(times), hits + int((times > k + j).sum())
-        p = hits / accepted
-        assert out == (p, float(np.sqrt(max(p * (1.0 - p), 1e-12) / accepted)))
+        probs = self.PICKUP.probs.copy()
+        probs[: max(0, k - t_n + 1)] = 0.0
+        drawn = t_n + _cdf(probs / probs.sum()).searchsorted(np.random.default_rng(t_n + j).random(10_000), side="right")
+        p = int(((drawn > k + j) & (t_n <= k + j)).sum()) / 10_000
+        assert out == (p, float(np.sqrt(max(p * (1.0 - p), 1e-12) / 10_000)))
 
     def test_contribution_estimates_on_random_instances(self):
         rng, h = np.random.default_rng(2025), hashlib.sha256()
@@ -561,10 +587,10 @@ class TestMonteCarloStreams:
             n, t_n = int(rng.integers(0, kernel.n_statuses)), int(rng.integers(0, k + 1))
             try:  # a short window, so that few estimates are 0 or 1
                 out = mc_contribution_prob(kernel.pmf_at, kernel.n_statuses, n, t_n, k, 1 + j % 3, 10_000, rng)
-            except ConditioningTooRare:
-                out = "rare"
+            except ValidationError:
+                out = "impossible"
             h.update(repr(out).encode())
-        assert h.hexdigest() == "a97b41132e3cffe46a5e43bf4c47f51402706f43a3020fe067159dc438e0c80d"
+        assert h.hexdigest() == "b9b507abe37c587055ffbd4c673e3b5f7bafa06c15c17d052f2a3713cb6c63a3"
 
 
 def test_groups_sort_as_a_lexsort_by_route_then_slot():
