@@ -234,12 +234,21 @@ class OrderIntensity:
     def rates(self, timebase, slots, carriers: tuple[str, ...] | None = None) -> np.ndarray:
         """lambda at each of ``slots`` (rows) for each carrier (columns, ``carriers`` by default)."""
         columns = np.arange(len(self.carriers)) if carriers is None else [(*self.carriers, c).index(c) for c in carriers]
+        return self.on_day(timebase, 0, *self.at_phase(timebase, 0, slots, columns), columns)
+
+    def at_phase(self, timebase, k: int, slots, columns) -> tuple[np.ndarray, np.ndarray]:
+        """The part of ``rates`` that depends on k only through its weekly phase: the profile rows of
+        ``slots`` for the carriers at ``columns``, and the days from k's day to each slot's."""
         slots = np.asarray(slots, dtype=np.int64)
-        day = timebase.day_of(slots) + (timebase.epoch.date() - self.start).days  # days from ``start``
+        rho = self._rho.take(timebase.week_hour_of(slots), axis=0).take(columns, axis=1)
+        return rho, timebase.day_of(slots) - timebase.day_of(k)
+
+    def on_day(self, timebase, k: int, rho: np.ndarray, days: np.ndarray, columns) -> np.ndarray:
+        """``rates`` from ``at_phase``'s profile rows and days at k: each row times its day's volumes, checked."""
+        day = days + (timebase.day_of(k) + (timebase.epoch.date() - self.start).days)  # days from ``start``
         if len(columns) and day.max(initial=-1) >= self.volumes.shape[1]:
             asked, last = (self.start + timedelta(days=int(d)) for d in (day.max(), self.volumes.shape[1] - 1))
             raise InsufficientHistory(f"no order volume for {asked}: the volumes end on {last}")
-        rho = self._rho.take(timebase.week_hour_of(slots), axis=0).take(columns, axis=1)
         lam = rho * self._volumes.take(np.maximum(day, -1), axis=0).take(columns, axis=1)
         if not lam.min(initial=0.0) >= 0:  # NaN fails it too
             raise ValidationError(f"{'negative' if (lam < 0).any() else 'NaN'} order intensity")
@@ -276,6 +285,13 @@ def poisson_rows(lam: float | np.ndarray, size: int = 0) -> np.ndarray:
     the ratios p(x + 1) / p(x) = lam / (x + 1) multiplied outward from the mode and normalised over
     the row, so no step rounds a large exponent."""
     lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0:  # one rate: the same products, on the slices either side of its mode
+        rate = float(lam)
+        width, mode = max(size, int(max(rate + 12.0 * math.sqrt(rate), 0.0)) + 41), int(rate)
+        pmf = np.ones(width)
+        pmf[mode + 1 :] = np.cumprod(rate / np.arange(mode + 1, width))
+        pmf[:mode][::-1] = np.cumprod(np.arange(mode, 0, -1) / rate)
+        return pmf / pmf.sum()
     x = np.arange(max(size, int((lam + 12.0 * np.sqrt(lam)).max(initial=0)) + 41))
     rate, mode = lam[..., None], np.floor(lam)[..., None]
     pmf = np.where(x > mode, rate / np.maximum(x, 1), 1.0).cumprod(axis=-1)  # from the mode up

@@ -32,7 +32,11 @@ a strided view of V_{m+1} serves every route and horizon, and every
 fitted status.  V depends on k only through k mod one week: the kernel
 keeps one window per (PUP, routes, weekly phase, horizons), whoever asks
 (its last ``_WINDOWS``, in ``_compiled``), and a repeat runs no backward
-pass; only repeated forecasts on one kernel gain.  The parcels in a
+pass; only repeated forecasts on one kernel gain.  So does the order side
+but for k's day volumes: each kept window holds the order plan of the last
+(entry status, intensity, selection) asked, q = mix V_entry over its slots
+and ``OrderIntensity.at_phase``'s profile rows and day offsets of them, and
+a repeat with those models only takes ``OrderIntensity.on_day``.  The parcels in a
 status are one gather of their rows and tails and one product with
 V_{n+1}.  Every status from the first fitted one up resolves on every
 route at every slot (the kernel checks this when it is built), so the
@@ -93,13 +97,21 @@ def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> _Route:
     return _Route(kernel, carrier, retailer, pup)
 
 
+class _Kept(dict):
+    """A window as the kernel keeps it: V_m by fitted status m, and the order plan last read from it."""
+
+    plan: tuple | None = None
+
+
 class _Window:
     """Backward value functions over the window (k, k + max j] on every route
     and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
     the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
     | status m entered at k+1+i), and 0 for i >= j_h; for every fitted
-    status m.  The kernel keeps them, read-only, per ``key``, whoever asks;
-    k and js are set per call.
+    status m.  The kernel keeps them, read-only, per ``key``, whoever asks,
+    as a ``_Kept`` that also holds the last order plan of ``orders``: the
+    future orders' part that depends on k only through the same phase, so
+    it is dropped with the window.  k and js are set per call.
     """
 
     def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int]):
@@ -114,7 +126,7 @@ class _Window:
             raise ValidationError("horizon j must be >= 0")
         width = int(js.max(initial=0))
         ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
-        self.values = {}
+        self.values = _Kept()
         for m in range(self.last, -1, -1):
             if m not in kernel.statuses:  # never fitted, and neither is any status below it
                 break
@@ -138,6 +150,25 @@ class _Window:
         if m not in self.values:
             self.kernel.pooled_pmf_at(m)  # raises MissingKernel
         return self.values[m]
+
+    def orders(self, intensity: OrderIntensity, selection, mix: np.ndarray, entry_status: int) -> tuple:
+        """The order side of a forecast that depends on k only through its weekly phase: (q, rho, days,
+        columns), where q[h, i, c] is the probability that an order of carrier c entering ``entry_status``
+        at k+1+i is stored at k+j_h, mixed by ``mix``, and the rest is ``intensity.at_phase`` of those
+        slots.  Kept with the window for the last (entry status, intensity, selection) asked, which it holds."""
+        plan = self.values.plan
+        if plan is None or plan[0] != entry_status or plan[1] is not intensity or plan[2] is not selection:
+            values = self.entering(entry_status)
+            width = values.shape[-1]
+            q = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
+            if entry_status == self.last:  # an order at k+j_h is not stored by k+j_h; below the last status V is 0 there
+                q[np.arange(width - 1) >= self.js[:, None] - 1] = 0.0
+            columns = np.arange(len(intensity.carriers))
+            rho, days = intensity.at_phase(self.kernel.timebase, self.k, np.arange(self.k + 1, self.k + width), columns)
+            for kept in (q, rho, days, columns):
+                kept.flags.writeable = False
+            plan = self.values.plan = (entry_status, intensity, selection, q, rho, days, columns)
+        return plan[3:]
 
 
 def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -173,7 +204,8 @@ def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t
         at = np.minimum(since[:, None] + np.arange(values.shape[-1]), table.width) + (rows * (table.width + 1))[:, None]
         num = np.einsum("iw,ihw->ih", table.probs.take(at), values.take(route, axis=0))
     # tail sums and backward sums round, and the ratio can leave [0, 1] by a few ulps
-    return np.minimum(np.maximum(num / np.maximum(denom, _EPS)[:, None], 0.0), 1.0), denom
+    p = num / np.maximum(denom, _EPS)[:, None]
+    return np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p), denom
 
 
 def contribution_prob(route: _Route, n_statuses: int, n: int, t_n: int, k: int, j: int) -> float:
@@ -239,21 +271,21 @@ def future_orders_pmf(
     routes: list = []
     mix = _order_mix(intensity, selection, routes)
     window = _Window(kernel, pup, routes, k, (j,))
-    return LoadPmf(_future_orders_pmfs(intensity, mix, window, entry_status, coverage)[0])
+    return LoadPmf(_future_orders_pmfs(intensity, selection, mix, window, entry_status, coverage)[0])
 
 
 def _future_orders_pmfs(
-    intensity: OrderIntensity, mix: np.ndarray, window: _Window, entry_status: int, coverage: float | None
+    intensity: OrderIntensity,
+    selection: SelectionModel | None,
+    mix: np.ndarray,
+    window: _Window,
+    entry_status: int,
+    coverage: float | None,
 ) -> list[np.ndarray]:
     """``future_orders_pmf``'s probabilities at each horizon of the window."""
-    values, js = window.entering(entry_status), window.js
-    width = values.shape[-1]
-    # Poisson rate of each entry slot k+1..k+width-1 and carrier (C-ordered: the einsum
-    # below sums in memory order), and the probability that one such order contributes at each horizon
-    lam = np.ascontiguousarray(intensity.rates(window.kernel.timebase, np.arange(window.k + 1, window.k + width)))
-    p = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
-    if entry_status == window.last:  # an order at k+j_h is not stored by k+j_h; below the last status V is 0 there
-        p[np.arange(width - 1) >= js[:, None] - 1] = 0.0
+    p, rho, days, columns = window.orders(intensity, selection, mix, entry_status)
+    # Poisson rate of each entry slot k+1..k+width-1 and carrier (C-ordered: the einsum below sums in memory order)
+    lam = np.ascontiguousarray(intensity.on_day(window.kernel.timebase, window.k, rho, days, columns))
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
         live = lam.ravel() > 0.0
         rates = lam.ravel()[live]
@@ -384,9 +416,10 @@ def predict_load_pmfs(
             noted += [(i, n == window.last, reasons[d <= _EPS]) for i, d in zip(at.tolist(), denom.tolist())]
     noted = [(shown, f"parcel {log.ids[rows[i]]}: {note}") for i, shown, note in sorted(noted)]  # in row order
     diagnostics = [[note for shown, note in noted if j or shown] for j in window.js.tolist()]
-    future = [np.ones(1)] * len(window.js)
-    if intensity is not None:
-        future = _future_orders_pmfs(intensity, mix, window, entry_status, coverage)
+    if intensity is None:
+        future = [np.ones(1)] * len(window.js)
+    else:
+        future = _future_orders_pmfs(intensity, selection, mix, window, entry_status, coverage)
     results = []
     for j, known, orders, notes in zip(window.js.tolist(), _bernoulli_sums(p), future, diagnostics):
         probs = np.convolve(known, orders)

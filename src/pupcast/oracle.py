@@ -251,11 +251,11 @@ def _log(config: ScenarioConfig) -> EventLog:
 
 
 def _after(pmf: HoldingTimePmf, elapsed: int) -> np.ndarray | None:
-    """Holding-time probs conditioned on a delay beyond ``elapsed``; None if impossible."""
+    """Holding-time probs conditioned on a delay beyond ``elapsed``; None if impossible, its mass at most ``_EPS``."""
     probs = pmf.probs.copy()
     probs[: max(0, elapsed + 1)] = 0.0
     total = probs.sum()
-    return probs / total if total > 0.0 else None
+    return probs / total if total > _EPS else None
 
 
 def _beyond(cdf: np.ndarray, u: np.ndarray, delay: int) -> np.ndarray:

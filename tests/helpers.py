@@ -53,17 +53,18 @@ def retailer_keyed_kernel() -> TransitionKernel:
     return TransitionKernel(3, statuses, TB)
 
 
-def forecast_digest(cfg, days, horizons, coverage=None) -> str:
+def forecast_digest(cfg, days, horizons, coverage=None, one_at_a_time=False) -> str:
     """sha256 of every pmf and note of ``predict_load_pmfs`` at ``horizons`` and ``coverage`` on
     ``cfg``'s simulated log, cut by ``truncated(k).for_pup(pup)`` at the midnight starting each of
-    ``days``, with the config's own models."""
+    ``days``, with the config's own models; with ``one_at_a_time``, one call per horizon."""
     log, tb = simulate(cfg).event_log(), cfg.timebase
     h = hashlib.sha256()
     for day in days:
         k = day * tb.slots_per_day - tb.hour_of(0) // tb.slot_hours
         parcels = log.truncated(k).for_pup(cfg.pup)
         models = cfg.kernel, cfg.intensity, cfg.selection
-        for result in predict_load_pmfs(parcels, *models, k, horizons, cfg.entry_status, coverage):
+        calls = [(j,) for j in horizons] if one_at_a_time else [horizons]
+        for result in [r for js in calls for r in predict_load_pmfs(parcels, *models, k, js, cfg.entry_status, coverage)]:
             h.update(result.pmf.probs.tobytes())
             h.update(repr(result.diagnostics).encode())
     return h.hexdigest()

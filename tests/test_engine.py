@@ -531,8 +531,8 @@ def table_calls(monkeypatch):
 @pytest.fixture
 def pass_calls(monkeypatch):
     """Counts of the calls that scan the log, resolve order rates, read one parcel's kernel row or validate a load pmf."""
-    owners = ((EventLog, "latest"), (OrderIntensity, "rates"), (TransitionKernel, "row_at"), (LoadPmf, "__post_init__"))
-    return counting(monkeypatch, owners)
+    owners = (EventLog, "latest"), (OrderIntensity, "rates"), (OrderIntensity, "on_day"), (TransitionKernel, "row_at")
+    return counting(monkeypatch, (*owners, (LoadPmf, "__post_init__")))
 
 
 @pytest.fixture(scope="module")
@@ -542,7 +542,8 @@ def default_log():
 
 
 def test_all_horizons_make_one_pass(default_log, pass_calls):
-    # four horizons scan the log once, resolve the order rates once and
+    # four horizons scan the log once, resolve the order rates once (from the
+    # profile rows and days kept with the window, not through ``rates``) and
     # validate one load pmf each; no parcel reads its own kernel row
     cfg, log = default_log
 
@@ -555,7 +556,7 @@ def test_all_horizons_make_one_pass(default_log, pass_calls):
     forecast(100)
     pass_calls.clear()
     assert len(forecast(130)) == 4
-    assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.rates": 1, "LoadPmf.__post_init__": 4})
+    assert pass_calls == Counter({"EventLog.latest": 1, "OrderIntensity.on_day": 1, "LoadPmf.__post_init__": 4})
 
 
 def test_forecast_bytes_do_not_depend_on_the_memory_order_of_the_rates(default_log, monkeypatch):
@@ -571,8 +572,8 @@ def test_forecast_bytes_do_not_depend_on_the_memory_order_of_the_rates(default_l
 
     days = (30, 100, 150)
     expected = [pmfs(day) for day in days]
-    rates = OrderIntensity.rates
-    monkeypatch.setattr(OrderIntensity, "rates", lambda *args: np.asfortranarray(rates(*args)))
+    rates = OrderIntensity.on_day  # the engine's one way to the rates
+    monkeypatch.setattr(OrderIntensity, "on_day", lambda *args: np.asfortranarray(rates(*args)))
     assert [pmfs(day) for day in days] == expected
 
 
@@ -588,6 +589,16 @@ GOLDEN_FORECASTS = {
 @pytest.mark.parametrize("seed", GOLDEN_FORECASTS)
 def test_forecasts_match_their_golden_digests(seed):
     assert forecast_digest(default_scenario(seed=seed), range(28, 178), (13, 37, 61, 85)) == GOLDEN_FORECASTS[seed]
+
+
+# the same digest at seed 1 with one call per horizon, as the daily forecast benchmark makes them,
+# as the engine gave it before it kept the order side with its window
+GOLDEN_ONE_HORIZON_FORECASTS = "5e99060609eaec23016968cce3389aed3b6737864030f52fc1eb55e806285d35"
+
+
+def test_one_horizon_forecasts_match_their_golden_digest():
+    digest = forecast_digest(default_scenario(seed=1), range(28, 178), (13, 37, 61, 85), one_at_a_time=True)
+    assert digest == GOLDEN_ONE_HORIZON_FORECASTS
 
 
 # the same digests on the paper's truncated path, at its 0.99 coverage and at the 0.999999 of
@@ -873,6 +884,51 @@ def test_a_warm_kernel_gives_a_fresh_kernels_bytes(seed):
     windows = list(warm._compiled["windows"])
     assert_same_bytes(same_phase_calls(cfg, log, warm, k), same_phase_calls(cfg, log, fresh(), k))
     assert list(warm._compiled["windows"]) == windows  # no window computed at k
+
+
+def test_the_order_plan_is_kept_per_entry_status_intensity_and_selection(default_log, monkeypatch):
+    # a window the kernel keeps holds the order plan of the models last asked; models
+    # that differ in any input the plan reads make their own: an intensity with the same
+    # profile and other volumes, another profile, another selection over the same
+    # routes, no selection, and the last status as the entry status each give the bytes
+    # a fresh kernel gives, one horizon at a time and four at once
+    cfg, log = default_log
+    k, horizons, its = 100 * cfg.timebase.slots_per_day, (13, 37, 61, 85), cfg.intensity
+    parcels = log.truncated(k).for_pup(cfg.pup)
+
+    def forecasts(kernel, intensity, selection, entry_status=cfg.entry_status):
+        one = [predict_load_pmf(parcels, kernel, intensity, selection, k, j, entry_status) for j in horizons]
+        four = predict_load_pmfs(parcels, kernel, intensity, selection, k, horizons, entry_status)
+        return [(r.pmf.probs.tobytes(), r.diagnostics) for r in one + four]
+
+    def fresh():
+        return TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)
+
+    shifted = HourlyProfile({key: np.roll(row, 1) for key, row in its.profile.rho.items()})
+    shares = cfg.selection.p_retailer
+    selection = SelectionModel(dict(zip(shares, reversed(shares.values()))), cfg.selection.p_carrier_given_retailer)
+    assert list(selection.pairs()) != list(cfg.selection.pairs())
+    assert {c: selection.p_retailer_given_carrier(c).keys() for c in its.carriers} == {
+        c: cfg.selection.p_retailer_given_carrier(c).keys() for c in its.carriers
+    }  # the same routes: the same windows
+    others = [
+        (OrderIntensity(its.profile, its.carriers, its.start, 1.5 * its.volumes), cfg.selection),
+        (OrderIntensity(shifted, its.carriers, its.start, its.volumes), cfg.selection),
+        (its, selection),
+        (its, None),
+        (its, cfg.selection, cfg.n_statuses - 1),
+    ]
+    warm = fresh()
+    for models in others:
+        expected = forecasts(fresh(), *models)
+        forecasts(warm, its, cfg.selection)  # the scenario's plan on every window
+        assert forecasts(warm, *models) == expected
+        assert forecasts(warm, *models) == expected  # from its own plan
+    calls = counting(monkeypatch, [(OrderIntensity, "at_phase")])
+    forecasts(warm, its, None)  # the windows of no selection kept their plans
+    assert calls == Counter()
+    forecasts(warm, its, cfg.selection)
+    assert calls == Counter({"OrderIntensity.at_phase": len(horizons) + 1})
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -322,6 +322,28 @@ class TestWholeSystemSampler:
         loads = mc_load_at([parcel], kernel, None, None, 12, 10, n_replicates=10_000, rng=np.random.default_rng(0))
         assert late == loads.mean() == 0.0
 
+    def test_evidence_at_most_the_zero_of_enumeration_follows_the_engine(self):
+        # carrier c1's pmf leaves status 0 after k = 30 with probability 2e-16, at or below the
+        # 1e-15 that enumeration and the engine take for zero: the estimate raises as enumeration
+        # does, and the whole-system sampler takes the pooled pmf, as the engine does
+        faint = np.zeros(46)
+        faint[[1, 40, 45]] = 1.0 - 2e-16, 1e-16, 1e-16
+        pooled = KernelLevel((), {(): HoldingTimePmf.uniform(1, 40)})
+        pickup = pooled_status(HoldingTimePmf.uniform(1, 8))
+        by_carrier = StatusKernel((KernelLevel(("carrier",), {("c1",): HoldingTimePmf(faint)}), pooled))
+        kernel = TransitionKernel(2, {0: by_carrier, 1: pickup}, TB)
+        plain = TransitionKernel(2, {0: StatusKernel((pooled,)), 1: pickup}, TB)
+        pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
+        for estimate in (enumerate_contribution_prob, mc_contribution_prob):
+            with pytest.raises(ValidationError, match="^conditioning event has zero probability$"):
+                estimate(pmf_at, 2, 0, 0, 30, 12)
+        parcel = ParcelRecord("P1", "c1", "shop", "r1", {0: 0})
+        rescued, pooled_only = (predict_load_pmf([parcel], kern, None, None, 30, 12) for kern in (kernel, plain))
+        assert rescued.diagnostics == ["parcel P1: impossible evidence, used pooled fallback"]
+        assert rescued.pmf.probs.tobytes() == pooled_only.pmf.probs.tobytes()
+        loads = [mc_load_at([parcel], kern, None, None, 30, 12, 10_000, np.random.default_rng(0)) for kern in (kernel, plain)]
+        assert np.array_equal(*loads)
+
     def test_a_parcel_in_a_status_never_fitted_is_skipped_as_the_engine_skips_it(self):
         # the default kernel fits statuses 2 and 3 only: a parcel still in
         # status 1 draws nothing, and the other parcels' loads keep their bytes
@@ -581,16 +603,18 @@ class TestMonteCarloStreams:
         assert out == (p, float(np.sqrt(max(p * (1.0 - p), 1e-12) / 10_000)))
 
     def test_contribution_estimates_on_random_instances(self):
-        rng, h = np.random.default_rng(2025), hashlib.sha256()
+        # the instances and the estimates draw from generators of their own, so that the
+        # instances do not depend on how many draws each estimate takes
+        instances, draws, h = np.random.default_rng(2025), np.random.default_rng(2026), hashlib.sha256()
         for _ in range(20):
-            kernel, k, j = random_instance(rng)
-            n, t_n = int(rng.integers(0, kernel.n_statuses)), int(rng.integers(0, k + 1))
+            kernel, k, j = random_instance(instances)
+            n, t_n = int(instances.integers(0, kernel.n_statuses)), int(instances.integers(0, k + 1))
             try:  # a short window, so that few estimates are 0 or 1
-                out = mc_contribution_prob(kernel.pmf_at, kernel.n_statuses, n, t_n, k, 1 + j % 3, 10_000, rng)
+                out = mc_contribution_prob(kernel.pmf_at, kernel.n_statuses, n, t_n, k, 1 + j % 3, 10_000, draws)
             except ValidationError:
                 out = "impossible"
             h.update(repr(out).encode())
-        assert h.hexdigest() == "b9b507abe37c587055ffbd4c673e3b5f7bafa06c15c17d052f2a3713cb6c63a3"
+        assert h.hexdigest() == "0a309fb788079e30aee840dbaf5e30bfbb52b4a45c972702aff7446957833d61"
 
 
 def test_groups_sort_as_a_lexsort_by_route_then_slot():
