@@ -29,14 +29,15 @@ pmfs, compiled once as zero-padded probabilities and tail sums), and one
 ``take`` cuts them to the window (k, k + max j].  V_m is an array (routes, horizons, slots) whose
 column h has the terminal of k+j_h and is zero past it, so one einsum with
 a strided view of V_{m+1} serves every route and horizon, and every
-fitted status.  V depends on k only through k mod one week: the kernel
-keeps one window per (PUP, routes, weekly phase, horizons), whoever asks
-(its last ``_WINDOWS``, in ``_compiled``), and a repeat runs no backward
-pass; only repeated forecasts on one kernel gain.  So does the order side
-but for k's day volumes: each kept window holds the order plan of the last
-(entry status, intensity, selection) asked, q = mix V_entry over its slots
-and ``OrderIntensity.at_phase``'s profile rows and day offsets of them, and
-a repeat with those models only takes ``OrderIntensity.on_day``.  The parcels in a
+fitted status.  V depends on k only through k mod one week, and so does
+the order plan but for k's day volumes: q = mix V_entry over the window's
+slots, and ``OrderIntensity.at_phase``'s profile rows and day offsets of
+them.  A window is built once, on a miss, from every model it reads; the
+kernel keeps it (its last ``_WINDOWS``, in ``_compiled``) per (PUP, known
+routes, intensity, selection, entry status, weekly phase, horizons), whoever
+asks, the two models by id, which the window holds.  A repeat runs no
+backward pass and only takes ``OrderIntensity.on_day``; only repeated
+forecasts on one kernel and one model set gain.  The parcels in a
 status are one gather of their rows and tails and one product with
 V_{n+1}.  Every status from the first fitted one up resolves on every
 route at every slot (the kernel checks this when it is built), so the
@@ -54,6 +55,7 @@ the future-order pmf (exactly, one ``poisson_rows`` row per horizon), cut by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -97,36 +99,29 @@ def bind_kernel(kernel, carrier=None, retailer=None, pup=None) -> _Route:
     return _Route(kernel, carrier, retailer, pup)
 
 
-class _Kept(dict):
-    """A window as the kernel keeps it: V_m by fitted status m, and the order plan last read from it."""
-
-    plan: tuple | None = None
-
-
 class _Window:
     """Backward value functions over the window (k, k + max j] on every route
     and horizon: ``values[m][r, h, i]`` is V_m(k+1+i) on ``routes[r]`` for
     the horizon ``js[h]``, P(delivered in (k, k+j_h], still stored at k+j_h
     | status m entered at k+1+i), and 0 for i >= j_h; for every fitted
-    status m.  The kernel keeps them, read-only, per ``key``, whoever asks,
-    as a ``_Kept`` that also holds the last order plan of ``orders``: the
-    future orders' part that depends on k only through the same phase, so
-    it is dropped with the window.  k and js are set per call.
+    status m.  With an intensity, ``plan`` is the order side that depends on
+    k only through the same phase: (q, rho, days, columns), where q[h, i, c]
+    is the probability that an order of carrier c entering ``entry_status``
+    at k+1+i is stored at k+j_h, mixed over the selection's retailers, and
+    the rest is ``intensity.at_phase`` of those slots.  Built once, from every
+    model it reads, and read-only: ``_window`` keeps it.
     """
 
-    def __init__(self, kernel, pup: str, routes: list, k: int, horizons: Sequence[int]):
-        self.kernel, self.k, self.last = kernel, k, kernel.n_statuses - 1
-        windows = kernel._compiled.setdefault("windows", {})
-        key = (pup, tuple(routes), k % kernel.timebase.slots_per_week, tuple(map(int, horizons)))
-        self.js = js = np.array(key[-1], dtype=np.int64)
-        self.values = windows.get(key)
-        if self.values is not None:
-            return
-        if min(key[-1], default=0) < 0:  # never kept
-            raise ValidationError("horizon j must be >= 0")
-        width = int(js.max(initial=0))
-        ahead = js[:, None] - np.arange(width)  # slots left to k+j_h
-        self.values = _Kept()
+    def __init__(self, kernel, pup: str, routes, k: int, js, intensity=None, selection=None, entry_status=None):
+        self.intensity, self.selection = intensity, selection  # held, so that their ids stay theirs while kept
+        self.last, self.js, self.plan = kernel.n_statuses - 1, np.array(js, dtype=np.int64), None
+        self.js.flags.writeable = False
+        if intensity is not None:
+            routes, mix = _order_mix(intensity.carriers, selection, routes)
+        self.routes = routes = tuple(routes)
+        width = int(self.js.max(initial=0))
+        ahead = self.js[:, None] - np.arange(width)  # slots left to k+j_h
+        self.values = {}
         for m in range(self.last, -1, -1):
             if m not in kernel.statuses:  # never fitted, and neither is any status below it
                 break
@@ -139,36 +134,52 @@ class _Window:
                 v = _step(table.probs, rows, v)
             v.flags.writeable = False
             self.values[m] = v
-        if len(windows) >= _WINDOWS:
-            del windows[next(iter(windows))]  # the oldest
-        windows[key] = self.values
-
-    def entering(self, m: int) -> np.ndarray:
-        """V_m; a status never fitted raises MissingKernel."""
-        if not 0 <= m <= self.last:
-            raise ValidationError(f"status {m} outside 0..{self.last}")
-        if m not in self.values:
-            self.kernel.pooled_pmf_at(m)  # raises MissingKernel
-        return self.values[m]
-
-    def orders(self, intensity: OrderIntensity, selection, mix: np.ndarray, entry_status: int) -> tuple:
-        """The order side of a forecast that depends on k only through its weekly phase: (q, rho, days,
-        columns), where q[h, i, c] is the probability that an order of carrier c entering ``entry_status``
-        at k+1+i is stored at k+j_h, mixed by ``mix``, and the rest is ``intensity.at_phase`` of those
-        slots.  Kept with the window for the last (entry status, intensity, selection) asked, which it holds."""
-        plan = self.values.plan
-        if plan is None or plan[0] != entry_status or plan[1] is not intensity or plan[2] is not selection:
-            values = self.entering(entry_status)
-            width = values.shape[-1]
-            q = np.einsum("cr,rhi->hic", mix, values[:, :, : width - 1])
+        if intensity is not None:
+            q = np.einsum("cr,rhi->hic", mix, self.entering(entry_status, kernel)[:, :, : width - 1])
             if entry_status == self.last:  # an order at k+j_h is not stored by k+j_h; below the last status V is 0 there
                 q[np.arange(width - 1) >= self.js[:, None] - 1] = 0.0
             columns = np.arange(len(intensity.carriers))
-            rho, days = intensity.at_phase(self.kernel.timebase, self.k, np.arange(self.k + 1, self.k + width), columns)
-            for kept in (q, rho, days, columns):
+            self.plan = (q, *intensity.at_phase(kernel.timebase, k, np.arange(k + 1, k + width), columns), columns)
+            for kept in self.plan:
                 kept.flags.writeable = False
-            plan = self.values.plan = (entry_status, intensity, selection, q, rho, days, columns)
-        return plan[3:]
+
+    def entering(self, m: int, kernel) -> np.ndarray:
+        """V_m; a status never fitted raises the kernel's MissingKernel."""
+        if not 0 <= m <= self.last:
+            raise ValidationError(f"status {m} outside 0..{self.last}")
+        if m not in self.values:
+            kernel.pooled_pmf_at(m)  # raises MissingKernel
+        return self.values[m]
+
+
+def _window(kernel, pup: str, routes, k: int, horizons, intensity=None, selection=None, entry_status=None):
+    """The window of these known routes, models, weekly phase and horizons, from the kernel's last
+    ``_WINDOWS``, whoever asked; a miss builds and keeps it, dropping the oldest.  The intensity and
+    the selection are keyed by id, which the window holds; without an intensity, the selection and
+    the entry status are neither read nor keyed."""
+    js = tuple(map(_horizon, horizons))
+    if intensity is None:
+        selection = entry_status = None
+    windows = kernel._compiled.setdefault("windows", {})
+    key = (pup, tuple(routes), id(intensity), id(selection), entry_status, k % kernel.timebase.slots_per_week, js)
+    window = windows.get(key)
+    if window is None:
+        window = _Window(kernel, pup, routes, k, js, intensity, selection, entry_status)
+        if len(windows) >= _WINDOWS:
+            del windows[next(iter(windows))]  # the oldest
+        windows[key] = window
+    return window
+
+
+def _horizon(j) -> int:
+    """j as a count of slots: an integer (numpy's too) >= 0."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise ValidationError(f"horizon {j!r} is not an integer") from None
+    if j < 0:
+        raise ValidationError(f"horizon {j} is negative")
+    return j
 
 
 def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -189,12 +200,12 @@ def _step(probs: np.ndarray, rows: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     return v
 
 
-def _contributions(window: _Window, n: int, rows: np.ndarray, table: PmfTable, t_n: np.ndarray, route: np.ndarray):
+def _contributions(window: _Window, k: int, n: int, rows: np.ndarray, table: PmfTable, t_n: np.ndarray, route):
     """(p, denom) for parcels in status n since t_n <= k whose status-n pmfs
     are ``rows`` of table: parcel i contributes at horizon h with probability
     p[i, h], its joint probability over denom[i] = P(H > k - t_n); where
     denom[i] <= _EPS its evidence is impossible."""
-    since = window.k + 1 - t_n  # the delay from entry to the window's first slot
+    since = k + 1 - t_n  # the delay from entry to the window's first slot
     denom = table.tails[rows, np.minimum(since, table.width)]  # tails[r, d] = P(H > d - 1)
     if n == window.last:  # delivered: the ratio of pickup survivals
         num = table.tails[rows[:, None], np.minimum(since[:, None] + window.js, table.width)]
@@ -216,35 +227,29 @@ def contribution_prob(route: _Route, n_statuses: int, n: int, t_n: int, k: int, 
         raise ValidationError(f"n_statuses={n_statuses}, but the kernel has {route.kernel.n_statuses} statuses")
     if not 0 <= n < n_statuses:
         raise ValidationError(f"status {n} outside 0..{n_statuses - 1}")
-    window = _Window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,))
+    window = _window(route.kernel, route.pup, [(route.carrier, route.retailer)], k, (j,))
     if t_n > k:
-        values = window.entering(n)
+        values = window.entering(n, route.kernel)
         return 0.0 if t_n > k + j else float(values[0, 0, t_n - k - 1])
     r, table = route.kernel.row_at(n, t_n, route.carrier, route.retailer, route.pup)
     if n < window.last and j == 0:
         return 0.0  # no slot to be delivered in
-    p, denom = _contributions(window, n, np.array([r]), table, np.array([t_n]), np.zeros(1, dtype=int))
+    p, denom = _contributions(window, k, n, np.array([r]), table, np.array([t_n]), np.zeros(1, dtype=int))
     if denom[0] <= _EPS:
         raise ImpossibleEvidence(f"kernel says status {n} entered at {t_n} must have been left by {k}")
     return float(p[0, 0])
 
 
-def _order_mix(intensity: OrderIntensity, selection: SelectionModel | None, routes: list) -> np.ndarray:
-    """Each carrier's retailer mix as weights (carriers x routes) on ``routes``, which gains the routes it lacks.
-    A carrier without retailer weights, or any without ``selection``, orders with retailer None; selection keeps it."""
-    known = {} if selection is None else selection._mixes
-    key = (intensity.carriers, tuple(routes))
-    if key not in known:
-        index = {route: i for i, route in enumerate(routes)}
-        mix = []
-        for c in intensity.carriers:
-            weights = (selection and selection.p_retailer_given_carrier(c)) or {None: 1.0}
-            mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
-        mix = np.array([[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]).reshape(len(mix), len(index))
-        mix.flags.writeable = False
-        known[key] = mix, tuple(index)
-    mix, routes[:] = known[key]
-    return mix
+def _order_mix(carriers: tuple, selection: SelectionModel | None, routes) -> tuple[tuple, np.ndarray]:
+    """``routes`` and then the routes they lack, and each carrier's retailer mix as weights (carriers x routes) on
+    them.  A carrier without retailer weights, or any without ``selection``, orders with retailer None."""
+    index = {route: i for i, route in enumerate(routes)}
+    mix = []
+    for c in carriers:
+        weights = (selection and selection.p_retailer_given_carrier(c)) or {None: 1.0}
+        mix.append({index.setdefault((c, r), len(index)): w for r, w in weights.items()})
+    mix = [[weights.get(r, 0.0) for r in range(len(index))] for weights in mix]
+    return tuple(index), np.array(mix).reshape(len(carriers), len(index))
 
 
 def future_orders_pmf(
@@ -268,24 +273,17 @@ def future_orders_pmf(
     whose Poisson CDF reaches ``coverage``, renormalized, and the pairs are
     convolved.
     """
-    routes: list = []
-    mix = _order_mix(intensity, selection, routes)
-    window = _Window(kernel, pup, routes, k, (j,))
-    return LoadPmf(_future_orders_pmfs(intensity, selection, mix, window, entry_status, coverage)[0])
+    window = _window(kernel, pup, (), k, (j,), intensity, selection, entry_status)
+    return LoadPmf(_future_orders_pmfs(window, kernel.timebase, k, coverage)[0])
 
 
-def _future_orders_pmfs(
-    intensity: OrderIntensity,
-    selection: SelectionModel | None,
-    mix: np.ndarray,
-    window: _Window,
-    entry_status: int,
-    coverage: float | None,
-) -> list[np.ndarray]:
-    """``future_orders_pmf``'s probabilities at each horizon of the window."""
-    p, rho, days, columns = window.orders(intensity, selection, mix, entry_status)
+def _future_orders_pmfs(window: _Window, timebase, k: int, coverage: float | None) -> list[np.ndarray]:
+    """``future_orders_pmf``'s probabilities at each horizon of the window, anchored at k; none without an intensity."""
+    if window.plan is None:
+        return [np.ones(1)] * len(window.js)
+    p, rho, days, columns = window.plan
     # Poisson rate of each entry slot k+1..k+width-1 and carrier (C-ordered: the einsum below sums in memory order)
-    lam = np.ascontiguousarray(intensity.on_day(window.kernel.timebase, window.k, rho, days, columns))
+    lam = np.ascontiguousarray(window.intensity.on_day(timebase, k, rho, days, columns))
     if coverage is not None:  # each pair's count is cut at the same point at every horizon
         live = lam.ravel() > 0.0
         rates = lam.ravel()[live]
@@ -394,9 +392,7 @@ def predict_load_pmfs(
     pairs = np.bincount(code).nonzero()[0]
     route = pairs.searchsorted(code)  # each parcel's index into routes
     routes = [(log.carriers[c], log.retailers[r]) for c, r in (divmod(x, len(log.retailers)) for x in pairs.tolist())]
-    if intensity is not None:
-        mix = _order_mix(intensity, selection, routes)
-    window = _Window(kernel, pup, routes, k, horizons)
+    window = _window(kernel, pup, routes, k, horizons, intensity, selection, entry_status)
     p = np.zeros((len(rows), len(window.js)))
     noted = []  # (index, shown at j = 0, note) of each parcel skipped or rescued
     for n in sorted(set(status.tolist())):
@@ -404,22 +400,19 @@ def predict_load_pmfs(
         if n not in kernel.statuses:
             noted += [(i, True, f"no kernel for status {n}; skipped") for i in here.tolist()]
             continue
-        weeks, table = kernel.week_rows(n, routes, pup)
+        weeks, table = kernel.week_rows(n, window.routes, pup)
         t_n, on = slot[here], route[here]
-        p[here], denom = _contributions(window, n, weeks[on, t_n % weeks.shape[1]], table, t_n, on)
+        p[here], denom = _contributions(window, k, n, weeks[on, t_n % weeks.shape[1]], table, t_n, on)
         at = here[denom <= _EPS]
         if len(at):  # impossible evidence: retried with the coarsest pooled pmf, a row of the same table
             pooled = np.full(len(at), table.row_of[id(kernel.pooled_pmf_at(n))])
-            p[at], denom = _contributions(window, n, pooled, table, slot[at], route[at])
+            p[at], denom = _contributions(window, k, n, pooled, table, slot[at], route[at])
             p[at[denom <= _EPS]] = 0.0
             reasons = "impossible evidence, used pooled fallback", "holding time beyond all supports; assumed departed"
             noted += [(i, n == window.last, reasons[d <= _EPS]) for i, d in zip(at.tolist(), denom.tolist())]
     noted = [(shown, f"parcel {log.ids[rows[i]]}: {note}") for i, shown, note in sorted(noted)]  # in row order
     diagnostics = [[note for shown, note in noted if j or shown] for j in window.js.tolist()]
-    if intensity is None:
-        future = [np.ones(1)] * len(window.js)
-    else:
-        future = _future_orders_pmfs(intensity, selection, mix, window, entry_status, coverage)
+    future = _future_orders_pmfs(window, kernel.timebase, k, coverage)
     results = []
     for j, known, orders, notes in zip(window.js.tolist(), _bernoulli_sums(p), future, diagnostics):
         probs = np.convolve(known, orders)

@@ -111,10 +111,6 @@ class SelectionModel:
             joint[c][r] = p
         return {c: {r: p / sum(weights.values()) for r, p in weights.items()} for c, weights in joint.items()}
 
-    @cached_property
-    def _mixes(self) -> dict:
-        return {}  # the engine's order mixes, per (carriers, routes)
-
     def to_json_dict(self) -> dict:
         """JSON document; the unknown retailer ``None`` is written as "", as in the event CSV."""
         p_cgr = {str(r or ""): dict(sorted(pc.items())) for r, pc in self.p_carrier_given_retailer.items()}

@@ -129,7 +129,8 @@ class TransitionKernel:
     timebase: Timebase
     # status n's PmfTable; per (n, level index, route features it names) the level's week and per
     # (n, carrier, retailer, pup) the (rows, table) of _week; the last (routes, stack, table) of
-    # week_rows per (n, pup); under "windows", the engine's value functions per weekly phase
+    # week_rows per (n, pup); under "windows", the engine's kept windows per (PUP, known routes, models,
+    # weekly phase, horizons), each built once from every model it reads (engine._window)
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

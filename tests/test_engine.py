@@ -1,5 +1,9 @@
 """Contribution probabilities and the load prediction algorithm."""
 
+import dataclasses
+import gc
+import re
+import weakref
 from collections import Counter
 from datetime import date
 from math import comb, exp, factorial
@@ -13,7 +17,7 @@ from pupcast import HoldingTimePmf, KernelLevel, LoadPmf, StatusKernel, Timebase
 from pupcast.arrivals import HourlyProfile, OrderIntensity, poisson_pmf, poisson_truncation
 from pupcast.engine import (
     _WINDOWS,
-    _Window,
+    _window,
     bind_kernel,
     contribution_prob,
     future_orders_pmf,
@@ -191,7 +195,7 @@ class TestCompiledWindow:
     DEFAULT_ROUTES = [("c1", "r1"), ("c2", "r1"), ("c2", "r2"), ("c3", "r2"), ("c1", "r3"), ("c3", "r3")]
 
     def check(self, kernel, routes, first_status, k, horizons):
-        window = _Window(kernel, "shop", routes, k, np.array(horizons))
+        window = _window(kernel, "shop", routes, k, np.array(horizons))
         for r, route in enumerate(routes):
             pmf_at = bind_kernel(kernel, carrier=route[0], retailer=route[1], pup="shop")
             for h, j in enumerate(horizons):
@@ -887,7 +891,7 @@ def test_a_warm_kernel_gives_a_fresh_kernels_bytes(seed):
 
 
 def test_the_order_plan_is_kept_per_entry_status_intensity_and_selection(default_log, monkeypatch):
-    # a window the kernel keeps holds the order plan of the models last asked; models
+    # a window the kernel keeps holds the order plan of the models it was built for; models
     # that differ in any input the plan reads make their own: an intensity with the same
     # profile and other volumes, another profile, another selection over the same
     # routes, no selection, and the last status as the entry status each give the bytes
@@ -921,14 +925,99 @@ def test_the_order_plan_is_kept_per_entry_status_intensity_and_selection(default
     warm = fresh()
     for models in others:
         expected = forecasts(fresh(), *models)
-        forecasts(warm, its, cfg.selection)  # the scenario's plan on every window
+        forecasts(warm, its, cfg.selection)  # the scenario's windows
         assert forecasts(warm, *models) == expected
-        assert forecasts(warm, *models) == expected  # from its own plan
+        assert forecasts(warm, *models) == expected  # from its own windows
     calls = counting(monkeypatch, [(OrderIntensity, "at_phase")])
-    forecasts(warm, its, None)  # the windows of no selection kept their plans
+    forecasts(warm, its, None)  # every model set keeps its own windows
     assert calls == Counter()
     forecasts(warm, its, cfg.selection)
-    assert calls == Counter({"OrderIntensity.at_phase": len(horizons) + 1})
+    assert calls == Counter()
+
+
+def test_horizons_must_be_integers(default_log):
+    # a horizon counts slots: a value that operator.index refuses is rejected by name,
+    # not cut to an integer, and numpy integers are horizons like Python ones
+    cfg, log = default_log
+    k = 100 * cfg.timebase.slots_per_day
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    models = (cfg.kernel, cfg.intensity, cfg.selection)
+    route = bind_kernel(cfg.kernel, "c1", "r1", cfg.pup)
+    for bad in (13.9, "13", np.float64(13.0)):
+        named = re.escape(f"horizon {bad!r}")
+        with pytest.raises(ValidationError, match=named):
+            predict_load_pmfs(parcels, *models, k, (37, bad), cfg.entry_status)
+        with pytest.raises(ValidationError, match=named):
+            predict_load_pmf(parcels, cfg.kernel, None, None, k, bad)
+        with pytest.raises(ValidationError, match=named):
+            future_orders_pmf(cfg.intensity, cfg.kernel, cfg.selection, cfg.pup, k, bad, cfg.entry_status)
+        with pytest.raises(ValidationError, match=named):
+            contribution_prob(route, cfg.n_statuses, 2, 2399, 2400, bad)
+    expected = predict_load_pmfs(parcels, *models, k, (13, 37), cfg.entry_status)
+    results = predict_load_pmfs(parcels, *models, k, (np.int64(13), np.int32(37)), cfg.entry_status)
+    assert [type(r.j) for r in results] == [int, int]
+    assert [(r.j, r.pmf.probs.tobytes()) for r in results] == [(r.j, r.pmf.probs.tobytes()) for r in expected]
+    assert contribution_prob(route, cfg.n_statuses, 2, 2399, 2400, np.int64(13)) == contribution_prob(
+        route, cfg.n_statuses, 2, 2399, 2400, 13
+    )
+
+
+def test_no_model_holds_engine_state(default_log):
+    # the engine keeps what it computes on the kernel alone: after every kind of forecast
+    # the selection and the intensity hold only their fields and the tables they build
+    cfg, log = default_log
+    k = 100 * cfg.timebase.slots_per_day
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    models = (cfg.kernel, cfg.intensity, cfg.selection)
+    predict_load_pmf(parcels, *models, k, 37, cfg.entry_status)
+    predict_load_pmfs(parcels, *models, k, (13, 37, 61, 85), cfg.entry_status)
+    contribution_prob(bind_kernel(cfg.kernel, "c1", "r1", cfg.pup), cfg.n_statuses, cfg.entry_status, k - 9, k, 61)
+    future_orders_pmf(cfg.intensity, cfg.kernel, cfg.selection, cfg.pup, k, 61, cfg.entry_status)
+
+    def fields(model):
+        return {f.name for f in dataclasses.fields(model)}
+
+    assert vars(cfg.selection).keys() == fields(cfg.selection) | {"_given_carrier"}
+    assert vars(cfg.intensity).keys() == fields(cfg.intensity) | {"_rho", "_volumes"}
+
+
+def test_a_kept_window_holds_its_models(default_log):
+    # a kept window is keyed on its intensity and selection by id and holds both, so no
+    # later model takes their ids while it is kept: models built anew for each forecast,
+    # content-equal or not, give a fresh kernel's bytes; once _WINDOWS later windows push
+    # the window out, its models go with it
+    cfg, log = default_log
+    k, its = 100 * cfg.timebase.slots_per_day, cfg.intensity
+    parcels = log.truncated(k).for_pup(cfg.pup)
+    shares = list(cfg.selection.p_retailer.values())
+
+    def models(scale, weights):
+        intensity = OrderIntensity(its.profile, its.carriers, its.start, scale * its.volumes)
+        selection = SelectionModel(dict(zip(cfg.selection.p_retailer, weights)), cfg.selection.p_carrier_given_retailer)
+        return intensity, selection
+
+    def forecast(kernel, intensity, selection):
+        result = predict_load_pmf(parcels, kernel, intensity, selection, k, 37, cfg.entry_status)
+        return result.pmf.probs.tobytes(), result.diagnostics
+
+    def fresh():
+        return TransitionKernel(cfg.n_statuses, cfg.kernel.statuses, cfg.timebase)
+
+    warm = fresh()
+    for scale, weights in [(1.0, shares), (1.0, shares), (1.5, shares[::-1]), (0.5, shares), (1.0, shares)]:
+        assert forecast(warm, *models(scale, weights)) == forecast(fresh(), *models(scale, weights))
+    intensity, selection = models(2.0, shares)
+    kept = weakref.ref(intensity), weakref.ref(selection)
+    forecast(warm, intensity, selection)
+    del intensity, selection
+    route = bind_kernel(warm, "c1", "r1", cfg.pup)
+    for j in range(_WINDOWS - 1):
+        contribution_prob(route, cfg.n_statuses, cfg.entry_status, k - 9, k, j)
+    gc.collect()
+    assert all(ref() is not None for ref in kept)  # its window is the oldest kept
+    contribution_prob(route, cfg.n_statuses, cfg.entry_status, k - 9, k, _WINDOWS - 1)
+    gc.collect()
+    assert all(ref() is None for ref in kept)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -976,14 +1065,19 @@ def test_the_windows_stay_under_the_cap_and_keep_the_tables():
     kernel = chain_kernel([random_pmf(rng, 6), random_pmf(rng, 9), random_pmf(rng, 12)])
     pmf_at = bind_kernel(kernel, "c1", "r1", "shop")
 
+    intensity = single_carrier_intensity(0.6)
+
     def probs():
-        return [contribution_prob(pmf_at, 3, 2, 20, 24, j) for j in range(_WINDOWS + 20)]
+        probs = [contribution_prob(pmf_at, 3, 2, 20, 24, j) for j in range(_WINDOWS + 20)]
+        return probs + [future_orders_pmf(intensity, kernel, SELECTION, "shop", 24, j).probs.tobytes() for j in (1, 3, 7)]
 
     first = probs()
     compiled = {key: value for key, value in kernel._compiled.items() if key != "windows"}
     windows = kernel._compiled["windows"]
     assert len(windows) == _WINDOWS
-    assert not any(v.flags.writeable for values in windows.values() for v in values.values())
+    assert sum(window.plan is not None for window in windows.values()) == 3
+    kept = [array for window in windows.values() for array in (window.js, *window.values.values(), *(window.plan or ()))]
+    assert not any(array.flags.writeable for array in kept)
     assert probs() == first  # == on floats: bit for bit
     assert len(kernel._compiled["windows"]) == _WINDOWS
     assert {key: value for key, value in kernel._compiled.items() if key != "windows"} == compiled
@@ -1016,7 +1110,7 @@ def test_a_window_repeats_weekly(slot_hours):
     for statuses, n_statuses, routes in cases:
         for k in (5, 70, 140 // slot_hours):
             windows = [
-                _Window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1))
+                _window(TransitionKernel(n_statuses, statuses, timebase), "shop", routes, k + shift, (61, 0, 13, 1))
                 for shift in (0, week, -week, -3 * week)
             ]
             for window in windows[1:]:
